@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: kernel-verify, evolve, contraction-sweep, norms, operators,
-distance, kernel, flow, all.  Global flags --config/--out/--seed/--threads
-are accepted on every subcommand.
+distance, kernel, flow, all.  Global flags --config/--out/--seed are accepted
+on every subcommand.
+
+Exit status: 0 when every hard check passes, 1 when one fails, 2 on a
+configuration error, 3 when a Picard iterate leaves the projection tube.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, ManifoldTubeExitError
 from .harness import (SUITES, run_contraction_sweep, run_evolve,
                       run_kernel_verify, run_suite)
 
@@ -19,8 +22,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="sectioned config file")
     p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("--seed", type=int, default=0, help="ensemble seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; execution stays sequential for determinism")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     kv.add_argument("--out", required=True, help="output JSON file")
     kv.add_argument("--config", default=None)
     kv.add_argument("--seed", type=int, default=0)
-    kv.add_argument("--threads", type=int, default=1)
 
     ev = sub.add_parser("evolve", help="run one Picard solve and dump the solution")
     _add_common(ev)
@@ -72,11 +72,13 @@ def main(argv=None) -> int:
             manifest = run_contraction_sweep(args.config, args.out, amplitudes,
                                              seed=args.seed)
         else:
-            manifest = run_suite(args.command, args.config, args.out,
-                                 seed=args.seed, threads=args.threads)
+            manifest = run_suite(args.command, args.config, args.out, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ManifoldTubeExitError as exc:
+        print(f"tube exit: {exc}", file=sys.stderr)
+        return 3
     for check, ok in manifest.summary.items():
         print(f"{check}: {'pass' if ok else 'FAIL'}")
     hard_fail = any(not ok for ok in manifest.summary.values())

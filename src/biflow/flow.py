@@ -33,7 +33,7 @@ from scipy.optimize import brentq as _brentq
 from .errors import ManifoldTubeExitError
 from .fields import Grid, GridField, SpaceTimeField, gradient, hessian, laplacian
 from .kernel import ALPHA, KernelProfile, SampleSpec, certify_bound, default_profile
-from .manifold import SphereTarget, distance_to_sphere, dpi, project, rho
+from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project, rho
 from .norms import bmo_seminorm, x_norm
 from .semigroup import (apply_G, apply_G_trajectory, apply_S_div_trajectory,
                         apply_S_trajectory)
@@ -129,7 +129,7 @@ def _check_tube(values: np.ndarray, target: SphereTarget, where: str = ""):
     dev = np.abs(np.sqrt((values ** 2).sum(axis=-1)) - 1.0)
     worst = float(dev.max())
     if worst > target.tube_radius:
-        loc = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        loc = tuple(int(i) for i in np.unravel_index(int(np.argmax(dev)), dev.shape))
         radius = float(np.sqrt((values[loc] ** 2).sum()))
         raise ManifoldTubeExitError(
             f"iterate left the projection tube{where}: |u|={radius:.6f} "
@@ -137,22 +137,25 @@ def _check_tube(values: np.ndarray, target: SphereTarget, where: str = ""):
 
 
 class _DerivBundle:
-    """Spectral derivatives of one frame, shared by the nonlinearities."""
+    """Spectral derivatives of one frame and the projection jet at it,
+    shared by the nonlinearities."""
 
-    def __init__(self, u: GridField):
+    def __init__(self, u: GridField, target: SphereTarget):
         self.u = u
         self.grad = gradient(u)        # grid + (n, l)
         self.hess = hessian(u)         # grid + (n, n, l)
         self.lap = laplacian(u).values  # grid + (l,)
+        self.jet = ProjectionJet(target, u.values)
+        # jet keys of the gradient components d_a u and of Lap u
+        self.g = [self.jet.vec(self.grad[..., a, :]) for a in range(u.grid.dim)]
+        self.L = self.jet.vec(self.lap)
 
 
-def _f1_from_bundle(b: _DerivBundle, target: SphereTarget) -> np.ndarray:
-    u, lap = b.u.values, b.lap
-    n = b.u.grid.dim
-    acc = dpi(target, u, 2, (lap, lap))
-    for a in range(n):
-        ga = b.grad[..., a, :]
-        acc = acc + dpi(target, u, 3, (ga, ga, lap))
+def _f1_from_bundle(b: _DerivBundle) -> np.ndarray:
+    jet, g, L = b.jet, b.g, b.L
+    acc = jet.d2(L, L)
+    for ga in g:
+        acc = acc + jet.d3(ga, ga, L)
     return -acc
 
 
@@ -163,20 +166,20 @@ def nonlinearity_f1(u: GridField, target: SphereTarget) -> GridField:
     with C from the projection's derivative bounds on the tube.
     """
     _check_tube(u.values, target)
-    return GridField(u.grid, _f1_from_bundle(_DerivBundle(u), target))
+    return GridField(u.grid, _f1_from_bundle(_DerivBundle(u, target)))
 
 
-def _f2_from_bundle(b: _DerivBundle, target: SphereTarget) -> np.ndarray:
-    u, lap = b.u.values, b.lap
+def _f2_from_bundle(b: _DerivBundle) -> np.ndarray:
+    jet, g, L = b.jet, b.g, b.L
     n = b.u.grid.dim
     out = np.empty(b.u.grid.shape + (n, b.u.codomain_dim))
     for alpha in range(n):
-        galpha = b.grad[..., alpha, :]
-        acc = 2.0 * dpi(target, u, 2, (galpha, lap))
+        galpha = g[alpha]
+        acc = 2.0 * jet.d2(galpha, L)
         for a in range(n):
-            ga = b.grad[..., a, :]
-            acc = acc + dpi(target, u, 3, (galpha, ga, ga))
-            acc = acc + 2.0 * dpi(target, u, 2, (b.hess[..., alpha, a, :], ga))
+            ga = g[a]
+            acc = acc + jet.d3(galpha, ga, ga)
+            acc = acc + 2.0 * jet.d2(jet.vec(b.hess[..., alpha, a, :]), ga)
         out[..., alpha, :] = acc
     return out
 
@@ -189,25 +192,23 @@ def nonlinearity_f2(u: GridField, target: SphereTarget) -> GridField:
     |F2[u]| <= C (|grad^2 u| |grad u| + |grad u|^3).
     """
     _check_tube(u.values, target)
-    return GridField(u.grid, _f2_from_bundle(_DerivBundle(u), target))
+    return GridField(u.grid, _f2_from_bundle(_DerivBundle(u, target)))
 
 
-def _f3_from_bundle(b: _DerivBundle, target: SphereTarget) -> np.ndarray:
+def _f3_from_bundle(b: _DerivBundle) -> np.ndarray:
+    jet, g = b.jet, b.g
     u = b.u.values
-    n = b.u.grid.dim
     B = np.zeros_like(u)
-    for a in range(n):
-        ga = b.grad[..., a, :]
-        B = B + dpi(target, u, 2, (ga, ga))
+    for ga in g:
+        B = B + jet.d2(ga, ga)
+    kB = jet.vec(B)
     term1 = np.zeros_like(u)
-    for a in range(n):
-        ga = b.grad[..., a, :]
-        term1 = term1 + dpi(target, u, 3, (ga, ga, B))
-    term1 = dpi(target, u, 1, (term1,))
+    for ga in g:
+        term1 = term1 + jet.d3(ga, ga, kB)
+    term1 = jet.d1(jet.vec(term1))
     term2 = np.zeros_like(u)
-    for a in range(n):
-        ga = b.grad[..., a, :]
-        term2 = term2 + dpi(target, u, 2, (ga, dpi(target, u, 2, (ga, B))))
+    for ga in g:
+        term2 = term2 + jet.d2(ga, jet.vec(jet.d2(ga, kB)))
     return term1 + 2.0 * term2
 
 
@@ -218,7 +219,7 @@ def nonlinearity_f3(u: GridField, target: SphereTarget) -> GridField:
     with the fourth power of a perturbation amplitude on sphere-valued data.
     """
     _check_tube(u.values, target)
-    return GridField(u.grid, _f3_from_bundle(_DerivBundle(u), target))
+    return GridField(u.grid, _f3_from_bundle(_DerivBundle(u, target)))
 
 
 # ----------------------------------------------------------------------
@@ -247,11 +248,11 @@ def _apply_T(config: FlowConfig, hat_u0: SpaceTimeField,
             clamped_any |= did
         else:
             _check_tube(vals, target, where=f" at frame t={traj.times[j]:.4g}")
-        bundle = _DerivBundle(GridField(grid, vals))
-        f1_frames.append(_f1_from_bundle(bundle, target))
-        f2_frames.append(_f2_from_bundle(bundle, target))
+        bundle = _DerivBundle(GridField(grid, vals), target)
+        f1_frames.append(_f1_from_bundle(bundle))
+        f2_frames.append(_f2_from_bundle(bundle))
         if config.mode == "intrinsic":
-            f3_frames.append(_f3_from_bundle(bundle, target))
+            f3_frames.append(_f3_from_bundle(bundle))
     f1 = SpaceTimeField(grid, traj.times, np.stack(f1_frames))
     f2 = SpaceTimeField(grid, traj.times, np.stack(f2_frames))
     new = hat_u0 + apply_S_trajectory(f1) + apply_S_div_trajectory(f2)
@@ -337,8 +338,9 @@ def constraint_diagnostics(u: SpaceTimeField, target: SphereTarget,
         masses.append(float(rho(target, vals).sum()) * grid.cell_volume)
         base = project(target, vals)
         qv = vals - base
+        jet = ProjectionJet(target, base)
         for v in probes:
-            tangent = dpi(target, base, 1, (np.broadcast_to(v, vals.shape),))
+            tangent = jet.d1(jet.vec(np.broadcast_to(v, vals.shape)))
             orth = max(orth, float(np.abs((tangent * qv).sum(axis=-1)).max()))
     flagged = bool(max(masses) > tolerance * grid.volume)
     return {

@@ -1,7 +1,8 @@
 """Experiment orchestration: configs, suites, reports, run manifests.
 
 Every run writes its manifest before any other output, then rewrites it at
-the end with the full file list and pass/fail summary.  Reports are flat JSON
+the end with the full file list and pass/fail summary, or, if the run raised,
+with status "failed" and the error message.  Reports are flat JSON
 and CSV with deterministic formatting; random ensembles come from a seeded
 counter-based generator, so a fixed seed reproduces every report byte for
 byte (the manifest carries wall time and is the one file exempt from that).
@@ -10,6 +11,7 @@ byte (the manifest carries wall time and is the one file exempt from that).
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import json
 import math
@@ -151,16 +153,35 @@ class RunManifest:
     wall_time_s: float = 0.0
     outputs: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    error: str | None = None
 
     def write(self, out_dir: Path):
         payload = {
             "command": self.command, "config": self.config, "seed": self.seed,
             "code_version": self.code_version, "status": self.status,
             "wall_time_s": self.wall_time_s, "outputs": sorted(self.outputs),
-            "summary": self.summary,
+            "summary": self.summary, "error": self.error,
         }
         (out_dir / "run_manifest.json").write_text(
             json.dumps(payload, sort_keys=True, indent=1))
+
+
+@contextlib.contextmanager
+def _recorded(manifest: RunManifest, out_dir: Path):
+    """Write the manifest before the run and again after it, with the wall
+    time and status "completed", or "failed" and the error if it raised."""
+    manifest.write(out_dir)  # manifest exists before any other output
+    start = time.perf_counter()
+    try:
+        yield
+        manifest.status = "completed"
+    except Exception as exc:
+        manifest.status = "failed"
+        manifest.error = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        manifest.wall_time_s = time.perf_counter() - start
+        manifest.write(out_dir)
 
 
 def _json_default(obj):
@@ -404,13 +425,8 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0,
-              threads: int = 1) -> RunManifest:
-    """Execute one experiment suite (or all of them) and write its reports.
-
-    ``threads`` is accepted for interface stability; execution is sequential
-    so that reductions are deterministic.
-    """
+def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0) -> RunManifest:
+    """Execute one experiment suite (or all of them) and write its reports."""
     if suite_id not in SUITES:
         raise ConfigError(f"unknown suite {suite_id!r}; choose from {SUITES}")
     cp = config if isinstance(config, configparser.ConfigParser) else load_config(config)
@@ -418,18 +434,14 @@ def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0,
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command=f"run_suite {suite_id}",
                            config=_config_snapshot(cp), seed=seed)
-    manifest.write(out)  # manifest exists before any other output
-    start = time.perf_counter()
     names = [suite_id] if suite_id != "all" else list(_SUITE_FNS)
-    for name in names:
-        sub = out / name if suite_id == "all" else out
-        prefix = f"{name}/" if suite_id == "all" else ""
-        sub.mkdir(parents=True, exist_ok=True)
-        summary = _SUITE_FNS[name](cp, sub, seed, manifest, prefix)
-        manifest.summary.update(summary)
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.status = "completed"
-    manifest.write(out)
+    with _recorded(manifest, out):
+        for name in names:
+            sub = out / name if suite_id == "all" else out
+            prefix = f"{name}/" if suite_id == "all" else ""
+            sub.mkdir(parents=True, exist_ok=True)
+            summary = _SUITE_FNS[name](cp, sub, seed, manifest, prefix)
+            manifest.summary.update(summary)
     return manifest
 
 
@@ -453,19 +465,15 @@ def run_evolve(config_path, out_dir, seed: int = 0) -> RunManifest:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command="evolve", config=_config_snapshot(cp), seed=seed)
-    manifest.write(out)
-    start = time.perf_counter()
-    cfg = flow_config_from(cp)
-    u0 = initial_data_from(cp, cfg.grid, cfg.target)
-    traj, diag = picard_solve(cfg, u0)
-    files = save_space_time_field(traj, out / "solution")
-    manifest.outputs.extend(f"solution/{f}" for f in files)
-    _write_json(out, "flow_diagnostics.json", diag.to_json(), manifest)
-    manifest.summary = {"converged": bool(diag.converged),
-                        "constraint_ok": not diag.constraint_flag}
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.status = "completed"
-    manifest.write(out)
+    with _recorded(manifest, out):
+        cfg = flow_config_from(cp)
+        u0 = initial_data_from(cp, cfg.grid, cfg.target)
+        traj, diag = picard_solve(cfg, u0)
+        files = save_space_time_field(traj, out / "solution")
+        manifest.outputs.extend(f"solution/{f}" for f in files)
+        _write_json(out, "flow_diagnostics.json", diag.to_json(), manifest)
+        manifest.summary = {"converged": bool(diag.converged),
+                            "constraint_ok": not diag.constraint_flag}
     return manifest
 
 
@@ -476,23 +484,19 @@ def run_contraction_sweep(config_path, out_dir, amplitudes, seed: int = 0) -> Ru
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command="contraction-sweep",
                            config=_config_snapshot(cp), seed=seed)
-    manifest.write(out)
-    start = time.perf_counter()
-    cfg = flow_config_from(cp)
-    R = cfg.grid.box_length * cp.getfloat("experiments", "bmo_radius_fraction")
-    rows = []
-    for eps in amplitudes:
-        u0 = initial_data_from(cp, cfg.grid, cfg.target, amplitude=eps)
-        bmo = bmo_seminorm(u0, R)
-        traj, diag = picard_solve(cfg, u0)
-        theta_max = max(diag.contraction_ratios) if diag.contraction_ratios else 0.0
-        rows.append([eps, bmo, theta_max, diag.converged, diag.iterations,
-                     diag.diff_norms[-1] if diag.diff_norms else 0.0])
-    _write_csv(out, "contraction_sweep.csv",
-               ["amplitude", "bmo_seminorm", "theta_max", "converged",
-                "iterations", "d_last"], rows, manifest)
-    manifest.summary = {"all_converged": all(r[3] for r in rows)}
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.status = "completed"
-    manifest.write(out)
+    with _recorded(manifest, out):
+        cfg = flow_config_from(cp)
+        R = cfg.grid.box_length * cp.getfloat("experiments", "bmo_radius_fraction")
+        rows = []
+        for eps in amplitudes:
+            u0 = initial_data_from(cp, cfg.grid, cfg.target, amplitude=eps)
+            bmo = bmo_seminorm(u0, R)
+            traj, diag = picard_solve(cfg, u0)
+            theta_max = max(diag.contraction_ratios) if diag.contraction_ratios else 0.0
+            rows.append([eps, bmo, theta_max, diag.converged, diag.iterations,
+                         diag.diff_norms[-1] if diag.diff_norms else 0.0])
+        _write_csv(out, "contraction_sweep.csv",
+                   ["amplitude", "bmo_seminorm", "theta_max", "converged",
+                    "iterations", "d_last"], rows, manifest)
+        manifest.summary = {"all_converged": all(r[3] for r in rows)}
     return manifest

@@ -7,7 +7,9 @@ Taylor polynomial of q^(-1/2), so the extension is C^3, bounded with bounded
 derivatives, and fixes the origin.  Everything the flow needs (DPi, D2Pi,
 D3Pi, the defect Q and rho) comes in closed form from h and its derivatives;
 all operations broadcast over leading array axes so grids of points are
-handled in one call.
+handled in one call.  ``dpi`` evaluates one derivative from scratch and is the
+reference; ``ProjectionJet`` evaluates many at the same base points, sharing
+the profile and the dot products, with the same bits.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from .errors import UnsupportedOrderError
 
-__all__ = ["SphereTarget", "project", "dpi", "defect_q", "rho", "distance_to_sphere"]
+__all__ = ["SphereTarget", "project", "dpi", "ProjectionJet", "defect_q", "rho",
+           "distance_to_sphere"]
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,22 @@ def _dot(a, b):
     return np.sum(a * b, axis=-1, keepdims=True)
 
 
+def _component_dot(a, b):
+    """``_dot`` written out over the components: the same bits, fewer passes.
+
+    numpy reduces fewer than eight terms by adding them left to right to 0.0,
+    which the explicit sum repeats; from eight on it sums pairwise, so longer
+    vectors go through ``_dot`` itself.
+    """
+    l = a.shape[-1]
+    if l >= 8:
+        return _dot(a, b)
+    acc = 0.0 + a[..., 0:1] * b[..., 0:1]
+    for i in range(1, l):
+        acc = acc + a[..., i:i + 1] * b[..., i:i + 1]
+    return acc
+
+
 def project(target: SphereTarget, y) -> np.ndarray:
     """Smooth extension of the nearest-point projection, radial on the tube."""
     y = np.asarray(y, dtype=float)
@@ -114,6 +133,66 @@ def dpi(target: SphereTarget, y, order: int, vectors) -> np.ndarray:
             + 4.0 * h2 * ((vw * yz + vz * yw + wz * yv) * y
                           + yv * yw * z + yv * yz * w + yw * yz * v)
             + 8.0 * h3 * yv * yw * yz * y)
+
+
+class ProjectionJet:
+    """DPi, D2Pi and D3Pi at fixed base points, with the shared work done once.
+
+    ``dpi`` recomputes q = |y|^2, the profile derivatives and every dot
+    product on each call.  A jet keeps h and the scaled derivatives 2h',
+    4h'' and 8h''' of its base values y.  Vectors are registered with
+    ``vec``, which returns an integer key; y.v is computed on registration,
+    and v.w on first use of the pair, memoised by the two keys.  Keys are
+    never reused, so a vector the caller has freed cannot alias a later one.
+    ``d1``, ``d2`` and ``d3`` repeat the arithmetic of ``dpi`` term for
+    term, so each result has the same bits as the matching ``dpi`` call.
+    """
+
+    def __init__(self, target: SphereTarget, y):
+        self.y = y = np.asarray(y, dtype=float)
+        h, h1, h2, h3 = _h_derivs(target, _component_dot(y, y))
+        self.h = h
+        self.h1x2 = 2.0 * h1
+        self.h2x4 = 4.0 * h2
+        self.h3x8 = 8.0 * h3
+        self._vecs: list[np.ndarray] = []
+        self._yv: list[np.ndarray] = []
+        self._pairs: dict[tuple[int, int], np.ndarray] = {}
+
+    def vec(self, v) -> int:
+        """Register a vector field at the base points; returns its key."""
+        v = np.asarray(v, dtype=float)
+        self._vecs.append(v)
+        self._yv.append(_component_dot(self.y, v))
+        return len(self._vecs) - 1
+
+    def _vw(self, i: int, j: int) -> np.ndarray:
+        key = (i, j) if i <= j else (j, i)
+        vw = self._pairs.get(key)
+        if vw is None:
+            vw = self._pairs[key] = _component_dot(self._vecs[i], self._vecs[j])
+        return vw
+
+    def d1(self, i: int) -> np.ndarray:
+        """DPi(y) v, as ``dpi(target, y, 1, (v,))``."""
+        return self.h * self._vecs[i] + self.h1x2 * self._yv[i] * self.y
+
+    def d2(self, i: int, j: int) -> np.ndarray:
+        """D2Pi(y)(v, w), as ``dpi(target, y, 2, (v, w))``."""
+        y, v, w = self.y, self._vecs[i], self._vecs[j]
+        yv, yw = self._yv[i], self._yv[j]
+        return (self.h1x2 * (self._vw(i, j) * y + yw * v + yv * w)
+                + self.h2x4 * yv * yw * y)
+
+    def d3(self, i: int, j: int, k: int) -> np.ndarray:
+        """D3Pi(y)(v, w, z), as ``dpi(target, y, 3, (v, w, z))``."""
+        y, v, w, z = self.y, self._vecs[i], self._vecs[j], self._vecs[k]
+        yv, yw, yz = self._yv[i], self._yv[j], self._yv[k]
+        vw, vz, wz = self._vw(i, j), self._vw(i, k), self._vw(j, k)
+        return (self.h1x2 * (vw * z + vz * w + wz * v)
+                + self.h2x4 * ((vw * yz + vz * yw + wz * yv) * y
+                               + yv * yw * z + yv * yz * w + yw * yz * v)
+                + self.h3x8 * yv * yw * yz * y)
 
 
 def defect_q(target: SphereTarget, y) -> np.ndarray:

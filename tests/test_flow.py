@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from biflow.errors import ManifoldTubeExitError
-from biflow.fields import Grid, GridField, gradient
+from biflow.fields import Grid, GridField, SpaceTimeField, gradient, hessian, laplacian
 from biflow.flow import (FlowConfig, constant_initial_data, constraint_diagnostics,
                          distance_experiment, equator_initial_data,
                          nonlinearity_f1, nonlinearity_f2, nonlinearity_f3,
                          picard_solve)
-from biflow.manifold import dpi
+from biflow.manifold import distance_to_sphere, dpi, project, rho
 from biflow.semigroup import apply_G
 
 
@@ -131,6 +131,102 @@ def test_f1_f2_pointwise_gradient_bounds(sphere3, rng):
         worst2 = max(worst2, float((f2[m2] / rhs2[m2]).max()))
     assert np.isfinite(worst1) and worst1 > 0
     assert np.isfinite(worst2) and worst2 > 0
+
+
+# Oracle: the nonlinearities assembled term by term from dpi, one call per
+# projection derivative.  The flow evaluates them through a ProjectionJet and
+# must reproduce these bits exactly.
+
+def _oracle_f1(u, target):
+    vals, grad, lap = u.values, gradient(u), laplacian(u).values
+    acc = dpi(target, vals, 2, (lap, lap))
+    for a in range(u.grid.dim):
+        ga = grad[..., a, :]
+        acc = acc + dpi(target, vals, 3, (ga, ga, lap))
+    return -acc
+
+
+def _oracle_f2(u, target):
+    vals, grad, hess, lap = u.values, gradient(u), hessian(u), laplacian(u).values
+    n = u.grid.dim
+    out = np.empty(u.grid.shape + (n, u.codomain_dim))
+    for alpha in range(n):
+        galpha = grad[..., alpha, :]
+        acc = 2.0 * dpi(target, vals, 2, (galpha, lap))
+        for a in range(n):
+            ga = grad[..., a, :]
+            acc = acc + dpi(target, vals, 3, (galpha, ga, ga))
+            acc = acc + 2.0 * dpi(target, vals, 2, (hess[..., alpha, a, :], ga))
+        out[..., alpha, :] = acc
+    return out
+
+
+def _oracle_f3(u, target):
+    vals, grad = u.values, gradient(u)
+    n = u.grid.dim
+    B = np.zeros_like(vals)
+    for a in range(n):
+        ga = grad[..., a, :]
+        B = B + dpi(target, vals, 2, (ga, ga))
+    term1 = np.zeros_like(vals)
+    for a in range(n):
+        ga = grad[..., a, :]
+        term1 = term1 + dpi(target, vals, 3, (ga, ga, B))
+    term1 = dpi(target, vals, 1, (term1,))
+    term2 = np.zeros_like(vals)
+    for a in range(n):
+        ga = grad[..., a, :]
+        term2 = term2 + dpi(target, vals, 2, (ga, dpi(target, vals, 2, (ga, B))))
+    return term1 + 2.0 * term2
+
+
+def _oracle_constraint(u, target, tolerance=1e-6, seed=1234, num_probes=8):
+    grid = u.grid
+    rng = np.random.Generator(np.random.Philox(seed))
+    probes = rng.normal(size=(num_probes, u.codomain_dim))
+    sup_d, masses = [], []
+    orth = 0.0
+    for j in range(u.num_frames):
+        vals = u.values[j]
+        sup_d.append(float(distance_to_sphere(vals).max()))
+        masses.append(float(rho(target, vals).sum()) * grid.cell_volume)
+        base = project(target, vals)
+        qv = vals - base
+        for v in probes:
+            tangent = dpi(target, base, 1, (np.broadcast_to(v, vals.shape),))
+            orth = max(orth, float(np.abs((tangent * qv).sum(axis=-1)).max()))
+    return {"sup_distance": sup_d, "rho_mass": masses,
+            "orthogonality_residual": orth,
+            "flagged": bool(max(masses) > tolerance * grid.volume)}
+
+
+def _off_sphere_field(dim, M, shift=0.0):
+    # radius 1 +- 0.2 and a component off the equator plane: inside the tube,
+    # off the sphere, with every projection-derivative term nonzero
+    g = Grid(dim, 2 * np.pi, M)
+    x = g.coordinates()
+    phase = 0.3 * np.sin(x[0] + shift) + 0.2 * np.cos(2 * x[-1])
+    radius = 1.0 + 0.2 * np.sin(2 * x[0] + 0.3 + shift)
+    vals = np.stack([radius * np.cos(phase), radius * np.sin(phase),
+                     0.1 * np.cos(x[-1] - shift)], axis=-1)
+    return GridField(g, vals)
+
+
+@pytest.mark.parametrize("dim,M", [(1, 64), (2, 32), (3, 16)])
+def test_nonlinearities_bitwise_equal_dpi_oracle(dim, M, sphere3):
+    u = _off_sphere_field(dim, M)
+    for fn, oracle in ((nonlinearity_f1, _oracle_f1), (nonlinearity_f2, _oracle_f2),
+                       (nonlinearity_f3, _oracle_f3)):
+        got = fn(u, sphere3).values
+        assert got.tobytes() == oracle(u, sphere3).tobytes()
+
+
+@pytest.mark.parametrize("dim,M", [(1, 64), (2, 32)])
+def test_constraint_diagnostics_equal_dpi_probe(dim, M, sphere3):
+    frames = [_off_sphere_field(dim, M, shift).values for shift in (0.0, 0.4, 1.1)]
+    u = SpaceTimeField(Grid(dim, 2 * np.pi, M), np.array([0.0, 0.5, 1.0]),
+                       np.stack(frames))
+    assert constraint_diagnostics(u, sphere3) == _oracle_constraint(u, sphere3)
 
 
 def test_nonlinearities_raise_outside_tube(grid64, sphere3):

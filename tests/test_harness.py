@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biflow.cli import main as cli_main
-from biflow.errors import ConfigError
+from biflow.cli import build_parser, main as cli_main
+from biflow.errors import ConfigError, ManifoldTubeExitError
 from biflow.fields import load_space_time_field
 from biflow.harness import (default_config, flow_config_from, load_config,
                             make_rng, run_contraction_sweep, run_evolve,
@@ -61,7 +61,7 @@ def test_evolve_writes_manifest_first_and_lists_outputs(tmp_path):
     mpath = tmp_path / "out" / "run_manifest.json"
     assert mpath.exists()
     disk = json.loads(mpath.read_text())
-    assert disk["status"] == "completed"
+    assert disk["status"] == "completed" and disk["error"] is None
     for name in disk["outputs"]:
         assert (tmp_path / "out" / name).exists()
     assert disk["summary"]["converged"] is True
@@ -111,3 +111,42 @@ def test_cli_flow_suite(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "flow_converged: pass" in out
+
+
+def _tube_exit_config(tmp_path):
+    # amplitude 3 leaves the projection tube in the first Picard application
+    cfgfile = tmp_path / "rough.cfg"
+    cfgfile.write_text("[initial]\namplitude = 3.0\n")
+    return cfgfile
+
+
+def test_cli_tube_exit_has_own_exit_code_and_failed_manifest(tmp_path, capsys):
+    rc = cli_main(["evolve", "--config", str(_tube_exit_config(tmp_path)),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tube exit: ") and err.count("\n") == 1
+    disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert disk["status"] == "failed"
+    assert disk["error"].startswith("ManifoldTubeExitError: ")
+
+
+def test_suite_tube_exit_leaves_failed_manifest(tmp_path):
+    with pytest.raises(ManifoldTubeExitError) as err:
+        run_suite("flow", _tube_exit_config(tmp_path), tmp_path / "out")
+    disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert disk["status"] == "failed"
+    assert disk["error"] == f"ManifoldTubeExitError: {err.value}"
+
+
+def test_sweep_tube_exit_leaves_failed_manifest(tmp_path):
+    with pytest.raises(ManifoldTubeExitError):
+        run_contraction_sweep(_tube_exit_config(tmp_path), tmp_path / "out", [3.0])
+    disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert disk["status"] == "failed"
+    assert disk["error"].startswith("ManifoldTubeExitError: ")
+
+
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["flow", "--threads", "2"])

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biflow.errors import UnsupportedOrderError
-from biflow.manifold import (SphereTarget, defect_q, distance_to_sphere, dpi,
-                             project, rho)
+from biflow.manifold import (ProjectionJet, SphereTarget, defect_q,
+                             distance_to_sphere, dpi, project, rho)
 
 T3 = SphereTarget(3)
 
@@ -147,3 +147,40 @@ def test_broadcasting_over_grids(rng):
     v = rng.normal(size=(4, 5, 3))
     out = dpi(T3, y, 2, (v, v))
     assert out.shape == (4, 5, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 6))
+def test_jet_matches_dpi_bitwise(seed, ambient_dim):
+    # every contraction of the jet has the same bits as dpi, on points in the
+    # tube and inside the polynomial cap, for ordered and repeated arguments
+    target = SphereTarget(ambient_dim)
+    r = np.random.Generator(np.random.Philox(seed))
+    shape = (6, 5, ambient_dim)
+    y = r.normal(size=shape)
+    in_cap = r.random(size=shape[:-1] + (1,)) < 0.5
+    radii = np.where(in_cap, r.uniform(0.0, target.blend_radius, size=in_cap.shape),
+                     r.uniform(1.0 - target.tube_radius, 1.0 + target.tube_radius,
+                               size=in_cap.shape))
+    y = y / np.linalg.norm(y, axis=-1, keepdims=True) * radii
+    assert in_cap.any() and not in_cap.all()
+    vecs = [r.normal(size=shape), r.normal(size=shape),
+            np.broadcast_to(r.normal(size=ambient_dim), shape)]
+    jet = ProjectionJet(target, y)
+    keys = [jet.vec(v) for v in vecs]
+    for i in keys:
+        assert np.array_equal(jet.d1(i), dpi(target, y, 1, (vecs[i],)))
+        for j in keys:
+            assert np.array_equal(jet.d2(i, j), dpi(target, y, 2, (vecs[i], vecs[j])))
+            for k in keys:
+                assert np.array_equal(jet.d3(i, j, k),
+                                      dpi(target, y, 3, (vecs[i], vecs[j], vecs[k])))
+    # temporaries registered and freed in turn must never hit a stale pair
+    for _ in range(4):
+        tmp = r.normal(size=shape)
+        t = jet.vec(tmp)
+        assert np.array_equal(jet.d2(t, t), dpi(target, y, 2, (tmp, tmp)))
+        assert np.array_equal(jet.d2(keys[0], t), dpi(target, y, 2, (vecs[0], tmp)))
+        assert np.array_equal(jet.d3(t, keys[1], t),
+                              dpi(target, y, 3, (tmp, vecs[1], tmp)))
+        del tmp
