@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: kernel-verify, evolve, contraction-sweep, norms, operators,
-distance, kernel, flow, all.  Global flags --config/--out/--seed are accepted
-on every subcommand.
+distance, kernel, flow, all.  Flags --config/--out/--seed are accepted on every
+subcommand but kernel-verify, which takes --out alone of the three.
 
 Exit status: 0 when every hard check passes, 1 when one fails, 2 on a
-configuration error, 3 when a Picard iterate leaves the projection tube.
+configuration error (for kernel-verify also a dim, tol or order the
+certificate does not admit), 3 when a Picard iterate leaves the projection tube.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     kv.add_argument("--tol", type=float, default=1e-9)
     kv.add_argument("--c1", type=float, default=0.5)
     kv.add_argument("--out", required=True, help="output JSON file")
-    kv.add_argument("--config", default=None)
-    kv.add_argument("--seed", type=int, default=0)
 
     ev = sub.add_parser("evolve", help="run one Picard solve and dump the solution")
     _add_common(ev)

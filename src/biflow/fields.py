@@ -3,9 +3,10 @@
 The periodic lattice stands in for whole space: test data oscillate on scales
 well inside the box, and the box is chosen several times larger than any
 cylinder radius a norm scan will use, so periodic images never enter a scan
-window.  Differentiation is a Fourier multiplier, exact on band-limited data.
-Fields are immutable after construction; frames of a space-time field share
-one grid and codomain.
+window.  Differentiation is a Fourier multiplier, exact on band-limited data;
+each multiplier is built once per grid, and a frame is transformed once for
+all of its derivatives.  Fields are immutable after construction; frames of a
+space-time field share one grid and codomain.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ __all__ = [
     "Grid",
     "GridField",
     "SpaceTimeField",
+    "multiplier",
+    "inverse_transform",
+    "Spectrum",
     "spectral_derivative",
     "gradient",
     "hessian",
@@ -191,11 +195,6 @@ class SpaceTimeField:
     def frame(self, i: int) -> GridField:
         return GridField(self.grid, self.values[i])
 
-    @classmethod
-    def from_frames(cls, times, frames: list[GridField]) -> "SpaceTimeField":
-        grid = frames[0].grid
-        return cls(grid, times, np.stack([f.values for f in frames]))
-
     def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
         if self.grid != other.grid or not np.array_equal(self.times, other.times):
             raise ValueError("space-time fields are not aligned")
@@ -216,26 +215,97 @@ class SpaceTimeField:
 # spectral calculus
 # ----------------------------------------------------------------------
 
-def _grid_axes(grid: Grid, values: np.ndarray) -> tuple:
-    offset = values.ndim - grid.dim - 1
-    return tuple(range(offset, offset + grid.dim))
+@lru_cache(maxsize=64)
+def multiplier(grid: Grid, order) -> np.ndarray:
+    """Read-only Fourier symbol on the grid, built once per (grid, order).
 
-
-def _multiplier(grid: Grid, order) -> np.ndarray:
-    """Fourier symbol of d^order with the Nyquist mode zeroed for odd orders."""
+    order is a multi-index, one entry per axis, for the symbol of d^order with
+    the unmatched Nyquist mode zeroed for odd orders; or "laplacian" for the
+    real symbol -|k|^2.
+    """
     M = grid.points_per_axis
-    mult = np.ones((1,) * 0 + (M,) * grid.dim, dtype=complex)
-    ks = grid.wavenumbers()
-    for ax, o in enumerate(order):
-        if o == 0:
-            continue
-        k = ks[ax].copy()
-        if o % 2 == 1 and M % 2 == 0:
-            k[M // 2] = 0.0  # odd derivative of the unmatched Nyquist mode
-        shape = [1] * grid.dim
-        shape[ax] = M
-        mult = mult * (1j * k.reshape(shape)) ** o
+    ks = [k.reshape([M if a == ax else 1 for a in range(grid.dim)])
+          for ax, k in enumerate(grid.wavenumbers())]
+    if order == "laplacian":
+        ksq = np.zeros(grid.shape)
+        for k in ks:
+            ksq = ksq + k ** 2
+        mult = -ksq
+    else:
+        mult = np.ones(grid.shape, dtype=complex)
+        for k, o in zip(ks, order):
+            if o == 0:
+                continue
+            if o % 2 == 1:
+                k = k.copy()
+                k.flat[M // 2] = 0.0  # odd derivative of the unmatched Nyquist mode
+            mult = mult * (1j * k) ** o
+    mult.setflags(write=False)
     return mult
+
+
+def _unit(dim: int, *axes: int) -> tuple:
+    """Multi-index with one derivative along each listed axis."""
+    return tuple(axes.count(a) for a in range(dim))
+
+
+def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real part of the inverse transform over the grid axes of coeffs, which
+    sit just before its last (codomain) axis."""
+    axes = tuple(range(coeffs.ndim - grid.dim - 1, coeffs.ndim - 1))
+    return np.fft.ifftn(coeffs, axes=axes).real
+
+
+class Spectrum:
+    """Fourier coefficients of a frame, or of a stack of frames, from one
+    forward transform; every derivative of the frames is read off them.
+
+    A GridField's values are grid.shape + trailing axes; a SpaceTimeField's
+    carry one leading frame axis.  The trailing axes are the codomain (l,),
+    or (n, l) for a per-axis field, the one kind with a divergence.
+    """
+
+    __slots__ = ("grid", "coeffs")
+
+    def __init__(self, field: GridField | SpaceTimeField):
+        lead = 1 if isinstance(field, SpaceTimeField) else 0
+        self.grid = field.grid
+        self.coeffs = np.fft.fftn(field.values, axes=tuple(range(lead, lead + field.grid.dim)))
+
+    def apply(self, symbol: np.ndarray) -> np.ndarray:
+        """Physical values of the coefficients times a symbol on the grid."""
+        return inverse_transform(self.grid, self.coeffs * symbol[..., None])
+
+    def derivative(self, order) -> np.ndarray:
+        """Physical values of the derivative named by a multiplier order."""
+        return self.apply(multiplier(self.grid, order))
+
+    def gradient(self) -> np.ndarray:
+        """First derivatives, in an axis slot of length n before the codomain."""
+        n = self.grid.dim
+        out = np.empty(self.coeffs.shape[:-1] + (n, self.coeffs.shape[-1]))
+        for a in range(n):
+            out[..., a, :] = self.derivative(_unit(n, a))
+        return out
+
+    def hessian(self) -> np.ndarray:
+        """Second derivatives, in two axis slots of length n before the codomain."""
+        n = self.grid.dim
+        out = np.empty(self.coeffs.shape[:-1] + (n, n, self.coeffs.shape[-1]))
+        for a in range(n):
+            for b in range(a, n):
+                out[..., a, b, :] = out[..., b, a, :] = self.derivative(_unit(n, a, b))
+        return out
+
+    def divergence(self) -> np.ndarray:
+        """Coefficients of sum_a d_a F_a for a per-axis field F."""
+        n = self.grid.dim
+        if self.coeffs.shape[-2] != n:
+            raise ValueError("per-axis field must carry one component per spatial axis")
+        acc = np.zeros(self.coeffs.shape[:-2] + self.coeffs.shape[-1:], dtype=complex)
+        for a in range(n):
+            acc += self.coeffs[..., a, :] * multiplier(self.grid, _unit(n, a))[..., None]
+        return acc
 
 
 def spectral_derivative(f: GridField, order) -> GridField:
@@ -245,68 +315,26 @@ def spectral_derivative(f: GridField, order) -> GridField:
         raise ValueError("order multi-index length must equal grid dim")
     if sum(order) > 4:
         raise ValueError("spectral derivatives supported to total order 4")
-    axes = _grid_axes(f.grid, f.values)
-    spec = np.fft.fftn(f.values, axes=axes)
-    spec *= _multiplier(f.grid, order)[..., None]
-    return GridField(f.grid, np.fft.ifftn(spec, axes=axes).real)
+    return GridField(f.grid, Spectrum(f).derivative(order))
 
 
 def gradient(f: GridField) -> np.ndarray:
     """Array of shape grid.shape + (n, l): first spatial derivatives."""
-    g = f.grid
-    axes = _grid_axes(g, f.values)
-    spec = np.fft.fftn(f.values, axes=axes)
-    out = np.empty(g.shape + (g.dim, f.codomain_dim))
-    for ax in range(g.dim):
-        order = tuple(1 if a == ax else 0 for a in range(g.dim))
-        out[..., ax, :] = np.fft.ifftn(spec * _multiplier(g, order)[..., None],
-                                       axes=axes).real
-    return out
+    return Spectrum(f).gradient()
 
 
 def hessian(f: GridField) -> np.ndarray:
     """Array of shape grid.shape + (n, n, l): second derivatives."""
-    g = f.grid
-    axes = _grid_axes(g, f.values)
-    spec = np.fft.fftn(f.values, axes=axes)
-    out = np.empty(g.shape + (g.dim, g.dim, f.codomain_dim))
-    for a in range(g.dim):
-        for b in range(a, g.dim):
-            order = tuple((1 if c == a else 0) + (1 if c == b else 0)
-                          for c in range(g.dim))
-            comp = np.fft.ifftn(spec * _multiplier(g, order)[..., None], axes=axes).real
-            out[..., a, b, :] = comp
-            if b != a:
-                out[..., b, a, :] = comp
-    return out
+    return Spectrum(f).hessian()
 
 
 def laplacian(f: GridField) -> GridField:
-    g = f.grid
-    axes = _grid_axes(g, f.values)
-    spec = np.fft.fftn(f.values, axes=axes)
-    ks = g.wavenumbers()
-    ksq = np.zeros(g.shape)
-    for ax in range(g.dim):
-        shape = [1] * g.dim
-        shape[ax] = g.points_per_axis
-        ksq = ksq + ks[ax].reshape(shape) ** 2
-    return GridField(g, np.fft.ifftn(spec * (-ksq)[..., None], axes=axes).real)
+    return GridField(f.grid, Spectrum(f).derivative("laplacian"))
 
 
 def spectral_divergence(F: GridField) -> GridField:
     """Divergence over the axis slot of a per-axis field (shape grid + (n, l))."""
-    g = F.grid
-    vals = F.values
-    if vals.shape[-2] != g.dim:
-        raise ValueError("per-axis field must carry one component per spatial axis")
-    axes = tuple(range(g.dim))
-    spec = np.fft.fftn(vals, axes=axes)
-    acc = np.zeros(g.shape + (vals.shape[-1],), dtype=complex)
-    for ax in range(g.dim):
-        order = tuple(1 if a == ax else 0 for a in range(g.dim))
-        acc += spec[..., ax, :] * _multiplier(g, order)[..., None]
-    return GridField(g, np.fft.ifftn(acc, axes=axes).real)
+    return GridField(F.grid, inverse_transform(F.grid, Spectrum(F).divergence()))
 
 
 def pointwise_norm(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -31,7 +31,7 @@ from scipy.integrate import quad as _quad
 from scipy.optimize import brentq as _brentq
 
 from .errors import ManifoldTubeExitError
-from .fields import Grid, GridField, SpaceTimeField, gradient, hessian, laplacian
+from .fields import Grid, GridField, SpaceTimeField, Spectrum
 from .kernel import ALPHA, KernelProfile, SampleSpec, certify_bound, default_profile
 from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project, rho
 from .norms import bmo_seminorm, x_norm
@@ -137,14 +137,15 @@ def _check_tube(values: np.ndarray, target: SphereTarget, where: str = ""):
 
 
 class _DerivBundle:
-    """Spectral derivatives of one frame and the projection jet at it,
-    shared by the nonlinearities."""
+    """Spectral derivatives of one frame, from one transform, and the
+    projection jet at it, shared by the nonlinearities."""
 
     def __init__(self, u: GridField, target: SphereTarget):
         self.u = u
-        self.grad = gradient(u)        # grid + (n, l)
-        self.hess = hessian(u)         # grid + (n, n, l)
-        self.lap = laplacian(u).values  # grid + (l,)
+        spec = Spectrum(u)
+        self.grad = spec.gradient()     # grid + (n, l)
+        self.hess = spec.hessian()      # grid + (n, n, l)
+        self.lap = spec.derivative("laplacian")  # grid + (l,)
         self.jet = ProjectionJet(target, u.values)
         # jet keys of the gradient components d_a u and of Lap u
         self.g = [self.jet.vec(self.grad[..., a, :]) for a in range(u.grid.dim)]

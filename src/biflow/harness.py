@@ -22,14 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
-from .fields import Grid, GridField, save_space_time_field
+from .errors import ConfigError, UnsupportedOrderError
+from .fields import (Grid, GridField, Spectrum, ball_convolve, pointwise_norm,
+                     save_space_time_field)
 from .flow import (FlowConfig, constant_initial_data, distance_experiment,
                    equator_initial_data, picard_solve)
 from .kernel import certify_bound, default_profile, kernel_mass
 from .manifold import SphereTarget
-from .norms import bmo_seminorm, carleson_functional
-from .semigroup import operator_bound_experiment
+from .norms import _dyadic_radii, bmo_seminorm, carleson_functional
+from .semigroup import apply_G, operator_bound_experiment
 
 __all__ = [
     "RunManifest",
@@ -89,14 +90,14 @@ def _config_snapshot(cp: configparser.ConfigParser) -> dict:
     return {s: dict(cp[s]) for s in cp.sections()}
 
 
-def flow_config_from(cp: configparser.ConfigParser, **overrides) -> FlowConfig:
+def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
     try:
         grid = Grid(cp.getint("grid", "dim"), cp.getfloat("grid", "box_length"),
                     cp.getint("grid", "points_per_axis"))
         target = SphereTarget(cp.getint("target", "ambient_dim"),
                               cp.getfloat("target", "tube_radius"),
                               cp.getfloat("target", "blend_radius"))
-        cfg = FlowConfig(
+        return FlowConfig(
             grid=grid, target=target,
             t_final=cp.getfloat("time", "t_final"),
             num_frames=cp.getint("time", "num_frames"),
@@ -108,19 +109,6 @@ def flow_config_from(cp: configparser.ConfigParser, **overrides) -> FlowConfig:
         )
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    if overrides:
-        cfg = FlowConfig(**{**asdict_flow(cfg), **overrides})
-    return cfg
-
-
-def asdict_flow(cfg: FlowConfig) -> dict:
-    return {
-        "grid": cfg.grid, "target": cfg.target, "t_final": cfg.t_final,
-        "num_frames": cfg.num_frames, "time_exponent": cfg.time_exponent,
-        "mode": cfg.mode, "max_picard_iters": cfg.max_picard_iters,
-        "picard_tol": cfg.picard_tol, "tube_exit_policy": cfg.tube_exit_policy,
-        "constraint_tol": cfg.constraint_tol,
-    }
 
 
 def initial_data_from(cp: configparser.ConfigParser, grid: Grid, target: SphereTarget,
@@ -278,10 +266,6 @@ def smoothing_ratios(u0: GridField, R: float, points_per_octave: int = 6,
     the weighted gradient sup, and the quartic cylinder integral are each
     divided by the matching power of the oscillation seminorm of u0.
     """
-    from .fields import grad_magnitude, hessian_magnitude, ball_convolve
-    from .norms import _dyadic_radii
-    from .semigroup import apply_G
-
     grid = u0.grid
     bmo = bmo_seminorm(u0, R)
     radii = _dyadic_radii(R, grid)
@@ -294,8 +278,8 @@ def smoothing_ratios(u0: GridField, R: float, points_per_octave: int = 6,
     h2 = np.empty_like(g2)
     wsup = 0.0
     for j, t in enumerate(t_nodes):
-        fr = apply_G(u0, float(t))
-        gm, hm = grad_magnitude(fr), hessian_magnitude(fr)
+        spec = Spectrum(apply_G(u0, float(t)))
+        gm, hm = pointwise_norm(spec.gradient(), grid), pointwise_norm(spec.hessian(), grid)
         g2[j], g4[j], h2[j] = gm ** 2, gm ** 4, hm ** 2
         wsup = max(wsup, t ** 0.25 * float(gm.max()) + t ** 0.5 * float(hm.max()))
 
@@ -451,9 +435,19 @@ def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0) -> RunM
 
 def run_kernel_verify(dim: int, estimate: str, order: int, tol: float,
                       out_file, quadrature_nodes: int = 16, c1: float = 0.5) -> dict:
-    """Emit one decay certificate as JSON."""
-    profile = default_profile(dim, tol, quadrature_nodes)
-    cert = certify_bound(profile, estimate, order, c1=c1)
+    """Emit one decay certificate as JSON.
+
+    A dim, tolerance or derivative order the certificate does not admit is a
+    ConfigError; a quadrature that fails its residual check still raises.
+    """
+    try:
+        profile = default_profile(dim, tol, quadrature_nodes)
+    except ValueError as exc:
+        raise ConfigError(f"kernel-verify --dim {dim} --tol {tol:g}: {exc}") from exc
+    try:
+        cert = certify_bound(profile, estimate, order, c1=c1)
+    except UnsupportedOrderError as exc:
+        raise ConfigError(f"kernel-verify --order {order}: {exc}") from exc
     payload = cert.to_json()
     Path(out_file).write_text(json.dumps(payload, sort_keys=True, indent=1))
     return payload

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScaleUnresolvableError
-from .fields import (Grid, GridField, SpaceTimeField, ball_convolve, ball_offsets,
-                     grad_magnitude, hessian_magnitude)
+from .fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
+                     ball_offsets, grad_magnitude, hessian_magnitude, pointwise_norm)
 from .semigroup import apply_G
 
 __all__ = [
@@ -165,16 +165,14 @@ def bmo_seminorm_brute(f: GridField, R: float) -> float:
 # ----------------------------------------------------------------------
 
 def carleson_functional(f: GridField, derivative_order: int, R: float,
-                        profile=None, points_per_octave: int = 8,
-                        octaves: int = 10) -> float:
+                        points_per_octave: int = 8, octaves: int = 10) -> float:
     """sup over centers and dyadic r <= R of the square-function mass
 
         r^(-n) int_0^r int_{B_r(x)} |Phi_t * f|^2 dx dt / t,
 
     with Phi the i-th gradient of the kernel profile.  The convolution is
-    computed spectrally through the identity Phi_t * f = t^i grad^i (G f)(., t^4);
-    the kernel profile argument is accepted for interface parity but the
-    evaluation never needs kernel quadrature.  The t-integral runs over a
+    computed spectrally through the identity Phi_t * f = t^i grad^i (G f)(., t^4),
+    so the evaluation never needs kernel quadrature.  The t-integral runs over a
     geometric grid spanning ``octaves`` octaves below each radius (the omitted
     mass near t=0 is O(t_min^2) for band-limited data).
     """
@@ -245,8 +243,9 @@ def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
     hess_pow2 = np.empty((u.num_frames,) + grid.shape)
     for j in range(u.num_frames):
         fr = u.frame(j)
-        gmag = grad_magnitude(fr)
-        hmag = hessian_magnitude(fr)
+        spec = Spectrum(fr)
+        gmag = pointwise_norm(spec.gradient(), grid)
+        hmag = pointwise_norm(spec.hessian(), grid)
         grad_pow4[j] = gmag ** 4
         hess_pow2[j] = hmag ** 2
         t = u.times[j]

@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidTimeError, TimeMisalignedError
-from .fields import Grid, GridField, SpaceTimeField
+from .fields import (Grid, GridField, SpaceTimeField, Spectrum, inverse_transform,
+                     multiplier)
 
 __all__ = [
     "PHI_SERIES_THRESHOLD",
@@ -40,13 +41,7 @@ PHI_SERIES_THRESHOLD = 1e-2
 
 def symbol(grid: Grid) -> np.ndarray:
     """Per-mode biharmonic symbol |k|^4, zero only at the mean mode."""
-    ks = grid.wavenumbers()
-    ksq = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[ax] = grid.points_per_axis
-        ksq = ksq + ks[ax].reshape(shape) ** 2
-    return ksq ** 2
+    return multiplier(grid, "laplacian") ** 2
 
 
 def phi1(z: np.ndarray) -> np.ndarray:
@@ -67,36 +62,22 @@ def phi2(z: np.ndarray) -> np.ndarray:
     return np.where(z < PHI_SERIES_THRESHOLD, series, closed)
 
 
-def _fft(grid: Grid, values: np.ndarray) -> np.ndarray:
-    axes = tuple(range(values.ndim - grid.dim - 1, values.ndim - 1))
-    return np.fft.fftn(values, axes=axes)
-
-
-def _ifft(grid: Grid, spec: np.ndarray) -> np.ndarray:
-    axes = tuple(range(spec.ndim - grid.dim - 1, spec.ndim - 1))
-    return np.fft.ifftn(spec, axes=axes).real
-
-
 def apply_G(u0: GridField, t: float) -> GridField:
     """Free evolution: multiply each mode by e^(-t |k|^4)."""
     if t < 0:
         raise InvalidTimeError("free evolution requires t >= 0")
     if t == 0:
         return u0
-    spec = _fft(u0.grid, u0.values)
-    spec *= np.exp(-t * symbol(u0.grid))[..., None]
-    return GridField(u0.grid, _ifft(u0.grid, spec))
+    return GridField(u0.grid, Spectrum(u0).apply(np.exp(-t * symbol(u0.grid))))
 
 
 def apply_G_trajectory(u0: GridField, times) -> SpaceTimeField:
     """Free evolution sampled on a frame grid (times[0] must be 0)."""
     times = np.asarray(times, dtype=float)
-    spec = _fft(u0.grid, u0.values)
-    sym = symbol(u0.grid)[..., None]
-    frames = np.stack([
-        u0.values if t == 0.0 else _ifft(u0.grid, spec * np.exp(-t * sym))
-        for t in times
-    ])
+    spec = Spectrum(u0)
+    sym = symbol(u0.grid)
+    frames = np.stack([u0.values if t == 0.0 else spec.apply(np.exp(-t * sym))
+                       for t in times])
     return SpaceTimeField(u0.grid, times, frames)
 
 
@@ -133,55 +114,30 @@ def _frame_index(times: np.ndarray, t_target: float) -> int:
 def apply_S(f: SpaceTimeField, t_target: float) -> GridField:
     """Duhamel response int_0^t e^(-(t-s) Lap^2) f(s) ds at a stored frame time."""
     idx = _frame_index(f.times, t_target)
-    spec = _fft(f.grid, f.values)
+    spec = Spectrum(f).coeffs
     out = _duhamel_sweep(f.grid, f.times[: idx + 1], spec[: idx + 1])
-    return GridField(f.grid, _ifft(f.grid, out[idx]))
+    return GridField(f.grid, inverse_transform(f.grid, out[idx]))
 
 
 def apply_S_trajectory(f: SpaceTimeField) -> SpaceTimeField:
     """Duhamel response at every frame time in one sweep."""
-    spec = _fft(f.grid, f.values)
-    out = _duhamel_sweep(f.grid, f.times, spec)
-    return SpaceTimeField(f.grid, f.times, _ifft(f.grid, out))
-
-
-def _divergence_spectrum(F: SpaceTimeField) -> np.ndarray:
-    """Mode coefficients of div F for frames carrying one field per axis.
-
-    Frame values have shape grid + (n, l); the derivative is taken in Fourier
-    space inside the Duhamel integral, never on the physical samples.
-    """
-    grid = F.grid
-    vals = F.values
-    if vals.shape[-2] != grid.dim:
-        raise ValueError("per-axis forcing must have one component per spatial axis")
-    axes = tuple(range(1, 1 + grid.dim))
-    spec = np.fft.fftn(vals, axes=axes)
-    ks = grid.wavenumbers()
-    M = grid.points_per_axis
-    acc = np.zeros(vals.shape[:1] + grid.shape + vals.shape[-1:], dtype=complex)
-    for ax in range(grid.dim):
-        k = ks[ax].copy()
-        if M % 2 == 0:
-            k[M // 2] = 0.0
-        shape = [1] * (1 + grid.dim) + [1]
-        shape[1 + ax] = M
-        acc += spec[..., ax, :] * (1j * k.reshape(shape))
-    return acc
+    out = _duhamel_sweep(f.grid, f.times, Spectrum(f).coeffs)
+    return SpaceTimeField(f.grid, f.times, inverse_transform(f.grid, out))
 
 
 def apply_S_div(F: SpaceTimeField, t_target: float) -> GridField:
     """Duhamel response to a distributional divergence, S(sum_a d_a F_a)."""
     idx = _frame_index(F.times, t_target)
-    spec = _divergence_spectrum(F)
+    spec = Spectrum(F).divergence()
     out = _duhamel_sweep(F.grid, F.times[: idx + 1], spec[: idx + 1])
-    return GridField(F.grid, _ifft(F.grid, out[idx]))
+    return GridField(F.grid, inverse_transform(F.grid, out[idx]))
 
 
 def apply_S_div_trajectory(F: SpaceTimeField) -> SpaceTimeField:
-    spec = _divergence_spectrum(F)
-    out = _duhamel_sweep(F.grid, F.times, spec)
-    return SpaceTimeField(F.grid, F.times, _ifft(F.grid, out))
+    """Duhamel response to a divergence at every frame time; the derivative is
+    taken on the mode coefficients inside the integral."""
+    out = _duhamel_sweep(F.grid, F.times, Spectrum(F).divergence())
+    return SpaceTimeField(F.grid, F.times, inverse_transform(F.grid, out))
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Grids, spectral calculus, lattice balls, field I/O."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biflow.fields import (Grid, GridField, SpaceTimeField, ball_convolve,
-                           ball_mask, ball_offsets, gradient, hessian,
-                           laplacian, load_space_time_field,
-                           save_space_time_field, spectral_derivative,
-                           spectral_divergence)
+from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum,
+                           ball_convolve, ball_mask, ball_offsets, gradient,
+                           hessian, laplacian, load_space_time_field,
+                           multiplier, save_space_time_field,
+                           spectral_derivative, spectral_divergence)
 
 
 def test_grid_invariants():
@@ -64,6 +66,143 @@ def test_gradient_hessian_laplacian_consistency(grid64):
     lap = laplacian(f)
     assert np.abs(g[..., 0, 0] + 3 * np.sin(3 * x)).max() < 1e-11
     assert np.abs(h[..., 0, 0, 0] - lap.values[..., 0]).max() < 1e-11
+
+
+# ----------------------------------------------------------------------
+# the spectral layer against the per-derivative transforms it replaced:
+# one transform and one multiplier build per derivative, kept as oracles
+# ----------------------------------------------------------------------
+
+def _oracle_axes(grid, values):
+    offset = values.ndim - grid.dim - 1
+    return tuple(range(offset, offset + grid.dim))
+
+
+def _oracle_multiplier(grid, order):
+    M = grid.points_per_axis
+    mult = np.ones((M,) * grid.dim, dtype=complex)
+    ks = grid.wavenumbers()
+    for ax, o in enumerate(order):
+        if o == 0:
+            continue
+        k = ks[ax].copy()
+        if o % 2 == 1 and M % 2 == 0:
+            k[M // 2] = 0.0
+        shape = [1] * grid.dim
+        shape[ax] = M
+        mult = mult * (1j * k.reshape(shape)) ** o
+    return mult
+
+
+def _oracle_derivative(f, order):
+    axes = _oracle_axes(f.grid, f.values)
+    spec = np.fft.fftn(f.values, axes=axes)
+    spec *= _oracle_multiplier(f.grid, order)[..., None]
+    return np.fft.ifftn(spec, axes=axes).real
+
+
+def _oracle_gradient(f):
+    g = f.grid
+    axes = _oracle_axes(g, f.values)
+    spec = np.fft.fftn(f.values, axes=axes)
+    out = np.empty(g.shape + (g.dim, f.codomain_dim))
+    for ax in range(g.dim):
+        order = tuple(1 if a == ax else 0 for a in range(g.dim))
+        out[..., ax, :] = np.fft.ifftn(spec * _oracle_multiplier(g, order)[..., None],
+                                       axes=axes).real
+    return out
+
+
+def _oracle_hessian(f):
+    g = f.grid
+    axes = _oracle_axes(g, f.values)
+    spec = np.fft.fftn(f.values, axes=axes)
+    out = np.empty(g.shape + (g.dim, g.dim, f.codomain_dim))
+    for a in range(g.dim):
+        for b in range(a, g.dim):
+            order = tuple((1 if c == a else 0) + (1 if c == b else 0)
+                          for c in range(g.dim))
+            comp = np.fft.ifftn(spec * _oracle_multiplier(g, order)[..., None],
+                                axes=axes).real
+            out[..., a, b, :] = comp
+            if b != a:
+                out[..., b, a, :] = comp
+    return out
+
+
+def _oracle_laplacian(f):
+    g = f.grid
+    axes = _oracle_axes(g, f.values)
+    spec = np.fft.fftn(f.values, axes=axes)
+    ks = g.wavenumbers()
+    ksq = np.zeros(g.shape)
+    for ax in range(g.dim):
+        shape = [1] * g.dim
+        shape[ax] = g.points_per_axis
+        ksq = ksq + ks[ax].reshape(shape) ** 2
+    return np.fft.ifftn(spec * (-ksq)[..., None], axes=axes).real
+
+
+def _oracle_divergence(F):
+    g = F.grid
+    axes = tuple(range(g.dim))
+    spec = np.fft.fftn(F.values, axes=axes)
+    acc = np.zeros(g.shape + (F.values.shape[-1],), dtype=complex)
+    for ax in range(g.dim):
+        order = tuple(1 if a == ax else 0 for a in range(g.dim))
+        acc += spec[..., ax, :] * _oracle_multiplier(g, order)[..., None]
+    return np.fft.ifftn(acc, axes=axes).real
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("codomain", [1, 3])
+def test_spectral_layer_bitwise_equals_oracles(dim, codomain):
+    g = Grid(dim, 2 * np.pi, 16)
+    r = np.random.Generator(np.random.Philox(10 * dim + codomain))
+    f = GridField(g, r.normal(size=g.shape + (codomain,)))
+    assert np.array_equal(gradient(f), _oracle_gradient(f))
+    assert np.array_equal(hessian(f), _oracle_hessian(f))
+    assert np.array_equal(laplacian(f).values, _oracle_laplacian(f))
+    F = GridField(g, r.normal(size=g.shape + (dim, codomain)))
+    assert np.array_equal(spectral_divergence(F).values, _oracle_divergence(F))
+    for order in itertools.product(range(5), repeat=dim):
+        if sum(order) <= 4:
+            assert np.array_equal(spectral_derivative(f, order).values,
+                                  _oracle_derivative(f, order))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stack_derivatives_equal_per_frame_derivatives(dim):
+    g = Grid(dim, 2 * np.pi, 16)
+    r = np.random.Generator(np.random.Philox(dim))
+    times = [0.0, 0.1, 0.3]
+    u = SpaceTimeField(g, times, r.normal(size=(3,) + g.shape + (3,)))
+    F = SpaceTimeField(g, times, r.normal(size=(3,) + g.shape + (dim, 3)))
+    spec, spec_F = Spectrum(u), Spectrum(F)
+    grad, hess = spec.gradient(), spec.hessian()
+    lap, div = spec.derivative("laplacian"), spec_F.divergence()
+    for j in range(3):
+        frame = Spectrum(u.frame(j))
+        assert np.array_equal(grad[j], frame.gradient())
+        assert np.array_equal(hess[j], frame.hessian())
+        assert np.array_equal(lap[j], frame.derivative("laplacian"))
+        assert np.array_equal(div[j], Spectrum(F.frame(j)).divergence())
+
+
+def test_multipliers_are_cached_and_read_only():
+    g = Grid(2, 2 * np.pi, 16)
+    for order in [(1, 0), (1, 1), (0, 3), (2, 2), "laplacian"]:
+        m = multiplier(g, order)
+        assert multiplier(Grid(2, 2 * np.pi, 16), order) is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+def test_divergence_needs_one_component_per_axis():
+    g = Grid(2, 2 * np.pi, 16)
+    with pytest.raises(ValueError):
+        spectral_divergence(GridField(g, np.ones(g.shape + (3, 1))))
 
 
 def test_divergence_of_constants_vanishes(grid64):

@@ -150,3 +150,23 @@ def test_sweep_tube_exit_leaves_failed_manifest(tmp_path):
 def test_threads_flag_is_gone():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["flow", "--threads", "2"])
+
+
+@pytest.mark.parametrize("args", [
+    ["--estimate", "2.3"],                 # default --order 0 is not admitted
+    ["--estimate", "2.2", "--dim", "4"],
+    ["--estimate", "2.2", "--tol", "-1"],
+])
+def test_cli_kernel_verify_bad_arguments_are_config_errors(tmp_path, capsys, args):
+    rc = cli_main(["kernel-verify", *args, "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_kernel_verify_config_and_seed_flags_are_gone():
+    for flag in (["--config", "x.cfg"], ["--seed", "5"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["kernel-verify", "--estimate", "2.2",
+                                       "--out", "c.json", *flag])

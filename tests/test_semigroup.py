@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biflow.errors import TimeMisalignedError
-from biflow.fields import (Grid, GridField, SpaceTimeField, laplacian,
-                           spectral_divergence)
+from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum,
+                           laplacian, spectral_divergence)
 from biflow.kernel import default_profile, eval_kernel
 from biflow.norms import x_norm, y1_norm
-from biflow.semigroup import (PHI_SERIES_THRESHOLD, apply_G, apply_S,
-                              apply_S_div, apply_S_trajectory,
+from biflow.semigroup import (PHI_SERIES_THRESHOLD, apply_G,
+                              apply_G_trajectory, apply_S, apply_S_div,
+                              apply_S_div_trajectory, apply_S_trajectory,
                               operator_bound_experiment, phi1, phi2,
                               random_forcing, symbol)
 
@@ -31,6 +32,60 @@ def test_symbol_nonnegative_and_vanishes_only_at_mean_mode():
         assert sym.min() >= 0.0
         assert np.count_nonzero(sym == 0.0) == 1
         assert sym[(0,) * dim] == 0.0
+
+
+def _oracle_symbol(grid):
+    ks = grid.wavenumbers()
+    ksq = np.zeros(grid.shape)
+    for ax in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[ax] = grid.points_per_axis
+        ksq = ksq + ks[ax].reshape(shape) ** 2
+    return ksq ** 2
+
+
+def _oracle_divergence_spectrum(F):
+    grid, vals = F.grid, F.values
+    spec = np.fft.fftn(vals, axes=tuple(range(1, 1 + grid.dim)))
+    ks = grid.wavenumbers()
+    M = grid.points_per_axis
+    acc = np.zeros(vals.shape[:1] + grid.shape + vals.shape[-1:], dtype=complex)
+    for ax in range(grid.dim):
+        k = ks[ax].copy()
+        if M % 2 == 0:
+            k[M // 2] = 0.0
+        shape = [1] * (1 + grid.dim) + [1]
+        shape[1 + ax] = M
+        acc += spec[..., ax, :] * (1j * k.reshape(shape))
+    return acc
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("codomain", [1, 3])
+def test_symbol_and_divergence_spectrum_bitwise_equal_oracles(dim, codomain):
+    g = Grid(dim, 2 * np.pi, 16)
+    assert np.array_equal(symbol(g), _oracle_symbol(g))
+    r = _philox(10 * dim + codomain)
+    F = SpaceTimeField(g, [0.0, 0.1, 0.4], r.normal(size=(3,) + g.shape + (dim, codomain)))
+    assert np.array_equal(Spectrum(F).divergence(), _oracle_divergence_spectrum(F))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("codomain", [1, 3])
+def test_single_time_operators_equal_a_frame_of_the_trajectory(dim, codomain):
+    g = Grid(dim, 2 * np.pi, 16)
+    r = _philox(dim + codomain)
+    times = 0.4 * (np.arange(9) / 8) ** 4
+    u0 = GridField(g, r.normal(size=g.shape + (codomain,)))
+    f = random_forcing(g, times, r, codomain_dim=codomain)
+    F = random_forcing(g, times, r, codomain_dim=codomain, per_axis=True)
+    free = apply_G_trajectory(u0, times)
+    s_traj, sdiv_traj = apply_S_trajectory(f), apply_S_div_trajectory(F)
+    for idx in (3, 6):
+        t = times[idx]
+        assert np.array_equal(apply_G(u0, t).values, free.values[idx])
+        assert np.array_equal(apply_S(f, t).values, s_traj.values[idx])
+        assert np.array_equal(apply_S_div(F, t).values, sdiv_traj.values[idx])
 
 
 def test_constants_are_invariant(grid64):
