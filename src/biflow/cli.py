@@ -6,7 +6,8 @@ subcommand but kernel-verify, which takes --out alone of the three.
 
 Exit status: 0 when every hard check passes, 1 when one fails, 2 on a
 configuration error (for kernel-verify also a dim, tol or order the
-certificate does not admit), 3 when a Picard iterate leaves the projection tube.
+certificate does not admit, or --order with --estimate all), 3 when a Picard
+iterate leaves the projection tube.
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments, and Picard solves on a periodic box.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    kv = sub.add_parser("kernel-verify", help="emit one kernel decay certificate")
+    kv = sub.add_parser("kernel-verify",
+                        help="emit one kernel decay certificate, or all of them")
     kv.add_argument("--dim", type=int, default=1)
-    kv.add_argument("--estimate", required=True, choices=["2.2", "2.3", "2.4", "2.5"])
-    kv.add_argument("--order", type=int, default=0)
+    kv.add_argument("--estimate", required=True,
+                    choices=["2.2", "2.3", "2.4", "2.5", "all"])
+    kv.add_argument("--order", type=int, default=None,
+                    help="derivative order (default 0); not with --estimate all")
     kv.add_argument("--tol", type=float, default=1e-9)
     kv.add_argument("--c1", type=float, default=0.5)
     kv.add_argument("--out", required=True, help="output JSON file")
@@ -61,8 +65,9 @@ def main(argv=None) -> int:
         if args.command == "kernel-verify":
             payload = run_kernel_verify(args.dim, args.estimate, args.order,
                                         args.tol, args.out, c1=args.c1)
-            print(f"wrote certificate {args.estimate} (order {args.order}) "
-                  f"fitted_constant={payload['fitted_constant']:.6g} -> {args.out}")
+            for cert in payload if args.estimate == "all" else [payload]:
+                print(f"wrote certificate {cert['estimate_id']} (order {cert['order']}) "
+                      f"fitted_constant={cert['fitted_constant']:.6g} -> {args.out}")
             return 0
         if args.command == "evolve":
             manifest = run_evolve(args.config, args.out, seed=args.seed)

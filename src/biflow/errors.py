@@ -37,9 +37,5 @@ class ManifoldTubeExitError(RuntimeError):
         self.radius = radius
 
 
-class ContractionFailureError(RuntimeError):
-    """Successive Picard differences stopped contracting."""
-
-
 class ConfigError(ValueError):
     """A run configuration failed to parse or validate."""

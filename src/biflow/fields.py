@@ -30,8 +30,6 @@ __all__ = [
     "hessian",
     "laplacian",
     "spectral_divergence",
-    "grad_magnitude",
-    "hessian_magnitude",
     "pointwise_norm",
     "ball_offsets",
     "ball_mask",
@@ -115,16 +113,6 @@ class GridField:
     @property
     def codomain_dim(self) -> int:
         return self.values.shape[-1]
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn, codomain_dim: int | None = None) -> "GridField":
-        coords = grid.coordinates()
-        vals = np.asarray(fn(*coords), dtype=float)
-        if vals.shape[: grid.dim] != grid.shape:
-            vals = np.moveaxis(vals, 0, -1)
-        if vals.ndim == grid.dim:
-            vals = vals[..., None]
-        return cls(grid, vals)
 
     @classmethod
     def constant(cls, grid: Grid, vec) -> "GridField":
@@ -341,14 +329,6 @@ def pointwise_norm(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Euclidean/Frobenius magnitude over all trailing (non-grid) axes."""
     extra = values.ndim - grid.dim
     return np.sqrt((values ** 2).sum(axis=tuple(range(grid.dim, grid.dim + extra))))
-
-
-def grad_magnitude(f: GridField) -> np.ndarray:
-    return pointwise_norm(gradient(f), f.grid)
-
-
-def hessian_magnitude(f: GridField) -> np.ndarray:
-    return pointwise_norm(hessian(f), f.grid)
 
 
 # ----------------------------------------------------------------------

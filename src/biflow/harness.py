@@ -22,15 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, UnsupportedOrderError
-from .fields import (Grid, GridField, Spectrum, ball_convolve, pointwise_norm,
-                     save_space_time_field)
+from .errors import ConfigError
+from .fields import Grid, GridField, save_space_time_field
 from .flow import (FlowConfig, constant_initial_data, distance_experiment,
                    equator_initial_data, picard_solve)
 from .kernel import certify_bound, default_profile, kernel_mass
 from .manifold import SphereTarget
-from .norms import _dyadic_radii, bmo_seminorm, carleson_functional
-from .semigroup import apply_G, operator_bound_experiment
+from .norms import bmo_seminorm, carleson_functional, smoothing_ratios
+from .semigroup import operator_bound_experiment
 
 __all__ = [
     "RunManifest",
@@ -255,65 +254,6 @@ def _suite_operators(cp, out_dir: Path, seed: int, manifest: RunManifest,
     return {"operator_bounds_stable": bool(ok)}
 
 
-def smoothing_ratios(u0: GridField, R: float, points_per_octave: int = 6,
-                     octaves: int = 36) -> dict:
-    """Measured constants of the three smoothing estimates at one scale R.
-
-    The free evolution of u0 is sampled on a geometric time grid spanning
-    ``octaves`` octaves below R^4, which resolves every mode's decay window
-    with the same relative density at every scale (a fixed frame grid would
-    weight the scales unevenly and drift the ratios).  The cylinder integral,
-    the weighted gradient sup, and the quartic cylinder integral are each
-    divided by the matching power of the oscillation seminorm of u0.
-    """
-    grid = u0.grid
-    bmo = bmo_seminorm(u0, R)
-    radii = _dyadic_radii(R, grid)
-    q = points_per_octave
-    total = octaves + int(round(np.log2(R / radii[-1]))) * 4
-    t_nodes = R ** 4 * 2.0 ** (-np.arange(total * q + 1, dtype=float) / q)
-
-    g2 = np.empty((t_nodes.size,) + grid.shape)
-    g4 = np.empty_like(g2)
-    h2 = np.empty_like(g2)
-    wsup = 0.0
-    for j, t in enumerate(t_nodes):
-        spec = Spectrum(apply_G(u0, float(t)))
-        gm, hm = pointwise_norm(spec.gradient(), grid), pointwise_norm(spec.hessian(), grid)
-        g2[j], g4[j], h2[j] = gm ** 2, gm ** 4, hm ** 2
-        wsup = max(wsup, t ** 0.25 * float(gm.max()) + t ** 0.5 * float(hm.max()))
-
-    def integrate(mass_frames, t_top):
-        # trapezoid in t over the geometric nodes below t_top (descending)
-        sel = t_nodes <= t_top * (1 + 1e-12)
-        ts = t_nodes[sel][::-1]
-        vals = mass_frames[sel][::-1]
-        w = np.zeros_like(ts)
-        dt = np.diff(ts)
-        w[:-1] += dt / 2.0
-        w[1:] += dt / 2.0
-        w[0] += ts[0]  # remaining sliver [0, t_min] at the frozen value
-        return np.tensordot(w, vals, axes=(0, 0))
-
-    cyl = 0.0
-    quart = 0.0
-    for r in radii:
-        mass2 = integrate(h2, r ** 4) + integrate(g2, r ** 4) / r ** 2
-        mass4 = integrate(g4, r ** 4)
-        cyl = max(cyl, float(ball_convolve(grid, mass2, r).max())
-                  * grid.cell_volume / r ** grid.dim)
-        quart = max(quart, float(ball_convolve(grid, mass4, r).max())
-                    * grid.cell_volume / r ** grid.dim)
-    sup_u0 = float(np.sqrt((u0.values ** 2).sum(axis=-1)).max())
-    return {
-        "R": R,
-        "bmo": bmo,
-        "cylinder_ratio": cyl / bmo ** 2,
-        "weighted_sup_ratio": wsup / bmo,
-        "quartic_ratio": quart / (sup_u0 ** 2 * bmo ** 2),
-    }
-
-
 def smoothing_family_constants(grid: Grid, R: float, frequencies=(4, 8, 16, 32),
                                amplitude: float = 0.2, ambient_dim: int = 3) -> dict:
     """Fitted smoothing constants at one scale: max of each ratio over a
@@ -433,22 +373,35 @@ def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0) -> RunM
 # dedicated commands
 # ----------------------------------------------------------------------
 
-def run_kernel_verify(dim: int, estimate: str, order: int, tol: float,
-                      out_file, quadrature_nodes: int = 16, c1: float = 0.5) -> dict:
-    """Emit one decay certificate as JSON.
+# (estimate, derivative order) of every certificate, in report order
+_ALL_CERTIFICATES = (("2.2", 0), *(("2.3", k) for k in range(1, 5)),
+                     *(("2.4", k) for k in range(1, 5)), *(("2.5", j) for j in range(5)))
 
-    A dim, tolerance or derivative order the certificate does not admit is a
-    ConfigError; a quadrature that fails its residual check still raises.
+
+def run_kernel_verify(dim: int, estimate: str, order: int | None, tol: float,
+                      out_file, quadrature_nodes: int = 16, c1: float = 0.5):
+    """Emit one decay certificate as JSON, or with estimate "all" the list of
+    all 14: 2.2 order 0, 2.3 and 2.4 orders 1-4, 2.5 orders 0-4.
+
+    order None means 0 for a single estimate; "all" covers every order and
+    takes none.  A dim, tolerance or derivative order the certificate does not
+    admit is a ConfigError; a quadrature that fails its residual check still
+    raises.
     """
+    if estimate != "all":
+        jobs = ((estimate, order or 0),)
+    elif order is None:
+        jobs = _ALL_CERTIFICATES
+    else:
+        raise ConfigError(f"kernel-verify --estimate all covers every order; "
+                          f"drop --order {order}")
     try:
         profile = default_profile(dim, tol, quadrature_nodes)
+        payloads = [certify_bound(profile, est, k, c1=c1).to_json() for est, k in jobs]
     except ValueError as exc:
-        raise ConfigError(f"kernel-verify --dim {dim} --tol {tol:g}: {exc}") from exc
-    try:
-        cert = certify_bound(profile, estimate, order, c1=c1)
-    except UnsupportedOrderError as exc:
-        raise ConfigError(f"kernel-verify --order {order}: {exc}") from exc
-    payload = cert.to_json()
+        raise ConfigError(f"kernel-verify --dim {dim} --estimate {estimate} "
+                          f"--tol {tol:g}: {exc}") from exc
+    payload = payloads if estimate == "all" else payloads[0]
     Path(out_file).write_text(json.dumps(payload, sort_keys=True, indent=1))
     return payload
 
@@ -460,14 +413,7 @@ def run_evolve(config_path, out_dir, seed: int = 0) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command="evolve", config=_config_snapshot(cp), seed=seed)
     with _recorded(manifest, out):
-        cfg = flow_config_from(cp)
-        u0 = initial_data_from(cp, cfg.grid, cfg.target)
-        traj, diag = picard_solve(cfg, u0)
-        files = save_space_time_field(traj, out / "solution")
-        manifest.outputs.extend(f"solution/{f}" for f in files)
-        _write_json(out, "flow_diagnostics.json", diag.to_json(), manifest)
-        manifest.summary = {"converged": bool(diag.converged),
-                            "constraint_ok": not diag.constraint_flag}
+        manifest.summary = _suite_flow(cp, out, seed, manifest)
     return manifest
 
 

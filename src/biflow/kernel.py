@@ -83,7 +83,12 @@ class KernelProfile:
 
 
 def default_profile(dim: int, tolerance: float = 1e-9, quadrature_nodes: int = 16) -> KernelProfile:
-    """Profile with the truncation radius K = (ln(10/tol))^(1/4) + 1."""
+    """Profile with the truncation radius K = (ln(10/tol))^(1/4) + 1.
+
+    The tolerance must lie in (0, 10), where the logarithm is positive.
+    """
+    if not 0.0 < tolerance < 10.0:
+        raise ValueError(f"tolerance must lie in (0, 10), got {tolerance:g}")
     K = (math.log(10.0 / tolerance)) ** 0.25 + 1.0
     return KernelProfile(dim=dim, truncation_radius=K,
                          quadrature_nodes=quadrature_nodes, tolerance=tolerance)

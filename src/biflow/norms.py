@@ -1,9 +1,10 @@
 """Function-space functionals on discrete fields.
 
 Implements the local mean-oscillation seminorm, the Carleson square
-functional of smoothed gradients, and the three space-time norms the solver
-iterates in: the solution norm (weighted sup of gradients plus two
-parabolic-cylinder Morrey integrals) and the two forcing norms.
+functional of smoothed gradients, the smoothing-estimate ratios of the free
+evolution, and the three space-time norms the solver iterates in: the
+solution norm (weighted sup of gradients plus two parabolic-cylinder Morrey
+integrals) and the two forcing norms.
 
 All suprema over centers and scales are discretised: every lattice point is a
 candidate center, scales run over dyadic radii.  The scan is therefore a
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ScaleUnresolvableError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
-                     ball_offsets, grad_magnitude, hessian_magnitude, pointwise_norm)
+                     ball_offsets, pointwise_norm)
 from .semigroup import apply_G
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "bmo_seminorm",
     "bmo_seminorm_brute",
     "carleson_functional",
+    "smoothing_ratios",
     "x_norm",
     "y1_norm",
     "y2_norm",
@@ -80,6 +82,24 @@ def _dyadic_radii(top: float, grid: Grid) -> list[float]:
         raise ScaleUnresolvableError(
             f"no dyadic radius fits between 2h={2*grid.spacing:.3g} and {top:.3g}")
     return radii
+
+
+def _geometric_nodes(top: float, octaves: int, points_per_octave: int) -> np.ndarray:
+    """Descending times top * 2^(-j/q), j = 0 .. octaves*q, q points per octave."""
+    q = points_per_octave
+    return top * 2.0 ** (-np.arange(octaves * q + 1, dtype=float) / q)
+
+
+def _free_magnitudes(u0: GridField, t: float, orders=(1, 2)) -> list[np.ndarray]:
+    """Pointwise |grad^i G(t) u0| for each order i, from one transform."""
+    spec = Spectrum(apply_G(u0, t))
+    return [pointwise_norm(spec.gradient() if i == 1 else spec.hessian(), u0.grid)
+            for i in orders]
+
+
+def _cylinder_average_max(grid: Grid, mass: np.ndarray, r: float) -> float:
+    """max over centers of the ball integral of mass, times r^(-n)."""
+    return float(ball_convolve(grid, mass, r).max()) * grid.cell_volume / r ** grid.dim
 
 
 def _trapezoid_weights(times: np.ndarray, t_end: float) -> np.ndarray:
@@ -186,15 +206,13 @@ def carleson_functional(f: GridField, derivative_order: int, R: float,
     # global geometric t-nodes: R * 2^(-j/q); nodes for r = R/2^m are the
     # tail of the same sequence starting at index m*q
     q = points_per_octave
-    total_octaves = octaves + int(round(np.log2(R / radii[-1])))
-    t_nodes = R * 2.0 ** (-np.arange(total_octaves * q + 1) / q)
+    t_nodes = _geometric_nodes(R, octaves + int(round(np.log2(R / radii[-1]))), q)
     dlog = np.log(2.0) / q
 
     i = derivative_order
     sq = np.empty((t_nodes.size,) + grid.shape)
     for j, t in enumerate(t_nodes):
-        smoothed = apply_G(f, t ** 4)
-        mag = grad_magnitude(smoothed) if i == 1 else hessian_magnitude(smoothed)
+        mag, = _free_magnitudes(f, t ** 4, (i,))
         sq[j] = (t ** i * mag) ** 2
 
     best = 0.0
@@ -202,10 +220,62 @@ def carleson_functional(f: GridField, derivative_order: int, R: float,
         sel = sq[m * q:]
         w = np.full(sel.shape[0], dlog)
         w[0] = w[-1] = dlog / 2.0
-        mass = np.tensordot(w, sel, axes=(0, 0))
-        integral = ball_convolve(grid, mass, r) * grid.cell_volume
-        best = max(best, float(integral.max()) / r ** grid.dim)
+        best = max(best, _cylinder_average_max(grid, np.tensordot(w, sel, axes=(0, 0)), r))
     return best
+
+
+def smoothing_ratios(u0: GridField, R: float, points_per_octave: int = 6,
+                     octaves: int = 36) -> dict:
+    """Measured constants of the three smoothing estimates at one scale R.
+
+    The free evolution of u0 is sampled on a geometric time grid spanning
+    ``octaves`` octaves below R^4, which resolves every mode's decay window
+    with the same relative density at every scale (a fixed frame grid would
+    weight the scales unevenly and drift the ratios).  The cylinder integral,
+    the weighted gradient sup, and the quartic cylinder integral are each
+    divided by the matching power of the oscillation seminorm of u0.
+    """
+    grid = u0.grid
+    bmo = bmo_seminorm(u0, R)
+    radii = _dyadic_radii(R, grid)
+    t_nodes = _geometric_nodes(R ** 4, octaves + int(round(np.log2(R / radii[-1]))) * 4,
+                               points_per_octave)
+
+    g2 = np.empty((t_nodes.size,) + grid.shape)
+    g4 = np.empty_like(g2)
+    h2 = np.empty_like(g2)
+    wsup = 0.0
+    for j, t in enumerate(t_nodes):
+        gm, hm = _free_magnitudes(u0, float(t))
+        g2[j], g4[j], h2[j] = gm ** 2, gm ** 4, hm ** 2
+        wsup = max(wsup, t ** 0.25 * float(gm.max()) + t ** 0.5 * float(hm.max()))
+
+    def integrate(mass_frames, t_top):
+        # trapezoid in t over the geometric nodes below t_top (descending)
+        sel = t_nodes <= t_top * (1 + 1e-12)
+        ts = t_nodes[sel][::-1]
+        vals = mass_frames[sel][::-1]
+        w = np.zeros_like(ts)
+        dt = np.diff(ts)
+        w[:-1] += dt / 2.0
+        w[1:] += dt / 2.0
+        w[0] += ts[0]  # remaining sliver [0, t_min] at the frozen value
+        return np.tensordot(w, vals, axes=(0, 0))
+
+    cyl = 0.0
+    quart = 0.0
+    for r in radii:
+        mass2 = integrate(h2, r ** 4) + integrate(g2, r ** 4) / r ** 2
+        cyl = max(cyl, _cylinder_average_max(grid, mass2, r))
+        quart = max(quart, _cylinder_average_max(grid, integrate(g4, r ** 4), r))
+    sup_u0 = float(np.sqrt((u0.values ** 2).sum(axis=-1)).max())
+    return {
+        "R": R,
+        "bmo": bmo,
+        "cylinder_ratio": cyl / bmo ** 2,
+        "weighted_sup_ratio": wsup / bmo,
+        "quartic_ratio": quart / (sup_u0 ** 2 * bmo ** 2),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -261,10 +331,8 @@ def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
     arg4 = arg2 = None
     for r in radii:
         w = _trapezoid_weights(u.times, min(r ** 4, T))
-        p4 = np.tensordot(w, grad_pow4, axes=(0, 0))
-        p2 = np.tensordot(w, hess_pow2, axes=(0, 0))
-        m4 = (float(ball_convolve(grid, p4, r).max()) * grid.cell_volume / r ** grid.dim) ** 0.25
-        m2 = (float(ball_convolve(grid, p2, r).max()) * grid.cell_volume / r ** grid.dim) ** 0.5
+        m4 = _cylinder_average_max(grid, np.tensordot(w, grad_pow4, axes=(0, 0)), r) ** 0.25
+        m2 = _cylinder_average_max(grid, np.tensordot(w, hess_pow2, axes=(0, 0)), r) ** 0.5
         scales.append((r, m4, m2))
         if m4 > m4_best:
             m4_best, arg4 = m4, r
@@ -299,9 +367,7 @@ def _y_norm(f: SpaceTimeField, T: float, time_weight: float,
     scales = []
     for r in radii:
         w = _trapezoid_weights(f.times, min(r ** 4, T))
-        mass = np.tensordot(w, powed, axes=(0, 0))
-        val = (float(ball_convolve(grid, mass, r).max()) * grid.cell_volume
-               / r ** grid.dim) ** outer
+        val = _cylinder_average_max(grid, np.tensordot(w, powed, axes=(0, 0)), r) ** outer
         scales.append((r, val))
         if val > best:
             best, arg_r = val, r

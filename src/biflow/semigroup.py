@@ -113,10 +113,7 @@ def _frame_index(times: np.ndarray, t_target: float) -> int:
 
 def apply_S(f: SpaceTimeField, t_target: float) -> GridField:
     """Duhamel response int_0^t e^(-(t-s) Lap^2) f(s) ds at a stored frame time."""
-    idx = _frame_index(f.times, t_target)
-    spec = Spectrum(f).coeffs
-    out = _duhamel_sweep(f.grid, f.times[: idx + 1], spec[: idx + 1])
-    return GridField(f.grid, inverse_transform(f.grid, out[idx]))
+    return apply_S_trajectory(f).frame(_frame_index(f.times, t_target))
 
 
 def apply_S_trajectory(f: SpaceTimeField) -> SpaceTimeField:
@@ -127,10 +124,7 @@ def apply_S_trajectory(f: SpaceTimeField) -> SpaceTimeField:
 
 def apply_S_div(F: SpaceTimeField, t_target: float) -> GridField:
     """Duhamel response to a distributional divergence, S(sum_a d_a F_a)."""
-    idx = _frame_index(F.times, t_target)
-    spec = Spectrum(F).divergence()
-    out = _duhamel_sweep(F.grid, F.times[: idx + 1], spec[: idx + 1])
-    return GridField(F.grid, inverse_transform(F.grid, out[idx]))
+    return apply_S_div_trajectory(F).frame(_frame_index(F.times, t_target))
 
 
 def apply_S_div_trajectory(F: SpaceTimeField) -> SpaceTimeField:

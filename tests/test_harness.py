@@ -1,5 +1,6 @@
 """Config parsing, suites, manifests, CLI, determinism."""
 
+import ast
 import json
 import hashlib
 from pathlib import Path
@@ -52,6 +53,15 @@ def test_kernel_verify_writes_certificate(tmp_path):
     assert disk["estimate_id"] == "2.3" and disk["order"] == 1
 
 
+def test_kernel_verify_all_is_the_list_of_single_certificates(tmp_path):
+    payloads = run_kernel_verify(1, "all", None, 1e-8, tmp_path / "all.json")
+    singles = [run_kernel_verify(1, est, k, 1e-8, tmp_path / "one.json")
+               for est, k in [("2.2", 0)] + [("2.3", k) for k in range(1, 5)]
+               + [("2.4", k) for k in range(1, 5)] + [("2.5", j) for j in range(5)]]
+    assert payloads == singles
+    assert json.loads((tmp_path / "all.json").read_text()) == json.loads(json.dumps(singles))
+
+
 def test_evolve_writes_manifest_first_and_lists_outputs(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(
@@ -64,7 +74,7 @@ def test_evolve_writes_manifest_first_and_lists_outputs(tmp_path):
     assert disk["status"] == "completed" and disk["error"] is None
     for name in disk["outputs"]:
         assert (tmp_path / "out" / name).exists()
-    assert disk["summary"]["converged"] is True
+    assert disk["summary"]["flow_converged"] is True
     # frames round-trip through the sidecar format
     sol = load_space_time_field(tmp_path / "out" / "solution")
     assert sol.num_frames == 13
@@ -156,6 +166,9 @@ def test_threads_flag_is_gone():
     ["--estimate", "2.3"],                 # default --order 0 is not admitted
     ["--estimate", "2.2", "--dim", "4"],
     ["--estimate", "2.2", "--tol", "-1"],
+    ["--estimate", "2.2", "--tol", "20"],   # ln(10/tol) < 0: no truncation radius
+    ["--estimate", "2.2", "--tol", "0.5"],  # sweep keeps no admissible sample
+    ["--estimate", "all", "--order", "1"],  # all covers every order itself
 ])
 def test_cli_kernel_verify_bad_arguments_are_config_errors(tmp_path, capsys, args):
     rc = cli_main(["kernel-verify", *args, "--out", str(tmp_path / "c.json")])
@@ -170,3 +183,16 @@ def test_kernel_verify_config_and_seed_flags_are_gone():
         with pytest.raises(SystemExit):
             build_parser().parse_args(["kernel-verify", "--estimate", "2.2",
                                        "--out", "c.json", *flag])
+
+
+def test_no_module_imports_another_modules_private_names():
+    # each private helper is owned by the module that defines it
+    src = Path(__file__).resolve().parents[1] / "src" / "biflow"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found += [f"{path.name}: from .{node.module} import {a.name}"
+                          for a in node.names
+                          if a.name.startswith("_") and not a.name.endswith("__")]
+    assert found == []

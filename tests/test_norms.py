@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biflow.errors import ScaleUnresolvableError
-from biflow.fields import Grid, GridField, SpaceTimeField, ball_offsets
+from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
+                           ball_offsets, gradient, hessian, pointwise_norm)
 from biflow.norms import (bmo_seminorm, bmo_seminorm_brute, carleson_functional,
-                          x_norm, y1_norm, y2_norm)
-from biflow.semigroup import apply_G_trajectory
+                          smoothing_ratios, x_norm, y1_norm, y2_norm)
+from biflow.semigroup import apply_G, apply_G_trajectory
 
 
 def _sine_field(grid, amplitude=0.8, freq=1):
@@ -98,6 +99,87 @@ def test_carleson_bmo_comparability_single_constant(grid128):
 def test_carleson_rejects_bad_order(grid128):
     with pytest.raises(ValueError):
         carleson_functional(_sine_field(grid128), 3, grid128.box_length / 4)
+
+
+def _oracle_radii(R, grid):
+    return [R / 2 ** m for m in range(64) if R / 2 ** m >= 2.0 * grid.spacing]
+
+
+def _carleson_oracle(f, i, R, q=8, octaves=10):
+    # the seed's scan, written out: one magnitude per node, one mass per radius
+    grid = f.grid
+    radii = _oracle_radii(R, grid)
+    total_octaves = octaves + int(round(np.log2(R / radii[-1])))
+    t_nodes = R * 2.0 ** (-np.arange(total_octaves * q + 1) / q)
+    dlog = np.log(2.0) / q
+    sq = np.empty((t_nodes.size,) + grid.shape)
+    for j, t in enumerate(t_nodes):
+        smoothed = apply_G(f, t ** 4)
+        mag = pointwise_norm(gradient(smoothed) if i == 1 else hessian(smoothed), grid)
+        sq[j] = (t ** i * mag) ** 2
+    best = 0.0
+    for m, r in enumerate(radii):
+        sel = sq[m * q:]
+        w = np.full(sel.shape[0], dlog)
+        w[0] = w[-1] = dlog / 2.0
+        mass = np.tensordot(w, sel, axes=(0, 0))
+        integral = ball_convolve(grid, mass, r) * grid.cell_volume
+        best = max(best, float(integral.max()) / r ** grid.dim)
+    return best
+
+
+def _smoothing_oracle(u0, R, q=6, octaves=36):
+    # the seed's smoothing-ratio scan, written out
+    grid = u0.grid
+    bmo = bmo_seminorm(u0, R)
+    radii = _oracle_radii(R, grid)
+    total = octaves + int(round(np.log2(R / radii[-1]))) * 4
+    t_nodes = R ** 4 * 2.0 ** (-np.arange(total * q + 1, dtype=float) / q)
+    g2 = np.empty((t_nodes.size,) + grid.shape)
+    g4 = np.empty_like(g2)
+    h2 = np.empty_like(g2)
+    wsup = 0.0
+    for j, t in enumerate(t_nodes):
+        spec = Spectrum(apply_G(u0, float(t)))
+        gm, hm = pointwise_norm(spec.gradient(), grid), pointwise_norm(spec.hessian(), grid)
+        g2[j], g4[j], h2[j] = gm ** 2, gm ** 4, hm ** 2
+        wsup = max(wsup, t ** 0.25 * float(gm.max()) + t ** 0.5 * float(hm.max()))
+
+    def integrate(mass_frames, t_top):
+        sel = t_nodes <= t_top * (1 + 1e-12)
+        ts = t_nodes[sel][::-1]
+        vals = mass_frames[sel][::-1]
+        w = np.zeros_like(ts)
+        dt = np.diff(ts)
+        w[:-1] += dt / 2.0
+        w[1:] += dt / 2.0
+        w[0] += ts[0]
+        return np.tensordot(w, vals, axes=(0, 0))
+
+    cyl = quart = 0.0
+    for r in radii:
+        mass2 = integrate(h2, r ** 4) + integrate(g2, r ** 4) / r ** 2
+        mass4 = integrate(g4, r ** 4)
+        cyl = max(cyl, float(ball_convolve(grid, mass2, r).max())
+                  * grid.cell_volume / r ** grid.dim)
+        quart = max(quart, float(ball_convolve(grid, mass4, r).max())
+                    * grid.cell_volume / r ** grid.dim)
+    sup_u0 = float(np.sqrt((u0.values ** 2).sum(axis=-1)).max())
+    return {"R": R, "bmo": bmo, "cylinder_ratio": cyl / bmo ** 2,
+            "weighted_sup_ratio": wsup / bmo,
+            "quartic_ratio": quart / (sup_u0 ** 2 * bmo ** 2)}
+
+
+def test_geometric_scans_equal_seed_oracles(grid128):
+    # the shared node sampler, magnitude step and cylinder maximum keep every bit
+    x = grid128.coordinates()[0]
+    f = GridField(grid128, np.stack([np.sin(x) + 0.3 * np.sin(8 * x),
+                                     0.5 * np.cos(3 * x)], axis=-1))
+    for R in (grid128.box_length / 4, grid128.box_length / 16):
+        for i in (1, 2):
+            assert carleson_functional(f, i, R) == _carleson_oracle(f, i, R)
+    R = grid128.box_length / 8
+    assert smoothing_ratios(f, R) == _smoothing_oracle(f, R)
 
 
 # ----------------------------------------------------------------------
