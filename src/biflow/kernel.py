@@ -47,6 +47,7 @@ __all__ = [
 ALPHA = 3.0 * 2.0 ** (1.0 / 3.0) / 16.0
 
 _GL_POINTS = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
 _SERIES_SWITCH = 0.2   # below this |xi| the n=3 radial combos use Maclaurin series
 _J0_SWITCH = 0.5       # below this argument the spherical kernel uses its series
 
@@ -100,12 +101,11 @@ def default_profile(dim: int, tolerance: float = 1e-9, quadrature_nodes: int = 1
 
 def _composite_gl(a: float, b: float, panels: int):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x0, w0 = np.polynomial.legendre.leggauss(_GL_POINTS)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    weights = (half[:, None] * w0[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 
@@ -129,37 +129,46 @@ def _radial_rule(profile: KernelProfile, freq: float, r_max: float | None = None
 # n = 3 radial machinery
 # ----------------------------------------------------------------------
 
-# Derivatives of j0(x) = sin(x)/x, closed forms for |x| >= _J0_SWITCH.
-def _j0_deriv(m: int, x: np.ndarray) -> np.ndarray:
+# Derivatives of j0(x) = sin(x)/x, closed forms for |x| >= _J0_SWITCH, as
+# functions of (sin x, cos x, x).
+_J0_CLOSED = (
+    lambda s, c, xs: s / xs,
+    lambda s, c, xs: c / xs - s / xs ** 2,
+    lambda s, c, xs: -s / xs - 2 * c / xs ** 2 + 2 * s / xs ** 3,
+    lambda s, c, xs: -c / xs + 3 * s / xs ** 2 + 6 * c / xs ** 3 - 6 * s / xs ** 4,
+    lambda s, c, xs: (s / xs + 4 * c / xs ** 2 - 12 * s / xs ** 3
+                      - 24 * c / xs ** 4 + 24 * s / xs ** 5),
+)
+
+
+def _j0_derivs(ms, x: np.ndarray):
+    """Yield j0^(m)(x) for each m in ms, one order at a time.
+
+    sin, cos and the small-argument mask are taken once for all orders; the
+    Maclaurin series runs only on the entries that keep it.
+    """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _J0_SWITCH
     xs = np.where(small, 1.0, x)  # avoid division by ~0 in the closed form
     s, c = np.sin(xs), np.cos(xs)
-    if m == 0:
-        closed = s / xs
-    elif m == 1:
-        closed = c / xs - s / xs ** 2
-    elif m == 2:
-        closed = -s / xs - 2 * c / xs ** 2 + 2 * s / xs ** 3
-    elif m == 3:
-        closed = -c / xs + 3 * s / xs ** 2 + 6 * c / xs ** 3 - 6 * s / xs ** 4
-    elif m == 4:
-        closed = (s / xs + 4 * c / xs ** 2 - 12 * s / xs ** 3
-                  - 24 * c / xs ** 4 + 24 * s / xs ** 5)
-    else:  # pragma: no cover - guarded by callers
-        raise UnsupportedOrderError(f"spherical kernel derivative order {m} > 4")
-    # Maclaurin series of j0 differentiated term by term; terms to p = 12
-    # give full double precision for |x| < 0.5.
-    ser = np.zeros_like(x)
-    for p in range(0, 13):
-        e = 2 * p - m
-        if e < 0:
-            continue
-        coef = (-1.0) ** p / math.factorial(2 * p + 1)
-        for q in range(m):
-            coef *= (2 * p - q)
-        ser = ser + coef * x ** e
-    return np.where(small, ser, closed)
+    x_small = x[small]
+    for m in ms:
+        if m >= len(_J0_CLOSED):  # pragma: no cover - guarded by callers
+            raise UnsupportedOrderError(f"spherical kernel derivative order {m} > 4")
+        closed = _J0_CLOSED[m](s, c, xs)
+        # Maclaurin series of j0 differentiated term by term; terms to p = 12
+        # give full double precision for |x| < 0.5.
+        ser = np.zeros_like(x_small)
+        for p in range(0, 13):
+            e = 2 * p - m
+            if e < 0:
+                continue
+            coef = (-1.0) ** p / math.factorial(2 * p + 1)
+            for q in range(m):
+                coef *= (2 * p - q)
+            ser = ser + coef * x_small ** e
+        closed[small] = ser
+        yield closed
 
 
 def _series_coeffs(profile: KernelProfile, terms: int = 14) -> np.ndarray:
@@ -169,19 +178,20 @@ def _series_coeffs(profile: KernelProfile, terms: int = 14) -> np.ndarray:
     return c3 * (-1.0) ** p * _gamma((2 * p + 3) / 4.0) / (4.0 * _gamma(2 * p + 2))
 
 
-def _radial_derivs(profile: KernelProfile, s: np.ndarray, m_max: int) -> list[np.ndarray]:
-    """G^(m)(s) for m = 0..m_max by quadrature of the spherical reduction."""
+def _radial_derivs(profile: KernelProfile, s: np.ndarray, ms) -> dict[int, np.ndarray]:
+    """{m: G^(m)(s)} for each m in ms by quadrature of the spherical reduction.
+
+    Each order's kernel on the s x r outer array is reduced to its radial
+    derivative before the next one is formed.
+    """
     c3 = 1.0 / (2.0 * math.pi ** 2)
-    out = []
     s = np.asarray(s, dtype=float)
     freq = float(np.max(s)) if s.size else 0.0
     r, w = _radial_rule(profile, freq)
     base = w * r ** 2 * np.exp(-r ** 4)
     rs = np.multiply.outer(s, r)
-    for m in range(m_max + 1):
-        kern = _j0_deriv(m, rs)
-        out.append(c3 * (kern * (base * r ** m)[None, :]).sum(axis=1))
-    return out
+    return {m: c3 * (kern * (base * r ** m)[None, :]).sum(axis=1)
+            for m, kern in zip(ms, _j0_derivs(ms, rs))}
 
 
 def _series_combo(coeffs: np.ndarray, s: np.ndarray, factors: int, shift: int) -> np.ndarray:
@@ -203,8 +213,14 @@ def _series_combo(coeffs: np.ndarray, s: np.ndarray, factors: int, shift: int) -
     return acc
 
 
-def _eval_profile_3d(profile: KernelProfile, xi: np.ndarray, order) -> np.ndarray:
-    m = int(sum(order))
+def _eval_profile_3d(profile: KernelProfile, xi: np.ndarray, orders) -> list[np.ndarray]:
+    """d^order g for each multi-index in orders, all of one total order m.
+
+    The radial derivatives and their series/quadrature combinations depend
+    only on |xi| and m, so they are built once; each multi-index adds only
+    its products of unit-direction components.
+    """
+    m = int(sum(orders[0]))
     s = np.sqrt((xi ** 2).sum(axis=1))
     small = s < _SERIES_SWITCH
     ss = np.where(small, 1.0, s)  # guards the quadrature-branch divisions only
@@ -212,53 +228,56 @@ def _eval_profile_3d(profile: KernelProfile, xi: np.ndarray, order) -> np.ndarra
     # vanishes, so the 0/1 = 0 vector is harmless
     u = xi / np.where(s > 0.0, s, 1.0)[:, None]
 
-    a = _radial_derivs(profile, s, m)
+    # a_0 enters only m = 0; the m >= 1 formulas use a_1..a_m
+    a = _radial_derivs(profile, s, range(1, m + 1) if m else (0,))
     cs = _series_coeffs(profile)
 
     def combo(quad_expr, factors, shift):
         ser = _series_combo(cs, s, factors, shift)
         return np.where(small, ser, quad_expr)
 
-    if m == 0:
-        return combo(a[0], 0, 0)
+    if m == 0:  # the one multi-index (0, 0, 0)
+        return [combo(a[0], 0, 0)]
     if m == 1:
         a1_over = combo(a[1] / ss, 1, 2) * s  # a1 = (a1/s) * s, regular everywhere
-        i = order.index(1)
-        return a1_over * u[:, i]
-
-    idx = []
-    for ax, rep in enumerate(order):
-        idx.extend([ax] * rep)
-
+        return [a1_over * u[:, order.index(1)] for order in orders]
     if m == 2:
         q2 = combo(a[1] / ss, 1, 2)
         p2 = combo(a[2] - a[1] / ss, 2, 2)
-        i, j = idx
-        return p2 * u[:, i] * u[:, j] + q2 * (1.0 if i == j else 0.0)
-    if m == 3:
+    elif m == 3:
         q3 = combo(a[2] / ss - a[1] / ss ** 2, 2, 3)
         p3 = combo(a[3] - 3 * a[2] / ss + 3 * a[1] / ss ** 2, 3, 3)
-        i, j, k = idx
-        val = p3 * u[:, i] * u[:, j] * u[:, k]
-        for (x1, x2), x3 in (((i, j), k), ((i, k), j), ((j, k), i)):
-            if x1 == x2:
-                val = val + q3 * u[:, x3]
-        return val
-    if m == 4:
+    else:
         c5 = combo(a[2] / ss ** 2 - a[1] / ss ** 3, 2, 4)
         q4 = combo(a[3] / ss - 3 * a[2] / ss ** 2 + 3 * a[1] / ss ** 3, 3, 4)
         p4 = combo(a[4] - 6 * a[3] / ss + 15 * a[2] / ss ** 2 - 15 * a[1] / ss ** 3, 4, 4)
-        i, j, k, l = idx
-        val = p4 * u[:, i] * u[:, j] * u[:, k] * u[:, l]
-        for (p1, p2) in combinations(range(4), 2):
-            rest = [q for q in range(4) if q not in (p1, p2)]
-            if idx[p1] == idx[p2]:
-                val = val + q4 * u[:, idx[rest[0]]] * u[:, idx[rest[1]]]
-        for (p1, p2) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-            if idx[p1[0]] == idx[p1[1]] and idx[p2[0]] == idx[p2[1]]:
-                val = val + c5
-        return val
-    raise UnsupportedOrderError(f"derivative order {m} > 4")
+
+    out = []
+    for order in orders:
+        idx = []
+        for ax, rep in enumerate(order):
+            idx.extend([ax] * rep)
+        if m == 2:
+            i, j = idx
+            val = p2 * u[:, i] * u[:, j] + q2 * (1.0 if i == j else 0.0)
+        elif m == 3:
+            i, j, k = idx
+            val = p3 * u[:, i] * u[:, j] * u[:, k]
+            for (x1, x2), x3 in (((i, j), k), ((i, k), j), ((j, k), i)):
+                if x1 == x2:
+                    val = val + q3 * u[:, x3]
+        else:
+            i, j, k, l = idx
+            val = p4 * u[:, i] * u[:, j] * u[:, k] * u[:, l]
+            for (p1, p2) in combinations(range(4), 2):
+                rest = [q for q in range(4) if q not in (p1, p2)]
+                if idx[p1] == idx[p2]:
+                    val = val + q4 * u[:, idx[rest[0]]] * u[:, idx[rest[1]]]
+            for (p1, p2) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+                if idx[p1[0]] == idx[p1[1]] and idx[p2[0]] == idx[p2[1]]:
+                    val = val + c5
+        out.append(val)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -291,43 +310,53 @@ def _check_order(order, dim: int):
     return order
 
 
-def _eval_profile_batch(profile: KernelProfile, pts: np.ndarray, order) -> np.ndarray:
+def _eval_profile_batch(profile: KernelProfile, pts: np.ndarray, orders) -> list[np.ndarray]:
+    """d^order g at pts for each multi-index in orders, all of one total order.
+
+    The quadrature rule and, chunk by chunk, the phase tables are built once
+    for all orders; only the moment weights (ik)^order change per order.
+    """
     n = profile.dim
     if n == 3:
-        return _eval_profile_3d(profile, pts, order)
+        return _eval_profile_3d(profile, pts, orders)
 
     prefac = (2.0 * math.pi) ** (-n)
+    out = [np.empty(pts.shape[0], dtype=complex) for _ in orders]
     if n == 1:
         k, w = _axis_rule(profile, float(np.abs(pts).max(initial=0.0)))
-        mom = w * (1j * k) ** order[0] * np.exp(-k ** 4)
-        out = np.empty(pts.shape[0], dtype=complex)
+        moms = [w * (1j * k) ** order[0] * np.exp(-k ** 4) for order in orders]
         chunk = 8192
         for lo in range(0, pts.shape[0], chunk):
             ph = np.exp(1j * np.multiply.outer(pts[lo:lo + chunk, 0], k))
-            out[lo:lo + chunk] = ph @ mom
-        vals = prefac * out
+            for dst, mom in zip(out, moms):
+                dst[lo:lo + chunk] = ph @ mom
     else:
         k1, w1 = _axis_rule(profile, float(np.abs(pts[:, 0]).max(initial=0.0)))
         k2, w2 = _axis_rule(profile, float(np.abs(pts[:, 1]).max(initial=0.0)))
         ksq = k1[:, None] ** 2 + k2[None, :] ** 2
-        core = np.exp(-ksq ** 2)
-        core = core * np.multiply.outer(w1 * (1j * k1) ** order[0],
-                                        w2 * (1j * k2) ** order[1])
-        out = np.empty(pts.shape[0], dtype=complex)
+        damp = np.exp(-ksq ** 2)
+        moms = [(w1 * (1j * k1) ** order[0], w2 * (1j * k2) ** order[1])
+                for order in orders]
         chunk = 2048
         for lo in range(0, pts.shape[0], chunk):
             e1 = np.exp(1j * np.multiply.outer(pts[lo:lo + chunk, 0], k1))
             e2 = np.exp(1j * np.multiply.outer(pts[lo:lo + chunk, 1], k2))
-            out[lo:lo + chunk] = np.einsum("pa,ab,pb->p", e1, core, e2, optimize=True)
-        vals = prefac * out
+            for dst, (m1, m2) in zip(out, moms):
+                # the order's core is a temporary: one is alive at a time
+                dst[lo:lo + chunk] = np.einsum(
+                    "pa,ab,pb->p", e1, damp * np.multiply.outer(m1, m2), e2, optimize=True)
 
-    resid = float(np.abs(vals.imag).max(initial=0.0))
-    if resid > profile.tolerance:
-        raise QuadratureResidualError(
-            f"imaginary quadrature residual {resid:.3e} exceeds tolerance "
-            f"{profile.tolerance:.3e}; increase quadrature_nodes"
-        )
-    return vals.real
+    vals = []
+    for o in out:
+        o = prefac * o
+        resid = float(np.abs(o.imag).max(initial=0.0))
+        if resid > profile.tolerance:
+            raise QuadratureResidualError(
+                f"imaginary quadrature residual {resid:.3e} exceeds tolerance "
+                f"{profile.tolerance:.3e}; increase quadrature_nodes"
+            )
+        vals.append(o.real)
+    return vals
 
 
 def eval_profile(profile: KernelProfile, xi, order=None):
@@ -339,7 +368,7 @@ def eval_profile(profile: KernelProfile, xi, order=None):
     """
     order = _check_order(order, profile.dim)
     pts = _normalize_points(xi, profile.dim)
-    vals = _eval_profile_batch(profile, pts, order)
+    [vals] = _eval_profile_batch(profile, pts, [order])
     if np.asarray(xi).ndim <= 1 and (profile.dim > 1 or np.asarray(xi).ndim == 0):
         return float(vals[0])
     if profile.dim == 1 and np.asarray(xi).ndim == 1 and vals.shape[0] == 1:
@@ -358,7 +387,8 @@ def eval_kernel(profile: KernelProfile, x, t, order=None):
     order = _check_order(order, profile.dim)
     pts = _normalize_points(x, profile.dim)
     scale = t ** (-(profile.dim + sum(order)) / 4.0)
-    vals = scale * _eval_profile_batch(profile, pts * t ** (-0.25), order)
+    [vals] = _eval_profile_batch(profile, pts * t ** (-0.25), [order])
+    vals = scale * vals
     if np.asarray(x).ndim <= 1 and vals.shape[0] == 1:
         return float(vals[0])
     return vals
@@ -382,13 +412,18 @@ def _multi_indices(dim: int, total: int):
 
 
 def gradient_magnitude(profile: KernelProfile, xi, k: int) -> np.ndarray:
-    """Frobenius norm of the k-th derivative tensor of g at the given points."""
+    """Frobenius norm of the k-th derivative tensor of g at the given points.
+
+    Every component of the tensor comes from one evaluation of the point set.
+    """
+    _check_order((k,) + (0,) * (profile.dim - 1), profile.dim)
     pts = _normalize_points(xi, profile.dim)
+    indices = list(_multi_indices(profile.dim, k))
+    comps = _eval_profile_batch(profile, pts, [order for order, _ in indices])
     if k == 0:
-        return np.abs(_eval_profile_batch(profile, pts, (0,) * profile.dim))
+        return np.abs(comps[0])
     acc = np.zeros(pts.shape[0])
-    for order, weight in _multi_indices(profile.dim, k):
-        comp = _eval_profile_batch(profile, pts, order)
+    for (_, weight), comp in zip(indices, comps):
         acc += weight * comp ** 2
     return np.sqrt(acc)
 
@@ -406,7 +441,8 @@ def kernel_mass(profile: KernelProfile, t: float, radius: float = 36.0) -> float
     # physical nodes x = t^(1/4) rho along a ray; values t^(-n/4) g(rho)
     pts = np.zeros((rho.size, n))
     pts[:, 0] = (t ** 0.25) * rho
-    vals = _eval_profile_batch(profile, pts * t ** (-0.25), (0,) * n) * t ** (-n / 4.0)
+    [vals] = _eval_profile_batch(profile, pts * t ** (-0.25), [(0,) * n])
+    vals = vals * t ** (-n / 4.0)
     surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
     jac = (t ** 0.25 * rho) ** (n - 1) * t ** 0.25
     return float(surface * np.sum(w * jac * vals))
@@ -491,11 +527,10 @@ def _pointwise_sweep(profile, sample_spec, k, ratio_fn, region=None,
     ts = np.unique(np.concatenate([sample_spec.t_values(), np.asarray(extra_t)]))
     X, T = np.meshgrid(xs, ts, indexing="ij")
     xf, tf = X.ravel(), T.ravel()
-    keep = _noise_floor_mask(xf, tf, profile.tolerance)
-    if region is not None:
-        keep &= region(xf, tf)
-    excluded = int(np.sum(~_noise_floor_mask(xf, tf, profile.tolerance) &
-                          (region(xf, tf) if region is not None else True)))
+    above = _noise_floor_mask(xf, tf, profile.tolerance)
+    inside = region(xf, tf) if region is not None else True
+    keep = above & inside
+    excluded = int(np.sum(~above & inside))
     xf, tf = xf[keep], tf[keep]
     if xf.size == 0:
         raise ValueError("certificate sweep has no admissible samples")
