@@ -17,7 +17,7 @@ from .kernel import (ALPHA, BoundCertificate, KernelProfile, SampleSpec,
 from .manifold import SphereTarget, defect_q, dpi, project, rho
 from .norms import (NormReport, bmo_seminorm, carleson_functional, x_norm,
                     y1_norm, y2_norm)
-from .semigroup import apply_G, apply_S, apply_S_div, operator_bound_experiment
+from .semigroup import apply_G, apply_S, operator_bound_experiment
 
 __all__ = [
     "__version__",
@@ -26,7 +26,7 @@ __all__ = [
     "SphereTarget", "project", "dpi", "defect_q", "rho",
     "Grid", "GridField", "SpaceTimeField",
     "NormReport", "bmo_seminorm", "carleson_functional", "x_norm", "y1_norm", "y2_norm",
-    "apply_G", "apply_S", "apply_S_div", "operator_bound_experiment",
+    "apply_G", "apply_S", "operator_bound_experiment",
     "FlowConfig", "FlowDiagnostics", "picard_solve", "distance_experiment",
     "equator_initial_data", "constant_initial_data",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: kernel-verify, evolve, contraction-sweep, norms, operators,
-distance, kernel, flow, all.  Flags --config/--out/--seed are accepted on every
-subcommand but kernel-verify, which takes --out alone of the three.
+distance, kernel, flow, all.  Flags --config and --out are accepted on every
+subcommand but kernel-verify, which takes --out alone; --seed only on the
+suites, whose ensembles it draws.
 
 Exit status: 0 when every hard check passes, 1 when one fails, 2 on a
 configuration error (for kernel-verify also a dim, tol or order the
@@ -23,7 +24,6 @@ from .harness import (SUITES, run_contraction_sweep, run_evolve,
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="sectioned config file")
     p.add_argument("--out", default="runs", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="ensemble seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SUITES:
         sp = sub.add_parser(name, help=f"run the {name} experiment suite")
         _add_common(sp)
+        sp.add_argument("--seed", type=int, default=0, help="ensemble seed")
 
     return parser
 
@@ -70,11 +71,10 @@ def main(argv=None) -> int:
                       f"fitted_constant={cert['fitted_constant']:.6g} -> {args.out}")
             return 0
         if args.command == "evolve":
-            manifest = run_evolve(args.config, args.out, seed=args.seed)
+            manifest = run_evolve(args.config, args.out)
         elif args.command == "contraction-sweep":
             amplitudes = [float(a) for a in args.amplitudes.split(",")]
-            manifest = run_contraction_sweep(args.config, args.out, amplitudes,
-                                             seed=args.seed)
+            manifest = run_contraction_sweep(args.config, args.out, amplitudes)
         else:
             manifest = run_suite(args.command, args.config, args.out, seed=args.seed)
     except ConfigError as exc:

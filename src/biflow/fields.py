@@ -4,9 +4,11 @@ The periodic lattice stands in for whole space: test data oscillate on scales
 well inside the box, and the box is chosen several times larger than any
 cylinder radius a norm scan will use, so periodic images never enter a scan
 window.  Differentiation is a Fourier multiplier, exact on band-limited data;
-each multiplier is built once per grid, and a frame is transformed once for
-all of its derivatives.  Fields are immutable after construction; frames of a
-space-time field share one grid and codomain.
+each multiplier is built once per grid.  ``Spectrum`` transforms a frame, or a
+whole stack of frames, once for all of its derivatives; a stack gives each
+frame the same bits as its own transform.  This module holds every Fourier
+transform of the package.  Fields are immutable after construction; frames of
+a space-time field share one grid and codomain.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ __all__ = [
     "multiplier",
     "inverse_transform",
     "Spectrum",
-    "spectral_derivative",
     "gradient",
     "hessian",
     "laplacian",
-    "spectral_divergence",
     "pointwise_norm",
     "ball_offsets",
     "ball_mask",
@@ -296,16 +296,6 @@ class Spectrum:
         return acc
 
 
-def spectral_derivative(f: GridField, order) -> GridField:
-    """Differentiate via the discrete Fourier multiplier (i 2 pi m / L)^order."""
-    order = tuple(int(o) for o in (order if np.iterable(order) else (order,)))
-    if len(order) != f.grid.dim:
-        raise ValueError("order multi-index length must equal grid dim")
-    if sum(order) > 4:
-        raise ValueError("spectral derivatives supported to total order 4")
-    return GridField(f.grid, Spectrum(f).derivative(order))
-
-
 def gradient(f: GridField) -> np.ndarray:
     """Array of shape grid.shape + (n, l): first spatial derivatives."""
     return Spectrum(f).gradient()
@@ -320,15 +310,10 @@ def laplacian(f: GridField) -> GridField:
     return GridField(f.grid, Spectrum(f).derivative("laplacian"))
 
 
-def spectral_divergence(F: GridField) -> GridField:
-    """Divergence over the axis slot of a per-axis field (shape grid + (n, l))."""
-    return GridField(F.grid, inverse_transform(F.grid, Spectrum(F).divergence()))
-
-
-def pointwise_norm(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Euclidean/Frobenius magnitude over all trailing (non-grid) axes."""
-    extra = values.ndim - grid.dim
-    return np.sqrt((values ** 2).sum(axis=tuple(range(grid.dim, grid.dim + extra))))
+def pointwise_norm(values: np.ndarray, grid: Grid, lead: int = 0) -> np.ndarray:
+    """Euclidean/Frobenius magnitude over the axes after the grid axes, which
+    follow ``lead`` leading axes (1 for the frame axis of a stack)."""
+    return np.sqrt((values ** 2).sum(axis=tuple(range(lead + grid.dim, values.ndim))))
 
 
 # ----------------------------------------------------------------------

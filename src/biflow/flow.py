@@ -31,10 +31,10 @@ from scipy.integrate import quad as _quad
 from scipy.optimize import brentq as _brentq
 
 from .errors import ManifoldTubeExitError
-from .fields import Grid, GridField, SpaceTimeField, Spectrum
+from .fields import Grid, GridField, SpaceTimeField, Spectrum, pointwise_norm
 from .kernel import ALPHA, KernelProfile, SampleSpec, certify_bound, default_profile
 from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project, rho
-from .norms import bmo_seminorm, x_norm
+from .norms import bmo_seminorm, x_norm, x_norm_from_magnitudes
 from .semigroup import (apply_G, apply_G_trajectory, apply_S_div_trajectory,
                         apply_S_trajectory)
 
@@ -125,31 +125,43 @@ class FlowDiagnostics:
 # nonlinearities
 # ----------------------------------------------------------------------
 
-def _check_tube(values: np.ndarray, target: SphereTarget, where: str = ""):
-    dev = np.abs(np.sqrt((values ** 2).sum(axis=-1)) - 1.0)
-    worst = float(dev.max())
-    if worst > target.tube_radius:
-        loc = tuple(int(i) for i in np.unravel_index(int(np.argmax(dev)), dev.shape))
-        radius = float(np.sqrt((values[loc] ** 2).sum()))
+def _check_tube(values: np.ndarray, target: SphereTarget, times=None):
+    """Raise if a point leaves the tube.  With frame times, values is a stack,
+    and the error names the first offending frame and its worst point."""
+    frames = values if times is not None else values[None]
+    dev = np.abs(np.sqrt((frames ** 2).sum(axis=-1)) - 1.0)
+    bad = np.nonzero(dev.reshape(len(dev), -1).max(axis=1) > target.tube_radius)[0]
+    if bad.size:
+        j = bad[0]
+        loc = tuple(int(i) for i in np.unravel_index(int(np.argmax(dev[j])), dev[j].shape))
+        radius = float(np.sqrt((frames[j][loc] ** 2).sum()))
+        where = "" if times is None else f" at frame t={times[j]:.4g}"
         raise ManifoldTubeExitError(
             f"iterate left the projection tube{where}: |u|={radius:.6f} "
             f"at lattice index {loc}", location=loc, radius=radius)
 
 
 class _DerivBundle:
-    """Spectral derivatives of one frame, from one transform, and the
-    projection jet at it, shared by the nonlinearities."""
+    """Spectral derivatives of a frame or a frame stack, from one transform,
+    and the projection jet at its values, shared by the nonlinearities and,
+    for a stack, by its solution norm."""
 
-    def __init__(self, u: GridField, target: SphereTarget):
+    def __init__(self, u: GridField | SpaceTimeField, target: SphereTarget):
         self.u = u
         spec = Spectrum(u)
-        self.grad = spec.gradient()     # grid + (n, l)
-        self.hess = spec.hessian()      # grid + (n, n, l)
-        self.lap = spec.derivative("laplacian")  # grid + (l,)
+        self.grad = spec.gradient()     # [frames +] grid + (n, l)
+        self.hess = spec.hessian()      # [frames +] grid + (n, n, l)
+        # a copy, so the complex inverse transform under .real is freed
+        self.lap = spec.derivative("laplacian").copy()  # [frames +] grid + (l,)
         self.jet = ProjectionJet(target, u.values)
         # jet keys of the gradient components d_a u and of Lap u
         self.g = [self.jet.vec(self.grad[..., a, :]) for a in range(u.grid.dim)]
         self.L = self.jet.vec(self.lap)
+
+    def x_norm(self, T: float) -> float:
+        """Total solution norm of the stack, from the derivatives above."""
+        mags = [pointwise_norm(d, self.u.grid, lead=1) for d in (self.grad, self.hess)]
+        return x_norm_from_magnitudes(self.u, *mags, T).total
 
 
 def _f1_from_bundle(b: _DerivBundle) -> np.ndarray:
@@ -173,14 +185,16 @@ def nonlinearity_f1(u: GridField, target: SphereTarget) -> GridField:
 def _f2_from_bundle(b: _DerivBundle) -> np.ndarray:
     jet, g, L = b.jet, b.g, b.L
     n = b.u.grid.dim
-    out = np.empty(b.u.grid.shape + (n, b.u.codomain_dim))
+    out = np.empty(b.u.values.shape[:-1] + (n, b.u.codomain_dim))
     for alpha in range(n):
         galpha = g[alpha]
         acc = 2.0 * jet.d2(galpha, L)
         for a in range(n):
             ga = g[a]
             acc = acc + jet.d3(galpha, ga, ga)
-            acc = acc + 2.0 * jet.d2(jet.vec(b.hess[..., alpha, a, :]), ga)
+            h = jet.vec(b.hess[..., alpha, a, :])
+            acc = acc + 2.0 * jet.d2(h, ga)
+            jet.forget(h)
         out[..., alpha, :] = acc
     return out
 
@@ -228,48 +242,48 @@ def nonlinearity_f3(u: GridField, target: SphereTarget) -> GridField:
 # ----------------------------------------------------------------------
 
 def _clamp_to_tube(values: np.ndarray, target: SphereTarget) -> tuple[np.ndarray, bool]:
+    """Move points with radius outside [1 - r, 1 + r] onto it; others keep their bits."""
     radii = np.sqrt((values ** 2).sum(axis=-1, keepdims=True))
     lo, hi = 1.0 - target.tube_radius, 1.0 + target.tube_radius
-    clipped = np.clip(radii, lo, hi)
-    if np.allclose(clipped, radii):
+    if not np.any((radii < lo) | (radii > hi)):
         return values, False
+    clipped = np.clip(radii, lo, hi)
     return values * (clipped / np.maximum(radii, 1e-300)), True
 
 
-def _apply_T(config: FlowConfig, hat_u0: SpaceTimeField,
-             traj: SpaceTimeField) -> tuple[SpaceTimeField, bool]:
-    """One application of the Duhamel map to a whole trajectory."""
-    grid, target = config.grid, config.target
-    clamped_any = False
-    f1_frames, f2_frames, f3_frames = [], [], []
-    for j in range(traj.num_frames):
-        vals = traj.values[j]
-        if config.tube_exit_policy == "clamp":
-            vals, did = _clamp_to_tube(vals, target)
-            clamped_any |= did
-        else:
-            _check_tube(vals, target, where=f" at frame t={traj.times[j]:.4g}")
-        bundle = _DerivBundle(GridField(grid, vals), target)
-        f1_frames.append(_f1_from_bundle(bundle))
-        f2_frames.append(_f2_from_bundle(bundle))
-        if config.mode == "intrinsic":
-            f3_frames.append(_f3_from_bundle(bundle))
-    f1 = SpaceTimeField(grid, traj.times, np.stack(f1_frames))
-    f2 = SpaceTimeField(grid, traj.times, np.stack(f2_frames))
-    new = hat_u0 + apply_S_trajectory(f1) + apply_S_div_trajectory(f2)
+def _forcing(config: FlowConfig, traj: SpaceTimeField,
+             bundle: _DerivBundle) -> tuple[list[SpaceTimeField], bool]:
+    """F1, F2 (and in intrinsic mode F3) of a trajectory from its bundle, once
+    its frames pass the tube check; clamped frames get a bundle of their own."""
+    clamped = False
+    if config.tube_exit_policy == "clamp":
+        vals, clamped = _clamp_to_tube(traj.values, config.target)
+        if clamped:
+            bundle = _DerivBundle(SpaceTimeField(traj.grid, traj.times, vals), config.target)
+    else:
+        _check_tube(traj.values, config.target, traj.times)
+    parts = [_f1_from_bundle, _f2_from_bundle]
     if config.mode == "intrinsic":
-        f3 = SpaceTimeField(grid, traj.times, np.stack(f3_frames))
-        new = new + apply_S_trajectory(f3)
-    return new, clamped_any
+        parts.append(_f3_from_bundle)
+    return [SpaceTimeField(traj.grid, traj.times, f(bundle)) for f in parts], clamped
+
+
+def _apply_T(hat_u0: SpaceTimeField, forcing: list[SpaceTimeField]) -> SpaceTimeField:
+    """The Duhamel map applied to the trajectory whose forcing is given."""
+    f1, f2, *f3 = forcing
+    new = hat_u0 + apply_S_trajectory(f1) + apply_S_div_trajectory(f2)
+    return new + apply_S_trajectory(f3[0]) if f3 else new
 
 
 def picard_solve(config: FlowConfig, u0: GridField) -> tuple[SpaceTimeField, FlowDiagnostics]:
     """Iterate the Duhamel map from the free evolution until the trajectory
     difference in the solution norm drops below ``picard_tol``.
 
-    Non-contraction (three consecutive difference ratios >= 1) stops the
-    iteration with ``failure='contraction-failure'``; diagnostics are still
-    returned.  A tube exit raises unless the policy is 'clamp'.
+    Each iterate is transformed once: its derivative bundle gives both its
+    solution norm and the forcing of the next application.  Non-contraction
+    (three consecutive difference ratios >= 1) stops the iteration with
+    ``failure='contraction-failure'``; diagnostics are still returned.  A
+    tube exit raises unless the policy is 'clamp'.
     """
     sphere_dev = float(np.abs(np.sqrt((u0.values ** 2).sum(axis=-1)) - 1.0).max())
     if sphere_dev > 1e-10:
@@ -279,32 +293,36 @@ def picard_solve(config: FlowConfig, u0: GridField) -> tuple[SpaceTimeField, Flo
     T = config.t_final
     hat_u0 = apply_G_trajectory(u0, times)
     diag = FlowDiagnostics()
-    diag.iterate_norms.append(x_norm(hat_u0, T).total)
+    bundle = _DerivBundle(hat_u0, config.target)
+    diag.iterate_norms.append(bundle.x_norm(T))
 
     current = hat_u0
-    converged = False
     for k in range(config.max_picard_iters):
-        new, clamped = _apply_T(config, hat_u0, current)
+        forcing, clamped = _forcing(config, current, bundle)
+        del bundle  # free the derivatives before the Duhamel sweeps
+        new = _apply_T(hat_u0, forcing)
+        del forcing
         diag.tube_clamped |= clamped
         d_k = x_norm(new - current, T).total
         diag.diff_norms.append(d_k)
-        diag.iterate_norms.append(x_norm(new, T).total)
+        bundle = _DerivBundle(new, config.target)
+        diag.iterate_norms.append(bundle.x_norm(T))
         diag.iterations = k + 1
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.contraction_ratios.append(d_k / diag.diff_norms[-2])
         current = new
         if d_k <= config.picard_tol:
-            converged = True
+            diag.converged = True
             break
         if len(diag.contraction_ratios) >= 3 and all(
                 r >= 1.0 for r in diag.contraction_ratios[-3:]):
             diag.failure = "contraction-failure"
             break
 
-    diag.converged = converged
-    if converged:
-        fixed, _ = _apply_T(config, hat_u0, current)
-        diag.fixed_point_residual = x_norm(fixed - current, T).total
+    if diag.converged:
+        forcing, _ = _forcing(config, current, bundle)
+        del bundle
+        diag.fixed_point_residual = x_norm(_apply_T(hat_u0, forcing) - current, T).total
 
     frag = constraint_diagnostics(current, config.target,
                                   tolerance=config.constraint_tol, seed=1234)
@@ -328,25 +346,22 @@ def constraint_diagnostics(u: SpaceTimeField, target: SphereTarget,
     it vanishes identically because the defect is normal at the projected
     point, so any nonzero value is numerical.
     """
-    grid = u.grid
+    grid, vals = u.grid, u.values
     rng = np.random.Generator(np.random.Philox(seed))
     probes = rng.normal(size=(num_probes, u.codomain_dim))
-    sup_d, masses = [], []
+    sup_d = distance_to_sphere(vals).reshape(u.num_frames, -1).max(axis=1)
+    masses = rho(target, vals).reshape(u.num_frames, -1).sum(axis=1) * grid.cell_volume
+    base = project(target, vals)
+    qv = vals - base
+    jet = ProjectionJet(target, base)
     orth = 0.0
-    for j in range(u.num_frames):
-        vals = u.values[j]
-        sup_d.append(float(distance_to_sphere(vals).max()))
-        masses.append(float(rho(target, vals).sum()) * grid.cell_volume)
-        base = project(target, vals)
-        qv = vals - base
-        jet = ProjectionJet(target, base)
-        for v in probes:
-            tangent = jet.d1(jet.vec(np.broadcast_to(v, vals.shape)))
-            orth = max(orth, float(np.abs((tangent * qv).sum(axis=-1)).max()))
-    flagged = bool(max(masses) > tolerance * grid.volume)
+    for v in probes:
+        tangent = jet.d1(jet.vec(np.broadcast_to(v, vals.shape)))
+        orth = max(orth, float(np.abs((tangent * qv).sum(axis=-1)).max()))
+    flagged = bool(masses.max() > tolerance * grid.volume)
     return {
-        "sup_distance": sup_d,
-        "rho_mass": masses,
+        "sup_distance": sup_d.tolist(),
+        "rho_mass": masses.tolist(),
         "orthogonality_residual": orth,
         "flagged": flagged,
     }

@@ -134,7 +134,7 @@ class RunManifest:
 
     command: str
     config: dict
-    seed: int
+    seed: int | None = None  # None for the commands that draw no ensemble
     code_version: str = __version__
     status: str = "running"
     wall_time_s: float = 0.0
@@ -406,24 +406,23 @@ def run_kernel_verify(dim: int, estimate: str, order: int | None, tol: float,
     return payload
 
 
-def run_evolve(config_path, out_dir, seed: int = 0) -> RunManifest:
+def run_evolve(config_path, out_dir) -> RunManifest:
     """Run one Picard solve per the config file; dump frames + diagnostics."""
     cp = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(command="evolve", config=_config_snapshot(cp), seed=seed)
+    manifest = RunManifest(command="evolve", config=_config_snapshot(cp))
     with _recorded(manifest, out):
-        manifest.summary = _suite_flow(cp, out, seed, manifest)
+        manifest.summary = _suite_flow(cp, out, None, manifest)
     return manifest
 
 
-def run_contraction_sweep(config_path, out_dir, amplitudes, seed: int = 0) -> RunManifest:
+def run_contraction_sweep(config_path, out_dir, amplitudes) -> RunManifest:
     """Picard runs across an amplitude family; CSV of contraction behaviour."""
     cp = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(command="contraction-sweep",
-                           config=_config_snapshot(cp), seed=seed)
+    manifest = RunManifest(command="contraction-sweep", config=_config_snapshot(cp))
     with _recorded(manifest, out):
         cfg = flow_config_from(cp)
         R = cfg.grid.box_length * cp.getfloat("experiments", "bmo_radius_fraction")

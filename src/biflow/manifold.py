@@ -166,6 +166,12 @@ class ProjectionJet:
         self._yv.append(_component_dot(self.y, v))
         return len(self._vecs) - 1
 
+    def forget(self, i: int):
+        """Free a vector registered for one use, and its memoised products."""
+        self._vecs[i] = self._yv[i] = None
+        for key in [k for k in self._pairs if i in k]:
+            del self._pairs[key]
+
     def _vw(self, i: int, j: int) -> np.ndarray:
         key = (i, j) if i <= j else (j, i)
         vw = self._pairs.get(key)

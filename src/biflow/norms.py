@@ -34,6 +34,7 @@ __all__ = [
     "carleson_functional",
     "smoothing_ratios",
     "x_norm",
+    "x_norm_from_magnitudes",
     "y1_norm",
     "y2_norm",
 ]
@@ -295,8 +296,17 @@ def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
              + sup_scales (R^(-n) int_{P_R} |grad^2 u|^2)^(1/2)
 
     over parabolic cylinders P_R(x, R^4) = B_R(x) x [0, R^4] with dyadic R at
-    or below T^(1/4) and every lattice center.
+    or below T^(1/4) and every lattice center.  The stack is transformed once.
     """
+    spec = Spectrum(u)
+    return x_norm_from_magnitudes(u, pointwise_norm(spec.gradient(), u.grid, lead=1),
+                                  pointwise_norm(spec.hessian(), u.grid, lead=1), T)
+
+
+def x_norm_from_magnitudes(u: SpaceTimeField, grad_mag: np.ndarray,
+                           hess_mag: np.ndarray, T: float | None = None) -> NormReport:
+    """``x_norm`` of u from its pointwise |grad u| and |grad^2 u|, each of
+    shape (num_frames,) + grid.shape, for a caller that holds them already."""
     grid = u.grid
     if T is None:
         T = float(u.times[-1])
@@ -306,24 +316,15 @@ def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
     if pos.size == 0:
         raise ScaleUnresolvableError("no positive frame times at or below T")
 
-    sup_part = 0.0
-    weighted = 0.0
-    weighted_arg = 0.0
-    grad_pow4 = np.empty((u.num_frames,) + grid.shape)
-    hess_pow2 = np.empty((u.num_frames,) + grid.shape)
-    for j in range(u.num_frames):
-        fr = u.frame(j)
-        spec = Spectrum(fr)
-        gmag = pointwise_norm(spec.gradient(), grid)
-        hmag = pointwise_norm(spec.hessian(), grid)
-        grad_pow4[j] = gmag ** 4
-        hess_pow2[j] = hmag ** 2
-        t = u.times[j]
-        if 0 < t <= T * (1 + 1e-12):
-            sup_part = max(sup_part, fr.sup_norm())
-            wval = t ** 0.25 * float(gmag.max()) + t ** 0.5 * float(hmag.max())
-            if wval > weighted:
-                weighted, weighted_arg = wval, t
+    sup_part = float(np.sqrt((u.values[pos] ** 2).sum(axis=-1)).max())
+    gmax = grad_mag[pos].reshape(pos.size, -1).max(axis=1)
+    hmax = hess_mag[pos].reshape(pos.size, -1).max(axis=1)
+    # scalar powers of t: numpy's array power may round them differently
+    wvals = [t ** 0.25 * g + t ** 0.5 * h for t, g, h in zip(u.times[pos], gmax, hmax)]
+    j = int(np.argmax(wvals))
+    weighted, weighted_arg = (wvals[j], u.times[pos[j]]) if wvals[j] > 0 else (0.0, 0.0)
+    grad_pow4 = grad_mag ** 4
+    hess_pow2 = hess_mag ** 2
 
     radii = _resolved_cylinder_radii(u.times, T ** 0.25, grid)
     scales = []
@@ -353,13 +354,11 @@ def _y_norm(f: SpaceTimeField, T: float, time_weight: float,
     flat = f.values.reshape(f.values.shape[: 1 + grid.dim] + (-1,))
     mags = np.sqrt((flat ** 2).sum(axis=-1))
 
-    sup_part = 0.0
-    sup_arg = 0.0
-    for j, t in enumerate(f.times):
-        if 0 < t <= T * (1 + 1e-12):
-            v = t ** time_weight * float(mags[j].max())
-            if v > sup_part:
-                sup_part, sup_arg = v, t
+    pos = _positive_frames(f, T)
+    fmax = mags[pos].max(axis=tuple(range(1, mags.ndim)))
+    svals = [t ** time_weight * m for t, m in zip(f.times[pos], fmax)]  # scalar powers
+    j = int(np.argmax(svals)) if svals else 0
+    sup_part, sup_arg = (svals[j], f.times[pos[j]]) if svals and svals[j] > 0 else (0.0, 0.0)
 
     radii = _resolved_cylinder_radii(f.times, T ** 0.25, grid)
     powed = mags ** power

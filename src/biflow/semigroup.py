@@ -29,7 +29,6 @@ __all__ = [
     "apply_G_trajectory",
     "apply_S",
     "apply_S_trajectory",
-    "apply_S_div",
     "apply_S_div_trajectory",
     "operator_bound_experiment",
     "random_forcing",
@@ -120,11 +119,6 @@ def apply_S_trajectory(f: SpaceTimeField) -> SpaceTimeField:
     """Duhamel response at every frame time in one sweep."""
     out = _duhamel_sweep(f.grid, f.times, Spectrum(f).coeffs)
     return SpaceTimeField(f.grid, f.times, inverse_transform(f.grid, out))
-
-
-def apply_S_div(F: SpaceTimeField, t_target: float) -> GridField:
-    """Duhamel response to a distributional divergence, S(sum_a d_a F_a)."""
-    return apply_S_div_trajectory(F).frame(_frame_index(F.times, t_target))
 
 
 def apply_S_div_trajectory(F: SpaceTimeField) -> SpaceTimeField:

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from biflow.errors import ManifoldTubeExitError
-from biflow.fields import Grid, GridField, SpaceTimeField, gradient, hessian, laplacian
-from biflow.flow import (FlowConfig, constant_initial_data, constraint_diagnostics,
-                         distance_experiment, equator_initial_data,
-                         nonlinearity_f1, nonlinearity_f2, nonlinearity_f3,
-                         picard_solve)
+from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, gradient,
+                           hessian, laplacian, pointwise_norm)
+from biflow.flow import (FlowConfig, FlowDiagnostics, constant_initial_data,
+                         constraint_diagnostics, distance_experiment,
+                         equator_initial_data, nonlinearity_f1, nonlinearity_f2,
+                         nonlinearity_f3, picard_solve)
+from biflow.flow import (_check_tube, _clamp_to_tube, _DerivBundle, _f1_from_bundle,
+                         _f2_from_bundle, _f3_from_bundle)
 from biflow.manifold import distance_to_sphere, dpi, project, rho
-from biflow.semigroup import apply_G
+from biflow.norms import (NormReport, _cylinder_average_max,
+                          _resolved_cylinder_radii, _trapezoid_weights, x_norm)
+from biflow.semigroup import (apply_G, apply_G_trajectory, apply_S_div_trajectory,
+                              apply_S_trajectory)
 
 
 def _cfg(grid, target, **kw):
@@ -324,6 +330,39 @@ def test_clamp_policy_flags_nothing_on_small_data(grid64, sphere3):
     assert diag.converged and not diag.tube_clamped
 
 
+def test_tube_exit_names_first_offending_frame_and_in_frame_location(sphere3):
+    g = Grid(2, 2 * np.pi, 16)
+    vals = np.zeros((4,) + g.shape + (3,))
+    vals[..., 0] = 1.0
+    vals[2, 5, 7, 0] = 1.7   # first frame out, and its worst point
+    vals[2, 1, 2, 0] = 1.6
+    vals[3, 0, 0, 0] = 1.9   # worse, but in a later frame
+    times = np.array([0.0, 0.1, 0.25, 0.5])
+    with pytest.raises(ManifoldTubeExitError) as err:
+        _check_tube(vals, sphere3, times)
+    assert err.value.location == (5, 7)
+    assert err.value.radius == pytest.approx(1.7)
+    assert "at frame t=0.25: |u|=1.700000 at lattice index (5, 7)" in str(err.value)
+
+
+def test_clamp_moves_every_point_the_tube_check_rejects(sphere3):
+    # |u| = 1.5 + 1e-5 is outside the tube of radius 0.5 by less than a
+    # relative 1e-5, which a tolerance-based comparison would overlook
+    g = Grid(1, 2 * np.pi, 16)
+    vals = np.zeros(g.shape + (3,))
+    vals[:, 0] = np.linspace(0.6, 1.4, 16)
+    vals[3, 0] = 1.5 + 1e-5
+    with pytest.raises(ManifoldTubeExitError):
+        _check_tube(vals, sphere3)
+    out, did = _clamp_to_tube(vals, sphere3)
+    assert did
+    assert np.sqrt((out[3] ** 2).sum()) == pytest.approx(1.5, abs=1e-15)
+    inside = np.arange(16) != 3
+    assert out[inside].tobytes() == vals[inside].tobytes()
+    vals[3, 0] = 1.5  # on the edge: inside
+    assert _clamp_to_tube(vals, sphere3) == (vals, False)
+
+
 def test_rough_data_exits_tube_with_location(grid64, sphere3):
     cfg = _cfg(grid64, sphere3, num_frames=24, max_picard_iters=12)
     with pytest.raises(ManifoldTubeExitError) as err:
@@ -342,6 +381,164 @@ def test_contraction_failure_reported_with_diagnostics(grid64, sphere3):
     assert diag.failure == "contraction-failure"
     assert sum(r >= 1.0 for r in diag.contraction_ratios[-3:]) == 3
     assert traj.num_frames == cfg.num_frames + 1
+
+
+# ----------------------------------------------------------------------
+# the stack Picard path against the per-frame one
+# ----------------------------------------------------------------------
+
+# Oracle: the solution norm and the Picard iteration one frame at a time,
+# each frame transformed on its own and every iterate transformed twice, for
+# its norm and for the next application.  The solver works on whole frame
+# stacks and must reproduce these bits exactly.
+
+def _oracle_x_norm(u, T=None):
+    grid = u.grid
+    if T is None:
+        T = float(u.times[-1])
+    sup_part = weighted = weighted_arg = 0.0
+    grad_pow4 = np.empty((u.num_frames,) + grid.shape)
+    hess_pow2 = np.empty((u.num_frames,) + grid.shape)
+    for j in range(u.num_frames):
+        fr = u.frame(j)
+        spec = Spectrum(fr)
+        gmag = pointwise_norm(spec.gradient(), grid)
+        hmag = pointwise_norm(spec.hessian(), grid)
+        grad_pow4[j] = gmag ** 4
+        hess_pow2[j] = hmag ** 2
+        t = u.times[j]
+        if 0 < t <= T * (1 + 1e-12):
+            sup_part = max(sup_part, fr.sup_norm())
+            wval = t ** 0.25 * float(gmag.max()) + t ** 0.5 * float(hmag.max())
+            if wval > weighted:
+                weighted, weighted_arg = wval, t
+    scales = []
+    m4_best = m2_best = 0.0
+    arg4 = arg2 = None
+    for r in _resolved_cylinder_radii(u.times, T ** 0.25, grid):
+        w = _trapezoid_weights(u.times, min(r ** 4, T))
+        m4 = _cylinder_average_max(grid, np.tensordot(w, grad_pow4, axes=(0, 0)), r) ** 0.25
+        m2 = _cylinder_average_max(grid, np.tensordot(w, hess_pow2, axes=(0, 0)), r) ** 0.5
+        scales.append((r, m4, m2))
+        if m4 > m4_best:
+            m4_best, arg4 = m4, r
+        if m2 > m2_best:
+            m2_best, arg2 = m2, r
+    return NormReport(sup_part, weighted + m4_best + m2_best, tuple(scales),
+                      {"weighted_sup_time": weighted_arg,
+                       "morrey4_radius": arg4, "morrey2_radius": arg2})
+
+
+def _oracle_apply_T(config, hat_u0, traj):
+    grid, target = config.grid, config.target
+    clamped_any = False
+    f1_frames, f2_frames, f3_frames = [], [], []
+    for j in range(traj.num_frames):
+        vals = traj.values[j]
+        if config.tube_exit_policy == "clamp":
+            vals, did = _clamp_to_tube(vals, target)
+            clamped_any |= did
+        else:
+            _check_tube(vals, target)
+        bundle = _DerivBundle(GridField(grid, vals), target)
+        f1_frames.append(_f1_from_bundle(bundle))
+        f2_frames.append(_f2_from_bundle(bundle))
+        if config.mode == "intrinsic":
+            f3_frames.append(_f3_from_bundle(bundle))
+    f1 = SpaceTimeField(grid, traj.times, np.stack(f1_frames))
+    f2 = SpaceTimeField(grid, traj.times, np.stack(f2_frames))
+    new = hat_u0 + apply_S_trajectory(f1) + apply_S_div_trajectory(f2)
+    if config.mode == "intrinsic":
+        f3 = SpaceTimeField(grid, traj.times, np.stack(f3_frames))
+        new = new + apply_S_trajectory(f3)
+    return new, clamped_any
+
+
+def _oracle_picard(config, u0):
+    T = config.t_final
+    hat_u0 = apply_G_trajectory(u0, config.times())
+    diag = FlowDiagnostics()
+    diag.iterate_norms.append(_oracle_x_norm(hat_u0, T).total)
+    current = hat_u0
+    for k in range(config.max_picard_iters):
+        new, clamped = _oracle_apply_T(config, hat_u0, current)
+        diag.tube_clamped |= clamped
+        d_k = _oracle_x_norm(new - current, T).total
+        diag.diff_norms.append(d_k)
+        diag.iterate_norms.append(_oracle_x_norm(new, T).total)
+        diag.iterations = k + 1
+        if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
+            diag.contraction_ratios.append(d_k / diag.diff_norms[-2])
+        current = new
+        if d_k <= config.picard_tol:
+            diag.converged = True
+            break
+        if len(diag.contraction_ratios) >= 3 and all(
+                r >= 1.0 for r in diag.contraction_ratios[-3:]):
+            diag.failure = "contraction-failure"
+            break
+    if diag.converged:
+        fixed, _ = _oracle_apply_T(config, hat_u0, current)
+        diag.fixed_point_residual = _oracle_x_norm(fixed - current, T).total
+    frag = _oracle_constraint(current, config.target, tolerance=config.constraint_tol)
+    diag.sup_distance = frag["sup_distance"]
+    diag.rho_mass = frag["rho_mass"]
+    diag.orthogonality_residual = frag["orthogonality_residual"]
+    diag.constraint_flag = frag["flagged"]
+    return current, diag
+
+
+def _wavy_initial_data(dim, M, eps):
+    g = Grid(dim, 2 * np.pi, M)
+    x = g.coordinates()
+    phase = eps * np.sin(x[0]) * np.cos(x[-1] + 0.3)
+    tilt = 0.5 * eps * np.cos(x[-1])
+    vals = np.stack([np.cos(phase) * np.cos(tilt), np.sin(phase) * np.cos(tilt),
+                     np.sin(tilt)], axis=-1)
+    return GridField(g, vals)
+
+
+# 1D and 2D run to convergence and the fixed-point check; 3D, the slowest,
+# stops after two applications
+@pytest.mark.parametrize("mode", ["extrinsic", "intrinsic"])
+@pytest.mark.parametrize("dim,M,frames,t_final,iters", [
+    (1, 64, 16, 1.0, 20), (2, 16, 8, 0.5, 20), (3, 16, 4, 0.5, 2)])
+def test_picard_solve_bitwise_equals_per_frame_oracle(dim, M, frames, t_final, iters,
+                                                      mode, sphere3):
+    u0 = _wavy_initial_data(dim, M, 0.1)
+    cfg = _cfg(u0.grid, sphere3, t_final=t_final, num_frames=frames, mode=mode,
+               max_picard_iters=iters)
+    traj, diag = picard_solve(cfg, u0)
+    oracle_traj, oracle_diag = _oracle_picard(cfg, u0)
+    assert diag.converged == (iters == 20) and diag.iterations >= 2
+    assert traj.values.tobytes() == oracle_traj.values.tobytes()
+    assert diag.to_json() == oracle_diag.to_json()
+
+
+def test_clamped_picard_solve_bitwise_equals_per_frame_oracle(grid64, sphere3):
+    cfg = _cfg(grid64, sphere3, num_frames=24, max_picard_iters=20,
+               tube_exit_policy="clamp")
+    u0 = equator_initial_data(grid64, 1.8, 2)
+    traj, diag = picard_solve(cfg, u0)
+    oracle_traj, oracle_diag = _oracle_picard(cfg, u0)
+    assert diag.tube_clamped and diag.failure == "contraction-failure"
+    assert traj.values.tobytes() == oracle_traj.values.tobytes()
+    assert diag.to_json() == oracle_diag.to_json()
+
+
+@pytest.mark.parametrize("dim,M", [(1, 64), (2, 32), (3, 16)])
+def test_stack_x_norm_bitwise_equals_per_frame_oracle(dim, M):
+    # with SIMD array powers, times[-1] ** 0.25 is one where the array and
+    # the scalar power round differently: the weights must be scalar powers
+    times = 3.4 * (np.arange(7) / 6) ** 4
+    frames = [_off_sphere_field(dim, M, 0.3 * j).values * (1.0 + 0.1 * j)
+              for j in range(times.size)]
+    u = SpaceTimeField(Grid(dim, 2 * np.pi, M), times, np.stack(frames))
+    for T in (None, 0.5 * (times[-2] + times[-1]), times[-3]):
+        got, want = x_norm(u, T), _oracle_x_norm(u, T)
+        assert got == want
+        assert got.argmax["weighted_sup_time"] > 0
+        assert len(got.scales) >= 1
 
 
 # ----------------------------------------------------------------------

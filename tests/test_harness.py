@@ -72,6 +72,7 @@ def test_evolve_writes_manifest_first_and_lists_outputs(tmp_path):
     assert mpath.exists()
     disk = json.loads(mpath.read_text())
     assert disk["status"] == "completed" and disk["error"] is None
+    assert disk["seed"] is None  # a solve draws no ensemble
     for name in disk["outputs"]:
         assert (tmp_path / "out" / name).exists()
     assert disk["summary"]["flow_converged"] is True
@@ -185,6 +186,15 @@ def test_kernel_verify_config_and_seed_flags_are_gone():
                                        "--out", "c.json", *flag])
 
 
+def test_evolve_and_sweep_take_no_seed():
+    # a solve draws no ensemble, so a seed would be accepted and ignored
+    for argv in (["evolve"], ["contraction-sweep", "--amplitudes", "0.05"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--seed", "5"])
+        assert "seed" not in vars(build_parser().parse_args(argv))
+    assert build_parser().parse_args(["flow", "--seed", "5"]).seed == 5
+
+
 def test_no_module_imports_another_modules_private_names():
     # each private helper is owned by the module that defines it
     src = Path(__file__).resolve().parents[1] / "src" / "biflow"
@@ -196,3 +206,29 @@ def test_no_module_imports_another_modules_private_names():
                           for a in node.names
                           if a.name.startswith("_") and not a.name.endswith("__")]
     assert found == []
+
+
+def _numpy_fft_lines(tree):
+    """Line numbers of np.fft / numpy.fft attributes and numpy.fft imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fft" and \
+                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            yield node.lineno
+        elif isinstance(node, ast.Import) and any(
+                a.name.startswith("numpy.fft") for a in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.fft")
+                or node.module == "numpy" and any(a.name == "fft" for a in node.names)):
+            yield node.lineno
+
+
+def test_fourier_transforms_live_in_fields_only():
+    # fields is the one spectral layer: no other module calls numpy.fft
+    src = Path(__file__).resolve().parents[1] / "src" / "biflow"
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             if path.name != "fields.py"
+             for line in _numpy_fft_lines(ast.parse(path.read_text()))]
+    assert found == []
+    fields = ast.parse((src / "fields.py").read_text())
+    assert list(_numpy_fft_lines(fields))  # the scan does see transforms

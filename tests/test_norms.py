@@ -272,6 +272,13 @@ def test_y_norms_of_zero(grid64):
     assert y2_norm(z, 1.0).total == 0.0
 
 
+def test_y_norms_with_no_frame_up_to_T_are_unresolvable(grid64):
+    f = SpaceTimeField(grid64, [0.0, 0.5, 1.0], np.ones((3,) + grid64.shape + (1,)))
+    for norm in (y1_norm, y2_norm):
+        with pytest.raises(ScaleUnresolvableError):
+            norm(f, 0.1)
+
+
 def test_y_norms_of_constant_closed_form(grid64):
     # sup parts: c T and c T^(3/4); cylinder parts maximise at r = T^(1/4)
     # with the discrete ball volume h * |ball|

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from biflow.errors import TimeMisalignedError
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum,
-                           laplacian, spectral_divergence)
+                           inverse_transform, laplacian)
 from biflow.kernel import default_profile, eval_kernel
 from biflow.norms import x_norm, y1_norm
 from biflow.semigroup import (PHI_SERIES_THRESHOLD, apply_G,
-                              apply_G_trajectory, apply_S, apply_S_div,
+                              apply_G_trajectory, apply_S,
                               apply_S_div_trajectory, apply_S_trajectory,
                               operator_bound_experiment, phi1, phi2,
                               random_forcing, symbol)
@@ -78,14 +78,12 @@ def test_single_time_operators_equal_a_frame_of_the_trajectory(dim, codomain):
     times = 0.4 * (np.arange(9) / 8) ** 4
     u0 = GridField(g, r.normal(size=g.shape + (codomain,)))
     f = random_forcing(g, times, r, codomain_dim=codomain)
-    F = random_forcing(g, times, r, codomain_dim=codomain, per_axis=True)
     free = apply_G_trajectory(u0, times)
-    s_traj, sdiv_traj = apply_S_trajectory(f), apply_S_div_trajectory(F)
+    s_traj = apply_S_trajectory(f)
     for idx in (3, 6):
         t = times[idx]
         assert np.array_equal(apply_G(u0, t).values, free.values[idx])
         assert np.array_equal(apply_S(f, t).values, s_traj.values[idx])
-        assert np.array_equal(apply_S_div(F, t).values, sdiv_traj.values[idx])
 
 
 def test_constants_are_invariant(grid64):
@@ -241,8 +239,8 @@ def test_time_misaligned_error(grid64, rng):
 def test_divergence_inside_duhamel_matches_outside(grid64, rng):
     times = 0.4 * (np.arange(9) / 8) ** 4
     F = random_forcing(grid64, times, rng, per_axis=True)
-    inside = apply_S_div(F, times[-1]).values
-    div = np.stack([spectral_divergence(F.frame(j)).values for j in range(9)])
+    inside = apply_S_div_trajectory(F).values[-1]
+    div = inverse_transform(grid64, Spectrum(F).divergence())
     outside = apply_S(SpaceTimeField(grid64, times, div), times[-1]).values
     assert np.abs(inside - outside).max() < 1e-13
 
@@ -250,7 +248,7 @@ def test_divergence_inside_duhamel_matches_outside(grid64, rng):
 def test_divergence_of_constants(grid64):
     times = np.linspace(0.0, 1.0, 5)
     F = SpaceTimeField(grid64, times, np.ones((5,) + grid64.shape + (1, 1)))
-    assert np.abs(apply_S_div(F, 1.0).values).max() < 1e-13
+    assert np.abs(apply_S_div_trajectory(F).values).max() < 1e-13
 
 
 def test_s_div_linear_phase_closed_form(grid64):
@@ -260,7 +258,7 @@ def test_s_div_linear_phase_closed_form(grid64):
     times = np.linspace(0.0, t_end, 31)
     vals = np.stack([(np.sin(x) * s)[..., None, None] for s in times])
     F = SpaceTimeField(grid64, times, vals)
-    got = apply_S_div(F, t_end).values[..., 0]
+    got = apply_S_div_trajectory(F).values[-1, ..., 0]
     expect = (t_end - (1 - np.exp(-t_end))) * np.cos(x)
     assert np.abs(got - expect).max() < 1e-13
 
