@@ -2,8 +2,8 @@
 
 Subcommands: kernel-verify, evolve, contraction-sweep, norms, operators,
 distance, kernel, flow, all.  Flags --config and --out are accepted on every
-subcommand but kernel-verify, which takes --out alone; --seed only on the
-suites, whose ensembles it draws.
+subcommand but kernel-verify, which takes --out alone; --seed only on
+operators and all, whose operator ensemble it draws.
 
 Exit status: 0 when every hard check passes, 1 when one fails, 2 on a
 configuration error (for kernel-verify also a dim, tol or order the
@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, ManifoldTubeExitError
-from .harness import (SUITES, run_contraction_sweep, run_evolve,
+from .harness import (SEEDED_SUITES, SUITES, run_contraction_sweep, run_evolve,
                       run_kernel_verify, run_suite)
 
 
@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SUITES:
         sp = sub.add_parser(name, help=f"run the {name} experiment suite")
         _add_common(sp)
-        sp.add_argument("--seed", type=int, default=0, help="ensemble seed")
+        if name in SEEDED_SUITES:
+            sp.add_argument("--seed", type=int, default=0, help="ensemble seed")
 
     return parser
 
@@ -76,7 +77,8 @@ def main(argv=None) -> int:
             amplitudes = [float(a) for a in args.amplitudes.split(",")]
             manifest = run_contraction_sweep(args.config, args.out, amplitudes)
         else:
-            manifest = run_suite(args.command, args.config, args.out, seed=args.seed)
+            manifest = run_suite(args.command, args.config, args.out,
+                                 seed=getattr(args, "seed", 0))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 SUITES = ("kernel", "operators", "norms", "flow", "distance", "all")
+SEEDED_SUITES = ("operators", "all")  # the ones that draw a random ensemble
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -205,8 +206,7 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows,
 # suites
 # ----------------------------------------------------------------------
 
-def _suite_kernel(cp, out_dir: Path, seed: int, manifest: RunManifest,
-                  prefix: str = "") -> dict:
+def _suite_kernel(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
     dim = cp.getint("grid", "dim")
     tol = cp.getfloat("kernel", "tolerance")
     nodes = cp.getint("kernel", "quadrature_nodes")
@@ -229,13 +229,13 @@ def _suite_kernel(cp, out_dir: Path, seed: int, manifest: RunManifest,
                                               for c in certs)}
 
 
-def _suite_operators(cp, out_dir: Path, seed: int, manifest: RunManifest,
-                     prefix: str = "") -> dict:
+def _suite_operators(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
     grid = Grid(cp.getint("grid", "dim"), cp.getfloat("grid", "box_length"), 32)
     frames = 12
     T = 0.5
     times = T * (np.arange(frames + 1) / frames) ** 4
     size = cp.getint("experiments", "ensemble_size")
+    seed = manifest.seed
     base = operator_bound_experiment(grid, times, size, seed,
                                      max_mode=cp.getint("experiments", "max_mode"))
     doubled = operator_bound_experiment(grid, times, 2 * size, seed,
@@ -254,14 +254,14 @@ def _suite_operators(cp, out_dir: Path, seed: int, manifest: RunManifest,
     return {"operator_bounds_stable": bool(ok)}
 
 
-def smoothing_family_constants(grid: Grid, R: float, frequencies=(4, 8, 16, 32),
-                               amplitude: float = 0.2, ambient_dim: int = 3) -> dict:
-    """Fitted smoothing constants at one scale: max of each ratio over a
-    frequency family spanning the dyadic scales (scale covering makes the
-    fitted constant scale-stable even though single members are not)."""
+def smoothing_family_constants(grid: Grid, R: float, ambient_dim: int = 3) -> dict:
+    """Fitted smoothing constants at one scale: max of each ratio over the
+    amplitude-0.2 equator family with frequencies 4, 8, 16, 32, which spans
+    the dyadic scales (scale covering makes the fitted constant scale-stable
+    even though single members are not)."""
     best = {"cylinder_ratio": 0.0, "weighted_sup_ratio": 0.0, "quartic_ratio": 0.0}
-    for qf in frequencies:
-        u0 = equator_initial_data(grid, amplitude, qf, ambient_dim)
+    for qf in (4, 8, 16, 32):
+        u0 = equator_initial_data(grid, 0.2, qf, ambient_dim)
         row = smoothing_ratios(u0, R)
         for k in best:
             best[k] = max(best[k], row[k])
@@ -269,8 +269,7 @@ def smoothing_family_constants(grid: Grid, R: float, frequencies=(4, 8, 16, 32),
     return best
 
 
-def _suite_norms(cp, out_dir: Path, seed: int, manifest: RunManifest,
-                 prefix: str = "") -> dict:
+def _suite_norms(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
     grid = Grid(1, cp.getfloat("grid", "box_length"), 256)
     target = SphereTarget(cp.getint("target", "ambient_dim"))
     R0 = grid.box_length / 4.0
@@ -311,8 +310,7 @@ def _suite_norms(cp, out_dir: Path, seed: int, manifest: RunManifest,
             "carleson_constant_finite": bool(np.isfinite(cfit))}
 
 
-def _suite_flow(cp, out_dir: Path, seed: int, manifest: RunManifest,
-                prefix: str = "") -> dict:
+def _suite_flow(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
     cfg = flow_config_from(cp)
     u0 = initial_data_from(cp, cfg.grid, cfg.target)
     traj, diag = picard_solve(cfg, u0)
@@ -323,15 +321,13 @@ def _suite_flow(cp, out_dir: Path, seed: int, manifest: RunManifest,
             "flow_constraint_ok": not diag.constraint_flag}
 
 
-def _suite_distance(cp, out_dir: Path, seed: int, manifest: RunManifest,
-                    prefix: str = "") -> dict:
+def _suite_distance(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
     grid = Grid(1, cp.getfloat("grid", "box_length"), 128)
     target = SphereTarget(cp.getint("target", "ambient_dim"))
     eps = cp.getfloat("experiments", "distance_amplitude")
     u0 = equator_initial_data(grid, eps, 1, target.ambient_dim)
     R = grid.box_length * cp.getfloat("experiments", "bmo_radius_fraction")
-    report = distance_experiment(u0, target, R,
-                                 delta=cp.getfloat("experiments", "distance_delta"))
+    report = distance_experiment(u0, R, delta=cp.getfloat("experiments", "distance_delta"))
     _write_csv(out_dir, "distance_estimate.csv", ["t", "lhs", "rhs", "holds"],
                [[r["t"], r["lhs"], r["rhs"], r["holds"]] for r in report["rows"]],
                manifest, prefix)
@@ -350,21 +346,26 @@ _SUITE_FNS = {
 
 
 def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0) -> RunManifest:
-    """Execute one experiment suite (or all of them) and write its reports."""
+    """Execute one experiment suite (or all of them) and write its reports.
+
+    Only the operators ensemble reads the seed, so the manifest records it for
+    the suites in SEEDED_SUITES and null for the others.
+    """
     if suite_id not in SUITES:
         raise ConfigError(f"unknown suite {suite_id!r}; choose from {SUITES}")
     cp = config if isinstance(config, configparser.ConfigParser) else load_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command=f"run_suite {suite_id}",
-                           config=_config_snapshot(cp), seed=seed)
+                           config=_config_snapshot(cp),
+                           seed=seed if suite_id in SEEDED_SUITES else None)
     names = [suite_id] if suite_id != "all" else list(_SUITE_FNS)
     with _recorded(manifest, out):
         for name in names:
             sub = out / name if suite_id == "all" else out
             prefix = f"{name}/" if suite_id == "all" else ""
             sub.mkdir(parents=True, exist_ok=True)
-            summary = _SUITE_FNS[name](cp, sub, seed, manifest, prefix)
+            summary = _SUITE_FNS[name](cp, sub, manifest, prefix)
             manifest.summary.update(summary)
     return manifest
 
@@ -379,9 +380,10 @@ _ALL_CERTIFICATES = (("2.2", 0), *(("2.3", k) for k in range(1, 5)),
 
 
 def run_kernel_verify(dim: int, estimate: str, order: int | None, tol: float,
-                      out_file, quadrature_nodes: int = 16, c1: float = 0.5):
+                      out_file, c1: float = 0.5):
     """Emit one decay certificate as JSON, or with estimate "all" the list of
-    all 14: 2.2 order 0, 2.3 and 2.4 orders 1-4, 2.5 orders 0-4.
+    all 14: 2.2 order 0, 2.3 and 2.4 orders 1-4, 2.5 orders 0-4, from the
+    default profile with 16 quadrature nodes per unit k.
 
     order None means 0 for a single estimate; "all" covers every order and
     takes none.  A dim, tolerance or derivative order the certificate does not
@@ -396,7 +398,7 @@ def run_kernel_verify(dim: int, estimate: str, order: int | None, tol: float,
         raise ConfigError(f"kernel-verify --estimate all covers every order; "
                           f"drop --order {order}")
     try:
-        profile = default_profile(dim, tol, quadrature_nodes)
+        profile = default_profile(dim, tol)
         payloads = [certify_bound(profile, est, k, c1=c1).to_json() for est, k in jobs]
     except ValueError as exc:
         raise ConfigError(f"kernel-verify --dim {dim} --estimate {estimate} "
@@ -413,7 +415,7 @@ def run_evolve(config_path, out_dir) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(command="evolve", config=_config_snapshot(cp))
     with _recorded(manifest, out):
-        manifest.summary = _suite_flow(cp, out, None, manifest)
+        manifest.summary = _suite_flow(cp, out, manifest)
     return manifest
 
 

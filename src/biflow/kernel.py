@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 from scipy.integrate import quad as _quad
@@ -79,8 +79,9 @@ class KernelProfile:
                 "truncation_radius too small: exp(-K^4) must be below tolerance/10"
             )
 
-    def refined(self, factor: int = 2) -> "KernelProfile":
-        return replace(self, quadrature_nodes=self.quadrature_nodes * factor)
+    def refined(self) -> "KernelProfile":
+        """The same profile with twice the quadrature node density."""
+        return replace(self, quadrature_nodes=self.quadrature_nodes * 2)
 
 
 def default_profile(dim: int, tolerance: float = 1e-9, quadrature_nodes: int = 16) -> KernelProfile:
@@ -171,10 +172,10 @@ def _j0_derivs(ms, x: np.ndarray):
         yield closed
 
 
-def _series_coeffs(profile: KernelProfile, terms: int = 14) -> np.ndarray:
-    """Maclaurin coefficients c_{2p} of the radial n=3 profile G(s)."""
+def _series_coeffs() -> np.ndarray:
+    """The first 14 Maclaurin coefficients c_{2p} of the radial n=3 profile G(s)."""
     c3 = 1.0 / (2.0 * math.pi ** 2)
-    p = np.arange(terms)
+    p = np.arange(14)
     return c3 * (-1.0) ** p * _gamma((2 * p + 3) / 4.0) / (4.0 * _gamma(2 * p + 2))
 
 
@@ -230,7 +231,7 @@ def _eval_profile_3d(profile: KernelProfile, xi: np.ndarray, orders) -> list[np.
 
     # a_0 enters only m = 0; the m >= 1 formulas use a_1..a_m
     a = _radial_derivs(profile, s, range(1, m + 1) if m else (0,))
-    cs = _series_coeffs(profile)
+    cs = _series_coeffs()
 
     def combo(quad_expr, factors, shift):
         ser = _series_combo(cs, s, factors, shift)
@@ -395,20 +396,11 @@ def eval_kernel(profile: KernelProfile, x, t, order=None):
 
 
 def _multi_indices(dim: int, total: int):
-    """All multi-indices of given total order with multinomial weights."""
-    if dim == 1:
-        yield (total,), 1.0
-        return
-    if dim == 2:
-        for a in range(total + 1):
-            yield (a, total - a), math.factorial(total) / (
-                math.factorial(a) * math.factorial(total - a))
-        return
-    for a in range(total + 1):
-        for b in range(total - a + 1):
-            c = total - a - b
-            yield (a, b, c), math.factorial(total) / (
-                math.factorial(a) * math.factorial(b) * math.factorial(c))
+    """All multi-indices of given total order, in lexicographic order, with
+    their multinomial weights."""
+    for order in product(range(total + 1), repeat=dim):
+        if sum(order) == total:
+            yield order, math.factorial(total) / math.prod(map(math.factorial, order))
 
 
 def gradient_magnitude(profile: KernelProfile, xi, k: int) -> np.ndarray:
@@ -428,16 +420,16 @@ def gradient_magnitude(profile: KernelProfile, xi, k: int) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def kernel_mass(profile: KernelProfile, t: float, radius: float = 36.0) -> float:
+def kernel_mass(profile: KernelProfile, t: float) -> float:
     """int b(x, t) dx by radial quadrature in the self-similar variable.
 
-    The x-integral is taken over |x| <= radius * t^(1/4); the neglected tail
-    is below 1e-9 for radius >= 36 at the default tolerance.
+    The x-integral is taken over |x| <= 36 t^(1/4); the neglected tail is
+    below 1e-9 at the default tolerance.
     """
     if t <= 0:
         raise InvalidTimeError(f"kernel time must be positive, got {t}")
     n = profile.dim
-    rho, w = _radial_rule(profile, 0.0, r_max=radius)
+    rho, w = _radial_rule(profile, 0.0, r_max=36.0)
     # physical nodes x = t^(1/4) rho along a ray; values t^(-n/4) g(rho)
     pts = np.zeros((rho.size, n))
     pts[:, 0] = (t ** 0.25) * rho
@@ -463,8 +455,9 @@ class SampleSpec:
     t_max: float = 1e2
     num_t: int = 13
 
-    def refined(self, factor: int = 2) -> "SampleSpec":
-        return replace(self, num_x=self.num_x * factor, num_t=self.num_t * factor)
+    def refined(self) -> "SampleSpec":
+        """The same ranges with twice the samples along each axis."""
+        return replace(self, num_x=self.num_x * 2, num_t=self.num_t * 2)
 
     def x_values(self) -> np.ndarray:
         return np.geomspace(self.x_min, self.x_max, self.num_x)
@@ -546,9 +539,10 @@ def _pointwise_sweep(profile, sample_spec, k, ratio_fn, region=None,
             (float(xf[ok][imax]), float(tf[ok][imax])))
 
 
-def _l1_profile_norm(profile, k, c1, r_inner=20.0):
-    """(||grad^k g||_L1 over |xi| <= r_inner, exponential tail bound beyond)."""
+def _l1_profile_norm(profile, k, c1):
+    """(||grad^k g||_L1 over |xi| <= 20, exponential tail bound beyond)."""
     n = profile.dim
+    r_inner = 20.0
     rho, w = _radial_rule(profile, 0.0, r_max=r_inner)
     pts = np.zeros((rho.size, n))
     pts[:, 0] = rho

@@ -185,8 +185,7 @@ def bmo_seminorm_brute(f: GridField, R: float) -> float:
 # Carleson square functional
 # ----------------------------------------------------------------------
 
-def carleson_functional(f: GridField, derivative_order: int, R: float,
-                        points_per_octave: int = 8, octaves: int = 10) -> float:
+def carleson_functional(f: GridField, derivative_order: int, R: float) -> float:
     """sup over centers and dyadic r <= R of the square-function mass
 
         r^(-n) int_0^r int_{B_r(x)} |Phi_t * f|^2 dx dt / t,
@@ -194,8 +193,8 @@ def carleson_functional(f: GridField, derivative_order: int, R: float,
     with Phi the i-th gradient of the kernel profile.  The convolution is
     computed spectrally through the identity Phi_t * f = t^i grad^i (G f)(., t^4),
     so the evaluation never needs kernel quadrature.  The t-integral runs over a
-    geometric grid spanning ``octaves`` octaves below each radius (the omitted
-    mass near t=0 is O(t_min^2) for band-limited data).
+    geometric grid with 8 points per octave spanning 10 octaves below each
+    radius (the omitted mass near t=0 is O(t_min^2) for band-limited data).
     """
     if derivative_order not in (1, 2):
         raise ValueError("the square functional is defined for gradient orders 1 and 2")
@@ -204,10 +203,10 @@ def carleson_functional(f: GridField, derivative_order: int, R: float,
         raise ValueError("R must be at most half the box length")
     radii = _dyadic_radii(R, grid)
 
-    # global geometric t-nodes: R * 2^(-j/q); nodes for r = R/2^m are the
-    # tail of the same sequence starting at index m*q
-    q = points_per_octave
-    t_nodes = _geometric_nodes(R, octaves + int(round(np.log2(R / radii[-1]))), q)
+    # global geometric t-nodes: R * 2^(-j/q), q per octave; nodes for
+    # r = R/2^m are the tail of the same sequence starting at index m*q
+    q = 8
+    t_nodes = _geometric_nodes(R, 10 + int(round(np.log2(R / radii[-1]))), q)
     dlog = np.log(2.0) / q
 
     i = derivative_order
@@ -225,12 +224,12 @@ def carleson_functional(f: GridField, derivative_order: int, R: float,
     return best
 
 
-def smoothing_ratios(u0: GridField, R: float, points_per_octave: int = 6,
-                     octaves: int = 36) -> dict:
+def smoothing_ratios(u0: GridField, R: float) -> dict:
     """Measured constants of the three smoothing estimates at one scale R.
 
-    The free evolution of u0 is sampled on a geometric time grid spanning
-    ``octaves`` octaves below R^4, which resolves every mode's decay window
+    The free evolution of u0 is sampled on a geometric time grid with 6 points
+    per octave spanning 36 octaves below R^4, plus 4 per halving from R down
+    to the smallest dyadic radius.  It resolves every mode's decay window
     with the same relative density at every scale (a fixed frame grid would
     weight the scales unevenly and drift the ratios).  The cylinder integral,
     the weighted gradient sup, and the quartic cylinder integral are each
@@ -239,8 +238,7 @@ def smoothing_ratios(u0: GridField, R: float, points_per_octave: int = 6,
     grid = u0.grid
     bmo = bmo_seminorm(u0, R)
     radii = _dyadic_radii(R, grid)
-    t_nodes = _geometric_nodes(R ** 4, octaves + int(round(np.log2(R / radii[-1]))) * 4,
-                               points_per_octave)
+    t_nodes = _geometric_nodes(R ** 4, 36 + int(round(np.log2(R / radii[-1]))) * 4, 6)
 
     g2 = np.empty((t_nodes.size,) + grid.shape)
     g4 = np.empty_like(g2)

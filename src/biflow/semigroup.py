@@ -43,22 +43,28 @@ def symbol(grid: Grid) -> np.ndarray:
     return multiplier(grid, "laplacian") ** 2
 
 
-def phi1(z: np.ndarray) -> np.ndarray:
-    """(1 - e^-z)/z with series evaluation for |z| below the threshold."""
+def _decay_and_phis(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e^-z, phi1(z), phi2(z)) from one exponential; series for z below the
+    threshold, where the closed forms cancel."""
     z = np.asarray(z, dtype=float)
-    zs = np.where(z < PHI_SERIES_THRESHOLD, 1.0, z)
-    closed = (1.0 - np.exp(-zs)) / zs
-    series = 1.0 - z / 2.0 + z ** 2 / 6.0 - z ** 3 / 24.0 + z ** 4 / 120.0 - z ** 5 / 720.0
-    return np.where(z < PHI_SERIES_THRESHOLD, series, closed)
+    small = z < PHI_SERIES_THRESHOLD
+    zs = np.where(small, 1.0, z)
+    decay = np.exp(-z)
+    closed1 = (1.0 - decay) / zs  # discarded where small, so zs = 1 is harmless
+    closed2 = (1.0 - closed1) / zs
+    series1 = 1.0 - z / 2.0 + z ** 2 / 6.0 - z ** 3 / 24.0 + z ** 4 / 120.0 - z ** 5 / 720.0
+    series2 = 0.5 - z / 6.0 + z ** 2 / 24.0 - z ** 3 / 120.0 + z ** 4 / 720.0 - z ** 5 / 5040.0
+    return decay, np.where(small, series1, closed1), np.where(small, series2, closed2)
+
+
+def phi1(z: np.ndarray) -> np.ndarray:
+    """(1 - e^-z)/z with series evaluation for z below the threshold."""
+    return _decay_and_phis(z)[1]
 
 
 def phi2(z: np.ndarray) -> np.ndarray:
     """(1 - phi1(z))/z, the second exponential-integrator weight."""
-    z = np.asarray(z, dtype=float)
-    zs = np.where(z < PHI_SERIES_THRESHOLD, 1.0, z)
-    closed = (1.0 - (1.0 - np.exp(-zs)) / zs) / zs
-    series = 0.5 - z / 6.0 + z ** 2 / 24.0 - z ** 3 / 120.0 + z ** 4 / 720.0 - z ** 5 / 5040.0
-    return np.where(z < PHI_SERIES_THRESHOLD, series, closed)
+    return _decay_and_phis(z)[2]
 
 
 def apply_G(u0: GridField, t: float) -> GridField:
@@ -95,10 +101,9 @@ def _duhamel_sweep(grid: Grid, times: np.ndarray, spec_frames: np.ndarray) -> np
     acc = np.zeros_like(spec_frames[0])
     for j in range(times.size - 1):
         d = times[j + 1] - times[j]
-        z = d * sym
-        decay = np.exp(-z)
+        decay, p1, p2 = _decay_and_phis(d * sym)
         fa, fb = spec_frames[j], spec_frames[j + 1]
-        acc = decay * acc + d * (fa * phi1(z) + (fb - fa) * phi2(z))
+        acc = decay * acc + d * (fa * p1 + (fb - fa) * p2)
         out[j + 1] = acc
     return out
 
@@ -133,9 +138,9 @@ def apply_S_div_trajectory(F: SpaceTimeField) -> SpaceTimeField:
 # ----------------------------------------------------------------------
 
 def random_band_limited_field(grid: Grid, rng: np.random.Generator,
-                              max_mode: int = 3, codomain_dim: int = 1,
-                              amplitude: float = 1.0) -> GridField:
-    """Random real field with spectrum supported on modes |m| <= max_mode."""
+                              max_mode: int = 3, codomain_dim: int = 1) -> GridField:
+    """Random real field with spectrum supported on modes |m| <= max_mode and
+    unit amplitude scale."""
     coords = grid.coordinates()
     L = grid.box_length
     vals = np.zeros(grid.shape + (codomain_dim,))
@@ -148,13 +153,14 @@ def random_band_limited_field(grid: Grid, rng: np.random.Generator,
             arg = sum(2 * np.pi * m[ax] * coords[ax] / L for ax in range(grid.dim))
             acc += amp * np.cos(arg + phase)
         vals[..., c] = acc
-    return GridField(grid, amplitude * vals)
+    return GridField(grid, vals)
 
 
 def random_forcing(grid: Grid, times, rng: np.random.Generator,
                    max_mode: int = 3, codomain_dim: int = 1,
-                   per_axis: bool = False, amplitude: float = 1.0) -> SpaceTimeField:
-    """Random space-time forcing: band-limited shapes under smooth envelopes."""
+                   per_axis: bool = False) -> SpaceTimeField:
+    """Random space-time forcing: band-limited shapes of unit amplitude scale
+    under smooth envelopes."""
     times = np.asarray(times, dtype=float)
     shapes = [random_band_limited_field(grid, rng, max_mode, codomain_dim)
               for _ in range(grid.dim if per_axis else 1)]
@@ -167,7 +173,7 @@ def random_forcing(grid: Grid, times, rng: np.random.Generator,
     else:
         base = shapes[0].values
         frames = envelope[(...,) + (None,) * base.ndim] * base[None, ...]
-    return SpaceTimeField(grid, times, amplitude * frames)
+    return SpaceTimeField(grid, times, frames)
 
 
 def operator_bound_experiment(grid: Grid, times, ensemble_size: int, seed: int,

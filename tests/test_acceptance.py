@@ -272,7 +272,7 @@ def test_criterion_12_constraint_preservation():
 def test_criterion_13_distance_estimate():
     g = Grid(1, 2 * np.pi, 128)
     u0 = equator_initial_data(g, 0.2)
-    report = distance_experiment(u0, TARGET, R=g.box_length / 4, delta=0.05)
+    report = distance_experiment(u0, R=g.box_length / 4, delta=0.05)
     margin = min(r["rhs"] - r["lhs"] for r in report["rows"])
     verdict(13, report["all_hold"],
             f"K = {report['K']:.2f}, bound holds at all sampled t "

@@ -192,7 +192,11 @@ def test_evolve_and_sweep_take_no_seed():
         with pytest.raises(SystemExit):
             build_parser().parse_args([*argv, "--seed", "5"])
         assert "seed" not in vars(build_parser().parse_args(argv))
-    assert build_parser().parse_args(["flow", "--seed", "5"]).seed == 5
+    # of the suites only the operators ensemble draws from the seed
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["flow", "--seed", "5"])
+    for suite in ("operators", "all"):
+        assert build_parser().parse_args([suite, "--seed", "5"]).seed == 5
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -205,6 +209,29 @@ def test_no_module_imports_another_modules_private_names():
                 found += [f"{path.name}: from .{node.module} import {a.name}"
                           for a in node.names
                           if a.name.startswith("_") and not a.name.endswith("__")]
+    assert found == []
+
+
+def _unread_parameters(tree):
+    """(function, parameter) for every parameter its function body never reads;
+    self, cls and *args are exempt.  A read in a nested function counts."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [a.kwarg.arg] if a.kwarg else []
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        yield from ((node.name, p) for p in params
+                    if p not in ("self", "cls") and p not in read)
+
+
+def test_no_parameter_is_accepted_and_ignored():
+    # a parameter no body reads is a setting that changes nothing
+    src = Path(__file__).resolve().parents[1] / "src" / "biflow"
+    found = [f"{path.name}: {fn}({p})" for path in sorted(src.glob("*.py"))
+             for fn, p in _unread_parameters(ast.parse(path.read_text()))]
     assert found == []
 
 

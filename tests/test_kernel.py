@@ -264,7 +264,7 @@ def _oracle_profile_3d(profile, xi, order):
     ss = np.where(small, 1.0, s)
     u = xi / np.where(s > 0.0, s, 1.0)[:, None]
     a = _oracle_radial_derivs(profile, s, m)
-    cs = kernel._series_coeffs(profile)
+    cs = kernel._series_coeffs()
 
     def combo(quad_expr, factors, shift):
         return np.where(small, kernel._series_combo(cs, s, factors, shift), quad_expr)
@@ -336,6 +336,26 @@ def _oracle_gradient_magnitude(profile, pts, k):
     for order, weight in kernel._multi_indices(profile.dim, k):
         acc += weight * _oracle_profile(profile, pts, order) ** 2
     return np.sqrt(acc)
+
+
+# the per-dimension multi-index lists the generator replaced, in their order
+_ORACLE_MULTI_INDICES = {
+    1: lambda m: [((m,), 1.0)],
+    2: lambda m: [((a, m - a), math.factorial(m) / (math.factorial(a) * math.factorial(m - a)))
+                  for a in range(m + 1)],
+    3: lambda m: [((a, b, m - a - b), math.factorial(m) / (
+        math.factorial(a) * math.factorial(b) * math.factorial(m - a - b)))
+                  for a in range(m + 1) for b in range(m - a + 1)],
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_multi_indices_keep_order_and_weights(dim):
+    for m in range(5):
+        got = list(kernel._multi_indices(dim, m))
+        want = _ORACLE_MULTI_INDICES[dim](m)
+        assert [o for o, _ in got] == [o for o, _ in want]
+        assert all(type(w) is float and w == v for (_, w), (_, v) in zip(got, want))
 
 
 def _oracle_points(dim):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from biflow.errors import TimeMisalignedError
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum,
                            inverse_transform, laplacian)
+from biflow import semigroup
 from biflow.kernel import default_profile, eval_kernel
 from biflow.norms import x_norm, y1_norm
 from biflow.semigroup import (PHI_SERIES_THRESHOLD, apply_G,
@@ -307,6 +308,53 @@ def test_phi_limits():
 def test_phi_identity(z):
     za = np.array(z)
     assert float(za * phi2(za) + phi1(za)) == pytest.approx(1.0, rel=1e-12)
+
+
+def _oracle_phi1(z):
+    zs = np.where(z < PHI_SERIES_THRESHOLD, 1.0, z)
+    closed = (1.0 - np.exp(-zs)) / zs
+    series = 1.0 - z / 2.0 + z ** 2 / 6.0 - z ** 3 / 24.0 + z ** 4 / 120.0 - z ** 5 / 720.0
+    return np.where(z < PHI_SERIES_THRESHOLD, series, closed)
+
+
+def _oracle_phi2(z):
+    zs = np.where(z < PHI_SERIES_THRESHOLD, 1.0, z)
+    closed = (1.0 - (1.0 - np.exp(-zs)) / zs) / zs
+    series = 0.5 - z / 6.0 + z ** 2 / 24.0 - z ** 3 / 120.0 + z ** 4 / 720.0 - z ** 5 / 5040.0
+    return np.where(z < PHI_SERIES_THRESHOLD, series, closed)
+
+
+def _oracle_duhamel_sweep(grid, times, spec_frames):
+    sym = _oracle_symbol(grid)[..., None]
+    out = np.zeros_like(spec_frames)
+    acc = np.zeros_like(spec_frames[0])
+    for j in range(times.size - 1):
+        d = times[j + 1] - times[j]
+        z = d * sym
+        fa, fb = spec_frames[j], spec_frames[j + 1]
+        acc = np.exp(-z) * acc + d * (fa * _oracle_phi1(z) + (fb - fa) * _oracle_phi2(z))
+        out[j + 1] = acc
+    return out
+
+
+@pytest.mark.parametrize("dim,M", [(1, 64), (2, 32), (3, 16)])
+def test_one_exponential_weights_bitwise_equal_separate_formulas(dim, M):
+    # e^-z, phi1 and phi2 from one exponential carry the bits of three
+    # separate evaluations, on a wide z range and on the sweep's d |k|^4
+    g = Grid(dim, 2 * np.pi, M)
+    times = 0.5 * (np.arange(9) / 8) ** 4
+    zs = [np.geomspace(1e-12, 1e6, 4001),
+          *(d * _oracle_symbol(g) for d in np.diff(times))]
+    for z in zs:
+        decay, p1, p2 = semigroup._decay_and_phis(z)
+        assert np.array_equal(decay, np.exp(-z))
+        assert np.array_equal(p1, _oracle_phi1(z)) and np.array_equal(phi1(z), p1)
+        assert np.array_equal(p2, _oracle_phi2(z)) and np.array_equal(phi2(z), p2)
+    rng = _philox(dim)
+    shape = (times.size,) + g.shape + (2,)
+    spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert np.array_equal(semigroup._duhamel_sweep(g, times, spec),
+                          _oracle_duhamel_sweep(g, times, spec))
 
 
 # ----------------------------------------------------------------------
