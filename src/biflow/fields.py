@@ -32,7 +32,6 @@ __all__ = [
     "laplacian",
     "pointwise_norm",
     "ball_offsets",
-    "ball_mask",
     "ball_convolve",
     "save_space_time_field",
     "load_space_time_field",
@@ -336,21 +335,16 @@ def _offsets_cached(dim: int, M: int, steps: int):
     return mask, offs
 
 
-def ball_mask(grid: Grid, r: float) -> np.ndarray:
-    """Boolean lattice mask of periodic distance <= r from the origin."""
-    if r > grid.box_length / 2:
-        raise ValueError("ball radius exceeds half the box")
-    steps = r / grid.spacing
-    mask, _ = _offsets_cached(grid.dim, grid.points_per_axis, round(steps * (1 + 1e-12), 9))
-    return mask
+def _ball_steps(grid: Grid, r: float) -> float:
+    """Cache key of the lattice ball of radius r: r in lattice steps, rounded."""
+    return round(r / grid.spacing * (1 + 1e-12), 9)
 
 
 def ball_offsets(grid: Grid, r: float) -> np.ndarray:
     """Integer lattice offsets (signed) within periodic distance r of 0."""
     if r > grid.box_length / 2:
         raise ValueError("ball radius exceeds half the box")
-    steps = r / grid.spacing
-    _, offs = _offsets_cached(grid.dim, grid.points_per_axis, round(steps * (1 + 1e-12), 9))
+    _, offs = _offsets_cached(grid.dim, grid.points_per_axis, _ball_steps(grid, r))
     return offs
 
 
@@ -362,8 +356,7 @@ def _mask_spectrum(dim: int, M: int, key: float):
 
 def ball_convolve(grid: Grid, scalar_field: np.ndarray, r: float) -> np.ndarray:
     """Sum of a scalar lattice field over the ball around every center at once."""
-    steps = round(r / grid.spacing * (1 + 1e-12), 9)
-    spec = _mask_spectrum(grid.dim, grid.points_per_axis, steps)
+    spec = _mask_spectrum(grid.dim, grid.points_per_axis, _ball_steps(grid, r))
     out = np.fft.ifftn(np.fft.fftn(scalar_field) * spec).real
     return out
 

@@ -32,7 +32,7 @@ from scipy.optimize import brentq as _brentq
 
 from .errors import ManifoldTubeExitError
 from .fields import Grid, GridField, SpaceTimeField, Spectrum, pointwise_norm
-from .kernel import ALPHA, SampleSpec, certify_bound, default_profile
+from .kernel import ALPHA, UNIT_SPHERE_AREA, SampleSpec, certify_bound, default_profile
 from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project
 from .norms import bmo_seminorm, x_norm, x_norm_from_magnitudes
 from .semigroup import (apply_G, apply_G_trajectory, apply_S_div_trajectory,
@@ -404,9 +404,8 @@ def distance_experiment(u0: GridField, R: float, delta: float = 0.05) -> dict:
     n = grid.dim
     cert = certify_bound(default_profile(n), "2.2",
                          sample_spec=SampleSpec(num_x=15, num_t=7))
-    surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
     sup_u0 = float(np.sqrt((u0.values ** 2).sum(axis=-1)).max())
-    c_n = 2.0 * sup_u0 * cert.fitted_constant * surface
+    c_n = 2.0 * sup_u0 * cert.fitted_constant * UNIT_SPHERE_AREA[n]
     K = _tail_radius(delta, c_n, n)
     t_hi = R ** 4 / K ** 4
     t_lo = (2.0 * grid.spacing / K) ** 4 * 1.01  # keep the BMO radius resolvable

@@ -32,10 +32,13 @@ from .norms import bmo_seminorm, carleson_functional, smoothing_ratios
 from .semigroup import operator_bound_experiment
 
 __all__ = [
+    "SUITES",
+    "SEEDED_SUITES",
     "RunManifest",
     "load_config",
     "default_config",
-    "make_rng",
+    "flow_config_from",
+    "smoothing_family_constants",
     "run_suite",
     "run_kernel_verify",
     "run_evolve",
@@ -46,16 +49,11 @@ SUITES = ("kernel", "operators", "norms", "flow", "distance", "all")
 SEEDED_SUITES = ("operators", "all")  # the ones that draw a random ensemble
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator; deterministic across platforms."""
-    return np.random.Generator(np.random.Philox(seed))
-
-
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
 
-DEFAULT_CONFIG = {
+_DEFAULT_CONFIG = {
     "grid": {"dim": "1", "box_length": str(2.0 * math.pi), "points_per_axis": "64"},
     "target": {"ambient_dim": "3", "tube_radius": "0.5", "blend_radius": "0.25"},
     "time": {"t_final": "1.0", "num_frames": "32", "grid_exponent": "4.0"},
@@ -72,7 +70,7 @@ DEFAULT_CONFIG = {
 
 def default_config() -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
-    cp.read_dict(DEFAULT_CONFIG)
+    cp.read_dict(_DEFAULT_CONFIG)
     return cp
 
 
@@ -111,8 +109,8 @@ def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def initial_data_from(cp: configparser.ConfigParser, grid: Grid, target: SphereTarget,
-                      amplitude: float | None = None) -> GridField:
+def _initial_data_from(cp: configparser.ConfigParser, grid: Grid, target: SphereTarget,
+                       amplitude: float | None = None) -> GridField:
     kind = cp.get("initial", "kind")
     if kind == "equator_sine":
         eps = cp.getfloat("initial", "amplitude") if amplitude is None else amplitude
@@ -155,13 +153,19 @@ class RunManifest:
 
 
 @contextlib.contextmanager
-def _recorded(manifest: RunManifest, out_dir: Path):
-    """Write the manifest before the run and again after it, with the wall
+def _recorded(command: str, cp: configparser.ConfigParser, out_dir,
+              seed: int | None = None):
+    """Open a run in out_dir (made if missing) and yield (manifest, out).
+
+    The manifest is written before the run and again after it, with the wall
     time and status "completed", or "failed" and the error if it raised."""
-    manifest.write(out_dir)  # manifest exists before any other output
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(command=command, config=_config_snapshot(cp), seed=seed)
+    manifest.write(out)  # manifest exists before any other output
     start = time.perf_counter()
     try:
-        yield
+        yield manifest, out
         manifest.status = "completed"
     except Exception as exc:
         manifest.status = "failed"
@@ -169,7 +173,7 @@ def _recorded(manifest: RunManifest, out_dir: Path):
         raise
     finally:
         manifest.wall_time_s = time.perf_counter() - start
-        manifest.write(out_dir)
+        manifest.write(out)
 
 
 def _json_default(obj):
@@ -235,11 +239,10 @@ def _suite_operators(cp, out_dir: Path, manifest: RunManifest, prefix: str = "")
     T = 0.5
     times = T * (np.arange(frames + 1) / frames) ** 4
     size = cp.getint("experiments", "ensemble_size")
-    seed = manifest.seed
-    base = operator_bound_experiment(grid, times, size, seed,
-                                     max_mode=cp.getint("experiments", "max_mode"))
-    doubled = operator_bound_experiment(grid, times, 2 * size, seed,
+    # the doubled ensemble's first half is the base ensemble: one draw for both
+    doubled = operator_bound_experiment(grid, times, 2 * size, manifest.seed,
                                         max_mode=cp.getint("experiments", "max_mode"))
+    base = doubled["first_half"]
     report = {
         "ensemble": {k: base[k] for k in ("s_over_y1", "sdiv_over_y2",
                                           "ensemble_size", "excluded")},
@@ -312,7 +315,7 @@ def _suite_norms(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> 
 
 def _suite_flow(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
     cfg = flow_config_from(cp)
-    u0 = initial_data_from(cp, cfg.grid, cfg.target)
+    u0 = _initial_data_from(cp, cfg.grid, cfg.target)
     traj, diag = picard_solve(cfg, u0)
     files = save_space_time_field(traj, out_dir / "solution")
     manifest.outputs.extend(f"{prefix}solution/{f}" for f in files)
@@ -353,14 +356,10 @@ def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0) -> RunM
     """
     if suite_id not in SUITES:
         raise ConfigError(f"unknown suite {suite_id!r}; choose from {SUITES}")
-    cp = config if isinstance(config, configparser.ConfigParser) else load_config(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(command=f"run_suite {suite_id}",
-                           config=_config_snapshot(cp),
-                           seed=seed if suite_id in SEEDED_SUITES else None)
+    cp = load_config(config)
     names = [suite_id] if suite_id != "all" else list(_SUITE_FNS)
-    with _recorded(manifest, out):
+    with _recorded(f"run_suite {suite_id}", cp, out_dir,
+                   seed if suite_id in SEEDED_SUITES else None) as (manifest, out):
         for name in names:
             sub = out / name if suite_id == "all" else out
             prefix = f"{name}/" if suite_id == "all" else ""
@@ -411,10 +410,7 @@ def run_kernel_verify(dim: int, estimate: str, order: int | None, tol: float,
 def run_evolve(config_path, out_dir) -> RunManifest:
     """Run one Picard solve per the config file; dump frames + diagnostics."""
     cp = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(command="evolve", config=_config_snapshot(cp))
-    with _recorded(manifest, out):
+    with _recorded("evolve", cp, out_dir) as (manifest, out):
         manifest.summary = _suite_flow(cp, out, manifest)
     return manifest
 
@@ -422,15 +418,12 @@ def run_evolve(config_path, out_dir) -> RunManifest:
 def run_contraction_sweep(config_path, out_dir, amplitudes) -> RunManifest:
     """Picard runs across an amplitude family; CSV of contraction behaviour."""
     cp = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(command="contraction-sweep", config=_config_snapshot(cp))
-    with _recorded(manifest, out):
+    with _recorded("contraction-sweep", cp, out_dir) as (manifest, out):
         cfg = flow_config_from(cp)
         R = cfg.grid.box_length * cp.getfloat("experiments", "bmo_radius_fraction")
         rows = []
         for eps in amplitudes:
-            u0 = initial_data_from(cp, cfg.grid, cfg.target, amplitude=eps)
+            u0 = _initial_data_from(cp, cfg.grid, cfg.target, amplitude=eps)
             bmo = bmo_seminorm(u0, R)
             traj, diag = picard_solve(cfg, u0)
             theta_max = max(diag.contraction_ratios) if diag.contraction_ratios else 0.0

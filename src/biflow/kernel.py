@@ -31,6 +31,7 @@ from .errors import InvalidTimeError, QuadratureResidualError, UnsupportedOrderE
 
 __all__ = [
     "ALPHA",
+    "UNIT_SPHERE_AREA",
     "KernelProfile",
     "SampleSpec",
     "BoundCertificate",
@@ -45,6 +46,9 @@ __all__ = [
 # Decay rate of the pointwise stretched-exponential bound, fixed exactly by
 # the saddle point of i*xi*k - |k|^4.  Never fitted.
 ALPHA = 3.0 * 2.0 ** (1.0 / 3.0) / 16.0
+
+# Surface area of the unit sphere S^(n-1) in R^n, the radial-integral factor.
+UNIT_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 _GL_POINTS = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
@@ -435,9 +439,8 @@ def kernel_mass(profile: KernelProfile, t: float) -> float:
     pts[:, 0] = (t ** 0.25) * rho
     [vals] = _eval_profile_batch(profile, pts * t ** (-0.25), [(0,) * n])
     vals = vals * t ** (-n / 4.0)
-    surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
     jac = (t ** 0.25 * rho) ** (n - 1) * t ** 0.25
-    return float(surface * np.sum(w * jac * vals))
+    return float(UNIT_SPHERE_AREA[n] * np.sum(w * jac * vals))
 
 
 # ----------------------------------------------------------------------
@@ -547,15 +550,14 @@ def _l1_profile_norm(profile, k, c1):
     pts = np.zeros((rho.size, n))
     pts[:, 0] = rho
     vals = gradient_magnitude(profile, pts, k)
-    surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
-    main = surface * float(np.sum(w * rho ** (n - 1) * vals))
+    main = UNIT_SPHERE_AREA[n] * float(np.sum(w * rho ** (n - 1) * vals))
     # tail via the exponential far-field estimate: fit c on [r_inner-4, r_inner]
     samp = np.linspace(r_inner - 4.0, r_inner, 9)
     spts = np.zeros((samp.size, n))
     spts[:, 0] = samp
     c_far = float(np.max(gradient_magnitude(profile, spts, k) * np.exp(c1 * samp)))
     tail, _ = _quad(lambda r: r ** (n - 1) * math.exp(-c1 * r), r_inner, np.inf)
-    return main, surface * c_far * tail
+    return main, UNIT_SPHERE_AREA[n] * c_far * tail
 
 
 def certify_bound(profile: KernelProfile, estimate_id, derivative_order: int = 0,

@@ -281,9 +281,51 @@ def smoothing_ratios(u0: GridField, R: float) -> dict:
 # space-time norms
 # ----------------------------------------------------------------------
 
-def _positive_frames(u: SpaceTimeField, T: float):
-    sel = (u.times > 0) & (u.times <= T * (1 + 1e-12))
-    return np.nonzero(sel)[0]
+def _first_peak(values, keys, none):
+    """(max value, its key), the first key on ties; (0.0, none) unless positive."""
+    j = int(np.argmax(values))
+    return (values[j], keys[j]) if values[j] > 0 else (0.0, none)
+
+
+def _space_time_scan(u: SpaceTimeField, T: float | None, sup_terms, cylinder_terms):
+    """The two halves every space-time norm is built from.
+
+    Each term holds a magnitude stack m of shape (num_frames,) + grid.shape:
+    sup_terms are pairs (m, a), cylinder_terms triples (m, p, outer).  Over
+    the positive frames at or below T (default: the last frame time) it
+    returns (pos, sup, peaks, scales):
+
+    - pos indexes those frames;
+    - sup is (max over them of sum_k t^a_k max|m_k|, that time);
+    - peaks holds (value, radius) per cylinder term, value the max over dyadic
+      radii r <= T^(1/4) of (r^(-n) max_x int_{P_r(x)} m^p)^outer;
+    - scales lists (r, value per cylinder term) for every radius.
+    """
+    grid = u.grid
+    if T is None:
+        T = float(u.times[-1])
+    if u.times[-1] < T * (1 - 1e-12):
+        raise ValueError("frames do not reach the requested final time")
+    pos = np.nonzero((u.times > 0) & (u.times <= T * (1 + 1e-12)))[0]
+    if pos.size == 0:
+        raise ScaleUnresolvableError("no positive frame times at or below T")
+
+    frame_max = [(m[pos].reshape(pos.size, -1).max(axis=1), a) for m, a in sup_terms]
+    # scalar powers of t: numpy's array power may round them differently
+    wvals = [sum(t ** a * fm[i] for fm, a in frame_max)
+             for i, t in enumerate(u.times[pos])]
+    sup = _first_peak(wvals, u.times[pos], 0.0)
+
+    radii = _resolved_cylinder_radii(u.times, T ** 0.25, grid)
+    powered = [(m ** p, outer) for m, p, outer in cylinder_terms]
+    scales = []
+    for r in radii:
+        w = _trapezoid_weights(u.times, min(r ** 4, T))
+        scales.append((r, *(_cylinder_average_max(grid, np.tensordot(w, mp, axes=(0, 0)), r)
+                            ** outer for mp, outer in powered)))
+    peaks = [_first_peak([row[k] for row in scales], radii, None)
+             for k in range(1, 1 + len(powered))]
+    return pos, sup, peaks, tuple(scales)
 
 
 def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
@@ -305,82 +347,30 @@ def x_norm_from_magnitudes(u: SpaceTimeField, grad_mag: np.ndarray,
                            hess_mag: np.ndarray, T: float | None = None) -> NormReport:
     """``x_norm`` of u from its pointwise |grad u| and |grad^2 u|, each of
     shape (num_frames,) + grid.shape, for a caller that holds them already."""
-    grid = u.grid
-    if T is None:
-        T = float(u.times[-1])
-    if u.times[-1] < T * (1 - 1e-12):
-        raise ValueError("frames do not reach the requested final time")
-    pos = _positive_frames(u, T)
-    if pos.size == 0:
-        raise ScaleUnresolvableError("no positive frame times at or below T")
-
+    pos, (weighted, weighted_arg), [(m4, arg4), (m2, arg2)], scales = _space_time_scan(
+        u, T, [(grad_mag, 0.25), (hess_mag, 0.5)],
+        [(grad_mag, 4, 0.25), (hess_mag, 2, 0.5)])
     sup_part = float(np.sqrt((u.values[pos] ** 2).sum(axis=-1)).max())
-    gmax = grad_mag[pos].reshape(pos.size, -1).max(axis=1)
-    hmax = hess_mag[pos].reshape(pos.size, -1).max(axis=1)
-    # scalar powers of t: numpy's array power may round them differently
-    wvals = [t ** 0.25 * g + t ** 0.5 * h for t, g, h in zip(u.times[pos], gmax, hmax)]
-    j = int(np.argmax(wvals))
-    weighted, weighted_arg = (wvals[j], u.times[pos[j]]) if wvals[j] > 0 else (0.0, 0.0)
-    grad_pow4 = grad_mag ** 4
-    hess_pow2 = hess_mag ** 2
-
-    radii = _resolved_cylinder_radii(u.times, T ** 0.25, grid)
-    scales = []
-    m4_best, m2_best = 0.0, 0.0
-    arg4 = arg2 = None
-    for r in radii:
-        w = _trapezoid_weights(u.times, min(r ** 4, T))
-        m4 = _cylinder_average_max(grid, np.tensordot(w, grad_pow4, axes=(0, 0)), r) ** 0.25
-        m2 = _cylinder_average_max(grid, np.tensordot(w, hess_pow2, axes=(0, 0)), r) ** 0.5
-        scales.append((r, m4, m2))
-        if m4 > m4_best:
-            m4_best, arg4 = m4, r
-        if m2 > m2_best:
-            m2_best, arg2 = m2, r
-
-    seminorm = weighted + m4_best + m2_best
-    return NormReport(sup_part, seminorm, tuple(scales),
+    return NormReport(sup_part, weighted + m4 + m2, scales,
                       {"weighted_sup_time": weighted_arg,
                        "morrey4_radius": arg4, "morrey2_radius": arg2})
 
 
-def _y_norm(f: SpaceTimeField, T: float, time_weight: float,
+def _y_norm(f: SpaceTimeField, T: float | None, time_weight: float,
             power: float, outer: float) -> NormReport:
-    grid = f.grid
-    if f.times[-1] < T * (1 - 1e-12):
-        raise ValueError("frames do not reach the requested final time")
-    flat = f.values.reshape(f.values.shape[: 1 + grid.dim] + (-1,))
+    flat = f.values.reshape(f.values.shape[: 1 + f.grid.dim] + (-1,))
     mags = np.sqrt((flat ** 2).sum(axis=-1))
-
-    pos = _positive_frames(f, T)
-    fmax = mags[pos].max(axis=tuple(range(1, mags.ndim)))
-    svals = [t ** time_weight * m for t, m in zip(f.times[pos], fmax)]  # scalar powers
-    j = int(np.argmax(svals)) if svals else 0
-    sup_part, sup_arg = (svals[j], f.times[pos[j]]) if svals and svals[j] > 0 else (0.0, 0.0)
-
-    radii = _resolved_cylinder_radii(f.times, T ** 0.25, grid)
-    powed = mags ** power
-    best, arg_r = 0.0, None
-    scales = []
-    for r in radii:
-        w = _trapezoid_weights(f.times, min(r ** 4, T))
-        val = _cylinder_average_max(grid, np.tensordot(w, powed, axes=(0, 0)), r) ** outer
-        scales.append((r, val))
-        if val > best:
-            best, arg_r = val, r
-    return NormReport(sup_part, best, tuple(scales),
+    _, (sup_part, sup_arg), [(best, arg_r)], scales = _space_time_scan(
+        f, T, [(mags, time_weight)], [(mags, power, outer)])
+    return NormReport(sup_part, best, scales,
                       {"sup_time": sup_arg, "cylinder_radius": arg_r})
 
 
 def y1_norm(f: SpaceTimeField, T: float | None = None) -> NormReport:
     """Forcing norm sup_t t ||f||_inf + sup cylinders r^(-n) int |f|."""
-    if T is None:
-        T = float(f.times[-1])
     return _y_norm(f, T, time_weight=1.0, power=1.0, outer=1.0)
 
 
 def y2_norm(f: SpaceTimeField, T: float | None = None) -> NormReport:
     """Flux norm sup_t t^(3/4) ||f||_inf + sup (r^(-n) int |f|^(4/3))^(3/4)."""
-    if T is None:
-        T = float(f.times[-1])
     return _y_norm(f, T, time_weight=0.75, power=4.0 / 3.0, outer=0.75)

@@ -182,32 +182,30 @@ def operator_bound_experiment(grid: Grid, times, ensemble_size: int, seed: int,
 
     Returns the max over the ensemble of ||S f||_X / ||f||_Y1 and
     ||S(div F)||_X / ||F||_Y2, with degenerate members excluded and counted.
+    Under "first_half" are the same four figures over the first
+    ensemble_size // 2 members, which a call of that size with the same seed
+    draws too; None below 2 members.
     """
     from .norms import x_norm, y1_norm, y2_norm  # deferred: norms imports this module
 
     times = np.asarray(times, dtype=float)
     T = float(times[-1])
     rng = np.random.Generator(np.random.Philox(seed))
-    ratios_s, ratios_div = [], []
-    excluded = 0
+    ratios_s, ratios_div = [], []  # per member; None where it is excluded
     for _ in range(ensemble_size):
         f = random_forcing(grid, times, rng, max_mode=max_mode)
         y1 = y1_norm(f, T).total
-        if y1 <= 0:
-            excluded += 1
-        else:
-            ratios_s.append(x_norm(apply_S_trajectory(f), T).total / y1)
+        ratios_s.append(x_norm(apply_S_trajectory(f), T).total / y1 if y1 > 0 else None)
         F = random_forcing(grid, times, rng, max_mode=max_mode, per_axis=True)
         y2 = y2_norm(F, T).total
-        if y2 <= 0:
-            excluded += 1
-        else:
-            ratios_div.append(x_norm(apply_S_div_trajectory(F), T).total / y2)
-    return {
-        "s_over_y1": float(np.max(ratios_s)),
-        "sdiv_over_y2": float(np.max(ratios_div)),
-        "ensemble_size": ensemble_size,
-        "excluded": excluded,
-        "ratios_s": [float(r) for r in ratios_s],
-        "ratios_div": [float(r) for r in ratios_div],
-    }
+        ratios_div.append(x_norm(apply_S_div_trajectory(F), T).total / y2 if y2 > 0 else None)
+
+    def figures(size):
+        s = [r for r in ratios_s[:size] if r is not None]
+        d = [r for r in ratios_div[:size] if r is not None]
+        return {"s_over_y1": float(np.max(s)), "sdiv_over_y2": float(np.max(d)),
+                "ensemble_size": size, "excluded": 2 * size - len(s) - len(d)}
+
+    report = figures(ensemble_size)
+    report["first_half"] = figures(ensemble_size // 2) if ensemble_size >= 2 else None
+    return report

@@ -12,14 +12,8 @@ from biflow.cli import build_parser, main as cli_main
 from biflow.errors import ConfigError, ManifoldTubeExitError
 from biflow.fields import load_space_time_field
 from biflow.harness import (default_config, flow_config_from, load_config,
-                            make_rng, run_contraction_sweep, run_evolve,
-                            run_kernel_verify, run_suite)
-
-
-def test_make_rng_is_deterministic():
-    a = make_rng(7).normal(size=5)
-    b = make_rng(7).normal(size=5)
-    assert np.array_equal(a, b)
+                            run_contraction_sweep, run_evolve, run_kernel_verify,
+                            run_suite)
 
 
 def test_default_config_builds_flow_config():
@@ -209,6 +203,48 @@ def test_no_module_imports_another_modules_private_names():
                 found += [f"{path.name}: from .{node.module} import {a.name}"
                           for a in node.names
                           if a.name.startswith("_") and not a.name.endswith("__")]
+    assert found == []
+
+
+def _public_top_level_names(tree):
+    """Public top-level functions, classes and UPPER_CASE constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and n.id.isupper()]
+        else:
+            continue
+        yield from (n for n in names if not n.startswith("_"))
+
+
+def _dunder_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_all_lists_exactly_the_public_names():
+    # __all__ is the module's public surface: no public name left off it,
+    # no listed name that the module does not define
+    src = Path(__file__).resolve().parents[1] / "src" / "biflow"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        listed = _dunder_all(tree)
+        if path.name == "__init__.py" or listed is None:
+            continue
+        public = list(_public_top_level_names(tree))
+        found += [f"{path.name}: {n} is public but not in __all__"
+                  for n in public if n not in listed]
+        found += [f"{path.name}: __all__ lists {n}, which is not defined or not public"
+                  for n in listed if n not in public]
+        found += [f"{path.name}: __all__ lists {n} twice"
+                  for n in sorted(set(listed)) if listed.count(n) > 1]
     assert found == []
 
 

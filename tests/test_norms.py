@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from biflow.errors import ScaleUnresolvableError
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
                            ball_offsets, gradient, hessian, pointwise_norm)
-from biflow.norms import (bmo_seminorm, bmo_seminorm_brute, carleson_functional,
-                          smoothing_ratios, x_norm, y1_norm, y2_norm)
+from biflow.norms import (NormReport, _cylinder_average_max, _resolved_cylinder_radii,
+                          _trapezoid_weights, bmo_seminorm, bmo_seminorm_brute,
+                          carleson_functional, smoothing_ratios, x_norm, y1_norm,
+                          y2_norm)
 from biflow.semigroup import apply_G, apply_G_trajectory
 
 
@@ -304,6 +306,53 @@ def test_norm_report_serializes(grid128):
     assert len(payload["scales"]) == len(rep.scales)
     import json
     json.dumps(payload)  # plain types only
+
+
+def _oracle_y_norm(f, T, time_weight, power, outer):
+    # the forcing norm written out in full, one loop per half
+    grid = f.grid
+    flat = f.values.reshape(f.values.shape[: 1 + grid.dim] + (-1,))
+    mags = np.sqrt((flat ** 2).sum(axis=-1))
+    pos = np.nonzero((f.times > 0) & (f.times <= T * (1 + 1e-12)))[0]
+    fmax = mags[pos].max(axis=tuple(range(1, mags.ndim)))
+    svals = [t ** time_weight * m for t, m in zip(f.times[pos], fmax)]
+    j = int(np.argmax(svals))
+    sup_part, sup_arg = (svals[j], f.times[pos[j]]) if svals[j] > 0 else (0.0, 0.0)
+    powed = mags ** power
+    best, arg_r = 0.0, None
+    scales = []
+    for r in _resolved_cylinder_radii(f.times, T ** 0.25, grid):
+        w = _trapezoid_weights(f.times, min(r ** 4, T))
+        val = _cylinder_average_max(grid, np.tensordot(w, powed, axes=(0, 0)), r) ** outer
+        scales.append((r, val))
+        if val > best:
+            best, arg_r = val, r
+    return NormReport(sup_part, best, tuple(scales),
+                      {"sup_time": sup_arg, "cylinder_radius": arg_r})
+
+
+@pytest.mark.parametrize("dim, points, trailing, T", [
+    (1, 64, (2,), None),
+    (1, 64, (1,), 0.6),        # T between the frames at 0.5 and 0.625
+    (2, 16, (2, 3), None),     # flux-shaped field: (n, l) trailing axes
+    (2, 16, (3,), 0.6),
+    (3, 16, (1,), None),
+    (3, 16, (2, 3), 0.6),
+])
+@pytest.mark.parametrize("scale", [1.0, 0.0])  # 0.0: the all-zero field
+def test_y_norms_match_the_one_loop_per_half_oracle(dim, points, trailing, T, scale):
+    grid = Grid(dim, 2.0 * np.pi, points)
+    times = np.linspace(0.0, 1.0, 9)
+    rng = np.random.Generator(np.random.Philox(dim))
+    f = SpaceTimeField(grid, times, scale * rng.normal(size=(9,) + grid.shape + trailing))
+    T_oracle = 1.0 if T is None else T
+    for norm, weights in ((y1_norm, (1.0, 1.0, 1.0)), (y2_norm, (0.75, 4.0 / 3.0, 0.75))):
+        got, want = norm(f, T), _oracle_y_norm(f, T_oracle, *weights)
+        assert got == want  # bitwise: parts, scale table and argmax
+        if scale == 0.0:
+            assert got.argmax == {"sup_time": 0.0, "cylinder_radius": None}
+        else:
+            assert got.argmax["cylinder_radius"] is not None
 
 
 def test_y_norms_positive_homogeneity(grid64, rng):

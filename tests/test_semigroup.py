@@ -372,6 +372,27 @@ def test_operator_bounds_finite_and_monotone_under_doubling():
     assert dbl["sdiv_over_y2"] >= base["sdiv_over_y2"] - 1e-15
 
 
+@pytest.mark.parametrize("size", [3, 4])
+def test_doubled_ensemble_first_half_is_the_base_ensemble(size):
+    # same seed: the 2N draw starts with the N members, so its first half
+    # reproduces every figure of the N-member call
+    g = Grid(1, 2 * np.pi, 32)
+    times = 0.5 * (np.arange(13) / 12) ** 4
+    base = operator_bound_experiment(g, times, size, seed=3)
+    dbl = operator_bound_experiment(g, times, 2 * size, seed=3)
+    assert base.pop("first_half") is not None
+    assert dbl["first_half"] == base
+    assert sorted(base) == ["ensemble_size", "excluded", "s_over_y1", "sdiv_over_y2"]
+
+
+def test_single_member_ensemble_has_no_first_half():
+    g = Grid(1, 2 * np.pi, 32)
+    times = 0.5 * (np.arange(13) / 12) ** 4
+    one = operator_bound_experiment(g, times, 1, seed=3)
+    assert one["first_half"] is None
+    assert one["ensemble_size"] == 1 and np.isfinite(one["s_over_y1"])
+
+
 def test_single_mode_ratio_matches_closed_form_response():
     # measured ratio ||S f||_X / ||f||_Y1 for a time-constant single-mode
     # forcing equals the ratio computed from the closed-form response
