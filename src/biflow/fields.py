@@ -259,13 +259,9 @@ class Spectrum:
         self.grid = field.grid
         self.coeffs = np.fft.fftn(field.values, axes=tuple(range(lead, lead + field.grid.dim)))
 
-    def apply(self, symbol: np.ndarray) -> np.ndarray:
-        """Physical values of the coefficients times a symbol on the grid."""
-        return inverse_transform(self.grid, self.coeffs * symbol[..., None])
-
     def derivative(self, order) -> np.ndarray:
         """Physical values of the derivative named by a multiplier order."""
-        return self.apply(multiplier(self.grid, order))
+        return inverse_transform(self.grid, self.coeffs * multiplier(self.grid, order)[..., None])
 
     def gradient(self) -> np.ndarray:
         """First derivatives, in an axis slot of length n before the codomain."""

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ScaleUnresolvableError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
                      ball_offsets, pointwise_norm)
-from .semigroup import apply_G
+from .semigroup import apply_G_trajectory
 
 __all__ = [
     "NormReport",
@@ -91,11 +91,18 @@ def _geometric_nodes(top: float, octaves: int, points_per_octave: int) -> np.nda
     return top * 2.0 ** (-np.arange(octaves * q + 1, dtype=float) / q)
 
 
-def _free_magnitudes(u0: GridField, t: float, orders=(1, 2)) -> list[np.ndarray]:
-    """Pointwise |grad^i G(t) u0| for each order i, from one transform."""
-    spec = Spectrum(apply_G(u0, t))
-    return [pointwise_norm(spec.gradient() if i == 1 else spec.hessian(), u0.grid)
-            for i in orders]
+def _free_magnitudes(u0: GridField, ts: np.ndarray, orders, block: int) -> list[np.ndarray]:
+    """Stacks of pointwise |grad^i G(t) u0| over the descending nodes ts, one
+    per order i.  Each run of ``block`` nodes is one trajectory from t = 0 and
+    one transform of it; a block of an octave keeps the temporaries small."""
+    out = [np.empty((len(ts),) + u0.grid.shape) for _ in orders]
+    for s in range(0, len(ts), block):
+        ascending = ts[s:s + block][::-1]
+        spec = Spectrum(apply_G_trajectory(u0, (0.0, *ascending)))
+        for o, i in zip(out, orders):
+            mag = pointwise_norm(spec.gradient() if i == 1 else spec.hessian(), u0.grid, lead=1)
+            o[s:s + ascending.size] = mag[:0:-1]
+    return out
 
 
 def _cylinder_average_max(grid: Grid, mass: np.ndarray, r: float) -> float:
@@ -209,11 +216,11 @@ def carleson_functional(f: GridField, derivative_order: int, R: float) -> float:
     t_nodes = _geometric_nodes(R, 10 + int(round(np.log2(R / radii[-1]))), q)
     dlog = np.log(2.0) / q
 
+    # scalar powers of t: numpy's array power may round them differently
     i = derivative_order
-    sq = np.empty((t_nodes.size,) + grid.shape)
-    for j, t in enumerate(t_nodes):
-        mag, = _free_magnitudes(f, t ** 4, (i,))
-        sq[j] = (t ** i * mag) ** 2
+    sq, = _free_magnitudes(f, np.array([t ** 4 for t in t_nodes]), (i,), q)
+    sq *= np.array([t ** i for t in t_nodes]).reshape((-1,) + (1,) * grid.dim)
+    sq **= 2
 
     best = 0.0
     for m, r in enumerate(radii):
@@ -240,14 +247,12 @@ def smoothing_ratios(u0: GridField, R: float) -> dict:
     radii = _dyadic_radii(R, grid)
     t_nodes = _geometric_nodes(R ** 4, 36 + int(round(np.log2(R / radii[-1]))) * 4, 6)
 
-    g2 = np.empty((t_nodes.size,) + grid.shape)
-    g4 = np.empty_like(g2)
-    h2 = np.empty_like(g2)
-    wsup = 0.0
-    for j, t in enumerate(t_nodes):
-        gm, hm = _free_magnitudes(u0, float(t))
-        g2[j], g4[j], h2[j] = gm ** 2, gm ** 4, hm ** 2
-        wsup = max(wsup, t ** 0.25 * float(gm.max()) + t ** 0.5 * float(hm.max()))
+    gm, hm = _free_magnitudes(u0, t_nodes, (1, 2), 6)
+    g4 = gm ** 4
+    gmax, hmax = (m.reshape(t_nodes.size, -1).max(axis=1) for m in (gm, hm))
+    wsup = max(t ** 0.25 * gx + t ** 0.5 * hx for t, gx, hx in zip(t_nodes, gmax, hmax))
+    # squared in place: no node stack beyond g^2, g^4 and h^2 is held
+    g2, h2 = np.square(gm, out=gm), np.square(hm, out=hm)
 
     def integrate(mass_frames, t_top):
         # trapezoid in t over the geometric nodes below t_top (descending)

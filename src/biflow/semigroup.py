@@ -68,21 +68,22 @@ def phi2(z: np.ndarray) -> np.ndarray:
 
 
 def apply_G(u0: GridField, t: float) -> GridField:
-    """Free evolution: multiply each mode by e^(-t |k|^4)."""
+    """Free evolution at one time: a frame of ``apply_G_trajectory``."""
     if t < 0:
         raise InvalidTimeError("free evolution requires t >= 0")
     if t == 0:
         return u0
-    return GridField(u0.grid, Spectrum(u0).apply(np.exp(-t * symbol(u0.grid))))
+    return apply_G_trajectory(u0, (0.0, t)).frame(1)
 
 
 def apply_G_trajectory(u0: GridField, times) -> SpaceTimeField:
-    """Free evolution sampled on a frame grid (times[0] must be 0)."""
+    """Free evolution sampled on a frame grid (times[0] must be 0): one
+    transform of u0, each mode times e^(-t |k|^4) at every time, one inverse
+    transform of the stack.  Frames at t = 0 are u0's values."""
     times = np.asarray(times, dtype=float)
-    spec = Spectrum(u0)
-    sym = symbol(u0.grid)
-    frames = np.stack([u0.values if t == 0.0 else spec.apply(np.exp(-t * sym))
-                       for t in times])
+    decay = np.exp(-times.reshape((-1,) + (1,) * u0.grid.dim) * symbol(u0.grid))
+    frames = inverse_transform(u0.grid, Spectrum(u0).coeffs * decay[..., None])
+    frames[times == 0.0] = u0.values
     return SpaceTimeField(u0.grid, times, frames)
 
 
@@ -167,12 +168,8 @@ def random_forcing(grid: Grid, times, rng: np.random.Generator,
     T = times[-1] if times[-1] > 0 else 1.0
     c0, c1v, c2 = rng.uniform(0.25, 1.0), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
     envelope = c0 + c1v * (times / T) + c2 * (times / T) ** 2
-    if per_axis:
-        base = np.stack([s.values for s in shapes], axis=-2)  # grid + (n, l)
-        frames = envelope[(...,) + (None,) * (base.ndim)] * base[None, ...]
-    else:
-        base = shapes[0].values
-        frames = envelope[(...,) + (None,) * base.ndim] * base[None, ...]
+    base = np.stack([s.values for s in shapes], axis=-2) if per_axis else shapes[0].values
+    frames = envelope[(...,) + (None,) * base.ndim] * base[None, ...]
     return SpaceTimeField(grid, times, frames)
 
 

@@ -1,5 +1,7 @@
 """Oscillation seminorm, Carleson functional, and the space-time norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from biflow.errors import ScaleUnresolvableError
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
                            ball_offsets, gradient, hessian, pointwise_norm)
+from biflow.flow import equator_initial_data
 from biflow.norms import (NormReport, _cylinder_average_max, _resolved_cylinder_radii,
                           _trapezoid_weights, bmo_seminorm, bmo_seminorm_brute,
                           carleson_functional, smoothing_ratios, x_norm, y1_norm,
@@ -182,6 +185,30 @@ def test_geometric_scans_equal_seed_oracles(grid128):
             assert carleson_functional(f, i, R) == _carleson_oracle(f, i, R)
     R = grid128.box_length / 8
     assert smoothing_ratios(f, R) == _smoothing_oracle(f, R)
+    # 2D, codomain 3: several grid axes and several components per magnitude
+    g2 = Grid(2, 2 * np.pi, 32)
+    x, y = g2.coordinates()
+    f2 = GridField(g2, np.stack([np.sin(x) * np.cos(2 * y), 0.4 * np.cos(3 * y),
+                                 0.3 * np.sin(x + 4 * y)], axis=-1))
+    R = g2.box_length / 4
+    for i in (1, 2):
+        assert carleson_functional(f2, i, R) == _carleson_oracle(f2, i, R)
+    assert smoothing_ratios(f2, R) == _smoothing_oracle(f2, R)
+
+
+def test_smoothing_ratios_peak_memory_within_twice_its_node_stacks():
+    # the norms-suite input: R = L/4 = 64h gives 36 + 5*4 octaves at 6 nodes
+    # each, 337 nodes; the scan must hold g^2, g^4 and h^2 over all of them
+    grid = Grid(1, 2 * np.pi, 256)
+    u0 = equator_initial_data(grid, 0.2, 4, 3)
+    stacks = 3 * 337 * grid.points_per_axis * 8
+    tracemalloc.start()
+    try:
+        smoothing_ratios(u0, grid.box_length / 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stacks
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,14 @@ def test_symbol_and_divergence_spectrum_bitwise_equal_oracles(dim, codomain):
     assert np.array_equal(Spectrum(F).divergence(), _oracle_divergence_spectrum(F))
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+def _oracle_free_frame(u0, t):
+    # the seed's per-time formula: the t = 0 frame is u0 itself, not a round trip
+    if t == 0.0:
+        return u0.values
+    return inverse_transform(u0.grid, Spectrum(u0).coeffs * np.exp(-t * symbol(u0.grid))[..., None])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("codomain", [1, 3])
 def test_single_time_operators_equal_a_frame_of_the_trajectory(dim, codomain):
     g = Grid(dim, 2 * np.pi, 16)
@@ -85,6 +92,10 @@ def test_single_time_operators_equal_a_frame_of_the_trajectory(dim, codomain):
         t = times[idx]
         assert np.array_equal(apply_G(u0, t).values, free.values[idx])
         assert np.array_equal(apply_S(f, t).values, s_traj.values[idx])
+    for idx, t in enumerate(times):
+        oracle = _oracle_free_frame(u0, t)
+        assert np.array_equal(free.values[idx], oracle)
+        assert np.array_equal(apply_G(u0, t).values, oracle)
 
 
 def test_constants_are_invariant(grid64):
