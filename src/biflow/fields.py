@@ -259,6 +259,15 @@ class Spectrum:
         self.grid = field.grid
         self.coeffs = np.fft.fftn(field.values, axes=tuple(range(lead, lead + field.grid.dim)))
 
+    @classmethod
+    def _of_frames(cls, grid: Grid, frames: np.ndarray) -> "Spectrum":
+        """Spectrum of a bare stack of frames, the frame axis leading: the
+        transform of a SpaceTimeField, for frames without a t = 0 frame."""
+        spec = cls.__new__(cls)
+        spec.grid = grid
+        spec.coeffs = np.fft.fftn(frames, axes=tuple(range(1, 1 + grid.dim)))
+        return spec
+
     def derivative(self, order) -> np.ndarray:
         """Physical values of the derivative named by a multiplier order."""
         return inverse_transform(self.grid, self.coeffs * multiplier(self.grid, order)[..., None])

@@ -15,6 +15,8 @@ the profile and the dot products, with the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -191,14 +193,34 @@ class ProjectionJet:
                 + self.h2x4 * yv * yw * y)
 
     def d3(self, i: int, j: int, k: int) -> np.ndarray:
-        """D3Pi(y)(v, w, z), as ``dpi(target, y, 3, (v, w, z))``."""
+        """D3Pi(y)(v, w, z), as ``dpi(target, y, 3, (v, w, z))``.
+
+        Equal keys give equal products, each formed once: with j == k,
+        vw z + vz w is 2 vw z (x + x is 2x exactly) and yv yw z = yv yz w;
+        with i == j, vz w = wz v and yv yz w = yw yz v.
+        """
         y, v, w, z = self.y, self._vecs[i], self._vecs[j], self._vecs[k]
         yv, yw, yz = self._yv[i], self._yv[j], self._yv[k]
         vw, vz, wz = self._vw(i, j), self._vw(i, k), self._vw(j, k)
-        return (self.h1x2 * (vw * z + vz * w + wz * v)
-                + self.h2x4 * ((vw * yz + vz * yw + wz * yv) * y
-                               + yv * yw * z + yv * yz * w + yw * yz * v)
+        return (self.h1x2 * (_ordered_sum(vw * z * 2.0, (wz, v)) if j == k
+                             else _ordered_sum(vw * z, (vz, w), (wz, v)))
+                + self.h2x4 * _ordered_sum((vw * yz + vz * yw + wz * yv) * y,
+                                           (yv, yw, z), (yv, yz, w), (yw, yz, v))
                 + self.h3x8 * yv * yw * yz * y)
+
+
+def _ordered_sum(acc, *terms):
+    """acc + t1 + t2 + ..., added left to right into acc, a fresh array the
+    caller hands over.  Each term is a tuple of factors multiplied left to
+    right; a term of the same factor objects as the one before it is formed
+    once and added again.  At most acc and one term are held at a time."""
+    term = None
+    for n, factors in enumerate(terms):
+        if n == 0 or any(a is not b for a, b in zip(factors, terms[n - 1])):
+            term = None  # freed before the next one is formed
+            term = reduce(mul, factors)
+        acc += term
+    return acc
 
 
 def defect_q(target: SphereTarget, y) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ScaleUnresolvableError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
                      ball_offsets, pointwise_norm)
-from .semigroup import apply_G_trajectory
+from . import semigroup
 
 __all__ = [
     "NormReport",
@@ -93,15 +93,18 @@ def _geometric_nodes(top: float, octaves: int, points_per_octave: int) -> np.nda
 
 def _free_magnitudes(u0: GridField, ts: np.ndarray, orders, block: int) -> list[np.ndarray]:
     """Stacks of pointwise |grad^i G(t) u0| over the descending nodes ts, one
-    per order i.  Each run of ``block`` nodes is one trajectory from t = 0 and
-    one transform of it; a block of an octave keeps the temporaries small."""
-    out = [np.empty((len(ts),) + u0.grid.shape) for _ in orders]
+    per order i.  u0 is transformed once; each run of ``block`` nodes is one
+    stack of free frames and one transform of it, which keeps the
+    temporaries small."""
+    grid = u0.grid
+    coeffs = Spectrum(u0).coeffs
+    out = [np.empty((len(ts),) + grid.shape) for _ in orders]
     for s in range(0, len(ts), block):
         ascending = ts[s:s + block][::-1]
-        spec = Spectrum(apply_G_trajectory(u0, (0.0, *ascending)))
+        spec = Spectrum._of_frames(grid, semigroup._free_frames(grid, coeffs, ascending))
         for o, i in zip(out, orders):
-            mag = pointwise_norm(spec.gradient() if i == 1 else spec.hessian(), u0.grid, lead=1)
-            o[s:s + ascending.size] = mag[:0:-1]
+            mag = pointwise_norm(spec.gradient() if i == 1 else spec.hessian(), grid, lead=1)
+            o[s:s + ascending.size] = mag[::-1]
     return out
 
 
@@ -256,9 +259,10 @@ def smoothing_ratios(u0: GridField, R: float) -> dict:
 
     def integrate(mass_frames, t_top):
         # trapezoid in t over the geometric nodes below t_top (descending)
-        sel = t_nodes <= t_top * (1 + 1e-12)
-        ts = t_nodes[sel][::-1]
-        vals = mass_frames[sel][::-1]
+        # the nodes descend, so those below t_top are a tail: a view, no copy
+        start = t_nodes.size - np.count_nonzero(t_nodes <= t_top * (1 + 1e-12))
+        ts = t_nodes[start:][::-1]
+        vals = mass_frames[start:][::-1]
         w = np.zeros_like(ts)
         dt = np.diff(ts)
         w[:-1] += dt / 2.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidTimeError, TimeMisalignedError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, inverse_transform,
-                     multiplier)
+                     multiplier, pointwise_norm)
 
 __all__ = [
     "PHI_SERIES_THRESHOLD",
@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 PHI_SERIES_THRESHOLD = 1e-2
+
+# members x frames x grid points of one forcing stack in
+# operator_bound_experiment: the 1D operators suite (128 x 13 x 32) is one
+# stack, and a 3D grid of 32^3 points takes one member at a time
+_STACK_VALUES = 2 ** 16
 
 
 def symbol(grid: Grid) -> np.ndarray:
@@ -81,10 +86,16 @@ def apply_G_trajectory(u0: GridField, times) -> SpaceTimeField:
     transform of u0, each mode times e^(-t |k|^4) at every time, one inverse
     transform of the stack.  Frames at t = 0 are u0's values."""
     times = np.asarray(times, dtype=float)
-    decay = np.exp(-times.reshape((-1,) + (1,) * u0.grid.dim) * symbol(u0.grid))
-    frames = inverse_transform(u0.grid, Spectrum(u0).coeffs * decay[..., None])
+    frames = _free_frames(u0.grid, Spectrum(u0).coeffs, times)
     frames[times == 0.0] = u0.values
     return SpaceTimeField(u0.grid, times, frames)
+
+
+def _free_frames(grid: Grid, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Frames of the free evolution at each of times, from the mode
+    coefficients of one frame: the inverse transform of coeffs e^(-t |k|^4)."""
+    decay = np.exp(-times.reshape((-1,) + (1,) * grid.dim) * symbol(grid))
+    return inverse_transform(grid, coeffs * decay[..., None])
 
 
 def _duhamel_sweep(grid: Grid, times: np.ndarray, spec_frames: np.ndarray) -> np.ndarray:
@@ -182,20 +193,50 @@ def operator_bound_experiment(grid: Grid, times, ensemble_size: int, seed: int,
     Under "first_half" are the same four figures over the first
     ensemble_size // 2 members, which a call of that size with the same seed
     draws too; None below 2 members.
+
+    Members are stacked on the codomain axis, up to _STACK_VALUES values per
+    forcing stack, and each stack takes one sweep and one transform per
+    operator.  Both act on each component alone, so every member keeps the
+    bits of its own sweep.
     """
-    from .norms import x_norm, y1_norm, y2_norm  # deferred: norms imports this module
+    # deferred: norms imports this module
+    from .norms import x_norm_from_magnitudes, y1_norm, y2_norm
 
     times = np.asarray(times, dtype=float)
     T = float(times[-1])
     rng = np.random.Generator(np.random.Philox(seed))
+    per_stack = max(1, _STACK_VALUES // (times.size * grid.points_per_axis ** grid.dim))
+
+    def draw(size):
+        # f then F for each member: the draw order of one member at a time
+        f = np.empty((times.size,) + grid.shape + (size,))
+        F = np.empty((times.size,) + grid.shape + (grid.dim, size))
+        for m in range(size):
+            f[..., m:m + 1] = random_forcing(grid, times, rng, max_mode=max_mode).values
+            F[..., m:m + 1] = random_forcing(grid, times, rng, max_mode=max_mode,
+                                             per_axis=True).values
+        return SpaceTimeField(grid, times, f), SpaceTimeField(grid, times, F)
+
+    def ratios(forcing, solve, y_norm):
+        # ||S f||_X / ||f||_Y of each member; None where ||f||_Y = 0
+        response = solve(forcing)
+        spec = Spectrum(response)
+        grad, hess = spec.gradient(), spec.hessian()
+        out = []
+        for m in range(forcing.codomain_dim):
+            y = y_norm(SpaceTimeField(grid, times, forcing.values[..., m:m + 1]), T).total
+            out.append(x_norm_from_magnitudes(
+                SpaceTimeField(grid, times, response.values[..., m:m + 1]),
+                pointwise_norm(grad[..., m:m + 1], grid, lead=1),
+                pointwise_norm(hess[..., m:m + 1], grid, lead=1), T).total / y
+                if y > 0 else None)
+        return out
+
     ratios_s, ratios_div = [], []  # per member; None where it is excluded
-    for _ in range(ensemble_size):
-        f = random_forcing(grid, times, rng, max_mode=max_mode)
-        y1 = y1_norm(f, T).total
-        ratios_s.append(x_norm(apply_S_trajectory(f), T).total / y1 if y1 > 0 else None)
-        F = random_forcing(grid, times, rng, max_mode=max_mode, per_axis=True)
-        y2 = y2_norm(F, T).total
-        ratios_div.append(x_norm(apply_S_div_trajectory(F), T).total / y2 if y2 > 0 else None)
+    for start in range(0, ensemble_size, per_stack):
+        f, F = draw(min(per_stack, ensemble_size - start))
+        ratios_s += ratios(f, apply_S_trajectory, y1_norm)
+        ratios_div += ratios(F, apply_S_div_trajectory, y2_norm)
 
     def figures(size):
         s = [r for r in ratios_s[:size] if r is not None]

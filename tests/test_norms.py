@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from biflow.errors import ScaleUnresolvableError
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
                            ball_offsets, gradient, hessian, pointwise_norm)
+from biflow import norms
 from biflow.flow import equator_initial_data
 from biflow.norms import (NormReport, _cylinder_average_max, _resolved_cylinder_radii,
                           _trapezoid_weights, bmo_seminorm, bmo_seminorm_brute,
@@ -196,9 +197,45 @@ def test_geometric_scans_equal_seed_oracles(grid128):
     assert smoothing_ratios(f2, R) == _smoothing_oracle(f2, R)
 
 
+class _CountingSpectrum(Spectrum):
+    """Spectrum that records what it transforms: the fields it is built from
+    and the frame count of every bare stack of frames."""
+
+    fields: list = []
+    stacks: list = []
+
+    def __init__(self, field):
+        self.fields.append(field)
+        super().__init__(field)
+
+    @classmethod
+    def _of_frames(cls, grid, frames):
+        cls.stacks.append(frames.shape[0])
+        return super()._of_frames(grid, frames)
+
+
+@pytest.mark.parametrize("scan, block, nodes", [
+    # R = L/4 = 32h: 10 + 4 octaves at 8 nodes each
+    pytest.param(lambda f, R: carleson_functional(f, 2, R), 8, 14 * 8 + 1, id="carleson"),
+    # R = L/4 = 32h: 36 + 4*4 octaves at 6 nodes each
+    pytest.param(smoothing_ratios, 6, 52 * 6 + 1, id="smoothing_ratios"),
+])
+def test_free_scans_transform_u0_once_and_no_t0_frame(monkeypatch, grid128, scan, block, nodes):
+    f = _sine_field(grid128)
+    monkeypatch.setattr(norms, "Spectrum", _CountingSpectrum)
+    monkeypatch.setattr(_CountingSpectrum, "fields", [])
+    monkeypatch.setattr(_CountingSpectrum, "stacks", [])
+    scan(f, grid128.box_length / 4)
+    assert len(_CountingSpectrum.fields) == 1 and _CountingSpectrum.fields[0] is f
+    # one block of nodes per stack, and no frame beyond its nodes
+    sizes = _CountingSpectrum.stacks
+    assert sizes == [block] * (nodes // block) + [nodes % block] * (nodes % block > 0)
+
+
 def test_smoothing_ratios_peak_memory_within_twice_its_node_stacks():
     # the norms-suite input: R = L/4 = 64h gives 36 + 5*4 octaves at 6 nodes
-    # each, 337 nodes; the scan must hold g^2, g^4 and h^2 over all of them
+    # each, 337 nodes; the scan must hold g^2, g^4 and h^2 over all of them,
+    # and its integrals take views of them, not copies
     grid = Grid(1, 2 * np.pi, 256)
     u0 = equator_initial_data(grid, 0.2, 4, 3)
     stacks = 3 * 337 * grid.points_per_axis * 8
@@ -208,7 +245,7 @@ def test_smoothing_ratios_peak_memory_within_twice_its_node_stacks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * stacks
+    assert peak <= 1.5 * stacks
 
 
 # ----------------------------------------------------------------------

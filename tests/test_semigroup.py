@@ -1,5 +1,7 @@
 """Free evolution, Duhamel operators, phi functions, operator-bound sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum,
                            inverse_transform, laplacian)
 from biflow import semigroup
 from biflow.kernel import default_profile, eval_kernel
-from biflow.norms import x_norm, y1_norm
+from biflow.norms import x_norm, y1_norm, y2_norm
 from biflow.semigroup import (PHI_SERIES_THRESHOLD, apply_G,
                               apply_G_trajectory, apply_S,
                               apply_S_div_trajectory, apply_S_trajectory,
@@ -420,3 +422,66 @@ def test_single_mode_ratio_matches_closed_form_response():
                        for t in times])
     oracle = x_norm(SpaceTimeField(g, times, closed), T).total / y1_norm(f, T).total
     assert measured == pytest.approx(oracle, abs=1e-6)
+
+
+def _oracle_operator_bound_experiment(grid, times, ensemble_size, seed, max_mode=3):
+    # the seed's ensemble loop: one member, one sweep and one x_norm at a time
+    T = float(times[-1])
+    rng = _philox(seed)
+    ratios_s, ratios_div = [], []
+    for _ in range(ensemble_size):
+        f = random_forcing(grid, times, rng, max_mode=max_mode)
+        y1 = y1_norm(f, T).total
+        ratios_s.append(x_norm(apply_S_trajectory(f), T).total / y1 if y1 > 0 else None)
+        F = random_forcing(grid, times, rng, max_mode=max_mode, per_axis=True)
+        y2 = y2_norm(F, T).total
+        ratios_div.append(x_norm(apply_S_div_trajectory(F), T).total / y2 if y2 > 0 else None)
+
+    def figures(size):
+        s = [r for r in ratios_s[:size] if r is not None]
+        d = [r for r in ratios_div[:size] if r is not None]
+        return {"s_over_y1": float(np.max(s)), "sdiv_over_y2": float(np.max(d)),
+                "ensemble_size": size, "excluded": 2 * size - len(s) - len(d)}
+
+    report = figures(ensemble_size)
+    report["first_half"] = figures(ensemble_size // 2) if ensemble_size >= 2 else None
+    return report
+
+
+@pytest.mark.parametrize("dim, M, frames, size, seed, stacks", [
+    (1, 32, 13, 7, 0, 1),
+    (1, 32, 13, 8, 5, 1),
+    (1, 32, 13, 128, 0, 1),  # the operators suite: one stack
+    (2, 16, 9, 5, 5, 1),
+    (2, 16, 9, 6, 0, 1),
+    (3, 16, 5, 3, 0, 1),
+    (3, 16, 5, 4, 5, 2),     # 3 members per stack: 3 + 1
+    (2, 32, 13, 10, 3, 3),   # 4 members per stack: 4 + 4 + 2
+])
+def test_stacked_ensemble_equals_the_member_loop_oracle(monkeypatch, dim, M, frames, size,
+                                                        seed, stacks):
+    g = Grid(dim, 2 * np.pi, M)
+    times = 0.5 * (np.arange(frames) / (frames - 1)) ** 4
+    want = _oracle_operator_bound_experiment(g, times, size, seed)
+    sweeps = []
+    monkeypatch.setattr(semigroup, "apply_S_trajectory",
+                        lambda f: sweeps.append(f.codomain_dim) or apply_S_trajectory(f))
+    assert operator_bound_experiment(g, times, size, seed) == want  # bitwise, first_half too
+    assert len(sweeps) == stacks and sum(sweeps) == size
+
+
+def test_ensemble_peak_memory_does_not_grow_past_one_stack():
+    # 2D, M=32, 13 frames: 4 members per stack; 32 members are 8 stacks, and
+    # the scan holds one at a time
+    g = Grid(2, 2 * np.pi, 32)
+    times = 0.5 * (np.arange(13) / 12) ** 4
+    operator_bound_experiment(g, times, 1, seed=0)  # fills the lattice caches
+    peaks = {}
+    for size in (4, 32):
+        tracemalloc.start()
+        try:
+            operator_bound_experiment(g, times, size, seed=0)
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] <= 1.25 * peaks[4]
