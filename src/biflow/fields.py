@@ -360,10 +360,13 @@ def _mask_spectrum(dim: int, M: int, key: float):
 
 
 def ball_convolve(grid: Grid, scalar_field: np.ndarray, r: float) -> np.ndarray:
-    """Sum of a scalar lattice field over the ball around every center at once."""
+    """Sum of a scalar lattice field over the ball around every center at once.
+
+    The transform runs over the last grid.dim axes, so a stack of fields
+    (any leading axes) gives each field the bits of its own call."""
     spec = _mask_spectrum(grid.dim, grid.points_per_axis, _ball_steps(grid, r))
-    out = np.fft.ifftn(np.fft.fftn(scalar_field) * spec).real
-    return out
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.ifftn(np.fft.fftn(scalar_field, axes=axes) * spec, axes=axes).real
 
 
 # ----------------------------------------------------------------------

@@ -35,8 +35,11 @@ __all__ = [
     "smoothing_ratios",
     "x_norm",
     "x_norm_from_magnitudes",
+    "x_norms",
     "y1_norm",
+    "y1_norms",
     "y2_norm",
+    "y2_norms",
 ]
 
 
@@ -108,9 +111,16 @@ def _free_magnitudes(u0: GridField, ts: np.ndarray, orders, block: int) -> list[
     return out
 
 
+def _cylinder_average_maxima(grid: Grid, masses: np.ndarray, r: float) -> list[float]:
+    """Per mass of a (members,) + grid.shape stack: max over centers of its
+    ball integral, times r^(-n); one ball_convolve for the whole stack."""
+    peaks = ball_convolve(grid, masses, r).reshape(len(masses), -1).max(axis=1)
+    return [float(p) * grid.cell_volume / r ** grid.dim for p in peaks]
+
+
 def _cylinder_average_max(grid: Grid, mass: np.ndarray, r: float) -> float:
     """max over centers of the ball integral of mass, times r^(-n)."""
-    return float(ball_convolve(grid, mass, r).max()) * grid.cell_volume / r ** grid.dim
+    return _cylinder_average_maxima(grid, mass[None], r)[0]
 
 
 def _trapezoid_weights(times: np.ndarray, t_end: float) -> np.ndarray:
@@ -296,19 +306,37 @@ def _first_peak(values, keys, none):
     return (values[j], keys[j]) if values[j] > 0 else (0.0, none)
 
 
-def _space_time_scan(u: SpaceTimeField, T: float | None, sup_terms, cylinder_terms):
-    """The two halves every space-time norm is built from.
+def _member_magnitudes(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Pointwise magnitude of each member of a stack.
 
-    Each term holds a magnitude stack m of shape (num_frames,) + grid.shape:
-    sup_terms are pairs (m, a), cylinder_terms triples (m, p, outer).  Over
-    the positive frames at or below T (default: the last frame time) it
-    returns (pos, sup, peaks, scales):
+    values are (num_frames,) + grid.shape + components + (members,); the
+    result is (num_frames, members) + grid.shape.  Each member's components
+    are squared into one contiguous block, so they are summed in the order of
+    that member's own magnitude (numpy sums 8 or more contiguous terms
+    pairwise, strided ones left to right)."""
+    sq = np.square(np.moveaxis(values, -1, 1), order="C")
+    return np.sqrt(sq.sum(axis=tuple(range(2 + grid.dim, sq.ndim))))
+
+
+def _space_time_scan(u: SpaceTimeField, T: float | None, sup_terms, cylinder_terms):
+    """The two halves every space-time norm is built from, for every member
+    of a stack in one pass.
+
+    Each term holds a magnitude stack m of shape (num_frames, members) +
+    grid.shape: sup_terms are pairs (m, a), cylinder_terms triples
+    (m, p, outer).  Over the positive frames at or below T (default: the last
+    frame time) it returns (pos, halves):
 
     - pos indexes those frames;
-    - sup is (max over them of sum_k t^a_k max|m_k|, that time);
-    - peaks holds (value, radius) per cylinder term, value the max over dyadic
-      radii r <= T^(1/4) of (r^(-n) max_x int_{P_r(x)} m^p)^outer;
-    - scales lists (r, value per cylinder term) for every radius.
+    - halves holds one (sup, peaks, scales) per member:
+      - sup is (max over the frames of sum_k t^a_k max|m_k|, that time);
+      - peaks holds (value, radius) per cylinder term, value the max over
+        dyadic radii r <= T^(1/4) of (r^(-n) max_x int_{P_r(x)} m^p)^outer;
+      - scales lists (r, value per cylinder term) for every radius.
+
+    Every member gets the bits of a one-member scan of its own slice: each
+    radius takes one tensordot and one ball_convolve per term for all of
+    them, and the final scaling, power and argmax are per member.
     """
     grid = u.grid
     if T is None:
@@ -318,23 +346,43 @@ def _space_time_scan(u: SpaceTimeField, T: float | None, sup_terms, cylinder_ter
     pos = np.nonzero((u.times > 0) & (u.times <= T * (1 + 1e-12)))[0]
     if pos.size == 0:
         raise ScaleUnresolvableError("no positive frame times at or below T")
+    members = sup_terms[0][0].shape[1]
 
-    frame_max = [(m[pos].reshape(pos.size, -1).max(axis=1), a) for m, a in sup_terms]
+    frame_max = [(m[pos].reshape(pos.size, members, -1).max(axis=2), a) for m, a in sup_terms]
     # scalar powers of t: numpy's array power may round them differently
-    wvals = [sum(t ** a * fm[i] for fm, a in frame_max)
-             for i, t in enumerate(u.times[pos])]
-    sup = _first_peak(wvals, u.times[pos], 0.0)
+    wvals = np.array([sum(t ** a * fm[i] for fm, a in frame_max)
+                      for i, t in enumerate(u.times[pos])])
 
     radii = _resolved_cylinder_radii(u.times, T ** 0.25, grid)
     powered = [(m ** p, outer) for m, p, outer in cylinder_terms]
-    scales = []
+    rows = []  # per radius and cylinder term, the value of every member
     for r in radii:
         w = _trapezoid_weights(u.times, min(r ** 4, T))
-        scales.append((r, *(_cylinder_average_max(grid, np.tensordot(w, mp, axes=(0, 0)), r)
-                            ** outer for mp, outer in powered)))
-    peaks = [_first_peak([row[k] for row in scales], radii, None)
-             for k in range(1, 1 + len(powered))]
-    return pos, sup, peaks, tuple(scales)
+        rows.append([[v ** outer for v in _cylinder_average_maxima(
+            grid, np.tensordot(w, mp, axes=(0, 0)), r)] for mp, outer in powered])
+
+    halves = []
+    for k in range(members):
+        scales = tuple((r, *(vals[k] for vals in row)) for r, row in zip(radii, rows))
+        halves.append((_first_peak(wvals[:, k], u.times[pos], 0.0),
+                       [_first_peak([s[c] for s in scales], radii, None)
+                        for c in range(1, 1 + len(cylinder_terms))],
+                       scales))
+    return pos, halves
+
+
+def _x_reports(u: SpaceTimeField, u_mag: np.ndarray, grad_mag: np.ndarray,
+               hess_mag: np.ndarray, T: float | None) -> list[NormReport]:
+    """x_norm of each member from its (num_frames, members) + grid.shape
+    stacks of |u|, |grad u| and |grad^2 u|."""
+    pos, halves = _space_time_scan(u, T, [(grad_mag, 0.25), (hess_mag, 0.5)],
+                                   [(grad_mag, 4, 0.25), (hess_mag, 2, 0.5)])
+    sups = u_mag[pos].reshape(pos.size, len(halves), -1).max(axis=(0, 2))
+    return [NormReport(float(s), weighted + m4 + m2, scales,
+                       {"weighted_sup_time": weighted_arg,
+                        "morrey4_radius": arg4, "morrey2_radius": arg2})
+            for s, ((weighted, weighted_arg), [(m4, arg4), (m2, arg2)], scales)
+            in zip(sups, halves)]
 
 
 def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
@@ -356,30 +404,47 @@ def x_norm_from_magnitudes(u: SpaceTimeField, grad_mag: np.ndarray,
                            hess_mag: np.ndarray, T: float | None = None) -> NormReport:
     """``x_norm`` of u from its pointwise |grad u| and |grad^2 u|, each of
     shape (num_frames,) + grid.shape, for a caller that holds them already."""
-    pos, (weighted, weighted_arg), [(m4, arg4), (m2, arg2)], scales = _space_time_scan(
-        u, T, [(grad_mag, 0.25), (hess_mag, 0.5)],
-        [(grad_mag, 4, 0.25), (hess_mag, 2, 0.5)])
-    sup_part = float(np.sqrt((u.values[pos] ** 2).sum(axis=-1)).max())
-    return NormReport(sup_part, weighted + m4 + m2, scales,
-                      {"weighted_sup_time": weighted_arg,
-                       "morrey4_radius": arg4, "morrey2_radius": arg2})
+    u_mag = np.sqrt((u.values ** 2).sum(axis=-1))
+    return _x_reports(u, u_mag[:, None], grad_mag[:, None], hess_mag[:, None], T)[0]
 
 
-def _y_norm(f: SpaceTimeField, T: float | None, time_weight: float,
-            power: float, outer: float) -> NormReport:
-    flat = f.values.reshape(f.values.shape[: 1 + f.grid.dim] + (-1,))
-    mags = np.sqrt((flat ** 2).sum(axis=-1))
-    _, (sup_part, sup_arg), [(best, arg_r)], scales = _space_time_scan(
-        f, T, [(mags, time_weight)], [(mags, power, outer)])
-    return NormReport(sup_part, best, scales,
-                      {"sup_time": sup_arg, "cylinder_radius": arg_r})
+def x_norms(u: SpaceTimeField, T: float | None) -> list[NormReport]:
+    """``x_norm`` of each member u.values[..., m:m+1] of a stack whose last
+    axis indexes the members, with each member's bits: one transform of the
+    stack and one scan for all of them."""
+    spec = Spectrum(u)
+    grad_mag = _member_magnitudes(spec.gradient(), u.grid)
+    hess_mag = _member_magnitudes(spec.hessian(), u.grid)
+    del spec  # free the coefficients before the scan, which holds its own stacks
+    return _x_reports(u, _member_magnitudes(u.values, u.grid), grad_mag, hess_mag, T)
+
+
+def _y_reports(f: SpaceTimeField, mags: np.ndarray, T: float | None, time_weight: float,
+               power: float, outer: float) -> list[NormReport]:
+    """Forcing norm of each member from its (num_frames, members) +
+    grid.shape stack of |f|."""
+    _, halves = _space_time_scan(f, T, [(mags, time_weight)], [(mags, power, outer)])
+    return [NormReport(sup_part, best, scales, {"sup_time": sup_arg, "cylinder_radius": arg_r})
+            for (sup_part, sup_arg), [(best, arg_r)], scales in halves]
 
 
 def y1_norm(f: SpaceTimeField, T: float | None = None) -> NormReport:
     """Forcing norm sup_t t ||f||_inf + sup cylinders r^(-n) int |f|."""
-    return _y_norm(f, T, time_weight=1.0, power=1.0, outer=1.0)
+    return y1_norms(SpaceTimeField(f.grid, f.times, f.values[..., None]), T)[0]
 
 
 def y2_norm(f: SpaceTimeField, T: float | None = None) -> NormReport:
     """Flux norm sup_t t^(3/4) ||f||_inf + sup (r^(-n) int |f|^(4/3))^(3/4)."""
-    return _y_norm(f, T, time_weight=0.75, power=4.0 / 3.0, outer=0.75)
+    return y2_norms(SpaceTimeField(f.grid, f.times, f.values[..., None]), T)[0]
+
+
+def y1_norms(f: SpaceTimeField, T: float | None) -> list[NormReport]:
+    """``y1_norm`` of each member f.values[..., m:m+1] of a stack whose last
+    axis indexes the members, with each member's bits, from one scan."""
+    return _y_reports(f, _member_magnitudes(f.values, f.grid), T, 1.0, 1.0, 1.0)
+
+
+def y2_norms(f: SpaceTimeField, T: float | None) -> list[NormReport]:
+    """``y2_norm`` of each member f.values[..., m:m+1] of a stack whose last
+    axis indexes the members, with each member's bits, from one scan."""
+    return _y_reports(f, _member_magnitudes(f.values, f.grid), T, 0.75, 4.0 / 3.0, 0.75)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidTimeError, TimeMisalignedError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, inverse_transform,
-                     multiplier, pointwise_norm)
+                     multiplier)
 
 __all__ = [
     "PHI_SERIES_THRESHOLD",
@@ -196,12 +196,17 @@ def operator_bound_experiment(grid: Grid, times, ensemble_size: int, seed: int,
 
     Members are stacked on the codomain axis, up to _STACK_VALUES values per
     forcing stack, and each stack takes one sweep and one transform per
-    operator.  Both act on each component alone, so every member keeps the
-    bits of its own sweep.
+    operator and one norm scan per norm.  Each acts on each component alone,
+    so every member keeps the bits of its own sweep and scan.
     """
     # deferred: norms imports this module
-    from .norms import x_norm_from_magnitudes, y1_norm, y2_norm
+    from .norms import x_norms, y1_norms, y2_norms
 
+    if ensemble_size < 1:
+        raise ValueError(f"ensemble_size must be at least 1, got {ensemble_size}")
+    if max_mode < 1:
+        raise ValueError(f"max_mode must be at least 1, got {max_mode}: "
+                         "every forcing would be zero")
     times = np.asarray(times, dtype=float)
     T = float(times[-1])
     rng = np.random.Generator(np.random.Philox(seed))
@@ -217,26 +222,17 @@ def operator_bound_experiment(grid: Grid, times, ensemble_size: int, seed: int,
                                              per_axis=True).values
         return SpaceTimeField(grid, times, f), SpaceTimeField(grid, times, F)
 
-    def ratios(forcing, solve, y_norm):
+    def ratios(forcing, solve, y_norms):
         # ||S f||_X / ||f||_Y of each member; None where ||f||_Y = 0
-        response = solve(forcing)
-        spec = Spectrum(response)
-        grad, hess = spec.gradient(), spec.hessian()
-        out = []
-        for m in range(forcing.codomain_dim):
-            y = y_norm(SpaceTimeField(grid, times, forcing.values[..., m:m + 1]), T).total
-            out.append(x_norm_from_magnitudes(
-                SpaceTimeField(grid, times, response.values[..., m:m + 1]),
-                pointwise_norm(grad[..., m:m + 1], grid, lead=1),
-                pointwise_norm(hess[..., m:m + 1], grid, lead=1), T).total / y
-                if y > 0 else None)
-        return out
+        ys = [y.total for y in y_norms(forcing, T)]
+        return [x.total / y if y > 0 else None
+                for x, y in zip(x_norms(solve(forcing), T), ys)]
 
     ratios_s, ratios_div = [], []  # per member; None where it is excluded
     for start in range(0, ensemble_size, per_stack):
         f, F = draw(min(per_stack, ensemble_size - start))
-        ratios_s += ratios(f, apply_S_trajectory, y1_norm)
-        ratios_div += ratios(F, apply_S_div_trajectory, y2_norm)
+        ratios_s += ratios(f, apply_S_trajectory, y1_norms)
+        ratios_div += ratios(F, apply_S_div_trajectory, y2_norms)
 
     def figures(size):
         s = [r for r in ratios_s[:size] if r is not None]

@@ -259,6 +259,23 @@ def test_ball_convolve_matches_direct_sum(rng):
     assert np.abs(conv - direct).max() < 1e-10
 
 
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_ball_convolve_of_a_stack_equals_each_rows_own_call(dim, M, rows, rng):
+    # the transform runs over the grid axes only, so leading axes ride along
+    g = Grid(dim, 2 * np.pi, M)
+    stack = rng.normal(size=(rows,) + g.shape)
+    r = 3.2 * g.spacing
+    out = ball_convolve(g, stack, r)
+    assert out.shape == stack.shape
+    for row, field in zip(out, stack):
+        assert np.array_equal(row, ball_convolve(g, field, r))
+    # and each single call keeps the bits of the whole-array transform
+    mask = np.zeros(g.shape)
+    mask[tuple((ball_offsets(g, r) % M).T)] = 1.0
+    assert np.array_equal(out[0], np.fft.ifftn(np.fft.fftn(stack[0]) * np.fft.fftn(mask)).real)
+
+
 def test_io_round_trip(tmp_path, grid64, rng):
     times = np.array([0.0, 0.1, 0.5])
     vals = rng.normal(size=(3,) + grid64.shape + (2,))

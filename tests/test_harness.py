@@ -144,6 +144,16 @@ def test_suite_tube_exit_leaves_failed_manifest(tmp_path):
     assert disk["error"] == f"ManifoldTubeExitError: {err.value}"
 
 
+def test_operators_suite_with_empty_ensemble_leaves_failed_manifest(tmp_path):
+    cfgfile = tmp_path / "empty.cfg"
+    cfgfile.write_text("[experiments]\nensemble_size = 0\n")
+    with pytest.raises(ValueError, match="ensemble_size must be at least 1") as err:
+        run_suite("operators", cfgfile, tmp_path / "out")
+    disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert disk["status"] == "failed"
+    assert disk["error"] == f"ValueError: {err.value}"
+
+
 def test_sweep_tube_exit_leaves_failed_manifest(tmp_path):
     with pytest.raises(ManifoldTubeExitError):
         run_contraction_sweep(_tube_exit_config(tmp_path), tmp_path / "out", [3.0])
@@ -193,17 +203,47 @@ def test_evolve_and_sweep_take_no_seed():
         assert build_parser().parse_args([suite, "--seed", "5"]).seed == 5
 
 
+# The only reads of another module's private names in src/: norms evolves
+# free frames through semigroup's helper and transforms them through the
+# frames-only entry point of Spectrum.  A new one must be added here.
+_ALLOWED_PRIVATE_READS = {
+    "norms.py: Spectrum._of_frames",
+    "norms.py: semigroup._free_frames",
+}
+
+
+def _private_names_of_other_modules(path):
+    """Private names a module imports from, or reads as an attribute of,
+    another module of the package (a module or a name imported from one)."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for a in node.names:
+                if a.name.startswith("_") and not a.name.endswith("__") and node.module:
+                    yield f"{path.name}: from .{node.module} import {a.name}"
+                imported.add(a.asname or a.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in imported
+                and node.attr.startswith("_") and not node.attr.endswith("__")):
+            yield f"{path.name}: {node.value.id}.{node.attr}"
+
+
 def test_no_module_imports_another_modules_private_names():
     # each private helper is owned by the module that defines it
     src = Path(__file__).resolve().parents[1] / "src" / "biflow"
-    found = []
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.level and node.module:
-                found += [f"{path.name}: from .{node.module} import {a.name}"
-                          for a in node.names
-                          if a.name.startswith("_") and not a.name.endswith("__")]
-    assert found == []
+    found = [use for path in sorted(src.glob("*.py"))
+             for use in _private_names_of_other_modules(path)]
+    assert sorted(set(found)) == sorted(_ALLOWED_PRIVATE_READS)
+
+
+def test_private_name_lint_sees_attribute_reads(tmp_path):
+    mod = tmp_path / "probe.py"
+    mod.write_text("from . import flow\nfrom .fields import Grid as G, _x\n"
+                   "flow._apply_T\nG._hidden\nG.__name__\nflow.picard_solve\n")
+    assert sorted(_private_names_of_other_modules(mod)) == [
+        "probe.py: G._hidden", "probe.py: flow._apply_T", "probe.py: from .fields import _x"]
 
 
 def _public_top_level_names(tree):

@@ -12,10 +12,10 @@ from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convo
                            ball_offsets, gradient, hessian, pointwise_norm)
 from biflow import norms
 from biflow.flow import equator_initial_data
-from biflow.norms import (NormReport, _cylinder_average_max, _resolved_cylinder_radii,
-                          _trapezoid_weights, bmo_seminorm, bmo_seminorm_brute,
-                          carleson_functional, smoothing_ratios, x_norm, y1_norm,
-                          y2_norm)
+from biflow.norms import (NormReport, _resolved_cylinder_radii, _trapezoid_weights,
+                          bmo_seminorm, bmo_seminorm_brute, carleson_functional,
+                          smoothing_ratios, x_norm, x_norms, y1_norm, y1_norms,
+                          y2_norm, y2_norms)
 from biflow.semigroup import apply_G, apply_G_trajectory
 
 
@@ -327,6 +327,104 @@ def test_x_norm_coarse_time_grid_unresolvable(grid64):
         x_norm(traj, 1.0)
 
 
+# Oracle: the space-time scan one member at a time, as it stood before the
+# scan took a member axis, with its own ball sums written straight on
+# numpy's transform.  x_norm, x_norms and the forcing norms all run through
+# the member scan and must reproduce these bits.
+
+def _oracle_cylinder_average_max(grid, mass, r):
+    mask = np.zeros(grid.shape)
+    mask[tuple((ball_offsets(grid, r) % grid.points_per_axis).T)] = 1.0
+    ball_sums = np.fft.ifftn(np.fft.fftn(mass) * np.fft.fftn(mask)).real
+    return float(ball_sums.max()) * grid.cell_volume / r ** grid.dim
+
+
+def _oracle_first_peak(values, keys, none):
+    j = int(np.argmax(values))
+    return (values[j], keys[j]) if values[j] > 0 else (0.0, none)
+
+
+def _oracle_space_time_scan(u, T, sup_terms, cylinder_terms):
+    grid = u.grid
+    if T is None:
+        T = float(u.times[-1])
+    pos = np.nonzero((u.times > 0) & (u.times <= T * (1 + 1e-12)))[0]
+    frame_max = [(m[pos].reshape(pos.size, -1).max(axis=1), a) for m, a in sup_terms]
+    wvals = [sum(t ** a * fm[i] for fm, a in frame_max)
+             for i, t in enumerate(u.times[pos])]
+    sup = _oracle_first_peak(wvals, u.times[pos], 0.0)
+    radii = _resolved_cylinder_radii(u.times, T ** 0.25, grid)
+    powered = [(m ** p, outer) for m, p, outer in cylinder_terms]
+    scales = []
+    for r in radii:
+        w = _trapezoid_weights(u.times, min(r ** 4, T))
+        scales.append((r, *(_oracle_cylinder_average_max(
+            grid, np.tensordot(w, mp, axes=(0, 0)), r) ** outer for mp, outer in powered)))
+    peaks = [_oracle_first_peak([row[k] for row in scales], radii, None)
+             for k in range(1, 1 + len(powered))]
+    return pos, sup, peaks, tuple(scales)
+
+
+def _oracle_x_norm(u, T):
+    spec = Spectrum(u)
+    gm = pointwise_norm(spec.gradient(), u.grid, lead=1)
+    hm = pointwise_norm(spec.hessian(), u.grid, lead=1)
+    pos, (weighted, weighted_arg), [(m4, arg4), (m2, arg2)], scales = _oracle_space_time_scan(
+        u, T, [(gm, 0.25), (hm, 0.5)], [(gm, 4, 0.25), (hm, 2, 0.5)])
+    sup_part = float(np.sqrt((u.values[pos] ** 2).sum(axis=-1)).max())
+    return NormReport(sup_part, weighted + m4 + m2, scales,
+                      {"weighted_sup_time": weighted_arg,
+                       "morrey4_radius": arg4, "morrey2_radius": arg2})
+
+
+def _smooth_stack(dim, M, trailing, seed):
+    # 7 frames of random low modes; the times 3.4 (j/6)^4 put a T between
+    # the last two frames at 0.5 (times[-2] + times[-1])
+    grid = Grid(dim, 2 * np.pi, M)
+    times = 3.4 * (np.arange(7) / 6) ** 4
+    rng = np.random.Generator(np.random.Philox(seed))
+    coeffs = np.zeros((7,) + grid.shape + trailing, dtype=complex)
+    low = (slice(None),) + (slice(0, 3),) * dim
+    coeffs[low] = rng.normal(size=coeffs[low].shape) + 1j * rng.normal(size=coeffs[low].shape)
+    vals = np.fft.ifftn(coeffs, axes=tuple(range(1, 1 + dim))).real * M ** dim
+    return SpaceTimeField(grid, times, vals)
+
+
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("between", [False, True])
+def test_x_norm_equals_the_one_member_scan_oracle(dim, M, between):
+    u = _smooth_stack(dim, M, (3,), seed=dim)
+    T = 0.5 * (u.times[-2] + u.times[-1]) if between else None
+    got, want = x_norm(u, T), _oracle_x_norm(u, T)
+    assert got == want  # bitwise: parts, scale table and argmax
+    assert got.scales == want.scales and got.argmax == want.argmax
+    assert got.argmax["weighted_sup_time"] > 0 and got.argmax["morrey2_radius"] is not None
+
+
+def _member(f, m):
+    return SpaceTimeField(f.grid, f.times, f.values[..., m:m + 1])
+
+
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("members", [1, 5])
+def test_member_norms_equal_each_members_own_norm(dim, M, members):
+    # one scan of the stack gives every member the bits of its own scan; the
+    # 3D Hessian's 9 components and a (3, 3) flux member are summed pairwise
+    u = _smooth_stack(dim, M, (members,), seed=10 + dim)
+    F = _smooth_stack(dim, M, (dim, members), seed=20 + dim)
+    G = _smooth_stack(dim, M, (3, 3, members), seed=30 + dim)
+    T = 0.5 * (u.times[-2] + u.times[-1])
+    for t in (None, T):
+        assert x_norms(u, t) == [_oracle_x_norm(_member(u, m), t) for m in range(members)]
+        for norms_of, norm, weights in ((y1_norms, y1_norm, (1.0, 1.0, 1.0)),
+                                        (y2_norms, y2_norm, (0.75, 4.0 / 3.0, 0.75))):
+            for f in (u, F, G):
+                want = [_oracle_y_norm(_member(f, m), t or f.times[-1], *weights)
+                        for m in range(members)]
+                assert norms_of(f, t) == want
+                assert [norm(_member(f, m), t) for m in range(members)] == want
+
+
 # ----------------------------------------------------------------------
 # forcing norms
 # ----------------------------------------------------------------------
@@ -387,7 +485,8 @@ def _oracle_y_norm(f, T, time_weight, power, outer):
     scales = []
     for r in _resolved_cylinder_radii(f.times, T ** 0.25, grid):
         w = _trapezoid_weights(f.times, min(r ** 4, T))
-        val = _cylinder_average_max(grid, np.tensordot(w, powed, axes=(0, 0)), r) ** outer
+        val = _oracle_cylinder_average_max(grid, np.tensordot(w, powed, axes=(0, 0)),
+                                           r) ** outer
         scales.append((r, val))
         if val > best:
             best, arg_r = val, r

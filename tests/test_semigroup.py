@@ -485,3 +485,38 @@ def test_ensemble_peak_memory_does_not_grow_past_one_stack():
         finally:
             tracemalloc.stop()
     assert peaks[32] <= 1.25 * peaks[4]
+
+
+@pytest.mark.parametrize("size, max_mode, message", [
+    (0, 3, "ensemble_size must be at least 1, got 0"),
+    (-1, 3, "ensemble_size must be at least 1, got -1"),
+    (4, 0, "max_mode must be at least 1, got 0"),
+    (4, -1, "max_mode must be at least 1, got -1"),
+])
+def test_empty_ensemble_is_rejected_before_any_draw(monkeypatch, size, max_mode, message):
+    # max_mode <= 0 draws only zero forcings, so every member would be
+    # excluded; both cases used to end in numpy's zero-size maximum error
+    g = Grid(1, 2 * np.pi, 32)
+    times = 0.5 * (np.arange(13) / 12) ** 4
+    draws = []
+    monkeypatch.setattr(semigroup, "random_forcing",
+                        lambda *a, **k: draws.append(a) or random_forcing(*a, **k))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        operator_bound_experiment(g, times, size, seed=0, max_mode=max_mode)
+    assert draws == []
+
+
+def test_operators_suite_peak_memory_stays_at_the_member_loop_level():
+    # the operators-suite input, one stack of 128 members: the member loop
+    # this scan replaced peaked at 4.71 MB; the scan frees the spectrum,
+    # gradient and Hessian of a response once their magnitudes exist
+    g = Grid(1, 2 * np.pi, 32)
+    times = 0.5 * (np.arange(13) / 12) ** 4
+    operator_bound_experiment(g, times, 1, seed=0)  # fills the lattice caches
+    tracemalloc.start()
+    try:
+        operator_bound_experiment(g, times, 128, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 4.71e6
