@@ -7,8 +7,18 @@ window.  Differentiation is a Fourier multiplier, exact on band-limited data;
 each multiplier is built once per grid.  ``Spectrum`` transforms a frame, or a
 whole stack of frames, once for all of its derivatives; a stack gives each
 frame the same bits as its own transform.  This module holds every Fourier
-transform of the package.  Fields are immutable after construction; frames of
-a space-time field share one grid and codomain.
+transform of the package.
+
+Fields are real, so their spectra are Hermitian: every transform is scipy's
+real ``rfftn``/``irfftn`` on one thread (``workers=1``, the default, which
+keeps runs deterministic), and mode coefficients are the half spectrum, with
+M // 2 + 1 modes on the last grid axis.  ``multiplier`` and the symbols built
+from it stay full-spectrum; ``half_spectrum`` is the exact view the real path
+reads.  An odd per-axis order zeroes the Nyquist mode and an even one does
+not depend on its sign, so each view is the symbol of a real operator.
+
+Fields are immutable after construction; frames of a space-time field share
+one grid and codomain.
 """
 
 from __future__ import annotations
@@ -19,12 +29,14 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "Grid",
     "GridField",
     "SpaceTimeField",
     "multiplier",
+    "half_spectrum",
     "inverse_transform",
     "Spectrum",
     "gradient",
@@ -204,7 +216,8 @@ class SpaceTimeField:
 
 @lru_cache(maxsize=64)
 def multiplier(grid: Grid, order) -> np.ndarray:
-    """Read-only Fourier symbol on the grid, built once per (grid, order).
+    """Read-only Fourier symbol on the full spectrum (grid.shape), built once
+    per (grid, order); transforms read its ``half_spectrum`` view.
 
     order is a multi-index, one entry per axis, for the symbol of d^order with
     the unmatched Nyquist mode zeroed for odd orders; or "laplacian" for the
@@ -236,16 +249,23 @@ def _unit(dim: int, *axes: int) -> tuple:
     return tuple(axes.count(a) for a in range(dim))
 
 
+def half_spectrum(grid: Grid, symbol: np.ndarray) -> np.ndarray:
+    """View of a full-spectrum symbol on the modes of a real transform: the
+    first M // 2 + 1 on the last grid axis."""
+    return symbol[..., : grid.points_per_axis // 2 + 1]
+
+
 def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real part of the inverse transform over the grid axes of coeffs, which
-    sit just before its last (codomain) axis."""
+    """Real frames from half-spectrum coefficients over the grid axes of
+    coeffs, which sit just before its last (codomain) axis."""
     axes = tuple(range(coeffs.ndim - grid.dim - 1, coeffs.ndim - 1))
-    return np.fft.ifftn(coeffs, axes=axes).real
+    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=axes)
 
 
 class Spectrum:
-    """Fourier coefficients of a frame, or of a stack of frames, from one
-    forward transform; every derivative of the frames is read off them.
+    """Half-spectrum Fourier coefficients of a frame, or of a stack of frames,
+    from one forward transform; every derivative of the frames is read off
+    them.
 
     A GridField's values are grid.shape + trailing axes; a SpaceTimeField's
     carry one leading frame axis.  The trailing axes are the codomain (l,),
@@ -257,7 +277,7 @@ class Spectrum:
     def __init__(self, field: GridField | SpaceTimeField):
         lead = 1 if isinstance(field, SpaceTimeField) else 0
         self.grid = field.grid
-        self.coeffs = np.fft.fftn(field.values, axes=tuple(range(lead, lead + field.grid.dim)))
+        self.coeffs = scipy.fft.rfftn(field.values, axes=tuple(range(lead, lead + field.grid.dim)))
 
     @classmethod
     def _of_frames(cls, grid: Grid, frames: np.ndarray) -> "Spectrum":
@@ -265,17 +285,22 @@ class Spectrum:
         transform of a SpaceTimeField, for frames without a t = 0 frame."""
         spec = cls.__new__(cls)
         spec.grid = grid
-        spec.coeffs = np.fft.fftn(frames, axes=tuple(range(1, 1 + grid.dim)))
+        spec.coeffs = scipy.fft.rfftn(frames, axes=tuple(range(1, 1 + grid.dim)))
         return spec
 
     def derivative(self, order) -> np.ndarray:
         """Physical values of the derivative named by a multiplier order."""
-        return inverse_transform(self.grid, self.coeffs * multiplier(self.grid, order)[..., None])
+        mult = half_spectrum(self.grid, multiplier(self.grid, order))
+        return inverse_transform(self.grid, self.coeffs * mult[..., None])
+
+    def _frames_shape(self) -> tuple:
+        """Leading axes and grid.shape of the physical frames."""
+        return self.coeffs.shape[: -1 - self.grid.dim] + self.grid.shape
 
     def gradient(self) -> np.ndarray:
         """First derivatives, in an axis slot of length n before the codomain."""
         n = self.grid.dim
-        out = np.empty(self.coeffs.shape[:-1] + (n, self.coeffs.shape[-1]))
+        out = np.empty(self._frames_shape() + (n, self.coeffs.shape[-1]))
         for a in range(n):
             out[..., a, :] = self.derivative(_unit(n, a))
         return out
@@ -283,7 +308,7 @@ class Spectrum:
     def hessian(self) -> np.ndarray:
         """Second derivatives, in two axis slots of length n before the codomain."""
         n = self.grid.dim
-        out = np.empty(self.coeffs.shape[:-1] + (n, n, self.coeffs.shape[-1]))
+        out = np.empty(self._frames_shape() + (n, n, self.coeffs.shape[-1]))
         for a in range(n):
             for b in range(a, n):
                 out[..., a, b, :] = out[..., b, a, :] = self.derivative(_unit(n, a, b))
@@ -296,7 +321,8 @@ class Spectrum:
             raise ValueError("per-axis field must carry one component per spatial axis")
         acc = np.zeros(self.coeffs.shape[:-2] + self.coeffs.shape[-1:], dtype=complex)
         for a in range(n):
-            acc += self.coeffs[..., a, :] * multiplier(self.grid, _unit(n, a))[..., None]
+            mult = half_spectrum(self.grid, multiplier(self.grid, _unit(n, a)))
+            acc += self.coeffs[..., a, :] * mult[..., None]
         return acc
 
 
@@ -356,7 +382,7 @@ def ball_offsets(grid: Grid, r: float) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _mask_spectrum(dim: int, M: int, key: float):
     mask, _ = _offsets_cached(dim, M, key)
-    return np.fft.fftn(mask.astype(float))
+    return scipy.fft.rfftn(mask.astype(float))
 
 
 def ball_convolve(grid: Grid, scalar_field: np.ndarray, r: float) -> np.ndarray:
@@ -366,7 +392,8 @@ def ball_convolve(grid: Grid, scalar_field: np.ndarray, r: float) -> np.ndarray:
     (any leading axes) gives each field the bits of its own call."""
     spec = _mask_spectrum(grid.dim, grid.points_per_axis, _ball_steps(grid, r))
     axes = tuple(range(-grid.dim, 0))
-    return np.fft.ifftn(np.fft.fftn(scalar_field, axes=axes) * spec, axes=axes).real
+    return scipy.fft.irfftn(scipy.fft.rfftn(scalar_field, axes=axes) * spec,
+                            s=grid.shape, axes=axes)
 
 
 # ----------------------------------------------------------------------

@@ -149,8 +149,7 @@ class _DerivBundle:
         spec = Spectrum(u)
         self.grad = spec.gradient()     # [frames +] grid + (n, l)
         self.hess = spec.hessian()      # [frames +] grid + (n, n, l)
-        # a copy, so the complex inverse transform under .real is freed
-        self.lap = spec.derivative("laplacian").copy()  # [frames +] grid + (l,)
+        self.lap = spec.derivative("laplacian")  # [frames +] grid + (l,)
         self.jet = ProjectionJet(target, u.values)
         # jet keys of the gradient components d_a u and of Lap u
         self.g = [self.jet.vec(self.grad[..., a, :]) for a in range(u.grid.dim)]

@@ -239,9 +239,13 @@ def _suite_operators(cp, out_dir: Path, manifest: RunManifest, prefix: str = "")
     T = 0.5
     times = T * (np.arange(frames + 1) / frames) ** 4
     size = cp.getint("experiments", "ensemble_size")
+    max_mode = cp.getint("experiments", "max_mode")
+    for key, value in (("ensemble_size", size), ("max_mode", max_mode)):
+        if value < 1:
+            raise ConfigError(f"[experiments] {key} must be at least 1, got {value}")
     # the doubled ensemble's first half is the base ensemble: one draw for both
     doubled = operator_bound_experiment(grid, times, 2 * size, manifest.seed,
-                                        max_mode=cp.getint("experiments", "max_mode"))
+                                        max_mode=max_mode)
     base = doubled["first_half"]
     report = {
         "ensemble": {k: base[k] for k in ("s_over_y1", "sdiv_over_y2",

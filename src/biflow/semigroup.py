@@ -10,6 +10,11 @@ interpolant of the forcing using the phi functions
 evaluated by Taylor series below a small threshold to dodge cancellation.
 One sweep over the frame grid yields the response at every stored time via
 the recurrence u(t_{j+1}) = e^(-dt |k|^4) u(t_j) + (local phi integral).
+
+Mode coefficients are the half spectrum of ``fields`` (scipy's real
+transforms, ``workers=1``), so the sweeps and the free frames run on
+M // 2 + 1 modes along the last grid axis; ``symbol`` stays the
+full-spectrum |k|^4 and they read its ``half_spectrum`` view.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidTimeError, TimeMisalignedError
-from .fields import (Grid, GridField, SpaceTimeField, Spectrum, inverse_transform,
-                     multiplier)
+from .fields import (Grid, GridField, SpaceTimeField, Spectrum, half_spectrum,
+                     inverse_transform, multiplier)
 
 __all__ = [
     "PHI_SERIES_THRESHOLD",
@@ -44,7 +49,8 @@ _STACK_VALUES = 2 ** 16
 
 
 def symbol(grid: Grid) -> np.ndarray:
-    """Per-mode biharmonic symbol |k|^4, zero only at the mean mode."""
+    """Per-mode biharmonic symbol |k|^4 on the full spectrum, zero only at
+    the mean mode."""
     return multiplier(grid, "laplacian") ** 2
 
 
@@ -92,23 +98,24 @@ def apply_G_trajectory(u0: GridField, times) -> SpaceTimeField:
 
 
 def _free_frames(grid: Grid, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Frames of the free evolution at each of times, from the mode
+    """Frames of the free evolution at each of times, from the half-spectrum
     coefficients of one frame: the inverse transform of coeffs e^(-t |k|^4)."""
-    decay = np.exp(-times.reshape((-1,) + (1,) * grid.dim) * symbol(grid))
+    decay = np.exp(-times.reshape((-1,) + (1,) * grid.dim) * half_spectrum(grid, symbol(grid)))
     return inverse_transform(grid, coeffs * decay[..., None])
 
 
 def _duhamel_sweep(grid: Grid, times: np.ndarray, spec_frames: np.ndarray) -> np.ndarray:
     """Mode-space Duhamel response at every frame time.
 
-    spec_frames[j] are the mode coefficients of the forcing at times[j]; the
-    forcing is its piecewise-linear interpolant.  Per subinterval of length d,
+    spec_frames[j] are the half-spectrum coefficients of the forcing at
+    times[j]; the forcing is its piecewise-linear interpolant.  Per
+    subinterval of length d,
 
         contribution = d * (f_a * phi1(z) + (f_b - f_a) * phi2(z)),  z = d |k|^4,
 
     carried forward by the semigroup factor e^(-d |k|^4).
     """
-    sym = symbol(grid)[..., None]
+    sym = half_spectrum(grid, symbol(grid))[..., None]
     out = np.zeros_like(spec_frames)
     acc = np.zeros_like(spec_frames[0])
     for j in range(times.size - 1):

@@ -4,14 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biflow import semigroup
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum,
                            ball_convolve, ball_offsets, gradient,
                            hessian, inverse_transform, laplacian,
                            load_space_time_field, multiplier,
                            save_space_time_field)
+from biflow.semigroup import apply_G_trajectory, apply_S_trajectory, symbol
 
 
 def test_grid_invariants():
@@ -70,8 +73,43 @@ def test_gradient_hessian_laplacian_consistency(grid64):
 
 # ----------------------------------------------------------------------
 # the spectral layer against the per-derivative transforms it replaced:
-# one transform and one multiplier build per derivative, kept as oracles
+# one transform and one multiplier build per derivative, kept as oracles.
+# They run on scipy's real transforms over the first M/2+1 columns of their
+# own symbols, as the layer does, and are checked against numpy's complex
+# path, which the layer ran before.
 # ----------------------------------------------------------------------
+
+class _RealPath:
+    """Half-spectrum transforms: the bits the layer must reproduce."""
+
+    @staticmethod
+    def forward(values, axes):
+        return scipy.fft.rfftn(values, axes=axes)
+
+    @staticmethod
+    def inverse(grid, coeffs, axes):
+        return scipy.fft.irfftn(coeffs, s=grid.shape, axes=axes)
+
+    @staticmethod
+    def modes(grid, symbol):
+        return symbol[..., : grid.points_per_axis // 2 + 1]
+
+
+class _ComplexPath:
+    """numpy's full-spectrum transforms, for the cross-checks."""
+
+    @staticmethod
+    def forward(values, axes):
+        return np.fft.fftn(values, axes=axes)
+
+    @staticmethod
+    def inverse(grid, coeffs, axes):
+        return np.fft.ifftn(coeffs, axes=axes).real
+
+    @staticmethod
+    def modes(grid, symbol):
+        return symbol
+
 
 def _oracle_axes(grid, values):
     offset = values.ndim - grid.dim - 1
@@ -94,82 +132,105 @@ def _oracle_multiplier(grid, order):
     return mult
 
 
-def _oracle_derivative(f, order):
+def _oracle_derivative(f, order, path=_RealPath):
     axes = _oracle_axes(f.grid, f.values)
-    spec = np.fft.fftn(f.values, axes=axes)
-    spec *= _oracle_multiplier(f.grid, order)[..., None]
-    return np.fft.ifftn(spec, axes=axes).real
+    spec = path.forward(f.values, axes)
+    spec *= path.modes(f.grid, _oracle_multiplier(f.grid, order))[..., None]
+    return path.inverse(f.grid, spec, axes)
 
 
-def _oracle_gradient(f):
+def _oracle_gradient(f, path=_RealPath):
     g = f.grid
     axes = _oracle_axes(g, f.values)
-    spec = np.fft.fftn(f.values, axes=axes)
+    spec = path.forward(f.values, axes)
     out = np.empty(g.shape + (g.dim, f.codomain_dim))
     for ax in range(g.dim):
         order = tuple(1 if a == ax else 0 for a in range(g.dim))
-        out[..., ax, :] = np.fft.ifftn(spec * _oracle_multiplier(g, order)[..., None],
-                                       axes=axes).real
+        out[..., ax, :] = path.inverse(
+            g, spec * path.modes(g, _oracle_multiplier(g, order))[..., None], axes)
     return out
 
 
-def _oracle_hessian(f):
+def _oracle_hessian(f, path=_RealPath):
     g = f.grid
     axes = _oracle_axes(g, f.values)
-    spec = np.fft.fftn(f.values, axes=axes)
+    spec = path.forward(f.values, axes)
     out = np.empty(g.shape + (g.dim, g.dim, f.codomain_dim))
     for a in range(g.dim):
         for b in range(a, g.dim):
             order = tuple((1 if c == a else 0) + (1 if c == b else 0)
                           for c in range(g.dim))
-            comp = np.fft.ifftn(spec * _oracle_multiplier(g, order)[..., None],
-                                axes=axes).real
+            comp = path.inverse(
+                g, spec * path.modes(g, _oracle_multiplier(g, order))[..., None], axes)
             out[..., a, b, :] = comp
             if b != a:
                 out[..., b, a, :] = comp
     return out
 
 
-def _oracle_laplacian(f):
+def _oracle_laplacian(f, path=_RealPath):
     g = f.grid
     axes = _oracle_axes(g, f.values)
-    spec = np.fft.fftn(f.values, axes=axes)
+    spec = path.forward(f.values, axes)
     ks = g.wavenumbers()
     ksq = np.zeros(g.shape)
     for ax in range(g.dim):
         shape = [1] * g.dim
         shape[ax] = g.points_per_axis
         ksq = ksq + ks[ax].reshape(shape) ** 2
-    return np.fft.ifftn(spec * (-ksq)[..., None], axes=axes).real
+    return path.inverse(g, spec * path.modes(g, -ksq)[..., None], axes)
 
 
-def _oracle_divergence(F):
+def _oracle_divergence(F, path=_RealPath):
     g = F.grid
     axes = tuple(range(g.dim))
-    spec = np.fft.fftn(F.values, axes=axes)
-    acc = np.zeros(g.shape + (F.values.shape[-1],), dtype=complex)
+    spec = path.forward(F.values, axes)
+    acc = np.zeros(spec.shape[:-2] + spec.shape[-1:], dtype=complex)
     for ax in range(g.dim):
         order = tuple(1 if a == ax else 0 for a in range(g.dim))
-        acc += spec[..., ax, :] * _oracle_multiplier(g, order)[..., None]
-    return np.fft.ifftn(acc, axes=axes).real
+        acc += spec[..., ax, :] * path.modes(g, _oracle_multiplier(g, order))[..., None]
+    return path.inverse(g, acc, axes)
+
+
+def _spectral_oracles(f, F, path):
+    # (name, oracle) pairs of every derivative the layer gives, in one order
+    yield "gradient", _oracle_gradient(f, path)
+    yield "hessian", _oracle_hessian(f, path)
+    yield "laplacian", _oracle_laplacian(f, path)
+    yield "divergence", _oracle_divergence(F, path)
+    for order in itertools.product(range(5), repeat=f.grid.dim):
+        if sum(order) <= 4:
+            yield order, _oracle_derivative(f, order, path)
+
+
+def _random_fields(dim, codomain):
+    g = Grid(dim, 2 * np.pi, 16)
+    r = np.random.Generator(np.random.Philox(10 * dim + codomain))
+    f = GridField(g, r.normal(size=g.shape + (codomain,)))
+    F = GridField(g, r.normal(size=g.shape + (dim, codomain)))
+    return f, F
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("codomain", [1, 3])
 def test_spectral_layer_bitwise_equals_oracles(dim, codomain):
-    g = Grid(dim, 2 * np.pi, 16)
-    r = np.random.Generator(np.random.Philox(10 * dim + codomain))
-    f = GridField(g, r.normal(size=g.shape + (codomain,)))
-    assert np.array_equal(gradient(f), _oracle_gradient(f))
-    assert np.array_equal(hessian(f), _oracle_hessian(f))
-    assert np.array_equal(laplacian(f).values, _oracle_laplacian(f))
-    F = GridField(g, r.normal(size=g.shape + (dim, codomain)))
-    assert np.array_equal(inverse_transform(g, Spectrum(F).divergence()),
-                          _oracle_divergence(F))
-    for order in itertools.product(range(5), repeat=dim):
-        if sum(order) <= 4:
-            assert np.array_equal(Spectrum(f).derivative(order),
-                                  _oracle_derivative(f, order))
+    f, F = _random_fields(dim, codomain)
+    g = f.grid
+    got = {"gradient": gradient(f), "hessian": hessian(f), "laplacian": laplacian(f).values,
+           "divergence": inverse_transform(g, Spectrum(F).divergence())}
+    for name, want in _spectral_oracles(f, F, _RealPath):
+        assert np.array_equal(got[name] if name in got else Spectrum(f).derivative(name), want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("codomain", [1, 3])
+def test_real_path_oracles_agree_with_the_complex_path(dim, codomain):
+    # the real transforms move each derivative by round-off only
+    f, F = _random_fields(dim, codomain)
+    complex_path = dict(_spectral_oracles(f, F, _ComplexPath))
+    for name, want in _spectral_oracles(f, F, _RealPath):
+        scale = np.abs(want).max()
+        assert np.abs(want - complex_path[name]).max() <= 1e-13 * scale, name
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -270,10 +331,105 @@ def test_ball_convolve_of_a_stack_equals_each_rows_own_call(dim, M, rows, rng):
     assert out.shape == stack.shape
     for row, field in zip(out, stack):
         assert np.array_equal(row, ball_convolve(g, field, r))
-    # and each single call keeps the bits of the whole-array transform
+    # and each single call keeps the bits of the whole-array real transform,
+    # which moves numpy's complex one by round-off only
     mask = np.zeros(g.shape)
     mask[tuple((ball_offsets(g, r) % M).T)] = 1.0
-    assert np.array_equal(out[0], np.fft.ifftn(np.fft.fftn(stack[0]) * np.fft.fftn(mask)).real)
+    want = scipy.fft.irfftn(scipy.fft.rfftn(stack[0]) * scipy.fft.rfftn(mask), s=g.shape)
+    assert np.array_equal(out[0], want)
+    complex_path = np.fft.ifftn(np.fft.fftn(stack[0]) * np.fft.fftn(mask)).real
+    assert np.abs(want - complex_path).max() <= 1e-13 * np.abs(want).max()
+
+
+# ----------------------------------------------------------------------
+# the half spectrum at the Nyquist modes: each spectral operator against
+# numpy's complex path, on data with energy in the Nyquist mode of every
+# axis, the halved last axis included
+# ----------------------------------------------------------------------
+
+def _nyquist_mode(grid, ax):
+    """(-1)^i along one axis: the Nyquist mode of that axis."""
+    shape = [1] * grid.dim
+    shape[ax] = grid.points_per_axis
+    return ((-1.0) ** np.arange(grid.points_per_axis)).reshape(shape)
+
+
+def _nyquist_rich(grid, shape, seed):
+    """Random values of grid.shape + shape, plus each axis's Nyquist mode at
+    an amplitude of 1 to 2 per component."""
+    r = np.random.Generator(np.random.Philox(seed))
+    vals = r.normal(size=grid.shape + shape)
+    for ax in range(grid.dim):
+        vals += _nyquist_mode(grid, ax)[(...,) + (None,) * len(shape)] * r.uniform(1, 2, shape)
+    return vals
+
+
+def _complex_free_frames(u0, times):
+    spec = np.fft.fftn(u0.values, axes=tuple(range(u0.grid.dim)))
+    return np.stack([np.fft.ifftn(spec * np.exp(-t * symbol(u0.grid))[..., None],
+                                  axes=tuple(range(u0.grid.dim))).real if t > 0 else u0.values
+                     for t in times])
+
+
+def _complex_duhamel(f):
+    g = f.grid
+    axes = tuple(range(1, 1 + g.dim))
+    spec = np.fft.fftn(f.values, axes=axes)
+    out = np.zeros_like(spec)
+    for j in range(f.times.size - 1):
+        d = f.times[j + 1] - f.times[j]
+        decay, p1, p2 = semigroup._decay_and_phis(d * symbol(g)[..., None])
+        out[j + 1] = decay * out[j] + d * (spec[j] * p1 + (spec[j + 1] - spec[j]) * p2)
+    return np.fft.ifftn(out, axes=axes).real
+
+
+def _assert_round_off_of(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_half_spectrum_matches_the_complex_path_with_nyquist_energy(dim):
+    g = Grid(dim, 2 * np.pi, 16)
+    M = g.points_per_axis
+    f = GridField(g, _nyquist_rich(g, (3,), seed=dim))
+    F = GridField(g, _nyquist_rich(g, (dim, 2), seed=10 + dim))
+    full = np.fft.fftn(f.values[..., 0])
+    for ax in range(dim):
+        assert abs(full[tuple(M // 2 if a == ax else 0 for a in range(dim))]) >= M ** dim / 2
+    _assert_round_off_of(gradient(f), _oracle_gradient(f, _ComplexPath))
+    _assert_round_off_of(hessian(f), _oracle_hessian(f, _ComplexPath))
+    _assert_round_off_of(laplacian(f).values, _oracle_laplacian(f, _ComplexPath))
+    _assert_round_off_of(inverse_transform(g, Spectrum(F).divergence()),
+                         _oracle_divergence(F, _ComplexPath))
+    r = 3.2 * g.spacing
+    mask = np.zeros(g.shape)
+    mask[tuple((ball_offsets(g, r) % M).T)] = 1.0
+    _assert_round_off_of(ball_convolve(g, f.values[..., 0], r),
+                         np.fft.ifftn(np.fft.fftn(f.values[..., 0]) * np.fft.fftn(mask)).real)
+    # a short time grid, so the Nyquist modes (|k|^4 = 4096) keep weight
+    times = 1e-3 * (np.arange(5) / 4) ** 2
+    _assert_round_off_of(apply_G_trajectory(f, times).values, _complex_free_frames(f, times))
+    forcing = SpaceTimeField(g, times, np.stack([_nyquist_rich(g, (2,), seed=20 + j)
+                                                 for j in range(times.size)]))
+    _assert_round_off_of(apply_S_trajectory(forcing).values, _complex_duhamel(forcing))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_odd_derivatives_of_the_last_axis_nyquist_mode_are_exactly_zero(dim):
+    # the halved axis keeps its Nyquist mode as one real coefficient, and an
+    # odd derivative there zeroes it, as on the full spectrum
+    g = Grid(dim, 2 * np.pi, 16)
+    nyquist = _nyquist_mode(g, dim - 1)
+    spec = Spectrum(GridField(g, np.broadcast_to(nyquist, g.shape)[..., None]))
+    last = (0,) * (dim - 1)
+    for order in [last + (1,), last + (3,), (1,) * dim]:
+        assert np.all(spec.derivative(order) == 0.0), order
+    assert np.all(spec.gradient()[..., dim - 1, :] == 0.0)
+    # while an even one keeps it: d^2 of (-1)^i is -(M/2 * 2pi/L)^2 (-1)^i
+    k = g.points_per_axis // 2 * 2 * np.pi / g.box_length
+    _assert_round_off_of(spec.derivative(last + (2,))[..., 0],
+                         -k ** 2 * np.broadcast_to(nyquist, g.shape))
 
 
 def test_io_round_trip(tmp_path, grid64, rng):

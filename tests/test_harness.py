@@ -151,7 +151,26 @@ def test_operators_suite_with_empty_ensemble_leaves_failed_manifest(tmp_path):
         run_suite("operators", cfgfile, tmp_path / "out")
     disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert disk["status"] == "failed"
-    assert disk["error"] == f"ValueError: {err.value}"
+    assert disk["error"] == f"ConfigError: {err.value}"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ensemble_size", -3), ("ensemble_size", 0), ("max_mode", 0), ("max_mode", -2)])
+def test_cli_operators_rejects_an_empty_ensemble_as_a_config_error(
+        monkeypatch, tmp_path, capsys, key, value):
+    # the message names the key and the value as written, not the doubled
+    # count of the base-plus-doubled draw, and nothing is drawn
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"[experiments]\n{key} = {value}\n")
+    monkeypatch.setattr("biflow.harness.operator_bound_experiment",
+                        lambda *a, **k: pytest.fail("the ensemble was drawn"))
+    rc = cli_main(["operators", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: [experiments] {key} must be at least 1, got {value}\n"
+    disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert disk["status"] == "failed"
+    assert disk["error"] == f"ConfigError: {err[len('config error: '):-1]}"
 
 
 def test_sweep_tube_exit_leaves_failed_manifest(tmp_path):
@@ -311,27 +330,73 @@ def test_no_parameter_is_accepted_and_ignored():
     assert found == []
 
 
-def _numpy_fft_lines(tree):
-    """Line numbers of np.fft / numpy.fft attributes and numpy.fft imports."""
+_FFT_MODULES = ("numpy.fft", "scipy.fft", "scipy.fftpack")
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def _is_fft_module(name):
+    name = "numpy" + name[2:] if name == "np" or name.startswith("np.") else name
+    return any(name == m or name.startswith(m + ".") for m in _FFT_MODULES)
+
+
+def _fft_lines(tree):
+    """Line numbers of numpy.fft, scipy.fft and scipy.fftpack attribute reads
+    (np for numpy) and of imports from those modules."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "fft" and \
-                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+        if isinstance(node, ast.Attribute) and not isinstance(node.value, ast.Attribute):
+            # the innermost attribute of a chain, so each chain counts once
+            if _is_fft_module(_dotted(node) or ""):
+                yield node.lineno
+        elif isinstance(node, ast.Import) and any(_is_fft_module(a.name) for a in node.names):
             yield node.lineno
-        elif isinstance(node, ast.Import) and any(
-                a.name.startswith("numpy.fft") for a in node.names):
+        elif isinstance(node, ast.ImportFrom) and not node.level and (
+                _is_fft_module(node.module)
+                or any(_is_fft_module(f"{node.module}.{a.name}") for a in node.names)):
             yield node.lineno
-        elif isinstance(node, ast.ImportFrom) and (
-                (node.module or "").startswith("numpy.fft")
-                or node.module == "numpy" and any(a.name == "fft" for a in node.names)):
-            yield node.lineno
+
+
+def _irfftn_calls_without_shape(tree):
+    """Line numbers of irfftn calls that do not pass s=: without it an odd
+    last axis comes back one point short."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name == "irfftn" and not any(k.arg == "s" for k in node.keywords):
+                yield node.lineno
 
 
 def test_fourier_transforms_live_in_fields_only():
-    # fields is the one spectral layer: no other module calls numpy.fft
+    # fields is the one spectral layer: no other module touches numpy's or
+    # scipy's FFT, and every inverse real transform there is given its shape
     src = Path(__file__).resolve().parents[1] / "src" / "biflow"
     found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
              if path.name != "fields.py"
-             for line in _numpy_fft_lines(ast.parse(path.read_text()))]
+             for line in _fft_lines(ast.parse(path.read_text()))]
     assert found == []
     fields = ast.parse((src / "fields.py").read_text())
-    assert list(_numpy_fft_lines(fields))  # the scan does see transforms
+    assert list(_fft_lines(fields))  # the scan does see transforms
+    # the shape check has irfftn calls to see
+    assert [n for n in ast.walk(fields) if isinstance(n, ast.Call)
+            and getattr(n.func, "attr", None) == "irfftn"]
+    assert list(_irfftn_calls_without_shape(fields)) == []
+
+
+def test_fft_lint_sees_every_spelling_of_a_transform():
+    probe = ast.parse(
+        "import numpy as np\nimport scipy\nimport scipy.fft\nfrom scipy import fftpack\n"
+        "from scipy.fft import rfftn\nfrom numpy import fft\nimport scipy.fftpack as fp\n"
+        "from scipy import special\nscipy.fft.rfftn(x)\nnp.fft.fftn(x)\nscipy.special.gamma(x)\n"
+        "irfftn(c, axes=a)\nscipy.fft.irfftn(c, s=g.shape)\nscipy.fft.irfftn(c)\n")
+    assert sorted(set(_fft_lines(probe))) == [3, 4, 5, 6, 7, 9, 10, 13, 14]
+    assert list(_irfftn_calls_without_shape(probe)) == [12, 14]

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,19 +48,27 @@ def _oracle_symbol(grid):
     return ksq ** 2
 
 
-def _oracle_divergence_spectrum(F):
+def _half(grid, symbol):
+    # the modes of a real transform: the first M/2+1 on the last grid axis
+    return symbol[..., : grid.points_per_axis // 2 + 1]
+
+
+def _oracle_divergence_spectrum(F, real=True):
+    # real: scipy's half spectrum, the layer's bits; else numpy's full one
     grid, vals = F.grid, F.values
-    spec = np.fft.fftn(vals, axes=tuple(range(1, 1 + grid.dim)))
+    axes = tuple(range(1, 1 + grid.dim))
+    spec = scipy.fft.rfftn(vals, axes=axes) if real else np.fft.fftn(vals, axes=axes)
     ks = grid.wavenumbers()
     M = grid.points_per_axis
-    acc = np.zeros(vals.shape[:1] + grid.shape + vals.shape[-1:], dtype=complex)
+    acc = np.zeros(spec.shape[:-2] + spec.shape[-1:], dtype=complex)
     for ax in range(grid.dim):
         k = ks[ax].copy()
         if M % 2 == 0:
             k[M // 2] = 0.0
-        shape = [1] * (1 + grid.dim) + [1]
-        shape[1 + ax] = M
-        acc += spec[..., ax, :] * (1j * k.reshape(shape))
+        shape = [1] * grid.dim
+        shape[ax] = M
+        sym = 1j * k.reshape(shape)
+        acc += spec[..., ax, :] * (_half(grid, sym) if real else sym)[..., None]
     return acc
 
 
@@ -73,11 +82,19 @@ def test_symbol_and_divergence_spectrum_bitwise_equal_oracles(dim, codomain):
     assert np.array_equal(Spectrum(F).divergence(), _oracle_divergence_spectrum(F))
 
 
-def _oracle_free_frame(u0, t):
-    # the seed's per-time formula: the t = 0 frame is u0 itself, not a round trip
+def _oracle_free_frame(u0, t, real=True):
+    # the seed's per-time formula: the t = 0 frame is u0 itself, not a round
+    # trip; real: scipy's half spectrum, the layer's bits; else numpy's path
     if t == 0.0:
         return u0.values
-    return inverse_transform(u0.grid, Spectrum(u0).coeffs * np.exp(-t * symbol(u0.grid))[..., None])
+    grid = u0.grid
+    axes = tuple(range(grid.dim))
+    if not real:
+        spec = np.fft.fftn(u0.values, axes=axes)
+        return np.fft.ifftn(spec * np.exp(-t * symbol(grid))[..., None], axes=axes).real
+    spec = scipy.fft.rfftn(u0.values, axes=axes)
+    decay = np.exp(-t * _half(grid, symbol(grid)))
+    return scipy.fft.irfftn(spec * decay[..., None], s=grid.shape, axes=axes)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -337,8 +354,10 @@ def _oracle_phi2(z):
     return np.where(z < PHI_SERIES_THRESHOLD, series, closed)
 
 
-def _oracle_duhamel_sweep(grid, times, spec_frames):
-    sym = _oracle_symbol(grid)[..., None]
+def _oracle_duhamel_sweep(grid, times, spec_frames, real=True):
+    # real: a half spectrum, the layer's modes; else numpy's full one
+    sym = _oracle_symbol(grid)
+    sym = (_half(grid, sym) if real else sym)[..., None]
     out = np.zeros_like(spec_frames)
     acc = np.zeros_like(spec_frames[0])
     for j in range(times.size - 1):
@@ -364,10 +383,35 @@ def test_one_exponential_weights_bitwise_equal_separate_formulas(dim, M):
         assert np.array_equal(p1, _oracle_phi1(z)) and np.array_equal(phi1(z), p1)
         assert np.array_equal(p2, _oracle_phi2(z)) and np.array_equal(phi2(z), p2)
     rng = _philox(dim)
-    shape = (times.size,) + g.shape + (2,)
+    shape = (times.size,) + g.shape[:-1] + (M // 2 + 1, 2)  # a half spectrum
     spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     assert np.array_equal(semigroup._duhamel_sweep(g, times, spec),
                           _oracle_duhamel_sweep(g, times, spec))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("codomain", [1, 3])
+def test_real_path_oracles_agree_with_the_complex_path(dim, codomain):
+    # the half-spectrum oracles move numpy's complex path, which the layer
+    # ran before, by round-off only
+    g = Grid(dim, 2 * np.pi, 16)
+    r = _philox(10 * dim + codomain)
+    F = SpaceTimeField(g, [0.0, 0.1, 0.4], r.normal(size=(3,) + g.shape + (dim, codomain)))
+    half = _oracle_divergence_spectrum(F)
+    full = _oracle_divergence_spectrum(F, real=False)[..., : g.points_per_axis // 2 + 1, :]
+    assert np.abs(half - full).max() <= 1e-13 * np.abs(half).max()
+    u0 = GridField(g, r.normal(size=g.shape + (codomain,)))
+    for t in (1e-4, 0.01, 0.4):
+        want = _oracle_free_frame(u0, t)
+        assert np.abs(want - _oracle_free_frame(u0, t, real=False)).max() <= (
+            1e-13 * np.abs(want).max())
+    times = 0.4 * (np.arange(9) / 8) ** 4
+    f = random_forcing(g, times, r, codomain_dim=codomain)
+    axes = tuple(range(1, 1 + dim))
+    half = _oracle_duhamel_sweep(g, times, scipy.fft.rfftn(f.values, axes=axes))
+    full = _oracle_duhamel_sweep(g, times, np.fft.fftn(f.values, axes=axes), real=False)
+    want = scipy.fft.irfftn(half, s=g.shape, axes=axes)
+    assert np.abs(want - np.fft.ifftn(full, axes=axes).real).max() <= 1e-13 * np.abs(want).max()
 
 
 # ----------------------------------------------------------------------
