@@ -14,6 +14,7 @@ iterate leaves the projection tube.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import ConfigError, ManifoldTubeExitError
@@ -61,6 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _amplitudes(text: str) -> list[float]:
+    """The --amplitudes list: comma-separated finite numbers."""
+    try:
+        values = [float(a) for a in text.split(",")]
+        if all(math.isfinite(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise ConfigError(f"contraction-sweep --amplitudes {text!r} is not a "
+                      "comma-separated list of finite numbers")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -74,8 +87,8 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             manifest = run_evolve(args.config, args.out)
         elif args.command == "contraction-sweep":
-            amplitudes = [float(a) for a in args.amplitudes.split(",")]
-            manifest = run_contraction_sweep(args.config, args.out, amplitudes)
+            manifest = run_contraction_sweep(args.config, args.out,
+                                             _amplitudes(args.amplitudes))
         else:
             manifest = run_suite(args.command, args.config, args.out,
                                  seed=getattr(args, "seed", 0))

@@ -66,8 +66,10 @@ class FlowConfig:
     tube_exit_policy: str = "error"
 
     def __post_init__(self):
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        for name in ("t_final", "time_exponent"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
         if self.max_picard_iters < 2:
@@ -150,10 +152,7 @@ class _DerivBundle:
         self.grad = spec.gradient()     # [frames +] grid + (n, l)
         self.hess = spec.hessian()      # [frames +] grid + (n, n, l)
         self.lap = spec.derivative("laplacian")  # [frames +] grid + (l,)
-        self.jet = ProjectionJet(target, u.values)
-        # jet keys of the gradient components d_a u and of Lap u
-        self.g = [self.jet.vec(self.grad[..., a, :]) for a in range(u.grid.dim)]
-        self.L = self.jet.vec(self.lap)
+        self.jet = ProjectionJet(target, u.values, self.grad)
 
     def x_norm(self, T: float) -> float:
         """Total solution norm of the stack, from the derivatives above."""
@@ -162,11 +161,9 @@ class _DerivBundle:
 
 
 def _f1_from_bundle(b: _DerivBundle) -> np.ndarray:
-    jet, g, L = b.jet, b.g, b.L
-    acc = jet.d2(L, L)
-    for ga in g:
-        acc = acc + jet.d3(ga, ga, L)
-    return -acc
+    acc = b.jet.d2((b.lap, b.lap))
+    acc += b.jet.trace3(b.lap)
+    return np.negative(acc, out=acc)
 
 
 def nonlinearity_f1(u: GridField, target: SphereTarget) -> GridField:
@@ -180,18 +177,13 @@ def nonlinearity_f1(u: GridField, target: SphereTarget) -> GridField:
 
 
 def _f2_from_bundle(b: _DerivBundle) -> np.ndarray:
-    jet, g, L = b.jet, b.g, b.L
-    n = b.u.grid.dim
-    out = np.empty(b.u.values.shape[:-1] + (n, b.u.codomain_dim))
-    for alpha in range(n):
-        galpha = g[alpha]
-        acc = 2.0 * jet.d2(galpha, L)
-        for a in range(n):
-            ga = g[a]
-            acc = acc + jet.d3(galpha, ga, ga)
-            h = jet.vec(b.hess[..., alpha, a, :])
-            acc = acc + 2.0 * jet.d2(h, ga)
-            jet.forget(h)
+    jet, g = b.jet, b.jet.g
+    out = np.empty(b.grad.shape)
+    for alpha, galpha in enumerate(g):
+        acc = jet.d2((galpha, b.lap), *[(b.hess[..., alpha, a, :], ga)
+                                         for a, ga in enumerate(g)])
+        acc *= 2.0
+        acc += jet.trace3(galpha)
         out[..., alpha, :] = acc
     return out
 
@@ -208,20 +200,12 @@ def nonlinearity_f2(u: GridField, target: SphereTarget) -> GridField:
 
 
 def _f3_from_bundle(b: _DerivBundle) -> np.ndarray:
-    jet, g = b.jet, b.g
-    u = b.u.values
-    B = np.zeros_like(u)
-    for ga in g:
-        B = B + jet.d2(ga, ga)
-    kB = jet.vec(B)
-    term1 = np.zeros_like(u)
-    for ga in g:
-        term1 = term1 + jet.d3(ga, ga, kB)
-    term1 = jet.d1(jet.vec(term1))
-    term2 = np.zeros_like(u)
-    for ga in g:
-        term2 = term2 + jet.d2(ga, jet.vec(jet.d2(ga, kB)))
-    return term1 + 2.0 * term2
+    jet, g = b.jet, b.jet.g
+    B = jet.d2(*[(ga, ga) for ga in g])
+    acc = jet.d2(*[(ga, jet.d2((ga, B))) for ga in g])
+    acc *= 2.0
+    acc += jet.d1(jet.trace3(B))
+    return acc
 
 
 def nonlinearity_f3(u: GridField, target: SphereTarget) -> GridField:
@@ -365,10 +349,11 @@ def constraint_diagnostics(u: SpaceTimeField, target: SphereTarget) -> dict:
     qv = vals - base
     rho = 0.5 * np.sum(qv * qv, axis=-1)  # manifold.rho, from the one projection
     masses = rho.reshape(u.num_frames, -1).sum(axis=1) * grid.cell_volume
-    jet = ProjectionJet(target, base)
+    # no gradient fields: the tangency probe needs d1 alone
+    jet = ProjectionJet(target, base, np.empty(vals.shape[:-1] + (0, u.codomain_dim)))
     orth = 0.0
     for v in probes:
-        tangent = jet.d1(jet.vec(np.broadcast_to(v, vals.shape)))
+        tangent = jet.d1(np.broadcast_to(v, vals.shape))
         orth = max(orth, float(np.abs((tangent * qv).sum(axis=-1)).max()))
     flagged = bool(masses.max() > 1e-6 * grid.volume)
     return {

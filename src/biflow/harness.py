@@ -109,6 +109,16 @@ def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
+def _experiment_value(cp: configparser.ConfigParser, key: str,
+                      high: float = math.inf) -> float:
+    """[experiments] key as a float, rejected unless it lies in (0, high]."""
+    value = cp.getfloat("experiments", key)
+    if not 0.0 < value <= high:
+        rule = "be positive" if high == math.inf else f"lie in (0, {high:g}]"
+        raise ConfigError(f"[experiments] {key} must {rule}, got {value}")
+    return value
+
+
 def _initial_data_from(cp: configparser.ConfigParser, grid: Grid, target: SphereTarget,
                        amplitude: float | None = None) -> GridField:
     kind = cp.get("initial", "kind")
@@ -277,6 +287,8 @@ def smoothing_family_constants(grid: Grid, R: float, ambient_dim: int = 3) -> di
 
 
 def _suite_norms(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
+    # a ball radius is at most half the box length
+    carleson_fraction = _experiment_value(cp, "carleson_radius_fraction", 0.5)
     grid = Grid(1, cp.getfloat("grid", "box_length"), 256)
     target = SphereTarget(cp.getint("target", "ambient_dim"))
     R0 = grid.box_length / 4.0
@@ -297,7 +309,7 @@ def _suite_norms(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> 
 
     # square-function / oscillation comparability across a test family
     fam_grid = Grid(1, cp.getfloat("grid", "box_length"), 128)
-    Rc = fam_grid.box_length * cp.getfloat("experiments", "carleson_radius_fraction")
+    Rc = fam_grid.box_length * carleson_fraction
     family = []
     for q in (2, 4, 8):
         for a in (0.5, 1.0):
@@ -329,12 +341,13 @@ def _suite_flow(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> d
 
 
 def _suite_distance(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
+    bmo_fraction = _experiment_value(cp, "bmo_radius_fraction", 0.5)
+    delta = _experiment_value(cp, "distance_delta")
     grid = Grid(1, cp.getfloat("grid", "box_length"), 128)
     target = SphereTarget(cp.getint("target", "ambient_dim"))
     eps = cp.getfloat("experiments", "distance_amplitude")
     u0 = equator_initial_data(grid, eps, 1, target.ambient_dim)
-    R = grid.box_length * cp.getfloat("experiments", "bmo_radius_fraction")
-    report = distance_experiment(u0, R, delta=cp.getfloat("experiments", "distance_delta"))
+    report = distance_experiment(u0, grid.box_length * bmo_fraction, delta=delta)
     _write_csv(out_dir, "distance_estimate.csv", ["t", "lhs", "rhs", "holds"],
                [[r["t"], r["lhs"], r["rhs"], r["holds"]] for r in report["rows"]],
                manifest, prefix)
@@ -424,7 +437,7 @@ def run_contraction_sweep(config_path, out_dir, amplitudes) -> RunManifest:
     cp = load_config(config_path)
     with _recorded("contraction-sweep", cp, out_dir) as (manifest, out):
         cfg = flow_config_from(cp)
-        R = cfg.grid.box_length * cp.getfloat("experiments", "bmo_radius_fraction")
+        R = cfg.grid.box_length * _experiment_value(cp, "bmo_radius_fraction", 0.5)
         rows = []
         for eps in amplitudes:
             u0 = _initial_data_from(cp, cfg.grid, cfg.target, amplitude=eps)

@@ -8,15 +8,14 @@ derivatives, and fixes the origin.  Everything the flow needs (DPi, D2Pi,
 D3Pi, the defect Q and rho) comes in closed form from h and its derivatives;
 all operations broadcast over leading array axes so grids of points are
 handled in one call.  ``dpi`` evaluates one derivative from scratch and is the
-reference; ``ProjectionJet`` evaluates many at the same base points, sharing
-the profile and the dot products, with the same bits.
+reference; ``ProjectionJet`` evaluates the flow's sums of derivatives at the
+same base points in Gram form, from the profile and a few shared fields, and
+agrees with the matching sums of ``dpi`` calls to round-off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
 
 import numpy as np
 
@@ -81,11 +80,12 @@ def _dot(a, b):
 
 
 def _component_dot(a, b):
-    """``_dot`` written out over the components: the same bits, fewer passes.
+    """``_dot`` written out over the components: the same sum in fewer passes,
+    on one-component arrays instead of the whole product a * b.
 
-    numpy reduces fewer than eight terms by adding them left to right to 0.0,
-    which the explicit sum repeats; from eight on it sums pairwise, so longer
-    vectors go through ``_dot`` itself.
+    numpy adds fewer than eight terms left to right from 0.0, as the explicit
+    sum does, so ``d1`` keeps ``dpi``'s bits; from eight on numpy sums
+    pairwise, and longer vectors go through ``_dot`` itself.
     """
     l = a.shape[-1]
     if l >= 8:
@@ -138,89 +138,63 @@ def dpi(target: SphereTarget, y, order: int, vectors) -> np.ndarray:
 
 
 class ProjectionJet:
-    """DPi, D2Pi and D3Pi at fixed base points, with the shared work done once.
+    """The sums of DPi, D2Pi and D3Pi that the flow needs, at fixed base points
+    y and for one family of gradient fields g_a (``grads[..., a, :]``).
 
     ``dpi`` recomputes q = |y|^2, the profile derivatives and every dot
     product on each call.  A jet keeps h and the scaled derivatives 2h',
-    4h'' and 8h''' of its base values y.  Vectors are registered with
-    ``vec``, which returns an integer key; y.v is computed on registration,
-    and v.w on first use of the pair, memoised by the two keys.  Keys are
-    never reused, so a vector the caller has freed cannot alias a later one.
-    ``d1``, ``d2`` and ``d3`` repeat the arithmetic of ``dpi`` term for
-    term, so each result has the same bits as the matching ``dpi`` call.
+    4h'' and 8h''' of its base values, and forms the Gram sums
+    S = sum_a |g_a|^2, P = sum_a (y.g_a)^2 and V = sum_a (y.g_a) g_a once.
+    Since Pi(y) = h(|y|^2) y, every sum of contractions is y and its
+    arguments weighted by these.  Each sum adds its terms in place, holding
+    its result and one term at a time.
     """
 
-    def __init__(self, target: SphereTarget, y):
+    def __init__(self, target: SphereTarget, y, grads):
         self.y = y = np.asarray(y, dtype=float)
         h, h1, h2, h3 = _h_derivs(target, _component_dot(y, y))
-        self.h = h
-        self.h1x2 = 2.0 * h1
-        self.h2x4 = 4.0 * h2
-        self.h3x8 = 8.0 * h3
-        self._vecs: list[np.ndarray] = []
-        self._yv: list[np.ndarray] = []
-        self._pairs: dict[tuple[int, int], np.ndarray] = {}
+        self.h, self.h1x2, self.h2x4, self.h3x8 = h, 2.0 * h1, 4.0 * h2, 8.0 * h3
+        self.g = [grads[..., a, :] for a in range(grads.shape[-2])]
+        self.S, self.P, self.V = np.zeros_like(h), np.zeros_like(h), np.zeros_like(y)
+        for ga in self.g:
+            yg = _component_dot(y, ga)
+            self.S += _component_dot(ga, ga)
+            self.P += yg * yg
+            self.V += yg * ga
 
-    def vec(self, v) -> int:
-        """Register a vector field at the base points; returns its key."""
-        v = np.asarray(v, dtype=float)
-        self._vecs.append(v)
-        self._yv.append(_component_dot(self.y, v))
-        return len(self._vecs) - 1
-
-    def forget(self, i: int):
-        """Free a vector registered for one use, and its memoised products."""
-        self._vecs[i] = self._yv[i] = None
-        for key in [k for k in self._pairs if i in k]:
-            del self._pairs[key]
-
-    def _vw(self, i: int, j: int) -> np.ndarray:
-        key = (i, j) if i <= j else (j, i)
-        vw = self._pairs.get(key)
-        if vw is None:
-            vw = self._pairs[key] = _component_dot(self._vecs[i], self._vecs[j])
-        return vw
-
-    def d1(self, i: int) -> np.ndarray:
+    def d1(self, v) -> np.ndarray:
         """DPi(y) v, as ``dpi(target, y, 1, (v,))``."""
-        return self.h * self._vecs[i] + self.h1x2 * self._yv[i] * self.y
+        return self.h * v + self.h1x2 * _component_dot(self.y, v) * self.y
 
-    def d2(self, i: int, j: int) -> np.ndarray:
-        """D2Pi(y)(v, w), as ``dpi(target, y, 2, (v, w))``."""
-        y, v, w = self.y, self._vecs[i], self._vecs[j]
-        yv, yw = self._yv[i], self._yv[j]
-        return (self.h1x2 * (self._vw(i, j) * y + yw * v + yv * w)
-                + self.h2x4 * yv * yw * y)
+    def d2(self, *pairs) -> np.ndarray:
+        """sum_b D2Pi(y)(v_b, w_b) over the pairs (v_b, w_b)."""
+        y = self.y
+        acc = np.zeros_like(y)
+        vw, yvyw = np.zeros_like(self.h), np.zeros_like(self.h)  # weights of y
+        for v, w in pairs:
+            yv = _component_dot(y, v)
+            yw = yv if w is v else _component_dot(y, w)
+            acc += yw * v
+            acc += yv * w
+            vw += _component_dot(v, w)
+            yvyw += yv * yw
+        acc *= self.h1x2
+        acc += (self.h1x2 * vw + self.h2x4 * yvyw) * y
+        return acc
 
-    def d3(self, i: int, j: int, k: int) -> np.ndarray:
-        """D3Pi(y)(v, w, z), as ``dpi(target, y, 3, (v, w, z))``.
-
-        Equal keys give equal products, each formed once: with j == k,
-        vw z + vz w is 2 vw z (x + x is 2x exactly) and yv yw z = yv yz w;
-        with i == j, vz w = wz v and yv yz w = yw yz v.
-        """
-        y, v, w, z = self.y, self._vecs[i], self._vecs[j], self._vecs[k]
-        yv, yw, yz = self._yv[i], self._yv[j], self._yv[k]
-        vw, vz, wz = self._vw(i, j), self._vw(i, k), self._vw(j, k)
-        return (self.h1x2 * (_ordered_sum(vw * z * 2.0, (wz, v)) if j == k
-                             else _ordered_sum(vw * z, (vz, w), (wz, v)))
-                + self.h2x4 * _ordered_sum((vw * yz + vz * yw + wz * yv) * y,
-                                           (yv, yw, z), (yv, yz, w), (yw, yz, v))
-                + self.h3x8 * yv * yw * yz * y)
-
-
-def _ordered_sum(acc, *terms):
-    """acc + t1 + t2 + ..., added left to right into acc, a fresh array the
-    caller hands over.  Each term is a tuple of factors multiplied left to
-    right; a term of the same factor objects as the one before it is formed
-    once and added again.  At most acc and one term are held at a time."""
-    term = None
-    for n, factors in enumerate(terms):
-        if n == 0 or any(a is not b for a, b in zip(factors, terms[n - 1])):
-            term = None  # freed before the next one is formed
-            term = reduce(mul, factors)
-        acc += term
-    return acc
+    def trace3(self, z) -> np.ndarray:
+        """sum_a D3Pi(y)(g_a, g_a, z)."""
+        y, S, P, V = self.y, self.S, self.P, self.V
+        yz = _component_dot(y, z)
+        acc = np.zeros_like(y)
+        for ga in self.g:
+            acc += _component_dot(ga, z) * ga
+        acc *= 2.0 * self.h1x2
+        acc += (self.h1x2 * S + self.h2x4 * P) * z
+        acc += (2.0 * self.h2x4 * yz) * V
+        acc += (self.h2x4 * (S * yz + 2.0 * _component_dot(V, z))
+                + self.h3x8 * P * yz) * y
+        return acc
 
 
 def defect_q(target: SphereTarget, y) -> np.ndarray:

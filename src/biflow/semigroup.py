@@ -28,8 +28,6 @@ from .fields import (Grid, GridField, SpaceTimeField, Spectrum, half_spectrum,
 __all__ = [
     "PHI_SERIES_THRESHOLD",
     "symbol",
-    "phi1",
-    "phi2",
     "apply_G",
     "apply_G_trajectory",
     "apply_S",
@@ -66,16 +64,6 @@ def _decay_and_phis(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     series1 = 1.0 - z / 2.0 + z ** 2 / 6.0 - z ** 3 / 24.0 + z ** 4 / 120.0 - z ** 5 / 720.0
     series2 = 0.5 - z / 6.0 + z ** 2 / 24.0 - z ** 3 / 120.0 + z ** 4 / 720.0 - z ** 5 / 5040.0
     return decay, np.where(small, series1, closed1), np.where(small, series2, closed2)
-
-
-def phi1(z: np.ndarray) -> np.ndarray:
-    """(1 - e^-z)/z with series evaluation for z below the threshold."""
-    return _decay_and_phis(z)[1]
-
-
-def phi2(z: np.ndarray) -> np.ndarray:
-    """(1 - phi1(z))/z, the second exponential-integrator weight."""
-    return _decay_and_phis(z)[2]
 
 
 def apply_G(u0: GridField, t: float) -> GridField:

@@ -173,6 +173,60 @@ def test_cli_operators_rejects_an_empty_ensemble_as_a_config_error(
     assert disk["error"] == f"ConfigError: {err[len('config error: '):-1]}"
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("grid_exponent", "0", "time_exponent must be positive and finite, got 0.0"),
+    ("grid_exponent", "-1", "time_exponent must be positive and finite, got -1.0"),
+    ("t_final", "nan", "t_final must be positive and finite, got nan")])
+def test_cli_evolve_rejects_bad_time_settings_as_config_errors(
+        tmp_path, capsys, key, value, message):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"[time]\n{key} = {value}\n")
+    rc = cli_main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: invalid configuration: {message}\n"
+    disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert disk["status"] == "failed"
+    assert disk["error"] == f"ConfigError: invalid configuration: {message}"
+
+
+def _no_work(*args, **kwargs):
+    pytest.fail("the run did work before rejecting its configuration")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["norms"], "carleson_radius_fraction = 0.75",
+     "[experiments] carleson_radius_fraction must lie in (0, 0.5], got 0.75"),
+    (["distance"], "bmo_radius_fraction = 0.6",
+     "[experiments] bmo_radius_fraction must lie in (0, 0.5], got 0.6"),
+    (["contraction-sweep", "--amplitudes", "0.05"], "bmo_radius_fraction = 0.75",
+     "[experiments] bmo_radius_fraction must lie in (0, 0.5], got 0.75"),
+    (["distance"], "distance_delta = -1",
+     "[experiments] distance_delta must be positive, got -1.0"),
+    (["contraction-sweep", "--amplitudes", "0.05,x"], "",
+     "contraction-sweep --amplitudes '0.05,x' is not a comma-separated list "
+     "of finite numbers"),
+    (["contraction-sweep", "--amplitudes", ","], "",
+     "contraction-sweep --amplitudes ',' is not a comma-separated list of finite numbers"),
+])
+def test_cli_rejects_bad_experiment_settings_before_any_work(
+        monkeypatch, tmp_path, capsys, argv, config, message):
+    # the message names the key or flag and its value, and nothing is computed
+    for name in ("smoothing_ratios", "bmo_seminorm", "distance_experiment",
+                 "picard_solve"):
+        monkeypatch.setattr(f"biflow.harness.{name}", _no_work)
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"[experiments]\n{config}\n")
+    rc = cli_main([*argv, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    # a bad flag is rejected before the run opens its manifest, a bad key after
+    manifest = tmp_path / "out" / "run_manifest.json"
+    assert manifest.exists() == bool(config)
+    if config:
+        disk = json.loads(manifest.read_text())
+        assert disk["status"] == "failed" and disk["error"] == f"ConfigError: {message}"
+
+
 def test_sweep_tube_exit_leaves_failed_manifest(tmp_path):
     with pytest.raises(ManifoldTubeExitError):
         run_contraction_sweep(_tube_exit_config(tmp_path), tmp_path / "out", [3.0])
@@ -400,3 +454,27 @@ def test_fft_lint_sees_every_spelling_of_a_transform():
         "irfftn(c, axes=a)\nscipy.fft.irfftn(c, s=g.shape)\nscipy.fft.irfftn(c)\n")
     assert sorted(set(_fft_lines(probe))) == [3, 4, 5, 6, 7, 9, 10, 13, 14]
     assert list(_irfftn_calls_without_shape(probe)) == [12, 14]
+
+
+def _dpi_lines(tree):
+    """Line numbers of every reference to dpi: a name, an attribute read or an
+    imported name."""
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id == "dpi")
+                or (isinstance(node, ast.Attribute) and node.attr == "dpi")
+                or (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any(a.name.split(".")[-1] == "dpi" for a in node.names))):
+            yield node.lineno
+
+
+def test_dpi_is_the_reference_only():
+    # dpi recomputes the profile on every call and is the oracle the jet is
+    # tested against: the package itself evaluates the projection geometry
+    # through ProjectionJet alone, and only __init__ re-exports dpi
+    src = Path(__file__).resolve().parents[1] / "src" / "biflow"
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             if path.name not in ("manifold.py", "__init__.py")
+             for line in _dpi_lines(ast.parse(path.read_text()))]
+    assert found == []
+    # the scan does see the export
+    assert list(_dpi_lines(ast.parse((src / "__init__.py").read_text())))
