@@ -9,6 +9,18 @@ whole stack of frames, once for all of its derivatives; a stack gives each
 frame the same bits as its own transform.  This module holds every Fourier
 transform of the package.
 
+Field values keep the component axes last: grid.shape + (l,) for a frame,
+one leading frame axis for a stack.  Every array the spectral layer makes or
+takes puts them first instead: component axes, then the frame axis, then the
+grid axes, so each component is one contiguous block and every transform
+runs over the last grid.dim axes.  ``components_first`` and
+``components_last`` are the views between the two layouts; a field built
+from a component-major result copies it into field layout once, as it copies
+any values.  Sums over components keep the bits of numpy's sum over a
+contiguous trailing axis through ``ordered_sum``: numpy adds fewer than 8
+terms left to right and 8 or more pairwise, so a plain sum over leading
+blocks is not the same sum from 8 terms on.
+
 Fields are real, so their spectra are Hermitian: every transform is scipy's
 real ``rfftn``/``irfftn`` on one thread (``workers=1``, the default, which
 keeps runs deterministic), and mode coefficients are the half spectrum, with
@@ -35,6 +47,9 @@ __all__ = [
     "Grid",
     "GridField",
     "SpaceTimeField",
+    "components_first",
+    "components_last",
+    "ordered_sum",
     "multiplier",
     "half_spectrum",
     "inverse_transform",
@@ -255,10 +270,67 @@ def half_spectrum(grid: Grid, symbol: np.ndarray) -> np.ndarray:
     return symbol[..., : grid.points_per_axis // 2 + 1]
 
 
+def components_first(values: np.ndarray, comps: int) -> np.ndarray:
+    """View of field-layout values with their ``comps`` trailing component
+    axes moved to the front: the component-major layout of this layer."""
+    return np.moveaxis(values, range(-comps, 0), range(comps))
+
+
+def components_last(array: np.ndarray, comps: int) -> np.ndarray:
+    """View of a component-major array with its ``comps`` leading component
+    axes moved to the back: the layout of field values."""
+    return np.moveaxis(array, range(comps), range(-comps, 0))
+
+
+def ordered_sum(count: int, term) -> np.ndarray:
+    """Sum of the equal-shape arrays term(0), ..., term(count - 1), with the
+    bits numpy gives the same terms summed over a contiguous axis.
+
+    numpy adds the result of its pairwise sum to the identity 0.0.  The
+    pairwise sum adds fewer than 8 terms left to right from 0.0; up to 128
+    it adds them in 8 accumulators of stride 8, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder
+    left to right; above 128 it splits at a multiple of 8 near the middle.
+    Each term must be a new array, which the sum may overwrite; they are
+    drawn one at a time, so at most 9 are held.
+    """
+    acc = _pairwise_sum(count, term)
+    if count >= 8:
+        acc += 0.0  # below 8 the pairwise sum starts from 0.0 itself
+    return acc
+
+
+def _pairwise_sum(count: int, term) -> np.ndarray:
+    """numpy's pairwise sum of term(0), ..., term(count - 1)."""
+    if count < 8:
+        acc = term(0)
+        acc += 0.0
+        for i in range(1, count):
+            acc += term(i)
+        return acc
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        acc = _pairwise_sum(half, term)
+        acc += _pairwise_sum(count - half, lambda i: term(half + i))
+        return acc
+    r = [term(j) for j in range(8)]
+    whole = count - count % 8
+    for i in range(8, whole, 8):
+        for j in range(8):
+            r[j] += term(i + j)
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[a] += r[b]
+    acc = r[0]
+    for i in range(whole, count):
+        acc += term(i)
+    return acc
+
+
 def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real frames from half-spectrum coefficients over the grid axes of
-    coeffs, which sit just before its last (codomain) axis."""
-    axes = tuple(range(coeffs.ndim - grid.dim - 1, coeffs.ndim - 1))
+    """Real frames from half-spectrum coefficients over the last grid.dim
+    axes of coeffs."""
+    axes = tuple(range(-grid.dim, 0))
     return scipy.fft.irfftn(coeffs, s=grid.shape, axes=axes)
 
 
@@ -267,83 +339,90 @@ class Spectrum:
     from one forward transform; every derivative of the frames is read off
     them.
 
-    A GridField's values are grid.shape + trailing axes; a SpaceTimeField's
-    carry one leading frame axis.  The trailing axes are the codomain (l,),
-    or (n, l) for a per-axis field, the one kind with a divergence.
+    ``coeffs`` is component-major: the field's component axes, (l,) or, for
+    a per-axis field (the one kind with a divergence), (n, l); then the frame
+    axis of a SpaceTimeField; then the half-spectrum grid axes.  Every
+    derivative comes back in the same layout, with its derivative axes in
+    front.
     """
 
     __slots__ = ("grid", "coeffs")
 
     def __init__(self, field: GridField | SpaceTimeField):
         lead = 1 if isinstance(field, SpaceTimeField) else 0
+        comps = field.values.ndim - lead - field.grid.dim
         self.grid = field.grid
-        self.coeffs = scipy.fft.rfftn(field.values, axes=tuple(range(lead, lead + field.grid.dim)))
+        self.coeffs = scipy.fft.rfftn(components_first(field.values, comps),
+                                      axes=tuple(range(-field.grid.dim, 0)))
 
     @classmethod
     def _of_frames(cls, grid: Grid, frames: np.ndarray) -> "Spectrum":
-        """Spectrum of a bare stack of frames, the frame axis leading: the
-        transform of a SpaceTimeField, for frames without a t = 0 frame."""
+        """Spectrum of a bare component-major stack of frames: the transform
+        of a SpaceTimeField, for frames without a t = 0 frame."""
         spec = cls.__new__(cls)
         spec.grid = grid
-        spec.coeffs = scipy.fft.rfftn(frames, axes=tuple(range(1, 1 + grid.dim)))
+        spec.coeffs = scipy.fft.rfftn(frames, axes=tuple(range(-grid.dim, 0)))
         return spec
 
     def derivative(self, order) -> np.ndarray:
         """Physical values of the derivative named by a multiplier order."""
         mult = half_spectrum(self.grid, multiplier(self.grid, order))
-        return inverse_transform(self.grid, self.coeffs * mult[..., None])
+        return inverse_transform(self.grid, self.coeffs * mult)
 
     def _frames_shape(self) -> tuple:
-        """Leading axes and grid.shape of the physical frames."""
-        return self.coeffs.shape[: -1 - self.grid.dim] + self.grid.shape
+        """Component and frame axes, then grid.shape, of the physical frames."""
+        return self.coeffs.shape[: -self.grid.dim] + self.grid.shape
 
     def gradient(self) -> np.ndarray:
-        """First derivatives, in an axis slot of length n before the codomain."""
+        """First derivatives, in one leading axis of length n: block a is d_a."""
         n = self.grid.dim
-        out = np.empty(self._frames_shape() + (n, self.coeffs.shape[-1]))
+        out = np.empty((n,) + self._frames_shape())
         for a in range(n):
-            out[..., a, :] = self.derivative(_unit(n, a))
+            out[a] = self.derivative(_unit(n, a))
         return out
 
     def hessian(self) -> np.ndarray:
-        """Second derivatives, in two axis slots of length n before the codomain."""
+        """Second derivatives, in two leading axes of length n."""
         n = self.grid.dim
-        out = np.empty(self._frames_shape() + (n, n, self.coeffs.shape[-1]))
+        out = np.empty((n, n) + self._frames_shape())
         for a in range(n):
             for b in range(a, n):
-                out[..., a, b, :] = out[..., b, a, :] = self.derivative(_unit(n, a, b))
+                out[a, b] = out[b, a] = self.derivative(_unit(n, a, b))
         return out
 
     def divergence(self) -> np.ndarray:
-        """Coefficients of sum_a d_a F_a for a per-axis field F."""
+        """Coefficients of sum_a d_a F_a for a per-axis field F, whose
+        coefficients lead with the axis a."""
         n = self.grid.dim
-        if self.coeffs.shape[-2] != n:
+        if self.coeffs.ndim < n + 2 or self.coeffs.shape[0] != n:
             raise ValueError("per-axis field must carry one component per spatial axis")
-        acc = np.zeros(self.coeffs.shape[:-2] + self.coeffs.shape[-1:], dtype=complex)
+        acc = np.zeros(self.coeffs.shape[1:], dtype=complex)
         for a in range(n):
-            mult = half_spectrum(self.grid, multiplier(self.grid, _unit(n, a)))
-            acc += self.coeffs[..., a, :] * mult[..., None]
+            acc += self.coeffs[a] * half_spectrum(self.grid, multiplier(self.grid, _unit(n, a)))
         return acc
 
 
 def gradient(f: GridField) -> np.ndarray:
     """Array of shape grid.shape + (n, l): first spatial derivatives."""
-    return Spectrum(f).gradient()
+    return components_last(Spectrum(f).gradient(), 2)
 
 
 def hessian(f: GridField) -> np.ndarray:
     """Array of shape grid.shape + (n, n, l): second derivatives."""
-    return Spectrum(f).hessian()
+    return components_last(Spectrum(f).hessian(), 3)
 
 
 def laplacian(f: GridField) -> GridField:
-    return GridField(f.grid, Spectrum(f).derivative("laplacian"))
+    return GridField(f.grid, components_last(Spectrum(f).derivative("laplacian"), 1))
 
 
 def pointwise_norm(values: np.ndarray, grid: Grid, lead: int = 0) -> np.ndarray:
-    """Euclidean/Frobenius magnitude over the axes after the grid axes, which
-    follow ``lead`` leading axes (1 for the frame axis of a stack)."""
-    return np.sqrt((values ** 2).sum(axis=tuple(range(lead + grid.dim, values.ndim))))
+    """Euclidean/Frobenius magnitude of a component-major array over its
+    component axes: every axis before the ``lead`` axes (1 for the frame axis
+    of a stack) that precede the grid axes.  The squares are added in the
+    order of a sum over trailing components (``ordered_sum``)."""
+    blocks = values.reshape((-1,) + values.shape[values.ndim - lead - grid.dim:])
+    return np.sqrt(ordered_sum(len(blocks), lambda i: np.square(blocks[i])))
 
 
 # ----------------------------------------------------------------------

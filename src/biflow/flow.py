@@ -31,7 +31,8 @@ from scipy.integrate import quad as _quad
 from scipy.optimize import brentq as _brentq
 
 from .errors import ManifoldTubeExitError
-from .fields import Grid, GridField, SpaceTimeField, Spectrum, pointwise_norm
+from .fields import (Grid, GridField, SpaceTimeField, Spectrum, components_first,
+                     components_last, ordered_sum, pointwise_norm)
 from .kernel import ALPHA, UNIT_SPHERE_AREA, SampleSpec, certify_bound, default_profile
 from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project
 from .norms import bmo_seminorm, x_norm, x_norm_from_magnitudes
@@ -144,15 +145,16 @@ def _check_tube(values: np.ndarray, target: SphereTarget, times=None):
 class _DerivBundle:
     """Spectral derivatives of a frame or a frame stack, from one transform,
     and the projection jet at its values, shared by the nonlinearities and,
-    for a stack, by its solution norm."""
+    for a stack, by its solution norm.  Everything is component-major, as
+    in ``fields``; the forcings it gives are too."""
 
     def __init__(self, u: GridField | SpaceTimeField, target: SphereTarget):
         self.u = u
         spec = Spectrum(u)
-        self.grad = spec.gradient()     # [frames +] grid + (n, l)
-        self.hess = spec.hessian()      # [frames +] grid + (n, n, l)
-        self.lap = spec.derivative("laplacian")  # [frames +] grid + (l,)
-        self.jet = ProjectionJet(target, u.values, self.grad)
+        self.grad = spec.gradient()     # (n, l) + [frames +] grid
+        self.hess = spec.hessian()      # (n, n, l) + [frames +] grid
+        self.lap = spec.derivative("laplacian")  # (l,) + [frames +] grid
+        self.jet = ProjectionJet(target, components_first(u.values, 1), self.grad)
 
     def x_norm(self, T: float) -> float:
         """Total solution norm of the stack, from the derivatives above."""
@@ -173,18 +175,17 @@ def nonlinearity_f1(u: GridField, target: SphereTarget) -> GridField:
     with C from the projection's derivative bounds on the tube.
     """
     _check_tube(u.values, target)
-    return GridField(u.grid, _f1_from_bundle(_DerivBundle(u, target)))
+    return GridField(u.grid, components_last(_f1_from_bundle(_DerivBundle(u, target)), 1))
 
 
 def _f2_from_bundle(b: _DerivBundle) -> np.ndarray:
     jet, g = b.jet, b.jet.g
     out = np.empty(b.grad.shape)
     for alpha, galpha in enumerate(g):
-        acc = jet.d2((galpha, b.lap), *[(b.hess[..., alpha, a, :], ga)
-                                         for a, ga in enumerate(g)])
+        acc = jet.d2((galpha, b.lap), *[(b.hess[alpha, a], ga) for a, ga in enumerate(g)])
         acc *= 2.0
         acc += jet.trace3(galpha)
-        out[..., alpha, :] = acc
+        out[alpha] = acc
     return out
 
 
@@ -196,7 +197,7 @@ def nonlinearity_f2(u: GridField, target: SphereTarget) -> GridField:
     |F2[u]| <= C (|grad^2 u| |grad u| + |grad u|^3).
     """
     _check_tube(u.values, target)
-    return GridField(u.grid, _f2_from_bundle(_DerivBundle(u, target)))
+    return GridField(u.grid, components_last(_f2_from_bundle(_DerivBundle(u, target)), 2))
 
 
 def _f3_from_bundle(b: _DerivBundle) -> np.ndarray:
@@ -215,7 +216,7 @@ def nonlinearity_f3(u: GridField, target: SphereTarget) -> GridField:
     with the fourth power of a perturbation amplitude on sphere-valued data.
     """
     _check_tube(u.values, target)
-    return GridField(u.grid, _f3_from_bundle(_DerivBundle(u, target)))
+    return GridField(u.grid, components_last(_f3_from_bundle(_DerivBundle(u, target)), 1))
 
 
 # ----------------------------------------------------------------------
@@ -258,10 +259,11 @@ def _forcing(config: FlowConfig, traj: SpaceTimeField,
             bundle = _DerivBundle(SpaceTimeField(traj.grid, traj.times, vals), config.target)
     else:
         _check_tube(traj.values, config.target, traj.times)
-    parts = [_f1_from_bundle, _f2_from_bundle]
+    parts = [(_f1_from_bundle, 1), (_f2_from_bundle, 2)]
     if config.mode == "intrinsic":
-        parts.append(_f3_from_bundle)
-    return [SpaceTimeField(traj.grid, traj.times, f(bundle)) for f in parts], clamped
+        parts.append((_f3_from_bundle, 1))
+    return [SpaceTimeField(traj.grid, traj.times, components_last(f(bundle), comps))
+            for f, comps in parts], clamped
 
 
 def _apply_T(hat_u0: SpaceTimeField, forcing: list[SpaceTimeField]) -> SpaceTimeField:
@@ -350,11 +352,13 @@ def constraint_diagnostics(u: SpaceTimeField, target: SphereTarget) -> dict:
     rho = 0.5 * np.sum(qv * qv, axis=-1)  # manifold.rho, from the one projection
     masses = rho.reshape(u.num_frames, -1).sum(axis=1) * grid.cell_volume
     # no gradient fields: the tangency probe needs d1 alone
-    jet = ProjectionJet(target, base, np.empty(vals.shape[:-1] + (0, u.codomain_dim)))
+    y, qv = components_first(base, 1), components_first(qv, 1)
+    jet = ProjectionJet(target, y, np.empty((0,) + y.shape))
     orth = 0.0
     for v in probes:
-        tangent = jet.d1(np.broadcast_to(v, vals.shape))
-        orth = max(orth, float(np.abs((tangent * qv).sum(axis=-1)).max()))
+        tangent = jet.d1(v.reshape((-1,) + (1,) * (y.ndim - 1)))
+        residual = ordered_sum(len(qv), lambda i: tangent[i] * qv[i])
+        orth = max(orth, float(np.abs(residual).max()))
     flagged = bool(masses.max() > 1e-6 * grid.volume)
     return {
         "sup_distance": sup_d.tolist(),

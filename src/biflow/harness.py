@@ -88,23 +88,45 @@ def _config_snapshot(cp: configparser.ConfigParser) -> dict:
     return {s: dict(cp[s]) for s in cp.sections()}
 
 
+def _number(cp: configparser.ConfigParser, section: str, key: str, kind: type):
+    """[section] key parsed as kind, int or float; a value that does not
+    parse is a ConfigError that names it as written."""
+    text = cp.get(section, key)
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key} = {text} is not {noun}") from None
+
+
+def _finite(cp: configparser.ConfigParser, section: str, key: str) -> float:
+    """[section] key as a finite float, for a value that no later check
+    would reject when it is not finite."""
+    value = _number(cp, section, key, float)
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {cp.get(section, key)} is not finite")
+    return value
+
+
 def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
     try:
-        grid = Grid(cp.getint("grid", "dim"), cp.getfloat("grid", "box_length"),
-                    cp.getint("grid", "points_per_axis"))
-        target = SphereTarget(cp.getint("target", "ambient_dim"),
-                              cp.getfloat("target", "tube_radius"),
-                              cp.getfloat("target", "blend_radius"))
+        grid = Grid(_number(cp, "grid", "dim", int), _finite(cp, "grid", "box_length"),
+                    _number(cp, "grid", "points_per_axis", int))
+        target = SphereTarget(_number(cp, "target", "ambient_dim", int),
+                              _number(cp, "target", "tube_radius", float),
+                              _number(cp, "target", "blend_radius", float))
         return FlowConfig(
             grid=grid, target=target,
-            t_final=cp.getfloat("time", "t_final"),
-            num_frames=cp.getint("time", "num_frames"),
-            time_exponent=cp.getfloat("time", "grid_exponent"),
+            t_final=_number(cp, "time", "t_final", float),
+            num_frames=_number(cp, "time", "num_frames", int),
+            time_exponent=_number(cp, "time", "grid_exponent", float),
             mode=cp.get("mode", "mode"),
-            max_picard_iters=cp.getint("picard", "max_iters"),
-            picard_tol=cp.getfloat("picard", "tol"),
+            max_picard_iters=_number(cp, "picard", "max_iters", int),
+            picard_tol=_finite(cp, "picard", "tol"),
             tube_exit_policy=cp.get("picard", "tube_exit_policy"),
         )
+    except ConfigError:
+        raise
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -112,19 +134,31 @@ def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
 def _experiment_value(cp: configparser.ConfigParser, key: str,
                       high: float = math.inf) -> float:
     """[experiments] key as a float, rejected unless it lies in (0, high]."""
-    value = cp.getfloat("experiments", key)
+    value = _number(cp, "experiments", key, float)
     if not 0.0 < value <= high:
         rule = "be positive" if high == math.inf else f"lie in (0, {high:g}]"
         raise ConfigError(f"[experiments] {key} must {rule}, got {value}")
     return value
 
 
+def _ball_radius(cp: configparser.ConfigParser, key: str, grid: Grid, floor: float) -> float:
+    """box_length times [experiments] key, a fraction in (0, 1/2], rejected
+    unless the radius lies above floor, the smallest one the run resolves
+    on its grid."""
+    R = grid.box_length * _experiment_value(cp, key, 0.5)
+    if not R > floor:
+        raise ConfigError(
+            f"[experiments] {key} = {cp.get('experiments', key)} gives R={R:.3g}, "
+            f"not above {floor:.3g} on the {grid.points_per_axis}-point grid")
+    return R
+
+
 def _initial_data_from(cp: configparser.ConfigParser, grid: Grid, target: SphereTarget,
                        amplitude: float | None = None) -> GridField:
     kind = cp.get("initial", "kind")
     if kind == "equator_sine":
-        eps = cp.getfloat("initial", "amplitude") if amplitude is None else amplitude
-        return equator_initial_data(grid, eps, cp.getint("initial", "frequency"),
+        eps = _finite(cp, "initial", "amplitude") if amplitude is None else amplitude
+        return equator_initial_data(grid, eps, _number(cp, "initial", "frequency", int),
                                     target.ambient_dim)
     if kind == "constant":
         point = np.zeros(target.ambient_dim)
@@ -221,11 +255,14 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows,
 # ----------------------------------------------------------------------
 
 def _suite_kernel(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
-    dim = cp.getint("grid", "dim")
-    tol = cp.getfloat("kernel", "tolerance")
-    nodes = cp.getint("kernel", "quadrature_nodes")
-    c1 = cp.getfloat("kernel", "c1")
-    profile = default_profile(dim, tol, nodes)
+    dim = _number(cp, "grid", "dim", int)
+    tol = _number(cp, "kernel", "tolerance", float)
+    nodes = _number(cp, "kernel", "quadrature_nodes", int)
+    c1 = _finite(cp, "kernel", "c1")
+    try:
+        profile = default_profile(dim, tol, nodes)
+    except ValueError as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
     certs = [
         certify_bound(profile, "2.2"),
         certify_bound(profile, "2.3", 1),
@@ -244,12 +281,12 @@ def _suite_kernel(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") ->
 
 
 def _suite_operators(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
-    grid = Grid(cp.getint("grid", "dim"), cp.getfloat("grid", "box_length"), 32)
+    grid = Grid(_number(cp, "grid", "dim", int), _finite(cp, "grid", "box_length"), 32)
     frames = 12
     T = 0.5
     times = T * (np.arange(frames + 1) / frames) ** 4
-    size = cp.getint("experiments", "ensemble_size")
-    max_mode = cp.getint("experiments", "max_mode")
+    size = _number(cp, "experiments", "ensemble_size", int)
+    max_mode = _number(cp, "experiments", "max_mode", int)
     for key, value in (("ensemble_size", size), ("max_mode", max_mode)):
         if value < 1:
             raise ConfigError(f"[experiments] {key} must be at least 1, got {value}")
@@ -287,10 +324,12 @@ def smoothing_family_constants(grid: Grid, R: float, ambient_dim: int = 3) -> di
 
 
 def _suite_norms(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
-    # a ball radius is at most half the box length
-    carleson_fraction = _experiment_value(cp, "carleson_radius_fraction", 0.5)
-    grid = Grid(1, cp.getfloat("grid", "box_length"), 256)
-    target = SphereTarget(cp.getint("target", "ambient_dim"))
+    # the comparability family's grid, where the oscillation seminorm needs
+    # a radius above 2h
+    fam_grid = Grid(1, _finite(cp, "grid", "box_length"), 128)
+    Rc = _ball_radius(cp, "carleson_radius_fraction", fam_grid, 2.0 * fam_grid.spacing)
+    grid = Grid(1, fam_grid.box_length, 256)
+    target = SphereTarget(_number(cp, "target", "ambient_dim", int))
     R0 = grid.box_length / 4.0
     rows = [smoothing_family_constants(grid, R0 / 2 ** j,
                                        ambient_dim=target.ambient_dim)
@@ -308,8 +347,6 @@ def _suite_norms(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> 
                     ("cylinder_ratio", "weighted_sup_ratio", "quartic_ratio"))
 
     # square-function / oscillation comparability across a test family
-    fam_grid = Grid(1, cp.getfloat("grid", "box_length"), 128)
-    Rc = fam_grid.box_length * carleson_fraction
     family = []
     for q in (2, 4, 8):
         for a in (0.5, 1.0):
@@ -341,13 +378,15 @@ def _suite_flow(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> d
 
 
 def _suite_distance(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
-    bmo_fraction = _experiment_value(cp, "bmo_radius_fraction", 0.5)
+    grid = Grid(1, _finite(cp, "grid", "box_length"), 128)
+    # distance_experiment samples times from (2h / K)^4 * 1.01 up to
+    # (R / K)^4, a range that is empty, whatever K is, unless R is above this
+    R = _ball_radius(cp, "bmo_radius_fraction", grid, 2.0 * grid.spacing * 1.01 ** 0.25)
     delta = _experiment_value(cp, "distance_delta")
-    grid = Grid(1, cp.getfloat("grid", "box_length"), 128)
-    target = SphereTarget(cp.getint("target", "ambient_dim"))
-    eps = cp.getfloat("experiments", "distance_amplitude")
+    target = SphereTarget(_number(cp, "target", "ambient_dim", int))
+    eps = _finite(cp, "experiments", "distance_amplitude")
     u0 = equator_initial_data(grid, eps, 1, target.ambient_dim)
-    report = distance_experiment(u0, grid.box_length * bmo_fraction, delta=delta)
+    report = distance_experiment(u0, R, delta=delta)
     _write_csv(out_dir, "distance_estimate.csv", ["t", "lhs", "rhs", "holds"],
                [[r["t"], r["lhs"], r["rhs"], r["holds"]] for r in report["rows"]],
                manifest, prefix)
@@ -437,7 +476,7 @@ def run_contraction_sweep(config_path, out_dir, amplitudes) -> RunManifest:
     cp = load_config(config_path)
     with _recorded("contraction-sweep", cp, out_dir) as (manifest, out):
         cfg = flow_config_from(cp)
-        R = cfg.grid.box_length * _experiment_value(cp, "bmo_radius_fraction", 0.5)
+        R = _ball_radius(cp, "bmo_radius_fraction", cfg.grid, 2.0 * cfg.grid.spacing)
         rows = []
         for eps in amplitudes:
             u0 = _initial_data_from(cp, cfg.grid, cfg.target, amplitude=eps)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedOrderError
+from .fields import ordered_sum
 
 __all__ = ["SphereTarget", "project", "dpi", "ProjectionJet", "defect_q", "rho",
            "distance_to_sphere"]
@@ -80,20 +81,11 @@ def _dot(a, b):
 
 
 def _component_dot(a, b):
-    """``_dot`` written out over the components: the same sum in fewer passes,
-    on one-component arrays instead of the whole product a * b.
-
-    numpy adds fewer than eight terms left to right from 0.0, as the explicit
-    sum does, so ``d1`` keeps ``dpi``'s bits; from eight on numpy sums
-    pairwise, and longer vectors go through ``_dot`` itself.
-    """
-    l = a.shape[-1]
-    if l >= 8:
-        return _dot(a, b)
-    acc = 0.0 + a[..., 0:1] * b[..., 0:1]
-    for i in range(1, l):
-        acc = acc + a[..., i:i + 1] * b[..., i:i + 1]
-    return acc
+    """Dot product of two component-major arrays over their leading axis:
+    ``_dot`` of the matching field-layout arrays, bit for bit, from one
+    contiguous block per component (``ordered_sum``), so ``d1`` keeps
+    ``dpi``'s bits."""
+    return ordered_sum(len(a), lambda i: a[i] * b[i])
 
 
 def project(target: SphereTarget, y) -> np.ndarray:
@@ -139,7 +131,13 @@ def dpi(target: SphereTarget, y, order: int, vectors) -> np.ndarray:
 
 class ProjectionJet:
     """The sums of DPi, D2Pi and D3Pi that the flow needs, at fixed base points
-    y and for one family of gradient fields g_a (``grads[..., a, :]``).
+    y and for one family of gradient fields g_a (``grads[a]``).
+
+    Every array is component-major, as in ``fields``: y and each vector
+    argument are (l,) + points, grads is (n, l) + points and scalar weights
+    are points-shaped.  y may be a view of field values; the sums are built
+    C-ordered, one contiguous block per component.  Dot products add the
+    components in the order of ``dpi``'s sum over a trailing axis.
 
     ``dpi`` recomputes q = |y|^2, the profile derivatives and every dot
     product on each call.  A jet keeps h and the scaled derivatives 2h',
@@ -154,8 +152,8 @@ class ProjectionJet:
         self.y = y = np.asarray(y, dtype=float)
         h, h1, h2, h3 = _h_derivs(target, _component_dot(y, y))
         self.h, self.h1x2, self.h2x4, self.h3x8 = h, 2.0 * h1, 4.0 * h2, 8.0 * h3
-        self.g = [grads[..., a, :] for a in range(grads.shape[-2])]
-        self.S, self.P, self.V = np.zeros_like(h), np.zeros_like(h), np.zeros_like(y)
+        self.g = list(grads)
+        self.S, self.P, self.V = np.zeros_like(h), np.zeros_like(h), np.zeros(y.shape)
         for ga in self.g:
             yg = _component_dot(y, ga)
             self.S += _component_dot(ga, ga)
@@ -169,7 +167,7 @@ class ProjectionJet:
     def d2(self, *pairs) -> np.ndarray:
         """sum_b D2Pi(y)(v_b, w_b) over the pairs (v_b, w_b)."""
         y = self.y
-        acc = np.zeros_like(y)
+        acc = np.zeros(y.shape)
         vw, yvyw = np.zeros_like(self.h), np.zeros_like(self.h)  # weights of y
         for v, w in pairs:
             yv = _component_dot(y, v)
@@ -186,7 +184,7 @@ class ProjectionJet:
         """sum_a D3Pi(y)(g_a, g_a, z)."""
         y, S, P, V = self.y, self.S, self.P, self.V
         yz = _component_dot(y, z)
-        acc = np.zeros_like(y)
+        acc = np.zeros(y.shape)
         for ga in self.g:
             acc += _component_dot(ga, z) * ga
         acc *= 2.0 * self.h1x2

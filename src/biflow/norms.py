@@ -307,7 +307,7 @@ def _first_peak(values, keys, none):
 
 
 def _member_magnitudes(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Pointwise magnitude of each member of a stack.
+    """Pointwise magnitude of each member of a field-layout stack.
 
     values are (num_frames,) + grid.shape + components + (members,); the
     result is (num_frames, members) + grid.shape.  Each member's components
@@ -413,8 +413,10 @@ def x_norms(u: SpaceTimeField, T: float | None) -> list[NormReport]:
     axis indexes the members, with each member's bits: one transform of the
     stack and one scan for all of them."""
     spec = Spectrum(u)
-    grad_mag = _member_magnitudes(spec.gradient(), u.grid)
-    hess_mag = _member_magnitudes(spec.hessian(), u.grid)
+    # the members are the derivatives' component axis, (n[, n], members,
+    # frames) + grid, and the scan takes (frames, members) + grid
+    grad_mag = np.swapaxes(pointwise_norm(spec.gradient(), u.grid, lead=2), 0, 1)
+    hess_mag = np.swapaxes(pointwise_norm(spec.hessian(), u.grid, lead=2), 0, 1)
     del spec  # free the coefficients before the scan, which holds its own stacks
     return _x_reports(u, _member_magnitudes(u.values, u.grid), grad_mag, hess_mag, T)
 

@@ -14,7 +14,9 @@ the recurrence u(t_{j+1}) = e^(-dt |k|^4) u(t_j) + (local phi integral).
 Mode coefficients are the half spectrum of ``fields`` (scipy's real
 transforms, ``workers=1``), so the sweeps and the free frames run on
 M // 2 + 1 modes along the last grid axis; ``symbol`` stays the
-full-spectrum |k|^4 and they read its ``half_spectrum`` view.
+full-spectrum |k|^4 and they read its ``half_spectrum`` view.  They are
+component-major, as every array of the spectral layer: component axes, then
+the frame axis, then the grid axes.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidTimeError, TimeMisalignedError
-from .fields import (Grid, GridField, SpaceTimeField, Spectrum, half_spectrum,
-                     inverse_transform, multiplier)
+from .fields import (Grid, GridField, SpaceTimeField, Spectrum, components_last,
+                     half_spectrum, inverse_transform, multiplier)
 
 __all__ = [
     "PHI_SERIES_THRESHOLD",
@@ -80,38 +82,46 @@ def apply_G_trajectory(u0: GridField, times) -> SpaceTimeField:
     transform of u0, each mode times e^(-t |k|^4) at every time, one inverse
     transform of the stack.  Frames at t = 0 are u0's values."""
     times = np.asarray(times, dtype=float)
-    frames = _free_frames(u0.grid, Spectrum(u0).coeffs, times)
+    comps = u0.values.ndim - u0.grid.dim
+    frames = components_last(_free_frames(u0.grid, Spectrum(u0).coeffs, times), comps)
     frames[times == 0.0] = u0.values
     return SpaceTimeField(u0.grid, times, frames)
 
 
 def _free_frames(grid: Grid, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Frames of the free evolution at each of times, from the half-spectrum
-    coefficients of one frame: the inverse transform of coeffs e^(-t |k|^4)."""
+    """Component-major frames of the free evolution at each of times, from
+    the half-spectrum coefficients of one frame: the inverse transform of
+    coeffs e^(-t |k|^4), with the frame axis just before the grid axes."""
     decay = np.exp(-times.reshape((-1,) + (1,) * grid.dim) * half_spectrum(grid, symbol(grid)))
-    return inverse_transform(grid, coeffs * decay[..., None])
+    return inverse_transform(grid, np.expand_dims(coeffs, -1 - grid.dim) * decay)
 
 
 def _duhamel_sweep(grid: Grid, times: np.ndarray, spec_frames: np.ndarray) -> np.ndarray:
     """Mode-space Duhamel response at every frame time.
 
-    spec_frames[j] are the half-spectrum coefficients of the forcing at
-    times[j]; the forcing is its piecewise-linear interpolant.  Per
-    subinterval of length d,
+    spec_frames are component-major half-spectrum coefficients: component
+    axes, then the frame axis, then the grid axes; frame j holds the
+    forcing at times[j], and the forcing is its piecewise-linear
+    interpolant.  Per subinterval of length d,
 
         contribution = d * (f_a * phi1(z) + (f_b - f_a) * phi2(z)),  z = d |k|^4,
 
-    carried forward by the semigroup factor e^(-d |k|^4).
+    carried forward by the semigroup factor e^(-d |k|^4).  Every mode and
+    component is on its own, so the layout does not change a bit.
     """
-    sym = half_spectrum(grid, symbol(grid))[..., None]
+    sym = half_spectrum(grid, symbol(grid))
+
+    def frame(j):  # index of frame j
+        return (..., j) + (slice(None),) * grid.dim
+
     out = np.zeros_like(spec_frames)
-    acc = np.zeros_like(spec_frames[0])
+    acc = np.zeros_like(spec_frames[frame(0)])
     for j in range(times.size - 1):
         d = times[j + 1] - times[j]
         decay, p1, p2 = _decay_and_phis(d * sym)
-        fa, fb = spec_frames[j], spec_frames[j + 1]
+        fa, fb = spec_frames[frame(j)], spec_frames[frame(j + 1)]
         acc = decay * acc + d * (fa * p1 + (fb - fa) * p2)
-        out[j + 1] = acc
+        out[frame(j + 1)] = acc
     return out
 
 
@@ -130,14 +140,16 @@ def apply_S(f: SpaceTimeField, t_target: float) -> GridField:
 def apply_S_trajectory(f: SpaceTimeField) -> SpaceTimeField:
     """Duhamel response at every frame time in one sweep."""
     out = _duhamel_sweep(f.grid, f.times, Spectrum(f).coeffs)
-    return SpaceTimeField(f.grid, f.times, inverse_transform(f.grid, out))
+    comps = f.values.ndim - 1 - f.grid.dim
+    return SpaceTimeField(f.grid, f.times, components_last(inverse_transform(f.grid, out), comps))
 
 
 def apply_S_div_trajectory(F: SpaceTimeField) -> SpaceTimeField:
     """Duhamel response to a divergence at every frame time; the derivative is
     taken on the mode coefficients inside the integral."""
     out = _duhamel_sweep(F.grid, F.times, Spectrum(F).divergence())
-    return SpaceTimeField(F.grid, F.times, inverse_transform(F.grid, out))
+    comps = F.values.ndim - 2 - F.grid.dim
+    return SpaceTimeField(F.grid, F.times, components_last(inverse_transform(F.grid, out), comps))
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,8 @@ from biflow import semigroup
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum,
                            ball_convolve, ball_offsets, gradient,
                            hessian, inverse_transform, laplacian,
-                           load_space_time_field, multiplier,
-                           save_space_time_field)
+                           load_space_time_field, multiplier, ordered_sum,
+                           pointwise_norm, save_space_time_field)
 from biflow.semigroup import apply_G_trajectory, apply_S_trajectory, symbol
 
 
@@ -40,7 +40,7 @@ def test_eigenfunction_second_derivative(grid64):
     L = grid64.box_length
     x = grid64.coordinates()[0]
     f = GridField(grid64, np.sin(2 * np.pi * x / L)[..., None])
-    d2 = Spectrum(f).derivative((2,))
+    d2 = np.moveaxis(Spectrum(f).derivative((2,)), 0, -1)
     expect = -(2 * np.pi / L) ** 2 * np.sin(2 * np.pi * x / L)
     assert np.abs(d2[..., 0] - expect).max() < 1e-12
 
@@ -56,8 +56,10 @@ def test_mixed_derivatives_commute(seed):
         mx, my = r.integers(-3, 4, size=2)
         vals[..., 0] += r.normal() * np.cos(mx * x + my * y + r.uniform(0, 2 * np.pi))
     f = GridField(g, vals)
-    ab = Spectrum(GridField(g, Spectrum(f).derivative((1, 0)))).derivative((0, 1))
-    ba = Spectrum(GridField(g, Spectrum(f).derivative((0, 1)))).derivative((1, 0))
+    a = GridField(g, np.moveaxis(Spectrum(f).derivative((1, 0)), 0, -1))
+    b = GridField(g, np.moveaxis(Spectrum(f).derivative((0, 1)), 0, -1))
+    ab = Spectrum(a).derivative((0, 1))
+    ba = Spectrum(b).derivative((1, 0))
     assert np.abs(ab - ba).max() < 1e-11
 
 
@@ -217,9 +219,10 @@ def test_spectral_layer_bitwise_equals_oracles(dim, codomain):
     f, F = _random_fields(dim, codomain)
     g = f.grid
     got = {"gradient": gradient(f), "hessian": hessian(f), "laplacian": laplacian(f).values,
-           "divergence": inverse_transform(g, Spectrum(F).divergence())}
+           "divergence": np.moveaxis(inverse_transform(g, Spectrum(F).divergence()), 0, -1)}
     for name, want in _spectral_oracles(f, F, _RealPath):
-        assert np.array_equal(got[name] if name in got else Spectrum(f).derivative(name), want)
+        assert np.array_equal(got[name] if name in got
+                              else np.moveaxis(Spectrum(f).derivative(name), 0, -1), want)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -241,14 +244,118 @@ def test_stack_derivatives_equal_per_frame_derivatives(dim):
     u = SpaceTimeField(g, times, r.normal(size=(3,) + g.shape + (3,)))
     F = SpaceTimeField(g, times, r.normal(size=(3,) + g.shape + (dim, 3)))
     spec, spec_F = Spectrum(u), Spectrum(F)
-    grad, hess = spec.gradient(), spec.hessian()
-    lap, div = spec.derivative("laplacian"), spec_F.divergence()
+    # the frame axis of each stacked derivative moved to the front
+    grad, hess = np.moveaxis(spec.gradient(), 2, 0), np.moveaxis(spec.hessian(), 3, 0)
+    lap = np.moveaxis(spec.derivative("laplacian"), 1, 0)
+    div = np.moveaxis(spec_F.divergence(), 1, 0)
     for j in range(3):
         frame = Spectrum(u.frame(j))
         assert np.array_equal(grad[j], frame.gradient())
         assert np.array_equal(hess[j], frame.hessian())
         assert np.array_equal(lap[j], frame.derivative("laplacian"))
         assert np.array_equal(div[j], Spectrum(F.frame(j)).divergence())
+
+
+# ----------------------------------------------------------------------
+# the component-major layout against the field layout the layer had before:
+# grid axes, then the components.  The same transforms and products, laid
+# out the other way, must give the same bits.
+# ----------------------------------------------------------------------
+
+class _FieldLayoutSpectrum:
+    """The spectral layer in field layout: coefficients [frames +]
+    half-grid + components, derivative axes before the components."""
+
+    def __init__(self, values, grid, lead):
+        self.grid, self.axes = grid, tuple(range(lead, lead + grid.dim))
+        self.comps = values.ndim - lead - grid.dim
+        self.coeffs = scipy.fft.rfftn(values, axes=self.axes)
+
+    def _mult(self, order, comps):
+        mult = multiplier(self.grid, order)[..., : self.grid.points_per_axis // 2 + 1]
+        return mult[(...,) + (None,) * comps]
+
+    def derivative(self, order):
+        return scipy.fft.irfftn(self.coeffs * self._mult(order, self.comps), s=self.grid.shape,
+                                axes=self.axes)
+
+    def gradient(self):
+        n = self.grid.dim
+        return np.stack([self.derivative(_unit_order(n, a)) for a in range(n)], axis=-2)
+
+    def hessian(self):
+        n = self.grid.dim
+        rows = [[self.derivative(_unit_order(n, min(a, b), max(a, b))) for b in range(n)]
+                for a in range(n)]
+        return np.stack([np.stack(r, axis=-2) for r in rows], axis=-3)
+
+    def divergence(self):
+        acc = np.zeros(self.coeffs.shape[:-2] + self.coeffs.shape[-1:], dtype=complex)
+        for a in range(self.grid.dim):
+            acc += self.coeffs[..., a, :] * self._mult(_unit_order(self.grid.dim, a), 1)
+        return acc
+
+
+def _unit_order(n, *axes):
+    return tuple(axes.count(a) for a in range(n))
+
+
+def _rotated_values(grid, shape, seed):
+    # random values whose codomain is rotated, so no component is zero
+    r = np.random.Generator(np.random.Philox(seed))
+    q, _ = np.linalg.qr(r.normal(size=(shape[-1], shape[-1])))
+    return (r.normal(size=shape) + 2.0) @ q.T
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("lead", [0, 1], ids=["frame", "stack"])
+def test_component_major_layer_bitwise_equals_the_field_layout(dim, lead):
+    g = Grid(dim, 2 * np.pi, 16)
+    frames = (3,) if lead else ()
+    vals = _rotated_values(g, frames + g.shape + (4,), dim)
+    flux = _rotated_values(g, frames + g.shape + (dim, 3), 10 + dim)
+    make = (lambda v: SpaceTimeField(g, [0.0, 0.1, 0.3], v)) if lead else (
+        lambda v: GridField(g, v))
+    new, old = Spectrum(make(vals)), _FieldLayoutSpectrum(vals, g, lead)
+    new_F, old_F = Spectrum(make(flux)), _FieldLayoutSpectrum(flux, g, lead)
+    assert np.all(vals != 0.0) and np.all(flux != 0.0)
+    assert np.array_equal(np.moveaxis(new.coeffs, 0, -1), old.coeffs)
+    assert np.array_equal(np.moveaxis(new_F.coeffs, (0, 1), (-2, -1)), old_F.coeffs)
+    assert np.array_equal(np.moveaxis(new.gradient(), (0, 1), (-2, -1)), old.gradient())
+    assert np.array_equal(np.moveaxis(new.hessian(), (0, 1, 2), (-3, -2, -1)), old.hessian())
+    assert np.array_equal(np.moveaxis(new_F.divergence(), 0, -1), old_F.divergence())
+    for order in ["laplacian", *itertools.product(range(3), repeat=dim)]:
+        assert np.array_equal(np.moveaxis(new.derivative(order), 0, -1), old.derivative(order))
+        assert np.array_equal(np.moveaxis(new_F.derivative(order), (0, 1), (-2, -1)),
+                              old_F.derivative(order))
+
+
+def test_ordered_sum_has_the_bits_of_a_contiguous_sum():
+    # numpy's sum over a contiguous axis: left to right below 8 terms,
+    # pairwise from 8, split in halves above 128; signed zeros included
+    r = np.random.Generator(np.random.Philox(7))
+    for k in [*range(1, 41), 63, 64, 127, 128, 129, 136, 300]:
+        x = r.normal(size=(k, 50)) * 10.0 ** r.integers(-8, 9, size=(k, 50))
+        want = np.ascontiguousarray(x.T).sum(axis=-1)
+        assert ordered_sum(k, lambda i: x[i].copy()).tobytes() == want.tobytes(), k
+        zeros = np.full((k, 3), -0.0)
+        want = np.ascontiguousarray(zeros.T).sum(axis=-1)
+        assert ordered_sum(k, lambda i: zeros[i].copy()).tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("comps", [(1,), (7,), (8,), (3, 3), (2, 2, 3), (3, 3, 3)],
+                         ids=lambda c: f"k{np.prod(c)}")
+def test_pointwise_norm_adds_components_as_a_contiguous_trailing_sum(comps):
+    # k = 1, 7, 8, 9, 12 and 27 terms: the 3D gradient, the 2D and 3D
+    # Hessian; a plain sum over the leading blocks differs from 8 terms on
+    g = Grid(2, 2 * np.pi, 16)
+    r = np.random.Generator(np.random.Philox(len(comps)))
+    shape = comps + (5,) + g.shape
+    x = r.normal(size=shape) * 10.0 ** r.integers(-4, 5, size=shape)
+    c = len(comps)
+    field_layout = np.ascontiguousarray(np.moveaxis(x, range(c), range(-c, 0)))
+    want = np.sqrt((field_layout ** 2).sum(axis=tuple(range(1 + g.dim, field_layout.ndim))))
+    assert np.array_equal(pointwise_norm(x, g, lead=1), want)
 
 
 def test_multipliers_are_cached_and_read_only():
@@ -400,7 +507,7 @@ def test_half_spectrum_matches_the_complex_path_with_nyquist_energy(dim):
     _assert_round_off_of(gradient(f), _oracle_gradient(f, _ComplexPath))
     _assert_round_off_of(hessian(f), _oracle_hessian(f, _ComplexPath))
     _assert_round_off_of(laplacian(f).values, _oracle_laplacian(f, _ComplexPath))
-    _assert_round_off_of(inverse_transform(g, Spectrum(F).divergence()),
+    _assert_round_off_of(np.moveaxis(inverse_transform(g, Spectrum(F).divergence()), 0, -1),
                          _oracle_divergence(F, _ComplexPath))
     r = 3.2 * g.spacing
     mask = np.zeros(g.shape)
@@ -425,10 +532,10 @@ def test_odd_derivatives_of_the_last_axis_nyquist_mode_are_exactly_zero(dim):
     last = (0,) * (dim - 1)
     for order in [last + (1,), last + (3,), (1,) * dim]:
         assert np.all(spec.derivative(order) == 0.0), order
-    assert np.all(spec.gradient()[..., dim - 1, :] == 0.0)
+    assert np.all(np.moveaxis(spec.gradient(), (0, 1), (-2, -1))[..., dim - 1, :] == 0.0)
     # while an even one keeps it: d^2 of (-1)^i is -(M/2 * 2pi/L)^2 (-1)^i
     k = g.points_per_axis // 2 * 2 * np.pi / g.box_length
-    _assert_round_off_of(spec.derivative(last + (2,))[..., 0],
+    _assert_round_off_of(np.moveaxis(spec.derivative(last + (2,)), 0, -1)[..., 0],
                          -k ** 2 * np.broadcast_to(nyquist, g.shape))
 
 

@@ -14,9 +14,10 @@ from biflow.flow import (FlowConfig, FlowDiagnostics, constant_initial_data,
                          nonlinearity_f3, picard_solve)
 from biflow.flow import (_check_tube, _clamp_to_tube, _DerivBundle, _f1_from_bundle,
                          _f2_from_bundle, _f3_from_bundle)
-from biflow.manifold import distance_to_sphere, dpi, project, rho
+from biflow.manifold import SphereTarget, _h_derivs, distance_to_sphere, dpi, project, rho
 from biflow.norms import (NormReport, _cylinder_average_max,
-                          _resolved_cylinder_radii, _trapezoid_weights, x_norm)
+                          _resolved_cylinder_radii, _trapezoid_weights, x_norm,
+                          x_norm_from_magnitudes)
 from biflow.semigroup import (apply_G, apply_G_trajectory, apply_S_div_trajectory,
                               apply_S_trajectory)
 
@@ -236,6 +237,114 @@ def test_constraint_diagnostics_equal_dpi_probe(dim, M, sphere3):
     u = SpaceTimeField(Grid(dim, 2 * np.pi, M), np.array([0.0, 0.5, 1.0]),
                        np.stack(frames))
     assert constraint_diagnostics(u, sphere3) == _oracle_constraint(u, sphere3)
+
+
+# ----------------------------------------------------------------------
+# the component-major bundle and jet against the field layout they had
+# before: each point's components contiguous, every dot product numpy's sum
+# over that trailing axis, which is pairwise from 8 components on
+# ----------------------------------------------------------------------
+
+def _field_dot(a, b):
+    return np.sum(a * b, axis=-1, keepdims=True)
+
+
+class _FieldLayoutJet:
+    """ProjectionJet in field layout: y is (..., l), grads (..., n, l)."""
+
+    def __init__(self, target, y, grads):
+        self.y = y
+        h, h1, h2, h3 = _h_derivs(target, _field_dot(y, y))
+        self.h, self.h1x2, self.h2x4, self.h3x8 = h, 2.0 * h1, 4.0 * h2, 8.0 * h3
+        self.g = [grads[..., a, :] for a in range(grads.shape[-2])]
+        self.S, self.P, self.V = np.zeros_like(h), np.zeros_like(h), np.zeros_like(y)
+        for ga in self.g:
+            yg = _field_dot(y, ga)
+            self.S += _field_dot(ga, ga)
+            self.P += yg * yg
+            self.V += yg * ga
+
+    def d1(self, v):
+        return self.h * v + self.h1x2 * _field_dot(self.y, v) * self.y
+
+    def d2(self, *pairs):
+        y = self.y
+        acc = np.zeros_like(y)
+        vw, yvyw = np.zeros_like(self.h), np.zeros_like(self.h)
+        for v, w in pairs:
+            yv, yw = _field_dot(y, v), _field_dot(y, w)
+            acc += yw * v
+            acc += yv * w
+            vw += _field_dot(v, w)
+            yvyw += yv * yw
+        acc *= self.h1x2
+        acc += (self.h1x2 * vw + self.h2x4 * yvyw) * y
+        return acc
+
+    def trace3(self, z):
+        y, S, P, V = self.y, self.S, self.P, self.V
+        yz = _field_dot(y, z)
+        acc = np.zeros_like(y)
+        for ga in self.g:
+            acc += _field_dot(ga, z) * ga
+        acc *= 2.0 * self.h1x2
+        acc += (self.h1x2 * S + self.h2x4 * P) * z
+        acc += (2.0 * self.h2x4 * yz) * V
+        acc += (self.h2x4 * (S * yz + 2.0 * _field_dot(V, z)) + self.h3x8 * P * yz) * y
+        return acc
+
+
+def _field_layout_bundle(frames, target):
+    """F1, F2, F3, |grad u| and |grad^2 u| of a list of frames, stacked, all
+    in field layout, C-ordered: a product of two such arrays is contiguous
+    over the components, as a reduction over them must see it."""
+    grad = np.ascontiguousarray(np.stack([gradient(f) for f in frames]))
+    hess = np.ascontiguousarray(np.stack([hessian(f) for f in frames]))
+    lap = np.stack([laplacian(f).values for f in frames])
+    jet = _FieldLayoutJet(target, np.stack([f.values for f in frames]), grad)
+    g = jet.g
+    f1 = -(jet.d2((lap, lap)) + jet.trace3(lap))
+    f2 = np.empty(grad.shape)
+    for alpha, galpha in enumerate(g):
+        acc = 2.0 * jet.d2((galpha, lap), *[(hess[..., alpha, a, :], ga) for a, ga in enumerate(g)])
+        f2[..., alpha, :] = acc + jet.trace3(galpha)
+    B = jet.d2(*[(ga, ga) for ga in g])
+    f3 = 2.0 * jet.d2(*[(ga, jet.d2((ga, B))) for ga in g]) + jet.d1(jet.trace3(B))
+    mags = np.sqrt((grad ** 2).sum(axis=(-2, -1))), np.sqrt((hess ** 2).sum(axis=(-3, -2, -1)))
+    return (f1, f2, f3), mags
+
+
+def _rotated_off_sphere_stack(dim, M, ambient_dim):
+    # the off-sphere frames, embedded in R^l and rotated, so that every
+    # component is nonzero
+    r = np.random.Generator(np.random.Philox(ambient_dim))
+    q, _ = np.linalg.qr(r.normal(size=(ambient_dim, ambient_dim)))
+    frames = [_off_sphere_field(dim, M, shift).values for shift in (0.0, 0.4, 1.1)]
+    vals = np.zeros((3,) + frames[0].shape[:-1] + (ambient_dim,))
+    vals[..., :3] = np.stack(frames)
+    return SpaceTimeField(Grid(dim, 2 * np.pi, M), [0.0, 0.2, 0.5], vals @ q.T)
+
+
+@pytest.mark.parametrize("ambient_dim", [3, 9])
+@pytest.mark.parametrize("dim,M", [(1, 32), (2, 16), (3, 16)])
+def test_bundle_forcings_and_norm_bitwise_equal_the_field_layout(dim, M, ambient_dim):
+    # a frame and a stack, with 3 components and with 9, where a dot product
+    # over the trailing axis is pairwise
+    target = SphereTarget(ambient_dim)
+    u = _rotated_off_sphere_stack(dim, M, ambient_dim)
+    assert np.all(u.values != 0.0)
+    frames = [u.frame(j) for j in range(u.num_frames)]
+    for v, want in ((u, _field_layout_bundle(frames, target)[0]),
+                    (frames[1], [w[0] for w in _field_layout_bundle(frames[1:2], target)[0]])):
+        b = _DerivBundle(v, target)
+        got = (np.moveaxis(_f1_from_bundle(b), 0, -1),
+               np.moveaxis(_f2_from_bundle(b), (0, 1), (-2, -1)),
+               np.moveaxis(_f3_from_bundle(b), 0, -1))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    gm, hm = _field_layout_bundle(frames, target)[1]
+    assert _DerivBundle(u, target).x_norm(0.5) == x_norm_from_magnitudes(u, gm, hm, 0.5).total
+    assert constraint_diagnostics(u, target) == _oracle_constraint(u, target)
 
 
 def test_nonlinearities_raise_outside_tube(grid64, sphere3):
@@ -458,10 +567,10 @@ def _oracle_apply_T(config, hat_u0, traj):
         else:
             _check_tube(vals, target)
         bundle = _DerivBundle(GridField(grid, vals), target)
-        f1_frames.append(_f1_from_bundle(bundle))
-        f2_frames.append(_f2_from_bundle(bundle))
+        f1_frames.append(np.moveaxis(_f1_from_bundle(bundle), 0, -1))
+        f2_frames.append(np.moveaxis(_f2_from_bundle(bundle), (0, 1), (-2, -1)))
         if config.mode == "intrinsic":
-            f3_frames.append(_f3_from_bundle(bundle))
+            f3_frames.append(np.moveaxis(_f3_from_bundle(bundle), 0, -1))
     f1 = SpaceTimeField(grid, traj.times, np.stack(f1_frames))
     f2 = SpaceTimeField(grid, traj.times, np.stack(f2_frames))
     new = hat_u0 + apply_S_trajectory(f1) + apply_S_div_trajectory(f2)

@@ -10,7 +10,8 @@ import pytest
 
 from biflow.cli import build_parser, main as cli_main
 from biflow.errors import ConfigError, ManifoldTubeExitError
-from biflow.fields import load_space_time_field
+from biflow.fields import Grid, load_space_time_field
+from biflow.flow import distance_experiment, equator_initial_data
 from biflow.harness import (default_config, flow_config_from, load_config,
                             run_contraction_sweep, run_evolve, run_kernel_verify,
                             run_suite)
@@ -227,6 +228,52 @@ def test_cli_rejects_bad_experiment_settings_before_any_work(
         assert disk["status"] == "failed" and disk["error"] == f"ConfigError: {message}"
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["distance"], "[experiments]\ndistance_delta = abc",
+     "[experiments] distance_delta = abc is not a number"),
+    (["evolve"], "[initial]\namplitude = nan", "[initial] amplitude = nan is not finite"),
+    (["kernel"], "[kernel]\nquadrature_nodes = 1.5",
+     "[kernel] quadrature_nodes = 1.5 is not an integer"),
+    (["kernel"], "[kernel]\ntolerance = 1e-9x", "[kernel] tolerance = 1e-9x is not a number"),
+    (["operators"], "[experiments]\nensemble_size = many",
+     "[experiments] ensemble_size = many is not an integer"),
+    (["norms"], "[experiments]\ncarleson_radius_fraction = 0.01",
+     "[experiments] carleson_radius_fraction = 0.01 gives R=0.0628, "
+     "not above 0.0982 on the 128-point grid"),
+    (["distance"], "[experiments]\nbmo_radius_fraction = 0.01",
+     "[experiments] bmo_radius_fraction = 0.01 gives R=0.0628, "
+     "not above 0.0984 on the 128-point grid"),
+    (["contraction-sweep", "--amplitudes", "0.05"], "[experiments]\nbmo_radius_fraction = 0.01",
+     "[experiments] bmo_radius_fraction = 0.01 gives R=0.0628, "
+     "not above 0.196 on the 64-point grid"),
+])
+def test_cli_rejects_unparsable_and_unresolvable_values_before_any_work(
+        monkeypatch, tmp_path, capsys, argv, config, message):
+    # a value that does not parse, is not finite, or gives a radius the
+    # suite's grid cannot resolve is named as written, and nothing is computed
+    for name in ("certify_bound", "operator_bound_experiment", "smoothing_ratios",
+                 "bmo_seminorm", "distance_experiment", "picard_solve"):
+        monkeypatch.setattr(f"biflow.harness.{name}", _no_work)
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(config + "\n")
+    rc = cli_main([*argv, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert disk["status"] == "failed" and disk["error"] == f"ConfigError: {message}"
+
+
+def test_distance_radius_floor_is_the_edge_of_the_sampled_times():
+    # the distance suite's floor on R: just above it distance_experiment
+    # samples its times, just below it has none, whatever K is
+    grid = Grid(1, 2 * np.pi, 128)
+    floor = 2.0 * grid.spacing * 1.01 ** 0.25
+    u0 = equator_initial_data(grid, 0.2, 1, 3)
+    assert len(distance_experiment(u0, floor * (1 + 1e-12))["rows"]) == 8
+    with pytest.raises(ValueError, match="no sampled times"):
+        distance_experiment(u0, floor * (1 - 1e-12))
+
+
 def test_sweep_tube_exit_leaves_failed_manifest(tmp_path):
     with pytest.raises(ManifoldTubeExitError):
         run_contraction_sweep(_tube_exit_config(tmp_path), tmp_path / "out", [3.0])
@@ -317,6 +364,81 @@ def test_private_name_lint_sees_attribute_reads(tmp_path):
                    "flow._apply_T\nG._hidden\nG.__name__\nflow.picard_solve\n")
     assert sorted(_private_names_of_other_modules(mod)) == [
         "probe.py: G._hidden", "probe.py: flow._apply_T", "probe.py: from .fields import _x"]
+
+
+# Every place src/ reorders an array's axes.  fields holds the two views
+# between field layout and the component-major layout of the spectral layer;
+# the other sites are the field boundaries that use them, and the member
+# axis of the norms' stacks.  A new one must be added here.
+_ALLOWED_LAYOUT_SITES = sorted([
+    "fields.py: components_first: moveaxis",
+    "fields.py: components_last: moveaxis",
+    "fields.py: Spectrum.__init__: components_first",
+    "fields.py: gradient: components_last",
+    "fields.py: hessian: components_last",
+    "fields.py: laplacian: components_last",
+    "flow.py: _DerivBundle.__init__: components_first",
+    "flow.py: nonlinearity_f1: components_last",
+    "flow.py: nonlinearity_f2: components_last",
+    "flow.py: nonlinearity_f3: components_last",
+    "flow.py: _forcing: components_last",
+    "flow.py: constraint_diagnostics: components_first",
+    "flow.py: constraint_diagnostics: components_first",
+    "norms.py: _member_magnitudes: moveaxis",
+    "norms.py: x_norms: swapaxes",
+    "norms.py: x_norms: swapaxes",
+    "semigroup.py: apply_G_trajectory: components_last",
+    "semigroup.py: apply_S_trajectory: components_last",
+    "semigroup.py: apply_S_div_trajectory: components_last",
+])
+
+_LAYOUT_OPS = ("moveaxis", "swapaxes", "rollaxis", "transpose", "T", "ascontiguousarray",
+               "asfortranarray", "components_first", "components_last")
+
+
+def _layout_sites(path):
+    """'module: function: op' for every axis reorder a module spells, as an
+    attribute (np.moveaxis, a.T, a.transpose()) or a bare name (a variable
+    named T aside), in the function or method around it."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute):
+                op = child.attr
+            elif isinstance(child, ast.Name) and child.id != "T":
+                op = child.id
+            else:
+                op = None
+            if op in _LAYOUT_OPS:
+                yield f"{path.name}: {'.'.join(scope) or '<module>'}: {op}"
+            yield from visit(child, scope)
+    yield from visit(ast.parse(path.read_text()), [])
+
+
+def test_axes_are_reordered_only_at_the_field_boundaries():
+    # one layout in the spectral layer: no bundle, jet or sweep transposes
+    # its arrays into a second copy
+    src = Path(__file__).resolve().parents[1] / "src" / "biflow"
+    found = sorted(site for path in sorted(src.glob("*.py")) for site in _layout_sites(path))
+    assert found == _ALLOWED_LAYOUT_SITES
+
+
+def test_layout_lint_sees_every_spelling_of_a_reorder(tmp_path):
+    mod = tmp_path / "probe.py"
+    mod.write_text("import numpy as np\nfrom numpy import moveaxis\n"
+                   "from .fields import components_last\nT = 1.0\n"
+                   "def f(a, T):\n    return np.moveaxis(a, 0, -1), a.T, T\n"
+                   "class B:\n    def __init__(self, a):\n"
+                   "        self.h = np.ascontiguousarray(a.transpose())\n"
+                   "        g = lambda x: moveaxis(x, 0, 1).swapaxes(0, 1)\n"
+                   "        self.g = components_last(a, 1)\n")
+    assert sorted(_layout_sites(mod)) == sorted([
+        "probe.py: f: moveaxis", "probe.py: f: T",
+        "probe.py: B.__init__: ascontiguousarray", "probe.py: B.__init__: transpose",
+        "probe.py: B.__init__: moveaxis", "probe.py: B.__init__: swapaxes",
+        "probe.py: B.__init__: components_last"])
 
 
 def _public_top_level_names(tree):

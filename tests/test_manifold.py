@@ -153,7 +153,8 @@ def test_broadcasting_over_grids(rng):
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 9), st.integers(1, 3))
 def test_jet_gram_form_matches_dpi_sums(seed, ambient_dim, n):
     # on points in the tube and inside the polynomial cap, with ambient dims
-    # on both sides of _component_dot's switch to np.sum: d1 has dpi's bits,
+    # on both sides of numpy's switch to a pairwise sum at 8 terms, which
+    # _component_dot follows: d1 has dpi's bits,
     # and the Gram-form sums agree with dpi's term-by-term sums to round-off
     target = SphereTarget(ambient_dim)
     r = np.random.Generator(np.random.Philox(seed))
@@ -168,15 +169,20 @@ def test_jet_gram_form_matches_dpi_sums(seed, ambient_dim, n):
     grads = r.normal(size=shape[:-1] + (n, ambient_dim))
     g = [grads[..., a, :] for a in range(n)]
     v, w = r.normal(size=shape), np.broadcast_to(r.normal(size=ambient_dim), shape)
-    jet = ProjectionJet(target, y, grads)
+    # the jet is component-major: components lead its inputs and outputs
+    jet = ProjectionJet(target, np.moveaxis(y, -1, 0), np.moveaxis(grads, (-2, -1), (0, 1)))
+    d1 = lambda x: np.moveaxis(jet.d1(np.moveaxis(x, -1, 0)), 0, -1)
+    d2 = lambda *pairs: np.moveaxis(jet.d2(*[(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0))
+                                              for a, b in pairs]), 0, -1)
+    trace3 = lambda z: np.moveaxis(jet.trace3(np.moveaxis(z, -1, 0)), 0, -1)
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     for x in (v, w, *g):
-        assert np.array_equal(jet.d1(x), dpi(target, y, 1, (x,)))
+        assert np.array_equal(d1(x), dpi(target, y, 1, (x,)))
     for pairs in ([(v, w)], [(v, v)], [(v, w), (w, w), *[(ga, ga) for ga in g]],
                   [(ga, v) for ga in g]):
-        assert close(jet.d2(*pairs), sum(dpi(target, y, 2, p) for p in pairs))
+        assert close(d2(*pairs), sum(dpi(target, y, 2, p) for p in pairs))
     for z in (v, w, *g):
-        assert close(jet.trace3(z), sum(dpi(target, y, 3, (ga, ga, z)) for ga in g))
+        assert close(trace3(z), sum(dpi(target, y, 3, (ga, ga, z)) for ga in g))

@@ -122,7 +122,8 @@ def _carleson_oracle(f, i, R, q=8, octaves=10):
     sq = np.empty((t_nodes.size,) + grid.shape)
     for j, t in enumerate(t_nodes):
         smoothed = apply_G(f, t ** 4)
-        mag = pointwise_norm(gradient(smoothed) if i == 1 else hessian(smoothed), grid)
+        d = gradient(smoothed) if i == 1 else hessian(smoothed)
+        mag = pointwise_norm(np.moveaxis(d, range(-1 - i, 0), range(1 + i)), grid)
         sq[j] = (t ** i * mag) ** 2
     best = 0.0
     for m, r in enumerate(radii):
@@ -211,7 +212,7 @@ class _CountingSpectrum(Spectrum):
 
     @classmethod
     def _of_frames(cls, grid, frames):
-        cls.stacks.append(frames.shape[0])
+        cls.stacks.append(np.moveaxis(frames, -1 - grid.dim, 0).shape[0])
         return super()._of_frames(grid, frames)
 
 

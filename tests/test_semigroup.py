@@ -78,7 +78,8 @@ def test_symbol_and_divergence_spectrum_bitwise_equal_oracles(dim, codomain):
     assert np.array_equal(symbol(g), _oracle_symbol(g))
     r = _philox(10 * dim + codomain)
     F = SpaceTimeField(g, [0.0, 0.1, 0.4], r.normal(size=(3,) + g.shape + (dim, codomain)))
-    assert np.array_equal(Spectrum(F).divergence(), _oracle_divergence_spectrum(F))
+    assert np.array_equal(np.moveaxis(Spectrum(F).divergence(), 0, -1),
+                          _oracle_divergence_spectrum(F))
 
 
 def _oracle_free_frame(u0, t, real=True):
@@ -270,7 +271,7 @@ def test_divergence_inside_duhamel_matches_outside(grid64, rng):
     times = 0.4 * (np.arange(9) / 8) ** 4
     F = random_forcing(grid64, times, rng, per_axis=True)
     inside = apply_S_div_trajectory(F).values[-1]
-    div = inverse_transform(grid64, Spectrum(F).divergence())
+    div = np.moveaxis(inverse_transform(grid64, Spectrum(F).divergence()), 0, -1)
     outside = apply_S(SpaceTimeField(grid64, times, div), times[-1]).values
     assert np.abs(inside - outside).max() < 1e-13
 
@@ -392,8 +393,9 @@ def test_one_exponential_weights_bitwise_equal_separate_formulas(dim, M):
     rng = _philox(dim)
     shape = (times.size,) + g.shape[:-1] + (M // 2 + 1, 2)  # a half spectrum
     spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    assert np.array_equal(semigroup._duhamel_sweep(g, times, spec),
-                          _oracle_duhamel_sweep(g, times, spec))
+    # the sweep takes and gives component-major coefficients
+    swept = semigroup._duhamel_sweep(g, times, np.moveaxis(spec, -1, 0))
+    assert np.array_equal(np.moveaxis(swept, 0, -1), _oracle_duhamel_sweep(g, times, spec))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
