@@ -10,9 +10,10 @@ class InvalidTimeError(ValueError):
 
 
 class QuadratureResidualError(RuntimeError):
-    """The imaginary residual of an oscillatory quadrature exceeded tolerance.
+    """A kernel quadrature cannot meet its tolerance.
 
-    Signals that the node density is insufficient for the requested point.
+    Raised when the rounding floor of the radial sum lies above the
+    profile's tolerance, which double precision then cannot reach.
     """
 
 

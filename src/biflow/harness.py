@@ -108,8 +108,20 @@ def _finite(cp: configparser.ConfigParser, section: str, key: str) -> float:
     return value
 
 
-def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
+@contextlib.contextmanager
+def _invalid_config():
+    """Turn a value that the object built from it rejects (a ValueError, or
+    a config key that cannot be read) into a ConfigError."""
     try:
+        yield
+    except ConfigError:
+        raise
+    except (configparser.Error, ValueError) as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
+
+
+def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
+    with _invalid_config():
         grid = Grid(_number(cp, "grid", "dim", int), _finite(cp, "grid", "box_length"),
                     _number(cp, "grid", "points_per_axis", int))
         target = SphereTarget(_number(cp, "target", "ambient_dim", int),
@@ -125,10 +137,6 @@ def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
             picard_tol=_finite(cp, "picard", "tol"),
             tube_exit_policy=cp.get("picard", "tube_exit_policy"),
         )
-    except ConfigError:
-        raise
-    except (configparser.Error, ValueError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def _experiment_value(cp: configparser.ConfigParser, key: str,
@@ -259,10 +267,10 @@ def _suite_kernel(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") ->
     tol = _number(cp, "kernel", "tolerance", float)
     nodes = _number(cp, "kernel", "quadrature_nodes", int)
     c1 = _finite(cp, "kernel", "c1")
-    try:
+    if not c1 > 0.0:
+        raise ConfigError(f"[kernel] c1 must be positive, got {c1}")
+    with _invalid_config():
         profile = default_profile(dim, tol, nodes)
-    except ValueError as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
     certs = [
         certify_bound(profile, "2.2"),
         certify_bound(profile, "2.3", 1),
@@ -281,7 +289,8 @@ def _suite_kernel(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") ->
 
 
 def _suite_operators(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
-    grid = Grid(_number(cp, "grid", "dim", int), _finite(cp, "grid", "box_length"), 32)
+    with _invalid_config():
+        grid = Grid(_number(cp, "grid", "dim", int), _finite(cp, "grid", "box_length"), 32)
     frames = 12
     T = 0.5
     times = T * (np.arange(frames + 1) / frames) ** 4
@@ -326,10 +335,11 @@ def smoothing_family_constants(grid: Grid, R: float, ambient_dim: int = 3) -> di
 def _suite_norms(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
     # the comparability family's grid, where the oscillation seminorm needs
     # a radius above 2h
-    fam_grid = Grid(1, _finite(cp, "grid", "box_length"), 128)
+    with _invalid_config():
+        fam_grid = Grid(1, _finite(cp, "grid", "box_length"), 128)
+        target = SphereTarget(_number(cp, "target", "ambient_dim", int))
     Rc = _ball_radius(cp, "carleson_radius_fraction", fam_grid, 2.0 * fam_grid.spacing)
     grid = Grid(1, fam_grid.box_length, 256)
-    target = SphereTarget(_number(cp, "target", "ambient_dim", int))
     R0 = grid.box_length / 4.0
     rows = [smoothing_family_constants(grid, R0 / 2 ** j,
                                        ambient_dim=target.ambient_dim)
@@ -378,12 +388,13 @@ def _suite_flow(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> d
 
 
 def _suite_distance(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
-    grid = Grid(1, _finite(cp, "grid", "box_length"), 128)
+    with _invalid_config():
+        grid = Grid(1, _finite(cp, "grid", "box_length"), 128)
+        target = SphereTarget(_number(cp, "target", "ambient_dim", int))
     # distance_experiment samples times from (2h / K)^4 * 1.01 up to
     # (R / K)^4, a range that is empty, whatever K is, unless R is above this
     R = _ball_radius(cp, "bmo_radius_fraction", grid, 2.0 * grid.spacing * 1.01 ** 0.25)
     delta = _experiment_value(cp, "distance_delta")
-    target = SphereTarget(_number(cp, "target", "ambient_dim", int))
     eps = _finite(cp, "experiments", "distance_amplitude")
     u0 = equator_initial_data(grid, eps, 1, target.ambient_dim)
     report = distance_experiment(u0, R, delta=delta)
@@ -441,10 +452,12 @@ def run_kernel_verify(dim: int, estimate: str, order: int | None, tol: float,
     default profile with 16 quadrature nodes per unit k.
 
     order None means 0 for a single estimate; "all" covers every order and
-    takes none.  A dim, tolerance or derivative order the certificate does not
-    admit is a ConfigError; a quadrature that fails its residual check still
-    raises.
+    takes none.  A dim, tolerance, c1 or derivative order the certificate
+    does not admit is a ConfigError; a tolerance below the rounding floor of
+    the quadrature still raises QuadratureResidualError.
     """
+    if not (math.isfinite(c1) and c1 > 0.0):
+        raise ConfigError(f"kernel-verify --c1 must be positive and finite, got {c1:g}")
     if estimate != "all":
         jobs = ((estimate, order or 0),)
     elif order is None:

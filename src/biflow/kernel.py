@@ -5,12 +5,13 @@ The fundamental solution of ``u_t + Lap^2 u = 0`` is self-similar,
     b(x, t) = t^(-n/4) * g(x / t^(1/4)),
     g(xi)   = (2*pi)^(-n) * int exp(i xi.k - |k|^4) dk,
 
-normalised so that ``int b(., t) dx = 1`` for every ``t``.  The profile ``g``
-is evaluated by composite Gauss-Legendre quadrature of the oscillatory
-integral: a tensor product rule for n <= 2, and a one-dimensional radial rule
-against the spherical kernel sin(r s)/(r s) for n = 3.  Spatial derivatives up
-to total order four come from moment factors (i k)^a under the integral (or,
-for n = 3, from radial derivatives assembled into Cartesian components).
+normalised so that ``int b(., t) dx = 1`` for every ``t``.  ``g`` is radial,
+so in every dimension its Fourier integral reduces to one real radial
+integral against the spherical kernel: cos(r s) for n = 1, J_0(r s) for
+n = 2 and sin(r s)/(r s) for n = 3.  The profile is evaluated by composite
+Gauss-Legendre quadrature of that integral; spatial derivatives up to total
+order four are radial derivatives assembled into Cartesian components, with
+a Maclaurin series near the origin.
 
 ``certify_bound`` sweeps a logarithmic (x, t) lattice and fits the constant in
 each of the four classical decay estimates for ``b``; the stretched-exponential
@@ -25,7 +26,7 @@ from itertools import combinations, product
 
 import numpy as np
 from scipy.integrate import quad as _quad
-from scipy.special import gamma as _gamma
+from scipy.special import gamma as _gamma, j0 as _j0, j1 as _j1
 
 from .errors import InvalidTimeError, QuadratureResidualError, UnsupportedOrderError
 
@@ -52,7 +53,7 @@ UNIT_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 _GL_POINTS = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
-_SERIES_SWITCH = 0.2   # below this |xi| the n=3 radial combos use Maclaurin series
+_SERIES_SWITCH = 0.2   # below this |xi| the Cartesian combos use Maclaurin series
 _J0_SWITCH = 0.5       # below this argument the spherical kernel uses its series
 
 
@@ -114,15 +115,6 @@ def _composite_gl(a: float, b: float, panels: int):
     return nodes, weights
 
 
-def _axis_rule(profile: KernelProfile, freq: float):
-    """Symmetric rule on [-K, K] resolving oscillation e^{i freq k}."""
-    K = profile.truncation_radius
-    per_unit = profile.quadrature_nodes + abs(freq)
-    panels = max(4, int(math.ceil(2.0 * K * per_unit / _GL_POINTS)))
-    panels += panels % 2  # keep the node set symmetric about k = 0
-    return _composite_gl(-K, K, panels)
-
-
 def _radial_rule(profile: KernelProfile, freq: float, r_max: float | None = None):
     top = profile.truncation_radius if r_max is None else r_max
     per_unit = profile.quadrature_nodes + abs(freq)
@@ -131,44 +123,66 @@ def _radial_rule(profile: KernelProfile, freq: float, r_max: float | None = None
 
 
 # ----------------------------------------------------------------------
-# n = 3 radial machinery
+# the radial reduction
 # ----------------------------------------------------------------------
 
-# Derivatives of j0(x) = sin(x)/x, closed forms for |x| >= _J0_SWITCH, as
-# functions of (sin x, cos x, x).
-_J0_CLOSED = (
-    lambda s, c, xs: s / xs,
-    lambda s, c, xs: c / xs - s / xs ** 2,
-    lambda s, c, xs: -s / xs - 2 * c / xs ** 2 + 2 * s / xs ** 3,
-    lambda s, c, xs: -c / xs + 3 * s / xs ** 2 + 6 * c / xs ** 3 - 6 * s / xs ** 4,
-    lambda s, c, xs: (s / xs + 4 * c / xs ** 2 - 12 * s / xs ** 3
-                      - 24 * c / xs ** 4 + 24 * s / xs ** 5),
-)
+# g is radial: g(xi) = G(|xi|) with
+#     G(s) = c_n * int_0^inf r^(n-1) exp(-r^4) Phi_n(s r) dr,
+# where c_n = (2 pi)^(-n) |S^(n-1)| and the spherical kernel Phi_n, the mean
+# of exp(i x w_1) over the unit sphere, is cos x (n = 1), J_0(x) (n = 2) and
+# sin(x)/x (n = 3) (Stein & Weiss 1971, ch. IV).
+_RADIAL_FACTOR = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi), 3: 1.0 / (2.0 * math.pi ** 2)}
+
+# Phi_n = sum_p (-1)^p x^(2p) / d_n(p), d_n(p) = 4^p p! Gamma(p + n/2) / Gamma(n/2):
+# (2p)!, 4^p p!^2 and (2p+1)! for n = 1, 2, 3.  _P is the series index p;
+# both Maclaurin series stop at p = 13.
+_P = np.arange(14)
+_MEAN_DENOM = {1: _gamma(2 * _P + 1), 2: 4.0 ** _P * _gamma(_P + 1) ** 2,
+               3: _gamma(2 * _P + 2)}
+
+# Phi_n and its derivatives to order four as functions of a base pair (f, h)
+# of the argument and the argument x itself: (sin x, cos x) for n = 1 and 3,
+# (J_0(x), J_1(x)) for n = 2 with J_0' = -J_1, J_1' = J_0 - J_1/x (DLMF 10.6).
+_KERNEL_BASE = {1: (np.sin, np.cos), 2: (_j0, _j1), 3: (np.sin, np.cos)}
+_KERNEL_CLOSED = {
+    1: (lambda s, c, x: c, lambda s, c, x: -s, lambda s, c, x: -c,
+        lambda s, c, x: s, lambda s, c, x: c),
+    2: (lambda a, b, x: a,
+        lambda a, b, x: -b,
+        lambda a, b, x: -a + b / x,
+        lambda a, b, x: b + a / x - 2 * b / x ** 2,
+        lambda a, b, x: a - 2 * b / x - 3 * a / x ** 2 + 6 * b / x ** 3),
+    3: (lambda s, c, x: s / x,
+        lambda s, c, x: c / x - s / x ** 2,
+        lambda s, c, x: -s / x - 2 * c / x ** 2 + 2 * s / x ** 3,
+        lambda s, c, x: -c / x + 3 * s / x ** 2 + 6 * c / x ** 3 - 6 * s / x ** 4,
+        lambda s, c, x: (s / x + 4 * c / x ** 2 - 12 * s / x ** 3
+                         - 24 * c / x ** 4 + 24 * s / x ** 5)),
+}
 
 
-def _j0_derivs(ms, x: np.ndarray):
-    """Yield j0^(m)(x) for each m in ms, one order at a time.
+def _kernel_derivs(n: int, ms, x: np.ndarray):
+    """Yield Phi_n^(m)(x) for each m in ms, one order at a time.
 
-    sin, cos and the small-argument mask are taken once for all orders; the
-    Maclaurin series runs only on the entries that keep it.
+    The base pair and the small-argument mask are taken once for all orders.
+    For n >= 2 the closed forms divide by x, so below _J0_SWITCH the
+    Maclaurin series, differentiated term by term, replaces them on the
+    entries that keep it; the terms to p = 12 give full double precision
+    there.  cos divides by nothing and keeps its closed forms everywhere.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _J0_SWITCH
+    small = np.abs(x) < (_J0_SWITCH if n > 1 else 0.0)
     xs = np.where(small, 1.0, x)  # avoid division by ~0 in the closed form
-    s, c = np.sin(xs), np.cos(xs)
+    f, h = (fn(xs) for fn in _KERNEL_BASE[n])
     x_small = x[small]
     for m in ms:
-        if m >= len(_J0_CLOSED):  # pragma: no cover - guarded by callers
-            raise UnsupportedOrderError(f"spherical kernel derivative order {m} > 4")
-        closed = _J0_CLOSED[m](s, c, xs)
-        # Maclaurin series of j0 differentiated term by term; terms to p = 12
-        # give full double precision for |x| < 0.5.
+        closed = _KERNEL_CLOSED[n][m](f, h, xs)
         ser = np.zeros_like(x_small)
         for p in range(0, 13):
             e = 2 * p - m
             if e < 0:
                 continue
-            coef = (-1.0) ** p / math.factorial(2 * p + 1)
+            coef = (-1.0) ** p / _MEAN_DENOM[n][p]
             for q in range(m):
                 coef *= (2 * p - q)
             ser = ser + coef * x_small ** e
@@ -176,27 +190,35 @@ def _j0_derivs(ms, x: np.ndarray):
         yield closed
 
 
-def _series_coeffs() -> np.ndarray:
-    """The first 14 Maclaurin coefficients c_{2p} of the radial n=3 profile G(s)."""
-    c3 = 1.0 / (2.0 * math.pi ** 2)
-    p = np.arange(14)
-    return c3 * (-1.0) ** p * _gamma((2 * p + 3) / 4.0) / (4.0 * _gamma(2 * p + 2))
+def _series_coeffs(n: int) -> np.ndarray:
+    """The first 14 Maclaurin coefficients c_{2p} of the radial profile G(s):
+    c_n (-1)^p Gamma((2p + n)/4) / (4 d_n(p))."""
+    return _RADIAL_FACTOR[n] * (-1.0) ** _P * _gamma((2 * _P + n) / 4.0) / (4.0 * _MEAN_DENOM[n])
 
 
 def _radial_derivs(profile: KernelProfile, s: np.ndarray, ms) -> dict[int, np.ndarray]:
-    """{m: G^(m)(s)} for each m in ms by quadrature of the spherical reduction.
+    """{m: G^(m)(s)} for each m in ms by quadrature of the radial reduction.
 
     Each order's kernel on the s x r outer array is reduced to its radial
-    derivative before the next one is formed.
+    derivative before the next one is formed.  |Phi_n^(m)| <= 1 and the
+    weights are positive, so eps * c_n * sum(weights) is the rounding floor
+    of an order's sum; a tolerance below it cannot be met.
     """
-    c3 = 1.0 / (2.0 * math.pi ** 2)
+    n = profile.dim
+    c = _RADIAL_FACTOR[n]
     s = np.asarray(s, dtype=float)
     freq = float(np.max(s)) if s.size else 0.0
     r, w = _radial_rule(profile, freq)
-    base = w * r ** 2 * np.exp(-r ** 4)
+    base = w * r ** (n - 1) * np.exp(-r ** 4)
+    weights = {m: base * r ** m for m in ms}
+    floor = max(np.finfo(float).eps * c * float(wm.sum()) for wm in weights.values())
+    if floor > profile.tolerance:
+        raise QuadratureResidualError(
+            f"rounding floor {floor:.3e} of the radial quadrature exceeds tolerance "
+            f"{profile.tolerance:.3e}; double precision cannot meet it")
     rs = np.multiply.outer(s, r)
-    return {m: c3 * (kern * (base * r ** m)[None, :]).sum(axis=1)
-            for m, kern in zip(ms, _j0_derivs(ms, rs))}
+    return {m: c * (kern * weights[m][None, :]).sum(axis=1)
+            for m, kern in zip(ms, _kernel_derivs(n, ms, rs))}
 
 
 def _series_combo(coeffs: np.ndarray, s: np.ndarray, factors: int, shift: int) -> np.ndarray:
@@ -218,44 +240,52 @@ def _series_combo(coeffs: np.ndarray, s: np.ndarray, factors: int, shift: int) -
     return acc
 
 
-def _eval_profile_3d(profile: KernelProfile, xi: np.ndarray, orders) -> list[np.ndarray]:
-    """d^order g for each multi-index in orders, all of one total order m.
+def _eval_profile_batch(profile: KernelProfile, xi: np.ndarray, orders) -> list[np.ndarray]:
+    """d^order g at xi for each multi-index in orders, all of one total order m.
 
-    The radial derivatives and their series/quadrature combinations depend
-    only on |xi| and m, so they are built once; each multi-index adds only
-    its products of unit-direction components.
+    The Cartesian derivatives of a radial function are combinations of its
+    radial derivatives G^(1..m)(|xi|) divided by powers of |xi|, times
+    products of unit-direction components; the combinations do not depend on
+    the dimension.  Each is an entire function of |xi|, evaluated from the
+    profile's Maclaurin series below _SERIES_SWITCH, where the quotients
+    cancel.  The radial derivatives and the combinations depend only on |xi|
+    and m, so they are built once; each multi-index adds only its products
+    of direction components.
     """
     m = int(sum(orders[0]))
     s = np.sqrt((xi ** 2).sum(axis=1))
     small = s < _SERIES_SWITCH
-    ss = np.where(small, 1.0, s)  # guards the quadrature-branch divisions only
+    far = ~small
+    sf = s[far]  # the quadrature serves only the points the series does not
     # unit direction; at the origin itself every directional coefficient
     # vanishes, so the 0/1 = 0 vector is harmless
     u = xi / np.where(s > 0.0, s, 1.0)[:, None]
 
     # a_0 enters only m = 0; the m >= 1 formulas use a_1..a_m
-    a = _radial_derivs(profile, s, range(1, m + 1) if m else (0,))
-    cs = _series_coeffs()
+    a = _radial_derivs(profile, sf, range(1, m + 1) if m else (0,))
+    cs = _series_coeffs(profile.dim)
 
     def combo(quad_expr, factors, shift):
-        ser = _series_combo(cs, s, factors, shift)
-        return np.where(small, ser, quad_expr)
+        out = np.empty_like(s)
+        out[small] = _series_combo(cs, s[small], factors, shift)
+        out[far] = quad_expr
+        return out
 
-    if m == 0:  # the one multi-index (0, 0, 0)
+    if m == 0:  # the one multi-index (0, ..., 0)
         return [combo(a[0], 0, 0)]
     if m == 1:
-        a1_over = combo(a[1] / ss, 1, 2) * s  # a1 = (a1/s) * s, regular everywhere
+        a1_over = combo(a[1] / sf, 1, 2) * s  # a1 = (a1/s) * s, regular everywhere
         return [a1_over * u[:, order.index(1)] for order in orders]
     if m == 2:
-        q2 = combo(a[1] / ss, 1, 2)
-        p2 = combo(a[2] - a[1] / ss, 2, 2)
+        q2 = combo(a[1] / sf, 1, 2)
+        p2 = combo(a[2] - a[1] / sf, 2, 2)
     elif m == 3:
-        q3 = combo(a[2] / ss - a[1] / ss ** 2, 2, 3)
-        p3 = combo(a[3] - 3 * a[2] / ss + 3 * a[1] / ss ** 2, 3, 3)
+        q3 = combo(a[2] / sf - a[1] / sf ** 2, 2, 3)
+        p3 = combo(a[3] - 3 * a[2] / sf + 3 * a[1] / sf ** 2, 3, 3)
     else:
-        c5 = combo(a[2] / ss ** 2 - a[1] / ss ** 3, 2, 4)
-        q4 = combo(a[3] / ss - 3 * a[2] / ss ** 2 + 3 * a[1] / ss ** 3, 3, 4)
-        p4 = combo(a[4] - 6 * a[3] / ss + 15 * a[2] / ss ** 2 - 15 * a[1] / ss ** 3, 4, 4)
+        c5 = combo(a[2] / sf ** 2 - a[1] / sf ** 3, 2, 4)
+        q4 = combo(a[3] / sf - 3 * a[2] / sf ** 2 + 3 * a[1] / sf ** 3, 3, 4)
+        p4 = combo(a[4] - 6 * a[3] / sf + 15 * a[2] / sf ** 2 - 15 * a[1] / sf ** 3, 4, 4)
 
     out = []
     for order in orders:
@@ -315,61 +345,12 @@ def _check_order(order, dim: int):
     return order
 
 
-def _eval_profile_batch(profile: KernelProfile, pts: np.ndarray, orders) -> list[np.ndarray]:
-    """d^order g at pts for each multi-index in orders, all of one total order.
-
-    The quadrature rule and, chunk by chunk, the phase tables are built once
-    for all orders; only the moment weights (ik)^order change per order.
-    """
-    n = profile.dim
-    if n == 3:
-        return _eval_profile_3d(profile, pts, orders)
-
-    prefac = (2.0 * math.pi) ** (-n)
-    out = [np.empty(pts.shape[0], dtype=complex) for _ in orders]
-    if n == 1:
-        k, w = _axis_rule(profile, float(np.abs(pts).max(initial=0.0)))
-        moms = [w * (1j * k) ** order[0] * np.exp(-k ** 4) for order in orders]
-        chunk = 8192
-        for lo in range(0, pts.shape[0], chunk):
-            ph = np.exp(1j * np.multiply.outer(pts[lo:lo + chunk, 0], k))
-            for dst, mom in zip(out, moms):
-                dst[lo:lo + chunk] = ph @ mom
-    else:
-        k1, w1 = _axis_rule(profile, float(np.abs(pts[:, 0]).max(initial=0.0)))
-        k2, w2 = _axis_rule(profile, float(np.abs(pts[:, 1]).max(initial=0.0)))
-        ksq = k1[:, None] ** 2 + k2[None, :] ** 2
-        damp = np.exp(-ksq ** 2)
-        moms = [(w1 * (1j * k1) ** order[0], w2 * (1j * k2) ** order[1])
-                for order in orders]
-        chunk = 2048
-        for lo in range(0, pts.shape[0], chunk):
-            e1 = np.exp(1j * np.multiply.outer(pts[lo:lo + chunk, 0], k1))
-            e2 = np.exp(1j * np.multiply.outer(pts[lo:lo + chunk, 1], k2))
-            for dst, (m1, m2) in zip(out, moms):
-                # the order's core is a temporary: one is alive at a time
-                dst[lo:lo + chunk] = np.einsum(
-                    "pa,ab,pb->p", e1, damp * np.multiply.outer(m1, m2), e2, optimize=True)
-
-    vals = []
-    for o in out:
-        o = prefac * o
-        resid = float(np.abs(o.imag).max(initial=0.0))
-        if resid > profile.tolerance:
-            raise QuadratureResidualError(
-                f"imaginary quadrature residual {resid:.3e} exceeds tolerance "
-                f"{profile.tolerance:.3e}; increase quadrature_nodes"
-            )
-        vals.append(o.real)
-    return vals
-
-
 def eval_profile(profile: KernelProfile, xi, order=None):
     """Evaluate d^order g at one point (n,) or a batch (P, n) of points.
 
-    Returns a float for a single point, else an array of shape (P,).  The
-    result is the real part of the oscillatory quadrature; the imaginary
-    residual is checked against ``profile.tolerance`` first.
+    Returns a float for a single point, else an array of shape (P,).  A
+    ``profile.tolerance`` below the rounding floor of the radial quadrature
+    raises QuadratureResidualError.
     """
     order = _check_order(order, profile.dim)
     pts = _normalize_points(xi, profile.dim)

@@ -246,11 +246,15 @@ def test_cli_rejects_bad_experiment_settings_before_any_work(
     (["contraction-sweep", "--amplitudes", "0.05"], "[experiments]\nbmo_radius_fraction = 0.01",
      "[experiments] bmo_radius_fraction = 0.01 gives R=0.0628, "
      "not above 0.196 on the 64-point grid"),
+    (["kernel"], "[kernel]\nc1 = -3", "[kernel] c1 must be positive, got -3.0"),
+    (["operators"], "[grid]\ndim = 4", "invalid configuration: dim must be 1, 2 or 3"),
+    (["norms"], "[target]\nambient_dim = 1", "invalid configuration: ambient_dim must be >= 2"),
 ])
 def test_cli_rejects_unparsable_and_unresolvable_values_before_any_work(
         monkeypatch, tmp_path, capsys, argv, config, message):
-    # a value that does not parse, is not finite, or gives a radius the
-    # suite's grid cannot resolve is named as written, and nothing is computed
+    # a value that does not parse, is not finite, lies outside the range of
+    # what is built from it, or gives a radius the suite's grid cannot
+    # resolve is named, and nothing is computed
     for name in ("certify_bound", "operator_bound_experiment", "smoothing_ratios",
                  "bmo_seminorm", "distance_experiment", "picard_solve"):
         monkeypatch.setattr(f"biflow.harness.{name}", _no_work)
@@ -300,6 +304,19 @@ def test_cli_kernel_verify_bad_arguments_are_config_errors(tmp_path, capsys, arg
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("args", [["--estimate", "2.5", "--c1", "-3"],
+                                  ["--estimate", "all", "--c1", "0"]])
+def test_cli_kernel_verify_rejects_a_nonpositive_c1_before_any_work(
+        monkeypatch, tmp_path, capsys, args):
+    # exp(-c1 |x|) with c1 <= 0 does not decay: no certificate is fitted to it
+    monkeypatch.setattr("biflow.harness.certify_bound", _no_work)
+    rc = cli_main(["kernel-verify", *args, "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: kernel-verify --c1 must be positive and finite, got {args[-1]}\n")
     assert not (tmp_path / "c.json").exists()
 
 

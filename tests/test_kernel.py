@@ -1,12 +1,14 @@
 """Kernel profile, derivatives, mass, and decay certificates."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import gamma, j0, j1
 
 from biflow import kernel
 from biflow.errors import InvalidTimeError, UnsupportedOrderError
@@ -96,15 +98,15 @@ def test_profile_invariant_truncation():
 
 
 def test_imaginary_residual_guard():
-    # an absurd tolerance sits below the rounding floor of the symmetric
-    # quadrature, so the residual check must trip
+    # an absurd tolerance sits below the rounding floor of the radial
+    # quadrature, so the rounding-floor guard must trip
     from biflow.errors import QuadratureResidualError
     p = default_profile(1, tolerance=1e-30)
     with pytest.raises(QuadratureResidualError):
         eval_profile(p, np.linspace(0.1, 20.0, 50))
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_mass_is_one_with_tail_control(dim):
     p = default_profile(dim)
     for t in (1e-2, 1.0, 1e2):
@@ -145,6 +147,31 @@ def test_3d_derivatives_match_finite_differences():
         fd = (eval_profile(p, pt + e, tuple(lower))
               - eval_profile(p, pt - e, tuple(lower))) / (2 * h)
         assert eval_profile(p, pt, full) == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rounding_floor_guard_trips_only_below_double_precision(dim):
+    from biflow.errors import QuadratureResidualError
+    pts = np.linspace(0.1, 20.0, 50)[:, None] * np.eye(dim)[0]
+    with pytest.raises(QuadratureResidualError, match="rounding floor"):
+        eval_profile(default_profile(dim, tolerance=1e-30), pts)
+    for p in (default_profile(dim), default_profile(dim, tolerance=1e-10)):
+        for k in range(5):
+            assert np.all(np.isfinite(gradient_magnitude(p, pts, k)))
+
+
+@pytest.mark.parametrize("dim, direction, orders", [
+    (1, [1.0], [(0,), (1,), (2,), (3,), (4,)]),
+    (2, [0.6, 0.8], [(0, 0), (1, 0), (2, 0), (1, 1), (3, 0), (2, 2), (4, 0)]),
+])
+def test_series_quadrature_interface_is_continuous(dim, direction, orders):
+    p = default_profile(dim)
+    for order in orders:
+        f = [eval_profile(p, np.array(direction) * (kernel._SERIES_SWITCH + d), order)
+             for d in (-1e-4, 1e-4, 3e-4)]
+        # the step across the switch and the next one differ by a second
+        # difference, about 4e-8 f''; a series/quadrature mismatch adds to it
+        assert abs((f[1] - f[0]) - (f[2] - f[1])) < 1e-7, order
 
 
 def test_3d_series_quadrature_interface_is_continuous():
@@ -216,7 +243,8 @@ def test_gradient_magnitude_is_rotation_invariant(profile2):
 
 
 # ----------------------------------------------------------------------
-# the per-multi-index evaluation, kept as the bitwise oracle of the jet
+# the per-multi-index evaluation, kept as the bitwise oracle of the jet,
+# and the tensor-product rule the radial path replaced in 1D and 2D
 # ----------------------------------------------------------------------
 
 def _oracle_j0_deriv(m, x):
@@ -247,24 +275,54 @@ def _oracle_j0_deriv(m, x):
     return np.where(small, ser, closed)
 
 
+def _oracle_kernel_deriv(n, m, x):
+    """Phi_n^(m)(x): cos x (n = 1), J_0(x) (n = 2), sin(x)/x (n = 3)."""
+    if n == 3:
+        return _oracle_j0_deriv(m, x)
+    if n == 1:
+        return [np.cos(x), -np.sin(x), -np.cos(x), np.sin(x), np.cos(x)][m]
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < kernel._J0_SWITCH
+    xs = np.where(small, 1.0, x)
+    a, b = j0(xs), j1(xs)
+    closed = [a, -b, -a + b / xs, b + a / xs - 2 * b / xs ** 2,
+              a - 2 * b / xs - 3 * a / xs ** 2 + 6 * b / xs ** 3][m]
+    ser = np.zeros_like(x)
+    for p in range(0, 13):
+        e = 2 * p - m
+        if e < 0:
+            continue
+        coef = (-1.0) ** p / (4.0 ** p * math.factorial(p) ** 2)
+        for q in range(m):
+            coef *= (2 * p - q)
+        ser = ser + coef * x ** e
+    return np.where(small, ser, closed)
+
+
+# (2 pi)^(-n) times the area of the unit sphere S^(n-1)
+_ORACLE_RADIAL_FACTOR = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi),
+                         3: 1.0 / (2.0 * math.pi ** 2)}
+
+
 def _oracle_radial_derivs(profile, s, m_max):
-    c3 = 1.0 / (2.0 * math.pi ** 2)
+    n = profile.dim
+    c = _ORACLE_RADIAL_FACTOR[n]
     freq = float(np.max(s)) if s.size else 0.0
     r, w = kernel._radial_rule(profile, freq)
-    base = w * r ** 2 * np.exp(-r ** 4)
+    base = w * r ** (n - 1) * np.exp(-r ** 4)
     rs = np.multiply.outer(s, r)
-    return [c3 * (_oracle_j0_deriv(m, rs) * (base * r ** m)[None, :]).sum(axis=1)
+    return [c * (_oracle_kernel_deriv(n, m, rs) * (base * r ** m)[None, :]).sum(axis=1)
             for m in range(m_max + 1)]
 
 
-def _oracle_profile_3d(profile, xi, order):
+def _oracle_profile(profile, xi, order):
     m = int(sum(order))
     s = np.sqrt((xi ** 2).sum(axis=1))
     small = s < kernel._SERIES_SWITCH
     ss = np.where(small, 1.0, s)
     u = xi / np.where(s > 0.0, s, 1.0)[:, None]
     a = _oracle_radial_derivs(profile, s, m)
-    cs = kernel._series_coeffs()
+    cs = kernel._series_coeffs(profile.dim)
 
     def combo(quad_expr, factors, shift):
         return np.where(small, kernel._series_combo(cs, s, factors, shift), quad_expr)
@@ -303,21 +361,29 @@ def _oracle_profile_3d(profile, xi, order):
     return val
 
 
-def _oracle_profile(profile, pts, order):
+def _oracle_axis_rule(profile, freq):
+    """Symmetric rule on [-K, K] resolving oscillation e^{i freq k}."""
+    K = profile.truncation_radius
+    per_unit = profile.quadrature_nodes + abs(freq)
+    panels = max(4, int(math.ceil(2.0 * K * per_unit / kernel._GL_POINTS)))
+    panels += panels % 2  # keep the node set symmetric about k = 0
+    return kernel._composite_gl(-K, K, panels)
+
+
+def _oracle_tensor_profile(profile, pts, order):
+    """d^order g by the tensor-product rule over k in [-K, K]^n, n <= 2."""
     n = profile.dim
-    if n == 3:
-        return _oracle_profile_3d(profile, pts, order)
     prefac = (2.0 * math.pi) ** (-n)
     out = np.empty(pts.shape[0], dtype=complex)
     if n == 1:
-        k, w = kernel._axis_rule(profile, float(np.abs(pts).max(initial=0.0)))
+        k, w = _oracle_axis_rule(profile, float(np.abs(pts).max(initial=0.0)))
         mom = w * (1j * k) ** order[0] * np.exp(-k ** 4)
         for lo in range(0, pts.shape[0], 8192):
             ph = np.exp(1j * np.multiply.outer(pts[lo:lo + 8192, 0], k))
             out[lo:lo + 8192] = ph @ mom
     else:
-        k1, w1 = kernel._axis_rule(profile, float(np.abs(pts[:, 0]).max(initial=0.0)))
-        k2, w2 = kernel._axis_rule(profile, float(np.abs(pts[:, 1]).max(initial=0.0)))
+        k1, w1 = _oracle_axis_rule(profile, float(np.abs(pts[:, 0]).max(initial=0.0)))
+        k2, w2 = _oracle_axis_rule(profile, float(np.abs(pts[:, 1]).max(initial=0.0)))
         ksq = k1[:, None] ** 2 + k2[None, :] ** 2
         core = np.exp(-ksq ** 2)
         core = core * np.multiply.outer(w1 * (1j * k1) ** order[0],
@@ -361,8 +427,9 @@ def test_multi_indices_keep_order_and_weights(dim):
 def _oracle_points(dim):
     """The origin, |xi| below the 3D series switch, and far-field points.
 
-    Every point has radial nodes with r|xi| below the j0 series switch; 2D
-    gets more than one phase-table chunk of points.
+    Every point has radial nodes with r|xi| below the spherical kernel's
+    series switch; 2D gets more than one chunk of the tensor rule's phase
+    tables.
     """
     rng = np.random.Generator(np.random.Philox(7))
     count = {1: 60, 2: 2100, 3: 60}[dim]
@@ -389,8 +456,24 @@ def test_gradient_magnitude_bitwise_equals_per_multi_index_oracle(dim, refined):
     assert np.array_equal(eval_profile(p, pts, order), _oracle_profile(p, pts, order))
 
 
-def test_gradient_magnitude_runs_the_radial_quadrature_once_3d(monkeypatch):
-    # every multi-index of one order shares the radial jet of the point set
+@pytest.mark.parametrize("refined", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_radial_path_agrees_with_the_tensor_rule(dim, refined):
+    # the one real radial quadrature against the complex tensor-product rule
+    # it replaced: every component of orders 0-4, off-axis points and points
+    # near the origin included
+    p = default_profile(dim)
+    p = p.refined() if refined else p
+    pts = _oracle_points(dim)
+    for k in range(5):
+        orders = [order for order, _ in kernel._multi_indices(dim, k)]
+        radial = np.array([eval_profile(p, pts, order) for order in orders])
+        tensor = np.array([_oracle_tensor_profile(p, pts, order) for order in orders])
+        assert np.max(np.abs(radial - tensor)) <= 1e-12 * np.max(np.abs(tensor)), k
+
+
+def _radial_quadrature_calls(monkeypatch, dim):
+    """How often gradient_magnitude runs _radial_derivs, per order 0-4."""
     calls = []
     radial_derivs = kernel._radial_derivs
 
@@ -399,9 +482,57 @@ def test_gradient_magnitude_runs_the_radial_quadrature_once_3d(monkeypatch):
         return radial_derivs(*args)
 
     monkeypatch.setattr(kernel, "_radial_derivs", counted)
-    p = default_profile(3)
-    pts = _oracle_points(3)[:20]
+    p = default_profile(dim)
+    pts = _oracle_points(dim)[:20]
+    counts = []
     for k in range(5):
         calls.clear()
         gradient_magnitude(p, pts, k)
-        assert len(calls) == 1, k
+        counts.append(len(calls))
+    return counts
+
+
+def test_gradient_magnitude_runs_the_radial_quadrature_once_3d(monkeypatch):
+    # every multi-index of one order shares the radial jet of the point set
+    assert _radial_quadrature_calls(monkeypatch, 3) == [1] * 5
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gradient_magnitude_runs_the_radial_quadrature_once(monkeypatch, dim):
+    assert _radial_quadrature_calls(monkeypatch, dim) == [1] * 5
+
+
+_COMPLEX_NAMES = {"complex", "complex64", "complex128", "complex256", "complexfloating",
+                  "csingle", "cdouble", "clongdouble", "iscomplexobj"}
+
+
+def _complex_uses(source):
+    """'line: what' for every complex literal, complex dtype or type name
+    (as a name, an attribute or a string), and .real/.imag in the source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            yield f"{node.lineno}: {node.value!r}"
+        elif isinstance(node, ast.Constant) and node.value in _COMPLEX_NAMES:
+            yield f"{node.lineno}: {node.value!r}"
+        elif isinstance(node, ast.Name) and node.id in _COMPLEX_NAMES:
+            yield f"{node.lineno}: {node.id}"
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in _COMPLEX_NAMES or node.attr in ("real", "imag")):
+            yield f"{node.lineno}: .{node.attr}"
+
+
+def test_kernel_has_no_complex_arithmetic():
+    # the profile is one real radial quadrature in every dimension: no phase
+    # table, complex dtype or real/imaginary split comes back
+    assert list(_complex_uses(Path(kernel.__file__).read_text())) == []
+
+
+def test_complex_lint_sees_every_spelling():
+    source = ("import numpy as np\n"
+              "ph = np.exp(1j * np.multiply.outer(xi, k))\n"
+              "out = np.empty(4, dtype=complex)\n"
+              "z = np.zeros(4, dtype=np.complex128)\n"
+              "w = np.zeros(4, dtype='complex128')\n"
+              "resid = abs(out.imag).max() + out.real.sum()\n")
+    assert sorted(_complex_uses(source)) == sorted([
+        "2: 1j", "3: complex", "4: .complex128", "5: 'complex128'", "6: .imag", "6: .real"])
