@@ -6,8 +6,10 @@ cylinder radius a norm scan will use, so periodic images never enter a scan
 window.  Differentiation is a Fourier multiplier, exact on band-limited data;
 each multiplier is built once per grid.  ``Spectrum`` transforms a frame, or a
 whole stack of frames, once for all of its derivatives; a stack gives each
-frame the same bits as its own transform.  This module holds every Fourier
-transform of the package.
+frame the same bits as its own transform.  Coefficients made in mode space,
+such as those of the free evolution, are held with no transform at all
+(``Spectrum.with_coeffs``), so no frame is transformed back and forth.  This
+module holds every Fourier transform of the package.
 
 Field values keep the component axes last: grid.shape + (l,) for a frame,
 one leading frame axis for a stack.  Every array the spectral layer makes or
@@ -336,8 +338,8 @@ def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 class Spectrum:
     """Half-spectrum Fourier coefficients of a frame, or of a stack of frames,
-    from one forward transform; every derivative of the frames is read off
-    them.
+    from one forward transform, or held as given (``with_coeffs``); every
+    derivative of the frames is read off them.
 
     ``coeffs`` is component-major: the field's component axes, (l,) or, for
     a per-axis field (the one kind with a divergence), (n, l); then the frame
@@ -356,12 +358,13 @@ class Spectrum:
                                       axes=tuple(range(-field.grid.dim, 0)))
 
     @classmethod
-    def _of_frames(cls, grid: Grid, frames: np.ndarray) -> "Spectrum":
-        """Spectrum of a bare component-major stack of frames: the transform
-        of a SpaceTimeField, for frames without a t = 0 frame."""
+    def with_coeffs(cls, grid: Grid, coeffs: np.ndarray) -> "Spectrum":
+        """Spectrum that holds the given component-major half-spectrum
+        coefficients as they are, with no transform: for coefficients made
+        in mode space, such as a frame's under a Fourier multiplier."""
         spec = cls.__new__(cls)
         spec.grid = grid
-        spec.coeffs = scipy.fft.rfftn(frames, axes=tuple(range(-grid.dim, 0)))
+        spec.coeffs = coeffs
         return spec
 
     def derivative(self, order) -> np.ndarray:

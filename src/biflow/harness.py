@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, QuadratureResidualError
 from .fields import Grid, GridField, save_space_time_field
 from .flow import (FlowConfig, constant_initial_data, distance_experiment,
                    equator_initial_data, picard_solve)
@@ -262,7 +262,11 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows,
 # suites
 # ----------------------------------------------------------------------
 
-def _suite_kernel(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
+# Each suite reads and checks its configuration and returns the callable that
+# does its work, work(out_dir, manifest, prefix) -> summary, so that a run
+# of several suites rejects a bad value of any of them before any of them runs.
+
+def _suite_kernel(cp):
     dim = _number(cp, "grid", "dim", int)
     tol = _number(cp, "kernel", "tolerance", float)
     nodes = _number(cp, "kernel", "quadrature_nodes", int)
@@ -271,24 +275,33 @@ def _suite_kernel(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") ->
         raise ConfigError(f"[kernel] c1 must be positive, got {c1}")
     with _invalid_config():
         profile = default_profile(dim, tol, nodes)
-    certs = [
-        certify_bound(profile, "2.2"),
-        certify_bound(profile, "2.3", 1),
-        certify_bound(profile, "2.4", 1, c1=c1),
-        certify_bound(profile, "2.5", 0, c1=c1),
-    ]
-    _write_json(out_dir, "kernel_certificates.json",
-                [c.to_json() for c in certs], manifest, prefix)
-    masses = {repr(t): kernel_mass(profile, t) for t in (1e-2, 1.0, 1e2)}
-    mass_ok = all(abs(m - 1.0) <= 1e-8 for m in masses.values())
-    _write_json(out_dir, "kernel_mass.json",
-                {"masses": masses, "pass": mass_ok}, manifest, prefix)
-    return {"kernel_mass_conservation": mass_ok,
-            "kernel_certificates_finite": all(np.isfinite(c.fitted_constant)
-                                              for c in certs)}
+
+    def work(out_dir: Path, manifest: RunManifest, prefix: str) -> dict:
+        # a tolerance below the rounding floor of the quadrature is known
+        # only once it runs: every number is computed before any is written
+        try:
+            certs = [
+                certify_bound(profile, "2.2"),
+                certify_bound(profile, "2.3", 1),
+                certify_bound(profile, "2.4", 1, c1=c1),
+                certify_bound(profile, "2.5", 0, c1=c1),
+            ]
+            masses = {repr(t): kernel_mass(profile, t) for t in (1e-2, 1.0, 1e2)}
+        except QuadratureResidualError as exc:
+            raise ConfigError(
+                f"[kernel] tolerance = {cp.get('kernel', 'tolerance')}: {exc}") from exc
+        _write_json(out_dir, "kernel_certificates.json",
+                    [c.to_json() for c in certs], manifest, prefix)
+        mass_ok = all(abs(m - 1.0) <= 1e-8 for m in masses.values())
+        _write_json(out_dir, "kernel_mass.json",
+                    {"masses": masses, "pass": mass_ok}, manifest, prefix)
+        return {"kernel_mass_conservation": mass_ok,
+                "kernel_certificates_finite": all(np.isfinite(c.fitted_constant)
+                                                  for c in certs)}
+    return work
 
 
-def _suite_operators(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
+def _suite_operators(cp):
     with _invalid_config():
         grid = Grid(_number(cp, "grid", "dim", int), _finite(cp, "grid", "box_length"), 32)
     frames = 12
@@ -299,22 +312,25 @@ def _suite_operators(cp, out_dir: Path, manifest: RunManifest, prefix: str = "")
     for key, value in (("ensemble_size", size), ("max_mode", max_mode)):
         if value < 1:
             raise ConfigError(f"[experiments] {key} must be at least 1, got {value}")
-    # the doubled ensemble's first half is the base ensemble: one draw for both
-    doubled = operator_bound_experiment(grid, times, 2 * size, manifest.seed,
-                                        max_mode=max_mode)
-    base = doubled["first_half"]
-    report = {
-        "ensemble": {k: base[k] for k in ("s_over_y1", "sdiv_over_y2",
-                                          "ensemble_size", "excluded")},
-        "doubled": {k: doubled[k] for k in ("s_over_y1", "sdiv_over_y2",
-                                            "ensemble_size", "excluded")},
-        "growth_s": doubled["s_over_y1"] / base["s_over_y1"] - 1.0,
-        "growth_div": doubled["sdiv_over_y2"] / base["sdiv_over_y2"] - 1.0,
-    }
-    _write_json(out_dir, "operator_bounds.json", report, manifest, prefix)
-    ok = (np.isfinite(base["s_over_y1"]) and np.isfinite(base["sdiv_over_y2"])
-          and report["growth_s"] <= 0.10 and report["growth_div"] <= 0.10)
-    return {"operator_bounds_stable": bool(ok)}
+
+    def work(out_dir: Path, manifest: RunManifest, prefix: str) -> dict:
+        # the doubled ensemble's first half is the base ensemble: one draw for both
+        doubled = operator_bound_experiment(grid, times, 2 * size, manifest.seed,
+                                            max_mode=max_mode)
+        base = doubled["first_half"]
+        report = {
+            "ensemble": {k: base[k] for k in ("s_over_y1", "sdiv_over_y2",
+                                              "ensemble_size", "excluded")},
+            "doubled": {k: doubled[k] for k in ("s_over_y1", "sdiv_over_y2",
+                                                "ensemble_size", "excluded")},
+            "growth_s": doubled["s_over_y1"] / base["s_over_y1"] - 1.0,
+            "growth_div": doubled["sdiv_over_y2"] / base["sdiv_over_y2"] - 1.0,
+        }
+        _write_json(out_dir, "operator_bounds.json", report, manifest, prefix)
+        ok = (np.isfinite(base["s_over_y1"]) and np.isfinite(base["sdiv_over_y2"])
+              and report["growth_s"] <= 0.10 and report["growth_div"] <= 0.10)
+        return {"operator_bounds_stable": bool(ok)}
+    return work
 
 
 def smoothing_family_constants(grid: Grid, R: float, ambient_dim: int = 3) -> dict:
@@ -332,62 +348,68 @@ def smoothing_family_constants(grid: Grid, R: float, ambient_dim: int = 3) -> di
     return best
 
 
-def _suite_norms(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
+def _suite_norms(cp):
     # the comparability family's grid, where the oscillation seminorm needs
     # a radius above 2h
     with _invalid_config():
         fam_grid = Grid(1, _finite(cp, "grid", "box_length"), 128)
         target = SphereTarget(_number(cp, "target", "ambient_dim", int))
     Rc = _ball_radius(cp, "carleson_radius_fraction", fam_grid, 2.0 * fam_grid.spacing)
-    grid = Grid(1, fam_grid.box_length, 256)
-    R0 = grid.box_length / 4.0
-    rows = [smoothing_family_constants(grid, R0 / 2 ** j,
-                                       ambient_dim=target.ambient_dim)
-            for j in range(3)]
-    _write_csv(out_dir, "smoothing_ratios.csv",
-               ["R", "cylinder_ratio", "weighted_sup_ratio", "quartic_ratio"],
-               [[r["R"], r["cylinder_ratio"], r["weighted_sup_ratio"],
-                 r["quartic_ratio"]] for r in rows], manifest, prefix)
 
-    def drift(key):
-        vals = [r[key] for r in rows]
-        return max(vals) / min(vals) - 1.0
+    def work(out_dir: Path, manifest: RunManifest, prefix: str) -> dict:
+        grid = Grid(1, fam_grid.box_length, 256)
+        R0 = grid.box_length / 4.0
+        rows = [smoothing_family_constants(grid, R0 / 2 ** j,
+                                           ambient_dim=target.ambient_dim)
+                for j in range(3)]
+        _write_csv(out_dir, "smoothing_ratios.csv",
+                   ["R", "cylinder_ratio", "weighted_sup_ratio", "quartic_ratio"],
+                   [[r["R"], r["cylinder_ratio"], r["weighted_sup_ratio"],
+                     r["quartic_ratio"]] for r in rows], manifest, prefix)
 
-    ratios_ok = all(drift(k) <= 0.10 for k in
-                    ("cylinder_ratio", "weighted_sup_ratio", "quartic_ratio"))
+        def drift(key):
+            vals = [r[key] for r in rows]
+            return max(vals) / min(vals) - 1.0
 
-    # square-function / oscillation comparability across a test family
-    family = []
-    for q in (2, 4, 8):
-        for a in (0.5, 1.0):
-            coords = fam_grid.coordinates()[0]
-            vals = a * np.sin(2 * np.pi * q * coords / fam_grid.box_length)
-            family.append(GridField(fam_grid, vals[..., None]))
-    table = []
-    for g in family:
-        b = bmo_seminorm(g, Rc)
-        for i in (1, 2):
-            c = carleson_functional(g, i, Rc)
-            table.append({"order": i, "bmo": b, "carleson": c, "ratio": c / b ** 2})
-    cfit = max(t["ratio"] for t in table)
-    _write_json(out_dir, "carleson_comparability.json",
-                {"fitted_constant": cfit, "table": table}, manifest, prefix)
-    return {"smoothing_ratios_stable": bool(ratios_ok),
-            "carleson_constant_finite": bool(np.isfinite(cfit))}
+        ratios_ok = all(drift(k) <= 0.10 for k in
+                        ("cylinder_ratio", "weighted_sup_ratio", "quartic_ratio"))
+
+        # square-function / oscillation comparability across a test family
+        family = []
+        for q in (2, 4, 8):
+            for a in (0.5, 1.0):
+                coords = fam_grid.coordinates()[0]
+                vals = a * np.sin(2 * np.pi * q * coords / fam_grid.box_length)
+                family.append(GridField(fam_grid, vals[..., None]))
+        table = []
+        for g in family:
+            b = bmo_seminorm(g, Rc)
+            for i in (1, 2):
+                c = carleson_functional(g, i, Rc)
+                table.append({"order": i, "bmo": b, "carleson": c, "ratio": c / b ** 2})
+        cfit = max(t["ratio"] for t in table)
+        _write_json(out_dir, "carleson_comparability.json",
+                    {"fitted_constant": cfit, "table": table}, manifest, prefix)
+        return {"smoothing_ratios_stable": bool(ratios_ok),
+                "carleson_constant_finite": bool(np.isfinite(cfit))}
+    return work
 
 
-def _suite_flow(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
+def _suite_flow(cp):
     cfg = flow_config_from(cp)
     u0 = _initial_data_from(cp, cfg.grid, cfg.target)
-    traj, diag = picard_solve(cfg, u0)
-    files = save_space_time_field(traj, out_dir / "solution")
-    manifest.outputs.extend(f"{prefix}solution/{f}" for f in files)
-    _write_json(out_dir, "flow_diagnostics.json", diag.to_json(), manifest, prefix)
-    return {"flow_converged": bool(diag.converged),
-            "flow_constraint_ok": not diag.constraint_flag}
+
+    def work(out_dir: Path, manifest: RunManifest, prefix: str) -> dict:
+        traj, diag = picard_solve(cfg, u0)
+        files = save_space_time_field(traj, out_dir / "solution")
+        manifest.outputs.extend(f"{prefix}solution/{f}" for f in files)
+        _write_json(out_dir, "flow_diagnostics.json", diag.to_json(), manifest, prefix)
+        return {"flow_converged": bool(diag.converged),
+                "flow_constraint_ok": not diag.constraint_flag}
+    return work
 
 
-def _suite_distance(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") -> dict:
+def _suite_distance(cp):
     with _invalid_config():
         grid = Grid(1, _finite(cp, "grid", "box_length"), 128)
         target = SphereTarget(_number(cp, "target", "ambient_dim", int))
@@ -396,14 +418,17 @@ def _suite_distance(cp, out_dir: Path, manifest: RunManifest, prefix: str = "") 
     R = _ball_radius(cp, "bmo_radius_fraction", grid, 2.0 * grid.spacing * 1.01 ** 0.25)
     delta = _experiment_value(cp, "distance_delta")
     eps = _finite(cp, "experiments", "distance_amplitude")
-    u0 = equator_initial_data(grid, eps, 1, target.ambient_dim)
-    report = distance_experiment(u0, R, delta=delta)
-    _write_csv(out_dir, "distance_estimate.csv", ["t", "lhs", "rhs", "holds"],
-               [[r["t"], r["lhs"], r["rhs"], r["holds"]] for r in report["rows"]],
-               manifest, prefix)
-    _write_json(out_dir, "distance_summary.json",
-                {k: report[k] for k in ("K", "delta", "R", "all_hold")}, manifest, prefix)
-    return {"distance_estimate_holds": bool(report["all_hold"])}
+
+    def work(out_dir: Path, manifest: RunManifest, prefix: str) -> dict:
+        u0 = equator_initial_data(grid, eps, 1, target.ambient_dim)
+        report = distance_experiment(u0, R, delta=delta)
+        _write_csv(out_dir, "distance_estimate.csv", ["t", "lhs", "rhs", "holds"],
+                   [[r["t"], r["lhs"], r["rhs"], r["holds"]] for r in report["rows"]],
+                   manifest, prefix)
+        _write_json(out_dir, "distance_summary.json",
+                    {k: report[k] for k in ("K", "delta", "R", "all_hold")}, manifest, prefix)
+        return {"distance_estimate_holds": bool(report["all_hold"])}
+    return work
 
 
 _SUITE_FNS = {
@@ -418,8 +443,10 @@ _SUITE_FNS = {
 def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0) -> RunManifest:
     """Execute one experiment suite (or all of them) and write its reports.
 
-    Only the operators ensemble reads the seed, so the manifest records it for
-    the suites in SEEDED_SUITES and null for the others.
+    Every selected suite checks its configuration before any of them runs,
+    so a rejected value leaves no report.  Only the operators ensemble reads
+    the seed, so the manifest records it for the suites in SEEDED_SUITES and
+    null for the others.
     """
     if suite_id not in SUITES:
         raise ConfigError(f"unknown suite {suite_id!r}; choose from {SUITES}")
@@ -427,12 +454,12 @@ def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0) -> RunM
     names = [suite_id] if suite_id != "all" else list(_SUITE_FNS)
     with _recorded(f"run_suite {suite_id}", cp, out_dir,
                    seed if suite_id in SEEDED_SUITES else None) as (manifest, out):
-        for name in names:
+        works = [(name, _SUITE_FNS[name](cp)) for name in names]
+        for name, work in works:
             sub = out / name if suite_id == "all" else out
             prefix = f"{name}/" if suite_id == "all" else ""
             sub.mkdir(parents=True, exist_ok=True)
-            summary = _SUITE_FNS[name](cp, sub, manifest, prefix)
-            manifest.summary.update(summary)
+            manifest.summary.update(work(sub, manifest, prefix))
     return manifest
 
 
@@ -453,8 +480,9 @@ def run_kernel_verify(dim: int, estimate: str, order: int | None, tol: float,
 
     order None means 0 for a single estimate; "all" covers every order and
     takes none.  A dim, tolerance, c1 or derivative order the certificate
-    does not admit is a ConfigError; a tolerance below the rounding floor of
-    the quadrature still raises QuadratureResidualError.
+    does not admit is a ConfigError, and so is a tolerance below the
+    rounding floor of the quadrature, which the kernel reports as a
+    QuadratureResidualError; no file is written then.
     """
     if not (math.isfinite(c1) and c1 > 0.0):
         raise ConfigError(f"kernel-verify --c1 must be positive and finite, got {c1:g}")
@@ -468,7 +496,7 @@ def run_kernel_verify(dim: int, estimate: str, order: int | None, tol: float,
     try:
         profile = default_profile(dim, tol)
         payloads = [certify_bound(profile, est, k, c1=c1).to_json() for est, k in jobs]
-    except ValueError as exc:
+    except (ValueError, QuadratureResidualError) as exc:
         raise ConfigError(f"kernel-verify --dim {dim} --estimate {estimate} "
                           f"--tol {tol:g}: {exc}") from exc
     payload = payloads if estimate == "all" else payloads[0]
@@ -480,7 +508,7 @@ def run_evolve(config_path, out_dir) -> RunManifest:
     """Run one Picard solve per the config file; dump frames + diagnostics."""
     cp = load_config(config_path)
     with _recorded("evolve", cp, out_dir) as (manifest, out):
-        manifest.summary = _suite_flow(cp, out, manifest)
+        manifest.summary = _suite_flow(cp)(out, manifest, "")
     return manifest
 
 

@@ -95,19 +95,18 @@ def _geometric_nodes(top: float, octaves: int, points_per_octave: int) -> np.nda
 
 
 def _free_magnitudes(u0: GridField, ts: np.ndarray, orders, block: int) -> list[np.ndarray]:
-    """Stacks of pointwise |grad^i G(t) u0| over the descending nodes ts, one
-    per order i.  u0 is transformed once; each run of ``block`` nodes is one
-    stack of free frames and one transform of it, which keeps the
-    temporaries small."""
+    """Stacks of pointwise |grad^i G(t) u0| over the nodes ts, one per order
+    i.  u0 is transformed once; each run of ``block`` nodes is one
+    ``free_spectrum``, whose derivatives are read off it with their inverse
+    transforms alone, and the blocks keep the temporaries small."""
     grid = u0.grid
-    coeffs = Spectrum(u0).coeffs
+    spec = Spectrum(u0)
     out = [np.empty((len(ts),) + grid.shape) for _ in orders]
     for s in range(0, len(ts), block):
-        ascending = ts[s:s + block][::-1]
-        spec = Spectrum._of_frames(grid, semigroup._free_frames(grid, coeffs, ascending))
+        free = semigroup.free_spectrum(spec, ts[s:s + block])
         for o, i in zip(out, orders):
-            mag = pointwise_norm(spec.gradient() if i == 1 else spec.hessian(), grid, lead=1)
-            o[s:s + ascending.size] = mag[::-1]
+            o[s:s + block] = pointwise_norm(free.gradient() if i == 1 else free.hessian(),
+                                            grid, lead=1)
     return out
 
 

@@ -12,7 +12,7 @@ One sweep over the frame grid yields the response at every stored time via
 the recurrence u(t_{j+1}) = e^(-dt |k|^4) u(t_j) + (local phi integral).
 
 Mode coefficients are the half spectrum of ``fields`` (scipy's real
-transforms, ``workers=1``), so the sweeps and the free frames run on
+transforms, ``workers=1``), so the sweeps and the free evolution run on
 M // 2 + 1 modes along the last grid axis; ``symbol`` stays the
 full-spectrum |k|^4 and they read its ``half_spectrum`` view.  They are
 component-major, as every array of the spectral layer: component axes, then
@@ -32,6 +32,7 @@ __all__ = [
     "symbol",
     "apply_G",
     "apply_G_trajectory",
+    "free_spectrum",
     "apply_S",
     "apply_S_trajectory",
     "apply_S_div_trajectory",
@@ -79,21 +80,26 @@ def apply_G(u0: GridField, t: float) -> GridField:
 
 def apply_G_trajectory(u0: GridField, times) -> SpaceTimeField:
     """Free evolution sampled on a frame grid (times[0] must be 0): one
-    transform of u0, each mode times e^(-t |k|^4) at every time, one inverse
+    transform of u0, its ``free_spectrum`` at every time, one inverse
     transform of the stack.  Frames at t = 0 are u0's values."""
     times = np.asarray(times, dtype=float)
     comps = u0.values.ndim - u0.grid.dim
-    frames = components_last(_free_frames(u0.grid, Spectrum(u0).coeffs, times), comps)
+    # the coefficients are a temporary, freed before the frames are copied
+    frames = components_last(
+        inverse_transform(u0.grid, free_spectrum(Spectrum(u0), times).coeffs), comps)
     frames[times == 0.0] = u0.values
     return SpaceTimeField(u0.grid, times, frames)
 
 
-def _free_frames(grid: Grid, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Component-major frames of the free evolution at each of times, from
-    the half-spectrum coefficients of one frame: the inverse transform of
-    coeffs e^(-t |k|^4), with the frame axis just before the grid axes."""
+def free_spectrum(spec: Spectrum, times) -> Spectrum:
+    """Spectrum of the free evolution of one frame at each of times: its
+    coefficients times e^(-t |k|^4), with the frame axis just before the grid
+    axes.  No transform runs; each derivative of G(t) u0 is read off it as
+    the inverse of its coefficients times the derivative's symbol."""
+    grid = spec.grid
+    times = np.asarray(times, dtype=float)
     decay = np.exp(-times.reshape((-1,) + (1,) * grid.dim) * half_spectrum(grid, symbol(grid)))
-    return inverse_transform(grid, np.expand_dims(coeffs, -1 - grid.dim) * decay)
+    return Spectrum.with_coeffs(grid, np.expand_dims(spec.coeffs, -1 - grid.dim) * decay)
 
 
 def _duhamel_sweep(grid: Grid, times: np.ndarray, spec_frames: np.ndarray) -> np.ndarray:

@@ -249,12 +249,14 @@ def test_cli_rejects_bad_experiment_settings_before_any_work(
     (["kernel"], "[kernel]\nc1 = -3", "[kernel] c1 must be positive, got -3.0"),
     (["operators"], "[grid]\ndim = 4", "invalid configuration: dim must be 1, 2 or 3"),
     (["norms"], "[target]\nambient_dim = 1", "invalid configuration: ambient_dim must be >= 2"),
+    # the norms suite's value, checked before the kernel and operators suites run
+    (["all"], "[target]\nambient_dim = 1", "invalid configuration: ambient_dim must be >= 2"),
 ])
 def test_cli_rejects_unparsable_and_unresolvable_values_before_any_work(
         monkeypatch, tmp_path, capsys, argv, config, message):
     # a value that does not parse, is not finite, lies outside the range of
     # what is built from it, or gives a radius the suite's grid cannot
-    # resolve is named, and nothing is computed
+    # resolve is named, and nothing is computed or written
     for name in ("certify_bound", "operator_bound_experiment", "smoothing_ratios",
                  "bmo_seminorm", "distance_experiment", "picard_solve"):
         monkeypatch.setattr(f"biflow.harness.{name}", _no_work)
@@ -265,6 +267,35 @@ def test_cli_rejects_unparsable_and_unresolvable_values_before_any_work(
     assert capsys.readouterr().err == f"config error: {message}\n"
     disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert disk["status"] == "failed" and disk["error"] == f"ConfigError: {message}"
+    assert disk["outputs"] == []
+    assert [p.name for p in (tmp_path / "out").rglob("*")] == ["run_manifest.json"]
+
+
+def test_cli_kernel_rejects_a_tolerance_below_the_rounding_floor(tmp_path, capsys):
+    # the floor is known only once the quadrature runs; the suite computes
+    # every number before it writes one, so no report is left
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("[kernel]\ntolerance = 1e-30\n")
+    rc = cli_main(["kernel", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [kernel] tolerance = 1e-30: rounding floor ")
+    assert err.endswith(" exceeds tolerance 1.000e-30; double precision cannot meet it\n")
+    disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert disk["status"] == "failed" and disk["error"] == f"ConfigError: {err[14:-1]}"
+    assert disk["outputs"] == []
+    assert [p.name for p in (tmp_path / "out").rglob("*")] == ["run_manifest.json"]
+
+
+def test_cli_kernel_verify_rejects_a_tolerance_below_the_rounding_floor(tmp_path, capsys):
+    rc = cli_main(["kernel-verify", "--dim", "2", "--estimate", "2.2", "--tol", "1e-30",
+                   "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: kernel-verify --dim 2 --estimate 2.2 --tol 1e-30: "
+                          "rounding floor ")
+    assert err.endswith(" exceeds tolerance 1.000e-30; double precision cannot meet it\n")
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_distance_radius_floor_is_the_edge_of_the_sampled_times():
@@ -340,15 +371,6 @@ def test_evolve_and_sweep_take_no_seed():
         assert build_parser().parse_args([suite, "--seed", "5"]).seed == 5
 
 
-# The only reads of another module's private names in src/: norms evolves
-# free frames through semigroup's helper and transforms them through the
-# frames-only entry point of Spectrum.  A new one must be added here.
-_ALLOWED_PRIVATE_READS = {
-    "norms.py: Spectrum._of_frames",
-    "norms.py: semigroup._free_frames",
-}
-
-
 def _private_names_of_other_modules(path):
     """Private names a module imports from, or reads as an attribute of,
     another module of the package (a module or a name imported from one)."""
@@ -368,11 +390,13 @@ def _private_names_of_other_modules(path):
 
 
 def test_no_module_imports_another_modules_private_names():
-    # each private helper is owned by the module that defines it
+    # each private helper is owned by the module that defines it, and no
+    # module of src/ reads one of another's: what a module shares, it makes
+    # public (as semigroup.free_spectrum and Spectrum.with_coeffs are)
     src = Path(__file__).resolve().parents[1] / "src" / "biflow"
     found = [use for path in sorted(src.glob("*.py"))
              for use in _private_names_of_other_modules(path)]
-    assert sorted(set(found)) == sorted(_ALLOWED_PRIVATE_READS)
+    assert found == []
 
 
 def test_private_name_lint_sees_attribute_reads(tmp_path):

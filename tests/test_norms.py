@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from biflow.errors import ScaleUnresolvableError
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
-                           ball_offsets, gradient, hessian, pointwise_norm)
+                           ball_offsets, half_spectrum, inverse_transform,
+                           multiplier, pointwise_norm)
 from biflow import norms
 from biflow.flow import equator_initial_data
 from biflow.norms import (NormReport, _resolved_cylinder_radii, _trapezoid_weights,
                           bmo_seminorm, bmo_seminorm_brute, carleson_functional,
                           smoothing_ratios, x_norm, x_norms, y1_norm, y1_norms,
                           y2_norm, y2_norms)
-from biflow.semigroup import apply_G, apply_G_trajectory
+from biflow.semigroup import apply_G, apply_G_trajectory, symbol
 
 
 def _sine_field(grid, amplitude=0.8, freq=1):
@@ -112,7 +113,29 @@ def _oracle_radii(R, grid):
     return [R / 2 ** m for m in range(64) if R / 2 ** m >= 2.0 * grid.spacing]
 
 
-def _carleson_oracle(f, i, R, q=8, octaves=10):
+def _direct_derivatives(u0, t, i):
+    # grad^i G(t) u0 at one node, component-major: each derivative alone is
+    # the inverse of u0's coefficients times e^(-t |k|^4) times (ik)^alpha
+    grid = u0.grid
+    n = grid.dim
+    decayed = Spectrum(u0).coeffs * np.exp(-t * half_spectrum(grid, symbol(grid)))
+
+    def d(*axes):
+        order = tuple(axes.count(a) for a in range(n))
+        return inverse_transform(grid, decayed * half_spectrum(grid, multiplier(grid, order)))
+
+    if i == 1:
+        return np.stack([d(a) for a in range(n)])
+    return np.stack([np.stack([d(a, b) for b in range(n)]) for a in range(n)])
+
+
+def _round_trip_derivatives(u0, t, i):
+    # the seed's path: the frame G(t) u0, transformed forward again
+    spec = Spectrum(apply_G(u0, float(t)))
+    return spec.gradient() if i == 1 else spec.hessian()
+
+
+def _carleson_oracle(f, i, R, derivatives, q=8, octaves=10):
     # the seed's scan, written out: one magnitude per node, one mass per radius
     grid = f.grid
     radii = _oracle_radii(R, grid)
@@ -121,9 +144,7 @@ def _carleson_oracle(f, i, R, q=8, octaves=10):
     dlog = np.log(2.0) / q
     sq = np.empty((t_nodes.size,) + grid.shape)
     for j, t in enumerate(t_nodes):
-        smoothed = apply_G(f, t ** 4)
-        d = gradient(smoothed) if i == 1 else hessian(smoothed)
-        mag = pointwise_norm(np.moveaxis(d, range(-1 - i, 0), range(1 + i)), grid)
+        mag = pointwise_norm(derivatives(f, t ** 4, i), grid)
         sq[j] = (t ** i * mag) ** 2
     best = 0.0
     for m, r in enumerate(radii):
@@ -136,7 +157,7 @@ def _carleson_oracle(f, i, R, q=8, octaves=10):
     return best
 
 
-def _smoothing_oracle(u0, R, q=6, octaves=36):
+def _smoothing_oracle(u0, R, derivatives, q=6, octaves=36):
     # the seed's smoothing-ratio scan, written out
     grid = u0.grid
     bmo = bmo_seminorm(u0, R)
@@ -148,8 +169,8 @@ def _smoothing_oracle(u0, R, q=6, octaves=36):
     h2 = np.empty_like(g2)
     wsup = 0.0
     for j, t in enumerate(t_nodes):
-        spec = Spectrum(apply_G(u0, float(t)))
-        gm, hm = pointwise_norm(spec.gradient(), grid), pointwise_norm(spec.hessian(), grid)
+        gm = pointwise_norm(derivatives(u0, t, 1), grid)
+        hm = pointwise_norm(derivatives(u0, t, 2), grid)
         g2[j], g4[j], h2[j] = gm ** 2, gm ** 4, hm ** 2
         wsup = max(wsup, t ** 0.25 * float(gm.max()) + t ** 0.5 * float(hm.max()))
 
@@ -178,60 +199,94 @@ def _smoothing_oracle(u0, R, q=6, octaves=36):
             "quartic_ratio": quart / (sup_u0 ** 2 * bmo ** 2)}
 
 
-def test_geometric_scans_equal_seed_oracles(grid128):
-    # the shared node sampler, magnitude step and cylinder maximum keep every bit
+def _geometric_scan_cases(grid128):
+    """(field, Carleson radii, smoothing radius) of the 1D, 2D and 3D scans."""
     x = grid128.coordinates()[0]
-    f = GridField(grid128, np.stack([np.sin(x) + 0.3 * np.sin(8 * x),
-                                     0.5 * np.cos(3 * x)], axis=-1))
-    for R in (grid128.box_length / 4, grid128.box_length / 16):
-        for i in (1, 2):
-            assert carleson_functional(f, i, R) == _carleson_oracle(f, i, R)
-    R = grid128.box_length / 8
-    assert smoothing_ratios(f, R) == _smoothing_oracle(f, R)
+    f1 = GridField(grid128, np.stack([np.sin(x) + 0.3 * np.sin(8 * x),
+                                      0.5 * np.cos(3 * x)], axis=-1))
+    L = grid128.box_length
     # 2D, codomain 3: several grid axes and several components per magnitude
     g2 = Grid(2, 2 * np.pi, 32)
     x, y = g2.coordinates()
     f2 = GridField(g2, np.stack([np.sin(x) * np.cos(2 * y), 0.4 * np.cos(3 * y),
                                  0.3 * np.sin(x + 4 * y)], axis=-1))
-    R = g2.box_length / 4
-    for i in (1, 2):
-        assert carleson_functional(f2, i, R) == _carleson_oracle(f2, i, R)
-    assert smoothing_ratios(f2, R) == _smoothing_oracle(f2, R)
+    # 3D, codomain 3: a 27-term Hessian magnitude, summed pairwise
+    g3 = Grid(3, 2 * np.pi, 16)
+    x, y, z = g3.coordinates()
+    f3 = GridField(g3, np.stack([np.sin(x) * np.cos(y), 0.4 * np.cos(2 * z + y),
+                                 0.3 * np.sin(x + 3 * z)], axis=-1))
+    return [(f1, (L / 4, L / 16), L / 8), (f2, (g2.box_length / 4,), g2.box_length / 4),
+            (f3, (g3.box_length / 4,), g3.box_length / 4)]
 
 
-class _CountingSpectrum(Spectrum):
-    """Spectrum that records what it transforms: the fields it is built from
-    and the frame count of every bare stack of frames."""
-
-    fields: list = []
-    stacks: list = []
-
-    def __init__(self, field):
-        self.fields.append(field)
-        super().__init__(field)
-
-    @classmethod
-    def _of_frames(cls, grid, frames):
-        cls.stacks.append(np.moveaxis(frames, -1 - grid.dim, 0).shape[0])
-        return super()._of_frames(grid, frames)
+def test_geometric_scans_equal_seed_oracles(grid128):
+    # the shared node sampler, magnitude step and cylinder maximum keep every
+    # bit of a scan that reads each node's derivatives alone off u0's
+    # coefficients
+    for f, carleson_radii, R in _geometric_scan_cases(grid128):
+        for Rc in carleson_radii:
+            for i in (1, 2):
+                assert carleson_functional(f, i, Rc) == _carleson_oracle(
+                    f, i, Rc, _direct_derivatives)
+        assert smoothing_ratios(f, R) == _smoothing_oracle(f, R, _direct_derivatives)
 
 
-@pytest.mark.parametrize("scan, block, nodes", [
-    # R = L/4 = 32h: 10 + 4 octaves at 8 nodes each
-    pytest.param(lambda f, R: carleson_functional(f, 2, R), 8, 14 * 8 + 1, id="carleson"),
-    # R = L/4 = 32h: 36 + 4*4 octaves at 6 nodes each
-    pytest.param(smoothing_ratios, 6, 52 * 6 + 1, id="smoothing_ratios"),
+def test_geometric_scans_agree_with_the_round_trip_oracle(grid128):
+    # the seed's path through the physical frame G(t) u0 and its forward
+    # transform moves only round-off: measured <= 2.7e-13 relative
+    def close(a, b):
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+    for f, carleson_radii, R in _geometric_scan_cases(grid128):
+        for Rc in carleson_radii:
+            for i in (1, 2):
+                close(carleson_functional(f, i, Rc),
+                      _carleson_oracle(f, i, Rc, _round_trip_derivatives))
+        scan, oracle = smoothing_ratios(f, R), _smoothing_oracle(f, R, _round_trip_derivatives)
+        assert scan.keys() == oracle.keys()
+        for key in scan:
+            close(scan[key], oracle[key])
+
+
+_TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
+
+
+@pytest.mark.parametrize("scan, block, nodes, per_block", [
+    # R = L/4 = 32h: 10 + 4 octaves at 8 nodes each; a 1D Hessian is one
+    # inverse transform
+    pytest.param(lambda f, R: carleson_functional(f, 2, R), 8, 14 * 8 + 1, 1, id="carleson"),
+    # R = L/4 = 32h: 36 + 4*4 octaves at 6 nodes each; a gradient and a Hessian
+    pytest.param(smoothing_ratios, 6, 52 * 6 + 1, 2, id="smoothing_ratios"),
 ])
-def test_free_scans_transform_u0_once_and_no_t0_frame(monkeypatch, grid128, scan, block, nodes):
+def test_free_scans_transform_u0_once_and_no_t0_frame(monkeypatch, grid128, scan, block,
+                                                      nodes, per_block):
+    # every scipy.fft call made while the node magnitudes are built
+    calls, inside = [], []
+    for name in _TRANSFORMS:
+        def counted(x, *args, _name=name, _real=getattr(scipy.fft, name), **kwargs):
+            if inside:
+                calls.append((_name, np.shape(x)))
+            return _real(x, *args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    free_magnitudes = norms._free_magnitudes
+
+    def traced(*args, **kwargs):
+        inside.append(True)
+        try:
+            return free_magnitudes(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(norms, "_free_magnitudes", traced)
     f = _sine_field(grid128)
-    monkeypatch.setattr(norms, "Spectrum", _CountingSpectrum)
-    monkeypatch.setattr(_CountingSpectrum, "fields", [])
-    monkeypatch.setattr(_CountingSpectrum, "stacks", [])
     scan(f, grid128.box_length / 4)
-    assert len(_CountingSpectrum.fields) == 1 and _CountingSpectrum.fields[0] is f
-    # one block of nodes per stack, and no frame beyond its nodes
-    sizes = _CountingSpectrum.stacks
-    assert sizes == [block] * (nodes // block) + [nodes % block] * (nodes % block > 0)
+    # one forward transform, of u0; then per block of nodes only the inverse
+    # transforms of its derivatives, each over the block's nodes alone
+    assert calls[0] == ("rfftn", (1,) + grid128.shape)
+    sizes = [block] * (nodes // block) + [nodes % block] * (nodes % block > 0)
+    half = grid128.points_per_axis // 2 + 1
+    assert calls[1:] == [("irfftn", (1, size, half)) for size in sizes
+                         for _ in range(per_block)]
 
 
 def test_smoothing_ratios_peak_memory_within_twice_its_node_stacks():
