@@ -7,9 +7,10 @@ window.  Differentiation is a Fourier multiplier, exact on band-limited data;
 each multiplier is built once per grid.  ``Spectrum`` transforms a frame, or a
 whole stack of frames, once for all of its derivatives; a stack gives each
 frame the same bits as its own transform.  Coefficients made in mode space,
-such as those of the free evolution, are held with no transform at all
-(``Spectrum.with_coeffs``), so no frame is transformed back and forth.  This
-module holds every Fourier transform of the package.
+such as those of the free evolution or of a Picard iterate, are held with no
+transform at all (``Spectrum.with_coeffs``), so no frame is transformed back
+and forth.  This module holds every Fourier transform of the package, each
+spelled once: ``forward_transform`` and its pair ``inverse_transform``.
 
 Field values keep the component axes last: grid.shape + (l,) for a frame,
 one leading frame axis for a stack.  Every array the spectral layer makes or
@@ -54,6 +55,7 @@ __all__ = [
     "ordered_sum",
     "multiplier",
     "half_spectrum",
+    "forward_transform",
     "inverse_transform",
     "Spectrum",
     "gradient",
@@ -147,23 +149,6 @@ class GridField:
         vec = np.atleast_1d(np.asarray(vec, dtype=float))
         return cls(grid, np.broadcast_to(vec, grid.shape + vec.shape).copy())
 
-    def __add__(self, other: "GridField") -> "GridField":
-        self._check(other)
-        return GridField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridField") -> "GridField":
-        self._check(other)
-        return GridField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridField":
-        return GridField(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if self.grid != other.grid or self.codomain_dim != other.codomain_dim:
-            raise ValueError("fields live on different grids or codomains")
-
     def sup_norm(self) -> float:
         return float(np.sqrt((self.values ** 2).sum(axis=-1)).max())
 
@@ -215,16 +200,6 @@ class SpaceTimeField:
         if self.grid != other.grid or not np.array_equal(self.times, other.times):
             raise ValueError("space-time fields are not aligned")
         return SpaceTimeField(self.grid, self.times, self.values - other.values)
-
-    def __add__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        if self.grid != other.grid or not np.array_equal(self.times, other.times):
-            raise ValueError("space-time fields are not aligned")
-        return SpaceTimeField(self.grid, self.times, self.values + other.values)
-
-    def __mul__(self, scalar: float) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self.times, self.values * float(scalar))
-
-    __rmul__ = __mul__
 
 
 # ----------------------------------------------------------------------
@@ -329,11 +304,16 @@ def _pairwise_sum(count: int, term) -> np.ndarray:
     return acc
 
 
+def forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of real frames over the last grid.dim axes
+    of values."""
+    return scipy.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)))
+
+
 def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Real frames from half-spectrum coefficients over the last grid.dim
     axes of coeffs."""
-    axes = tuple(range(-grid.dim, 0))
-    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=axes)
+    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
 
 
 class Spectrum:
@@ -354,8 +334,7 @@ class Spectrum:
         lead = 1 if isinstance(field, SpaceTimeField) else 0
         comps = field.values.ndim - lead - field.grid.dim
         self.grid = field.grid
-        self.coeffs = scipy.fft.rfftn(components_first(field.values, comps),
-                                      axes=tuple(range(-field.grid.dim, 0)))
+        self.coeffs = forward_transform(field.grid, components_first(field.values, comps))
 
     @classmethod
     def with_coeffs(cls, grid: Grid, coeffs: np.ndarray) -> "Spectrum":
@@ -462,9 +441,9 @@ def ball_offsets(grid: Grid, r: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _mask_spectrum(dim: int, M: int, key: float):
-    mask, _ = _offsets_cached(dim, M, key)
-    return scipy.fft.rfftn(mask.astype(float))
+def _mask_spectrum(grid: Grid, key: float):
+    mask, _ = _offsets_cached(grid.dim, grid.points_per_axis, key)
+    return forward_transform(grid, mask.astype(float))
 
 
 def ball_convolve(grid: Grid, scalar_field: np.ndarray, r: float) -> np.ndarray:
@@ -472,10 +451,8 @@ def ball_convolve(grid: Grid, scalar_field: np.ndarray, r: float) -> np.ndarray:
 
     The transform runs over the last grid.dim axes, so a stack of fields
     (any leading axes) gives each field the bits of its own call."""
-    spec = _mask_spectrum(grid.dim, grid.points_per_axis, _ball_steps(grid, r))
-    axes = tuple(range(-grid.dim, 0))
-    return scipy.fft.irfftn(scipy.fft.rfftn(scalar_field, axes=axes) * spec,
-                            s=grid.shape, axes=axes)
+    spec = _mask_spectrum(grid, _ball_steps(grid, r))
+    return inverse_transform(grid, forward_transform(grid, scalar_field) * spec)
 
 
 # ----------------------------------------------------------------------

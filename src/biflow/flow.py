@@ -18,7 +18,8 @@ map sends a whole trajectory to a whole trajectory,
     T u = (free evolution of u0) + S(F1[u]) + S(div F2[u]) [+ S(F3[u])],
 
 so the contraction factor is directly observable as the ratio of successive
-trajectory differences in the solution norm.
+trajectory differences in the solution norm.  S acts mode by mode, so T sums
+the forcings' coefficients before its one Duhamel sweep.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from scipy.optimize import brentq as _brentq
 
 from .errors import ManifoldTubeExitError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, components_first,
-                     components_last, ordered_sum, pointwise_norm)
+                     components_last, forward_transform, inverse_transform, ordered_sum,
+                     pointwise_norm)
 from .kernel import ALPHA, UNIT_SPHERE_AREA, SampleSpec, certify_bound, default_profile
 from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project
-from .norms import bmo_seminorm, x_norm, x_norm_from_magnitudes
-from .semigroup import apply_G_trajectory, apply_S_div_trajectory, apply_S_trajectory
+from .norms import bmo_seminorm, x_norm_from_magnitudes
+from .semigroup import apply_G_trajectory, duhamel_sweep, free_spectrum
 
 __all__ = [
     "FlowConfig",
@@ -130,7 +132,7 @@ def _check_tube(values: np.ndarray, target: SphereTarget, times=None):
     """Raise if a point leaves the tube.  With frame times, values is a stack,
     and the error names the first offending frame and its worst point."""
     frames = values if times is not None else values[None]
-    dev = np.abs(np.sqrt((frames ** 2).sum(axis=-1)) - 1.0)
+    dev = distance_to_sphere(frames)
     bad = np.nonzero(dev.reshape(len(dev), -1).max(axis=1) > target.tube_radius)[0]
     if bad.size:
         j = bad[0]
@@ -143,14 +145,13 @@ def _check_tube(values: np.ndarray, target: SphereTarget, times=None):
 
 
 class _DerivBundle:
-    """Spectral derivatives of a frame or a frame stack, from one transform,
-    and the projection jet at its values, shared by the nonlinearities and,
-    for a stack, by its solution norm.  Everything is component-major, as
-    in ``fields``; the forcings it gives are too."""
+    """Spectral derivatives of a frame or a frame stack, read off its given
+    spectrum, and the projection jet at its values, shared by the
+    nonlinearities and, for a stack, by its solution norm.  Everything is
+    component-major, as in ``fields``; the forcings it gives are too."""
 
-    def __init__(self, u: GridField | SpaceTimeField, target: SphereTarget):
+    def __init__(self, u: GridField | SpaceTimeField, target: SphereTarget, spec: Spectrum):
         self.u = u
-        spec = Spectrum(u)
         self.grad = spec.gradient()     # (n, l) + [frames +] grid
         self.hess = spec.hessian()      # (n, n, l) + [frames +] grid
         self.lap = spec.derivative("laplacian")  # (l,) + [frames +] grid
@@ -175,7 +176,8 @@ def nonlinearity_f1(u: GridField, target: SphereTarget) -> GridField:
     with C from the projection's derivative bounds on the tube.
     """
     _check_tube(u.values, target)
-    return GridField(u.grid, components_last(_f1_from_bundle(_DerivBundle(u, target)), 1))
+    bundle = _DerivBundle(u, target, Spectrum(u))
+    return GridField(u.grid, components_last(_f1_from_bundle(bundle), 1))
 
 
 def _f2_from_bundle(b: _DerivBundle) -> np.ndarray:
@@ -197,7 +199,8 @@ def nonlinearity_f2(u: GridField, target: SphereTarget) -> GridField:
     |F2[u]| <= C (|grad^2 u| |grad u| + |grad u|^3).
     """
     _check_tube(u.values, target)
-    return GridField(u.grid, components_last(_f2_from_bundle(_DerivBundle(u, target)), 2))
+    bundle = _DerivBundle(u, target, Spectrum(u))
+    return GridField(u.grid, components_last(_f2_from_bundle(bundle), 2))
 
 
 def _f3_from_bundle(b: _DerivBundle) -> np.ndarray:
@@ -216,7 +219,8 @@ def nonlinearity_f3(u: GridField, target: SphereTarget) -> GridField:
     with the fourth power of a perturbation amplitude on sphere-valued data.
     """
     _check_tube(u.values, target)
-    return GridField(u.grid, components_last(_f3_from_bundle(_DerivBundle(u, target)), 1))
+    bundle = _DerivBundle(u, target, Spectrum(u))
+    return GridField(u.grid, components_last(_f3_from_bundle(bundle), 1))
 
 
 # ----------------------------------------------------------------------
@@ -249,66 +253,79 @@ def _clamp_to_tube(values: np.ndarray, target: SphereTarget) -> tuple[np.ndarray
 
 
 def _forcing(config: FlowConfig, traj: SpaceTimeField,
-             bundle: _DerivBundle) -> tuple[list[SpaceTimeField], bool]:
+             bundle: _DerivBundle) -> tuple[list[np.ndarray], bool]:
     """F1, F2 (and in intrinsic mode F3) of a trajectory from its bundle, once
-    its frames pass the tube check; clamped frames get a bundle of their own."""
+    its frames pass the tube check; clamped frames are transformed for a
+    bundle of their own."""
     clamped = False
     if config.tube_exit_policy == "clamp":
         vals, clamped = _clamp_to_tube(traj.values, config.target)
         if clamped:
-            bundle = _DerivBundle(SpaceTimeField(traj.grid, traj.times, vals), config.target)
+            traj = SpaceTimeField(traj.grid, traj.times, vals)
+            bundle = _DerivBundle(traj, config.target, Spectrum(traj))
     else:
         _check_tube(traj.values, config.target, traj.times)
-    parts = [(_f1_from_bundle, 1), (_f2_from_bundle, 2)]
+    parts = [_f1_from_bundle, _f2_from_bundle]
     if config.mode == "intrinsic":
-        parts.append((_f3_from_bundle, 1))
-    return [SpaceTimeField(traj.grid, traj.times, components_last(f(bundle), comps))
-            for f, comps in parts], clamped
+        parts.append(_f3_from_bundle)
+    return [f(bundle) for f in parts], clamped
 
 
-def _apply_T(hat_u0: SpaceTimeField, forcing: list[SpaceTimeField]) -> SpaceTimeField:
-    """The Duhamel map applied to the trajectory whose forcing is given."""
-    f1, f2, *f3 = forcing
-    new = hat_u0 + apply_S_trajectory(f1) + apply_S_div_trajectory(f2)
-    return new + apply_S_trajectory(f3[0]) if f3 else new
+def _apply_T(u0_spec: Spectrum, times: np.ndarray,
+             forcing: list[np.ndarray]) -> tuple[SpaceTimeField, np.ndarray]:
+    """The Duhamel map applied to the trajectory whose forcing is given: one
+    sweep of F1 + div F2 [+ F3] in mode space, plus the free evolution, then
+    one inverse transform.  Returns the new iterate and its coefficients."""
+    grid = u0_spec.grid
+    acc = Spectrum.with_coeffs(grid, forward_transform(grid, forcing[1])).divergence()
+    for f in forcing[::2]:  # F1 [and F3]
+        acc += forward_transform(grid, f)
+    coeffs = duhamel_sweep(grid, times, acc)
+    coeffs += free_spectrum(u0_spec, times).coeffs
+    return SpaceTimeField(grid, times, components_last(inverse_transform(grid, coeffs), 1)), coeffs
 
 
 def picard_solve(config: FlowConfig, u0: GridField) -> tuple[SpaceTimeField, FlowDiagnostics]:
     """Iterate the Duhamel map from the free evolution until the trajectory
     difference in the solution norm drops below ``picard_tol``.
 
-    Each iterate is transformed once: its derivative bundle gives both its
-    solution norm and the forcing of the next application.  Non-contraction
-    (three consecutive difference ratios >= 1) stops the iteration with
-    ``failure='contraction-failure'``; diagnostics are still returned.  A
-    tube exit raises unless the policy is 'clamp'.
+    No iterate is transformed forward: its derivative bundle (its solution
+    norm and the next forcing) and d_k read the coefficients it came from.
+    Non-contraction (three consecutive difference ratios >= 1) stops the
+    iteration with ``failure='contraction-failure'``; diagnostics are still
+    returned.  A tube exit raises unless the policy is 'clamp'.
     """
-    sphere_dev = float(np.abs(np.sqrt((u0.values ** 2).sum(axis=-1)) - 1.0).max())
+    sphere_dev = float(distance_to_sphere(u0.values).max())
     if sphere_dev > 1e-10:
         raise ValueError(f"initial data must map into the sphere (deviation {sphere_dev:.2e})")
 
-    times = config.times()
-    T = config.t_final
-    hat_u0 = apply_G_trajectory(u0, times)
+    times, T, grid = config.times(), config.t_final, u0.grid
+    u0_spec = Spectrum(u0)
     diag = FlowDiagnostics()
-    bundle = _DerivBundle(hat_u0, config.target)
+    current = apply_G_trajectory(u0, times)
+    coeffs = free_spectrum(u0_spec, times).coeffs
+    bundle = _DerivBundle(current, config.target, Spectrum.with_coeffs(grid, coeffs))
     diag.iterate_norms.append(bundle.x_norm(T))
 
-    current = hat_u0
+    def diff_norm(new, new_coeffs):  # of new minus the iterate held, read off coefficients
+        spec = Spectrum.with_coeffs(grid, new_coeffs - coeffs)
+        return x_norm_from_magnitudes(new - current, pointwise_norm(spec.gradient(), grid, lead=1),
+                                      pointwise_norm(spec.hessian(), grid, lead=1), T).total
+
     for k in range(config.max_picard_iters):
         forcing, clamped = _forcing(config, current, bundle)
-        del bundle  # free the derivatives before the Duhamel sweeps
-        new = _apply_T(hat_u0, forcing)
+        del bundle  # free the derivatives before the Duhamel sweep
+        new, new_coeffs = _apply_T(u0_spec, times, forcing)
         del forcing
         diag.tube_clamped |= clamped
-        d_k = x_norm(new - current, T).total
+        d_k = diff_norm(new, new_coeffs)
         diag.diff_norms.append(d_k)
-        bundle = _DerivBundle(new, config.target)
+        bundle = _DerivBundle(new, config.target, Spectrum.with_coeffs(grid, new_coeffs))
         diag.iterate_norms.append(bundle.x_norm(T))
         diag.iterations = k + 1
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.contraction_ratios.append(d_k / diag.diff_norms[-2])
-        current = new
+        current, coeffs = new, new_coeffs
         if d_k <= config.picard_tol:
             diag.converged = True
             break
@@ -320,7 +337,7 @@ def picard_solve(config: FlowConfig, u0: GridField) -> tuple[SpaceTimeField, Flo
     if diag.converged:
         forcing, _ = _forcing(config, current, bundle)
         del bundle
-        diag.fixed_point_residual = x_norm(_apply_T(hat_u0, forcing) - current, T).total
+        diag.fixed_point_residual = diff_norm(*_apply_T(u0_spec, times, forcing))
 
     frag = constraint_diagnostics(current, config.target)
     diag.sup_distance = frag["sup_distance"]

@@ -10,6 +10,8 @@ interpolant of the forcing using the phi functions
 evaluated by Taylor series below a small threshold to dodge cancellation.
 One sweep over the frame grid yields the response at every stored time via
 the recurrence u(t_{j+1}) = e^(-dt |k|^4) u(t_j) + (local phi integral).
+S is linear, so ``duhamel_sweep`` takes any sum of coefficients: the
+``apply_S*`` operators sweep one forcing, the Picard map of ``flow`` its sum.
 
 Mode coefficients are the half spectrum of ``fields`` (scipy's real
 transforms, ``workers=1``), so the sweeps and the free evolution run on
@@ -33,6 +35,7 @@ __all__ = [
     "apply_G",
     "apply_G_trajectory",
     "free_spectrum",
+    "duhamel_sweep",
     "apply_S",
     "apply_S_trajectory",
     "apply_S_div_trajectory",
@@ -102,7 +105,7 @@ def free_spectrum(spec: Spectrum, times) -> Spectrum:
     return Spectrum.with_coeffs(grid, np.expand_dims(spec.coeffs, -1 - grid.dim) * decay)
 
 
-def _duhamel_sweep(grid: Grid, times: np.ndarray, spec_frames: np.ndarray) -> np.ndarray:
+def duhamel_sweep(grid: Grid, times: np.ndarray, spec_frames: np.ndarray) -> np.ndarray:
     """Mode-space Duhamel response at every frame time.
 
     spec_frames are component-major half-spectrum coefficients: component
@@ -145,7 +148,7 @@ def apply_S(f: SpaceTimeField, t_target: float) -> GridField:
 
 def apply_S_trajectory(f: SpaceTimeField) -> SpaceTimeField:
     """Duhamel response at every frame time in one sweep."""
-    out = _duhamel_sweep(f.grid, f.times, Spectrum(f).coeffs)
+    out = duhamel_sweep(f.grid, f.times, Spectrum(f).coeffs)
     comps = f.values.ndim - 1 - f.grid.dim
     return SpaceTimeField(f.grid, f.times, components_last(inverse_transform(f.grid, out), comps))
 
@@ -153,7 +156,7 @@ def apply_S_trajectory(f: SpaceTimeField) -> SpaceTimeField:
 def apply_S_div_trajectory(F: SpaceTimeField) -> SpaceTimeField:
     """Duhamel response to a divergence at every frame time; the derivative is
     taken on the mode coefficients inside the integral."""
-    out = _duhamel_sweep(F.grid, F.times, Spectrum(F).divergence())
+    out = duhamel_sweep(F.grid, F.times, Spectrum(F).divergence())
     comps = F.values.ndim - 2 - F.grid.dim
     return SpaceTimeField(F.grid, F.times, components_last(inverse_transform(F.grid, out), comps))
 

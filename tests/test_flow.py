@@ -1,13 +1,16 @@
 """Nonlinearities, Picard iteration, constraint and distance diagnostics."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from biflow import flow, semigroup
 from biflow.errors import ManifoldTubeExitError
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, gradient,
-                           hessian, laplacian, pointwise_norm)
+                           hessian, inverse_transform, laplacian, pointwise_norm)
 from biflow.flow import (FlowConfig, FlowDiagnostics, constant_initial_data,
                          constraint_diagnostics, distance_experiment,
                          equator_initial_data, nonlinearity_f1, nonlinearity_f2,
@@ -19,7 +22,7 @@ from biflow.norms import (NormReport, _cylinder_average_max,
                           _resolved_cylinder_radii, _trapezoid_weights, x_norm,
                           x_norm_from_magnitudes)
 from biflow.semigroup import (apply_G, apply_G_trajectory, apply_S_div_trajectory,
-                              apply_S_trajectory)
+                              apply_S_trajectory, duhamel_sweep, free_spectrum)
 
 
 def _cfg(grid, target, **kw):
@@ -336,14 +339,15 @@ def test_bundle_forcings_and_norm_bitwise_equal_the_field_layout(dim, M, ambient
     frames = [u.frame(j) for j in range(u.num_frames)]
     for v, want in ((u, _field_layout_bundle(frames, target)[0]),
                     (frames[1], [w[0] for w in _field_layout_bundle(frames[1:2], target)[0]])):
-        b = _DerivBundle(v, target)
+        b = _DerivBundle(v, target, Spectrum(v))
         got = (np.moveaxis(_f1_from_bundle(b), 0, -1),
                np.moveaxis(_f2_from_bundle(b), (0, 1), (-2, -1)),
                np.moveaxis(_f3_from_bundle(b), 0, -1))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
     gm, hm = _field_layout_bundle(frames, target)[1]
-    assert _DerivBundle(u, target).x_norm(0.5) == x_norm_from_magnitudes(u, gm, hm, 0.5).total
+    got = _DerivBundle(u, target, Spectrum(u)).x_norm(0.5)
+    assert got == x_norm_from_magnitudes(u, gm, hm, 0.5).total
     assert constraint_diagnostics(u, target) == _oracle_constraint(u, target)
 
 
@@ -513,12 +517,13 @@ def test_contraction_failure_reported_with_diagnostics(grid64, sphere3):
 # the stack Picard path against the per-frame one
 # ----------------------------------------------------------------------
 
-# Oracle: the solution norm and the Picard iteration one frame at a time,
-# each frame transformed on its own and every iterate transformed twice, for
-# its norm and for the next application.  The solver works on whole frame
-# stacks and must reproduce these bits exactly.
+# Oracle: the solution norm and the Picard iteration one frame at a time.
+# Each frame's derivatives are read off its own coefficients: a frame's
+# transform, or, given a stack of coefficients, that frame's slice of it.
+# The solver works on whole frame stacks and must reproduce these bits
+# exactly.
 
-def _oracle_x_norm(u, T=None):
+def _oracle_x_norm(u, T=None, coeffs=None):
     grid = u.grid
     if T is None:
         T = float(u.times[-1])
@@ -527,7 +532,7 @@ def _oracle_x_norm(u, T=None):
     hess_pow2 = np.empty((u.num_frames,) + grid.shape)
     for j in range(u.num_frames):
         fr = u.frame(j)
-        spec = Spectrum(fr)
+        spec = Spectrum(fr) if coeffs is None else Spectrum.with_coeffs(grid, coeffs[:, j])
         gmag = pointwise_norm(spec.gradient(), grid)
         hmag = pointwise_norm(spec.hessian(), grid)
         grad_pow4[j] = gmag ** 4
@@ -555,10 +560,13 @@ def _oracle_x_norm(u, T=None):
                        "morrey4_radius": arg4, "morrey2_radius": arg2})
 
 
-def _oracle_apply_T(config, hat_u0, traj):
+def _oracle_forcing_frames(config, traj, coeffs):
+    """Per frame, in field layout: the forcings F1, F2 [, F3] from a bundle
+    of that frame alone, and whether any frame was clamped.  Clamped frames
+    have no coefficients: with any clamped, every frame is transformed, as
+    the solver transforms the whole clamped stack."""
     grid, target = config.grid, config.target
-    clamped_any = False
-    f1_frames, f2_frames, f3_frames = [], [], []
+    frames, clamped_any = [], False
     for j in range(traj.num_frames):
         vals = traj.values[j]
         if config.tube_exit_policy == "clamp":
@@ -566,36 +574,81 @@ def _oracle_apply_T(config, hat_u0, traj):
             clamped_any |= did
         else:
             _check_tube(vals, target)
-        bundle = _DerivBundle(GridField(grid, vals), target)
-        f1_frames.append(np.moveaxis(_f1_from_bundle(bundle), 0, -1))
-        f2_frames.append(np.moveaxis(_f2_from_bundle(bundle), (0, 1), (-2, -1)))
+        frames.append(GridField(grid, vals))
+    parts = []
+    for j, field in enumerate(frames):
+        if clamped_any or coeffs is None:
+            spec = Spectrum(field)
+        else:
+            spec = Spectrum.with_coeffs(grid, coeffs[:, j])
+        bundle = _DerivBundle(field, target, spec)
+        frame_parts = [np.moveaxis(_f1_from_bundle(bundle), 0, -1),
+                       np.moveaxis(_f2_from_bundle(bundle), (0, 1), (-2, -1))]
         if config.mode == "intrinsic":
-            f3_frames.append(np.moveaxis(_f3_from_bundle(bundle), 0, -1))
-    f1 = SpaceTimeField(grid, traj.times, np.stack(f1_frames))
-    f2 = SpaceTimeField(grid, traj.times, np.stack(f2_frames))
-    new = hat_u0 + apply_S_trajectory(f1) + apply_S_div_trajectory(f2)
-    if config.mode == "intrinsic":
-        f3 = SpaceTimeField(grid, traj.times, np.stack(f3_frames))
-        new = new + apply_S_trajectory(f3)
-    return new, clamped_any
+            frame_parts.append(np.moveaxis(_f3_from_bundle(bundle), 0, -1))
+        parts.append(frame_parts)
+    return parts, clamped_any
 
 
-def _oracle_picard(config, u0):
-    T = config.t_final
-    hat_u0 = apply_G_trajectory(u0, config.times())
+def _oracle_apply_T(config, u0, traj, coeffs):
+    """The solver's mode-space order, one frame at a time: per frame the
+    coefficients div F2 + F1 [+ F3], then one sweep of the stack, plus the
+    free evolution's coefficients, and each frame inverted on its own."""
+    grid, times = config.grid, traj.times
+    parts, clamped = _oracle_forcing_frames(config, traj, coeffs)
+    summed = []
+    for f1, f2, *f3 in parts:
+        acc = Spectrum(GridField(grid, f2)).divergence()
+        acc += Spectrum(GridField(grid, f1)).coeffs
+        if f3:
+            acc += Spectrum(GridField(grid, f3[0])).coeffs
+        summed.append(acc)
+    new_coeffs = duhamel_sweep(grid, times, np.stack(summed, axis=1))
+    new_coeffs += free_spectrum(Spectrum(u0), times).coeffs
+    frames = [np.moveaxis(inverse_transform(grid, new_coeffs[:, j]), 0, -1)
+              for j in range(times.size)]
+    return SpaceTimeField(grid, times, np.stack(frames)), new_coeffs, clamped
+
+
+def _physical_oracle_apply_T(config, u0, traj, coeffs):
+    """The Picard map part by part in physical space, as the solver ran it
+    before it summed in mode space: each forcing stack transformed and swept
+    on its own, the frames added, and every iterate transformed forward."""
+    grid, times = config.grid, traj.times
+    parts, clamped = _oracle_forcing_frames(config, traj, None)
+    f1, f2, *f3 = (SpaceTimeField(grid, times, np.stack(p)) for p in zip(*parts))
+    new = (apply_G_trajectory(u0, times).values + apply_S_trajectory(f1).values
+           + apply_S_div_trajectory(f2).values)
+    if f3:
+        new = new + apply_S_trajectory(f3[0]).values
+    return SpaceTimeField(grid, times, new), None, clamped
+
+
+def _oracle_picard(config, u0, physical=False):
+    """picard_solve through _oracle_apply_T, whose iterates keep their
+    coefficients and whose norms read them; or, physical, through
+    _physical_oracle_apply_T, whose norms transform every iterate's frames."""
+    T, times = config.t_final, config.times()
+    apply_T = _physical_oracle_apply_T if physical else _oracle_apply_T
     diag = FlowDiagnostics()
-    diag.iterate_norms.append(_oracle_x_norm(hat_u0, T).total)
-    current = hat_u0
+    current = apply_G_trajectory(u0, times)
+    coeffs = None if physical else free_spectrum(Spectrum(u0), times).coeffs
+    diag.iterate_norms.append(_oracle_x_norm(current, T, coeffs).total)
+
+    def diff_norm(new, new_coeffs):
+        diff = SpaceTimeField(new.grid, times, new.values - current.values)
+        return _oracle_x_norm(diff, T, None if coeffs is None else new_coeffs - coeffs).total
+
     for k in range(config.max_picard_iters):
-        new, clamped = _oracle_apply_T(config, hat_u0, current)
+        new, new_coeffs, clamped = apply_T(config, u0, current, coeffs)
         diag.tube_clamped |= clamped
-        d_k = _oracle_x_norm(new - current, T).total
+        d_k = diff_norm(new, new_coeffs)
         diag.diff_norms.append(d_k)
-        diag.iterate_norms.append(_oracle_x_norm(new, T).total)
+        diag.iterate_norms.append(_oracle_x_norm(new, T, new_coeffs).total)
         diag.iterations = k + 1
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.contraction_ratios.append(d_k / diag.diff_norms[-2])
-        current = new
+        current, coeffs = new, new_coeffs
         if d_k <= config.picard_tol:
             diag.converged = True
             break
@@ -604,14 +657,31 @@ def _oracle_picard(config, u0):
             diag.failure = "contraction-failure"
             break
     if diag.converged:
-        fixed, _ = _oracle_apply_T(config, hat_u0, current)
-        diag.fixed_point_residual = _oracle_x_norm(fixed - current, T).total
+        diag.fixed_point_residual = diff_norm(*apply_T(config, u0, current, coeffs)[:2])
     frag = _oracle_constraint(current, config.target)
     diag.sup_distance = frag["sup_distance"]
     diag.rho_mass = frag["rho_mass"]
     diag.orthogonality_residual = frag["orthogonality_residual"]
     diag.constraint_flag = frag["flagged"]
     return current, diag
+
+
+def _check_against_oracles(cfg, u0):
+    """picard_solve bit for bit against the mode-space oracle, and within
+    round-off of the physical-space one, with the same iterations and flags."""
+    traj, diag = picard_solve(cfg, u0)
+    oracle_traj, oracle_diag = _oracle_picard(cfg, u0)
+    assert traj.values.tobytes() == oracle_traj.values.tobytes()
+    assert diag.to_json() == oracle_diag.to_json()
+    phys_traj, phys = _oracle_picard(cfg, u0, physical=True)
+    for key in ("iterations", "converged", "failure", "tube_clamped"):
+        assert getattr(diag, key) == getattr(phys, key)
+    assert np.abs(traj.values - phys_traj.values).max() <= 1e-12
+    norms, want = np.array(diag.iterate_norms), np.array(phys.iterate_norms)
+    assert np.abs(norms - want).max() <= 1e-13 * np.abs(want).max()
+    d_k, want = np.array(diag.diff_norms), np.array(phys.diff_norms)
+    assert np.abs(d_k - want).max() <= 1e-10 * want.max()
+    return diag
 
 
 def _wavy_initial_data(dim, M, eps):
@@ -634,22 +704,51 @@ def test_picard_solve_bitwise_equals_per_frame_oracle(dim, M, frames, t_final, i
     u0 = _wavy_initial_data(dim, M, 0.1)
     cfg = _cfg(u0.grid, sphere3, t_final=t_final, num_frames=frames, mode=mode,
                max_picard_iters=iters)
-    traj, diag = picard_solve(cfg, u0)
-    oracle_traj, oracle_diag = _oracle_picard(cfg, u0)
+    diag = _check_against_oracles(cfg, u0)
     assert diag.converged == (iters == 20) and diag.iterations >= 2
-    assert traj.values.tobytes() == oracle_traj.values.tobytes()
-    assert diag.to_json() == oracle_diag.to_json()
 
 
 def test_clamped_picard_solve_bitwise_equals_per_frame_oracle(grid64, sphere3):
     cfg = _cfg(grid64, sphere3, num_frames=24, max_picard_iters=20,
                tube_exit_policy="clamp")
-    u0 = equator_initial_data(grid64, 1.8, 2)
-    traj, diag = picard_solve(cfg, u0)
-    oracle_traj, oracle_diag = _oracle_picard(cfg, u0)
+    diag = _check_against_oracles(cfg, equator_initial_data(grid64, 1.8, 2))
     assert diag.tube_clamped and diag.failure == "contraction-failure"
-    assert traj.values.tobytes() == oracle_traj.values.tobytes()
-    assert diag.to_json() == oracle_diag.to_json()
+
+
+@pytest.mark.parametrize("mode,parts", [("extrinsic", 2), ("intrinsic", 3)])
+def test_picard_application_sweeps_once_and_transforms_no_iterate(mode, parts, grid64,
+                                                                   sphere3, monkeypatch):
+    # S is linear and acts mode by mode: an application transforms each
+    # forcing part once, sweeps their summed coefficients once and inverts
+    # the new iterate once.  No iterate and no iterate difference is
+    # transformed forward: each iterate keeps the coefficients it came from.
+    counts = Counter()
+    sweep, rfftn, inverse = semigroup.duhamel_sweep, scipy.fft.rfftn, flow.inverse_transform
+
+    def counted_sweep(*args):
+        counts["sweep"] += 1
+        return sweep(*args)
+
+    def counted_rfftn(x, *args, **kwargs):
+        # a stack: component and frame axes before the grid axis; u0 and the
+        # norm scans' ball sums have one axis fewer
+        counts["stack forward"] += np.ndim(x) >= grid64.dim + 2
+        return rfftn(x, *args, **kwargs)
+
+    def counted_inverse(grid, coeffs):
+        counts["iterate inverse"] += 1
+        return inverse(grid, coeffs)
+
+    monkeypatch.setattr(semigroup, "duhamel_sweep", counted_sweep)
+    monkeypatch.setattr(flow, "duhamel_sweep", counted_sweep)
+    monkeypatch.setattr(scipy.fft, "rfftn", counted_rfftn)
+    monkeypatch.setattr(flow, "inverse_transform", counted_inverse)
+    cfg = _cfg(grid64, sphere3, num_frames=16, mode=mode)
+    _, diag = picard_solve(cfg, equator_initial_data(grid64, 0.05))
+    applications = diag.iterations + 1  # and the fixed-point check
+    assert diag.converged and applications >= 3
+    assert counts == {"sweep": applications, "stack forward": parts * applications,
+                      "iterate inverse": applications}
 
 
 @pytest.mark.parametrize("dim,M", [(1, 64), (2, 32), (3, 16)])

@@ -422,7 +422,7 @@ _ALLOWED_LAYOUT_SITES = sorted([
     "flow.py: nonlinearity_f1: components_last",
     "flow.py: nonlinearity_f2: components_last",
     "flow.py: nonlinearity_f3: components_last",
-    "flow.py: _forcing: components_last",
+    "flow.py: _apply_T: components_last",
     "flow.py: constraint_diagnostics: components_first",
     "flow.py: constraint_diagnostics: components_first",
     "norms.py: _member_magnitudes: moveaxis",

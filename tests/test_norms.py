@@ -355,7 +355,7 @@ def test_x_norm_triangle_inequality(seed):
 
     a, b = rand_traj(), rand_traj()
     na, nb = x_norm(a, 0.5).total, x_norm(b, 0.5).total
-    nab = x_norm(a + b, 0.5).total
+    nab = x_norm(SpaceTimeField(g, times, a.values + b.values), 0.5).total
     assert nab <= na + nb + 1e-10
 
 

@@ -394,7 +394,7 @@ def test_one_exponential_weights_bitwise_equal_separate_formulas(dim, M):
     shape = (times.size,) + g.shape[:-1] + (M // 2 + 1, 2)  # a half spectrum
     spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # the sweep takes and gives component-major coefficients
-    swept = semigroup._duhamel_sweep(g, times, np.moveaxis(spec, -1, 0))
+    swept = semigroup.duhamel_sweep(g, times, np.moveaxis(spec, -1, 0))
     assert np.array_equal(np.moveaxis(swept, 0, -1), _oracle_duhamel_sweep(g, times, spec))
 
 
