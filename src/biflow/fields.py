@@ -24,6 +24,12 @@ contiguous trailing axis through ``ordered_sum``: numpy adds fewer than 8
 terms left to right and 8 or more pairwise, so a plain sum over leading
 blocks is not the same sum from 8 terms on.
 
+Every transform and multiplier acts on each frame alone, so a stack may be
+worked one block of whole frames at a time (``frame_blocks``, about
+``_BLOCK_POINTS`` grid points each) with the bits of the whole stack; the
+Picard solver and the solution norm do, to hold one block's derivatives at
+a time.
+
 Fields are real, so their spectra are Hermitian: every transform is scipy's
 real ``rfftn``/``irfftn`` on one thread (``workers=1``, the default, which
 keeps runs deterministic), and mode coefficients are the half spectrum, with
@@ -62,6 +68,7 @@ __all__ = [
     "hessian",
     "laplacian",
     "pointwise_norm",
+    "frame_blocks",
     "ball_offsets",
     "ball_convolve",
     "save_space_time_field",
@@ -405,6 +412,21 @@ def pointwise_norm(values: np.ndarray, grid: Grid, lead: int = 0) -> np.ndarray:
     order of a sum over trailing components (``ordered_sum``)."""
     blocks = values.reshape((-1,) + values.shape[values.ndim - lead - grid.dim:])
     return np.sqrt(ordered_sum(len(blocks), lambda i: np.square(blocks[i])))
+
+
+# grid points of one block of frames in ``frame_blocks``: a block's
+# derivatives, projection jet and forcings stay within a few hundred kB
+_BLOCK_POINTS = 2 ** 13
+
+
+def frame_blocks(grid: Grid, num_frames: int) -> list[slice]:
+    """Slices of whole frames, in order, each of about ``_BLOCK_POINTS`` grid
+    points and at least one frame, that cover a stack of num_frames.
+
+    Every operation of this layer acts on each frame alone, so a stack
+    worked block by block gives each frame the bits of the whole stack."""
+    per = max(1, _BLOCK_POINTS // grid.points_per_axis ** grid.dim)
+    return [slice(s, min(s + per, num_frames)) for s in range(0, num_frames, per)]
 
 
 # ----------------------------------------------------------------------

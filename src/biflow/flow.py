@@ -20,6 +20,13 @@ map sends a whole trajectory to a whole trajectory,
 so the contraction factor is directly observable as the ratio of successive
 trajectory differences in the solution norm.  S acts mode by mode, so T sums
 the forcings' coefficients before its one Duhamel sweep.
+
+Only the sweep couples frames.  The nonlinearities, the derivative
+magnitudes of the solution norm and the constraint diagnostics are pointwise
+in (t, x), so the solver takes them one block of whole frames at a time
+(``fields.frame_blocks``): a block's derivatives, projection jet and
+forcings are freed before the next block's are made, and every frame keeps
+the bits of the whole stack.
 """
 
 from __future__ import annotations
@@ -33,11 +40,11 @@ from scipy.optimize import brentq as _brentq
 
 from .errors import ManifoldTubeExitError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, components_first,
-                     components_last, forward_transform, inverse_transform, ordered_sum,
-                     pointwise_norm)
+                     components_last, forward_transform, frame_blocks, inverse_transform,
+                     ordered_sum)
 from .kernel import ALPHA, UNIT_SPHERE_AREA, SampleSpec, certify_bound, default_profile
 from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project
-from .norms import bmo_seminorm, x_norm_from_magnitudes
+from .norms import bmo_seminorm, stack_magnitudes, x_norm_from_magnitudes
 from .semigroup import apply_G_trajectory, duhamel_sweep, free_spectrum
 
 __all__ = [
@@ -145,22 +152,17 @@ def _check_tube(values: np.ndarray, target: SphereTarget, times=None):
 
 
 class _DerivBundle:
-    """Spectral derivatives of a frame or a frame stack, read off its given
-    spectrum, and the projection jet at its values, shared by the
-    nonlinearities and, for a stack, by its solution norm.  Everything is
-    component-major, as in ``fields``; the forcings it gives are too."""
+    """Spectral derivatives of a frame or a block of frames, read off its
+    given spectrum, and the projection jet at its values (field layout),
+    shared by the nonlinearities and, in a Picard pass, by the block's
+    derivative magnitudes.  Everything it holds is component-major, as in
+    ``fields``; the forcings it gives are too."""
 
-    def __init__(self, u: GridField | SpaceTimeField, target: SphereTarget, spec: Spectrum):
-        self.u = u
+    def __init__(self, values: np.ndarray, target: SphereTarget, spec: Spectrum):
         self.grad = spec.gradient()     # (n, l) + [frames +] grid
         self.hess = spec.hessian()      # (n, n, l) + [frames +] grid
         self.lap = spec.derivative("laplacian")  # (l,) + [frames +] grid
-        self.jet = ProjectionJet(target, components_first(u.values, 1), self.grad)
-
-    def x_norm(self, T: float) -> float:
-        """Total solution norm of the stack, from the derivatives above."""
-        mags = [pointwise_norm(d, self.u.grid, lead=1) for d in (self.grad, self.hess)]
-        return x_norm_from_magnitudes(self.u, *mags, T).total
+        self.jet = ProjectionJet(target, components_first(values, 1), self.grad)
 
 
 def _f1_from_bundle(b: _DerivBundle) -> np.ndarray:
@@ -176,7 +178,7 @@ def nonlinearity_f1(u: GridField, target: SphereTarget) -> GridField:
     with C from the projection's derivative bounds on the tube.
     """
     _check_tube(u.values, target)
-    bundle = _DerivBundle(u, target, Spectrum(u))
+    bundle = _DerivBundle(u.values, target, Spectrum(u))
     return GridField(u.grid, components_last(_f1_from_bundle(bundle), 1))
 
 
@@ -199,7 +201,7 @@ def nonlinearity_f2(u: GridField, target: SphereTarget) -> GridField:
     |F2[u]| <= C (|grad^2 u| |grad u| + |grad u|^3).
     """
     _check_tube(u.values, target)
-    bundle = _DerivBundle(u, target, Spectrum(u))
+    bundle = _DerivBundle(u.values, target, Spectrum(u))
     return GridField(u.grid, components_last(_f2_from_bundle(bundle), 2))
 
 
@@ -219,7 +221,7 @@ def nonlinearity_f3(u: GridField, target: SphereTarget) -> GridField:
     with the fourth power of a perturbation amplitude on sphere-valued data.
     """
     _check_tube(u.values, target)
-    bundle = _DerivBundle(u, target, Spectrum(u))
+    bundle = _DerivBundle(u.values, target, Spectrum(u))
     return GridField(u.grid, components_last(_f3_from_bundle(bundle), 1))
 
 
@@ -252,35 +254,56 @@ def _clamp_to_tube(values: np.ndarray, target: SphereTarget) -> tuple[np.ndarray
     return out, True
 
 
-def _forcing(config: FlowConfig, traj: SpaceTimeField,
-             bundle: _DerivBundle) -> tuple[list[np.ndarray], bool]:
-    """F1, F2 (and in intrinsic mode F3) of a trajectory from its bundle, once
-    its frames pass the tube check; clamped frames are transformed for a
-    bundle of their own."""
-    clamped = False
-    if config.tube_exit_policy == "clamp":
-        vals, clamped = _clamp_to_tube(traj.values, config.target)
+def _forcing_coeffs(grid: Grid, mode: str, bundle: _DerivBundle) -> np.ndarray:
+    """Coefficients of div F2 + F1 (and in intrinsic mode + F3) of the frames
+    of a bundle; each part is transformed as soon as it is made."""
+    acc = Spectrum.with_coeffs(grid, forward_transform(grid, _f2_from_bundle(bundle))).divergence()
+    acc += forward_transform(grid, _f1_from_bundle(bundle))
+    if mode == "intrinsic":
+        acc += forward_transform(grid, _f3_from_bundle(bundle))
+    return acc
+
+
+def _iterate_pass(config: FlowConfig, traj: SpaceTimeField, coeffs: np.ndarray,
+                  forcing: bool) -> tuple[float, np.ndarray | None, bool]:
+    """One pass over the frame blocks of an iterate and the coefficients it
+    was inverted from: its solution norm and, if forcing, the coefficients
+    of its forcing (``_forcing_coeffs``), once its frames pass the tube
+    check, with whether the clamp moved a point.
+
+    Clamped frames have no coefficients, so once a point is clamped every
+    frame's forcing reads the transform of the clamped stack; the norm
+    always reads the iterate's own coefficients."""
+    grid, target = traj.grid, config.target
+    vals, clamped, forcing_coeffs = traj.values, False, coeffs
+    if forcing and config.tube_exit_policy == "clamp":
+        vals, clamped = _clamp_to_tube(vals, target)
         if clamped:
-            traj = SpaceTimeField(traj.grid, traj.times, vals)
-            bundle = _DerivBundle(traj, config.target, Spectrum(traj))
-    else:
-        _check_tube(traj.values, config.target, traj.times)
-    parts = [_f1_from_bundle, _f2_from_bundle]
-    if config.mode == "intrinsic":
-        parts.append(_f3_from_bundle)
-    return [f(bundle) for f in parts], clamped
+            forcing_coeffs = Spectrum(SpaceTimeField(grid, traj.times, vals)).coeffs
+    acc = np.empty_like(coeffs) if forcing else None
+
+    def derivatives(block):
+        spec = Spectrum.with_coeffs(grid, coeffs[:, block])
+        if not forcing:
+            return spec.gradient(), spec.hessian()
+        if config.tube_exit_policy == "error":
+            _check_tube(vals[block], target, traj.times[block])
+        bundle = _DerivBundle(vals[block], target,
+                              Spectrum.with_coeffs(grid, forcing_coeffs[:, block]))
+        acc[:, block] = _forcing_coeffs(grid, config.mode, bundle)
+        return (spec.gradient(), spec.hessian()) if clamped else (bundle.grad, bundle.hess)
+
+    mags = stack_magnitudes(grid, traj.num_frames, derivatives)
+    return x_norm_from_magnitudes(traj, *mags, config.t_final).total, acc, clamped
 
 
 def _apply_T(u0_spec: Spectrum, times: np.ndarray,
-             forcing: list[np.ndarray]) -> tuple[SpaceTimeField, np.ndarray]:
-    """The Duhamel map applied to the trajectory whose forcing is given: one
-    sweep of F1 + div F2 [+ F3] in mode space, plus the free evolution, then
-    one inverse transform.  Returns the new iterate and its coefficients."""
+             forcing: np.ndarray) -> tuple[SpaceTimeField, np.ndarray]:
+    """The Duhamel map applied to the trajectory whose forcing coefficients
+    are given: one sweep in mode space, plus the free evolution, then one
+    inverse transform.  Returns the new iterate and its coefficients."""
     grid = u0_spec.grid
-    acc = Spectrum.with_coeffs(grid, forward_transform(grid, forcing[1])).divergence()
-    for f in forcing[::2]:  # F1 [and F3]
-        acc += forward_transform(grid, f)
-    coeffs = duhamel_sweep(grid, times, acc)
+    coeffs = duhamel_sweep(grid, times, forcing)
     coeffs += free_spectrum(u0_spec, times).coeffs
     return SpaceTimeField(grid, times, components_last(inverse_transform(grid, coeffs), 1)), coeffs
 
@@ -289,8 +312,15 @@ def picard_solve(config: FlowConfig, u0: GridField) -> tuple[SpaceTimeField, Flo
     """Iterate the Duhamel map from the free evolution until the trajectory
     difference in the solution norm drops below ``picard_tol``.
 
-    No iterate is transformed forward: its derivative bundle (its solution
-    norm and the next forcing) and d_k read the coefficients it came from.
+    No iterate is transformed forward: its solution norm, its forcing and
+    d_k read the coefficients it came from.  Each application works one
+    block of whole frames at a time (``fields.frame_blocks``): a block's
+    derivatives, projection jet and forcings are freed before the next
+    block's are made, and only the stacks of derivative magnitudes and of
+    summed forcing coefficients span the trajectory.  The tube check (or
+    clamp) and the forcing run only for an iterate the loop goes on from
+    or whose fixed-point residual is wanted.
+
     Non-contraction (three consecutive difference ratios >= 1) stops the
     iteration with ``failure='contraction-failure'``; diagnostics are still
     returned.  A tube exit raises unless the policy is 'clamp'.
@@ -304,39 +334,41 @@ def picard_solve(config: FlowConfig, u0: GridField) -> tuple[SpaceTimeField, Flo
     diag = FlowDiagnostics()
     current = apply_G_trajectory(u0, times)
     coeffs = free_spectrum(u0_spec, times).coeffs
-    bundle = _DerivBundle(current, config.target, Spectrum.with_coeffs(grid, coeffs))
-    diag.iterate_norms.append(bundle.x_norm(T))
+    norm, forcing, clamped = _iterate_pass(config, current, coeffs, True)
+    diag.iterate_norms.append(norm)
 
     def diff_norm(new, new_coeffs):  # of new minus the iterate held, read off coefficients
-        spec = Spectrum.with_coeffs(grid, new_coeffs - coeffs)
-        return x_norm_from_magnitudes(new - current, pointwise_norm(spec.gradient(), grid, lead=1),
-                                      pointwise_norm(spec.hessian(), grid, lead=1), T).total
+        def derivatives(block):
+            spec = Spectrum.with_coeffs(grid, new_coeffs[:, block] - coeffs[:, block])
+            return spec.gradient(), spec.hessian()
+        mags = stack_magnitudes(grid, times.size, derivatives)
+        return x_norm_from_magnitudes(new - current, *mags, T).total
 
     for k in range(config.max_picard_iters):
-        forcing, clamped = _forcing(config, current, bundle)
-        del bundle  # free the derivatives before the Duhamel sweep
+        diag.tube_clamped |= clamped  # of the forcing this application takes
         new, new_coeffs = _apply_T(u0_spec, times, forcing)
         del forcing
-        diag.tube_clamped |= clamped
         d_k = diff_norm(new, new_coeffs)
         diag.diff_norms.append(d_k)
-        bundle = _DerivBundle(new, config.target, Spectrum.with_coeffs(grid, new_coeffs))
-        diag.iterate_norms.append(bundle.x_norm(T))
         diag.iterations = k + 1
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.contraction_ratios.append(d_k / diag.diff_norms[-2])
-        current, coeffs = new, new_coeffs
-        if d_k <= config.picard_tol:
+        converged = d_k <= config.picard_tol
+        failed = not converged and len(diag.contraction_ratios) >= 3 and all(
+            r >= 1.0 for r in diag.contraction_ratios[-3:])
+        current, coeffs = new, new_coeffs  # the previous iterate is freed here
+        # the new iterate's forcing feeds the next application or the residual
+        goes_on = converged or (not failed and k + 1 < config.max_picard_iters)
+        norm, forcing, clamped = _iterate_pass(config, current, coeffs, goes_on)
+        diag.iterate_norms.append(norm)
+        if converged:
             diag.converged = True
             break
-        if len(diag.contraction_ratios) >= 3 and all(
-                r >= 1.0 for r in diag.contraction_ratios[-3:]):
+        if failed:
             diag.failure = "contraction-failure"
             break
 
     if diag.converged:
-        forcing, _ = _forcing(config, current, bundle)
-        del bundle
         diag.fixed_point_residual = diff_norm(*_apply_T(u0_spec, times, forcing))
 
     frag = constraint_diagnostics(current, config.target)
@@ -358,30 +390,33 @@ def constraint_diagnostics(u: SpaceTimeField, target: SphereTarget) -> dict:
     drawn with seed 1234; it vanishes identically because the defect is
     normal at the projected point, so any nonzero value is numerical.  The
     run is flagged when a frame's defect mass exceeds 1e-6 times the box
-    volume.
+    volume.  Every figure is a per-frame reduction or a maximum, so the
+    frames are taken one block at a time (``fields.frame_blocks``).
     """
-    grid, vals = u.grid, u.values
+    grid = u.grid
     rng = np.random.Generator(np.random.Philox(1234))
     probes = rng.normal(size=(8, u.codomain_dim))
-    sup_d = distance_to_sphere(vals).reshape(u.num_frames, -1).max(axis=1)
-    base = project(target, vals)
-    qv = vals - base
-    rho = 0.5 * np.sum(qv * qv, axis=-1)  # manifold.rho, from the one projection
-    masses = rho.reshape(u.num_frames, -1).sum(axis=1) * grid.cell_volume
-    # no gradient fields: the tangency probe needs d1 alone
-    y, qv = components_first(base, 1), components_first(qv, 1)
-    jet = ProjectionJet(target, y, np.empty((0,) + y.shape))
-    orth = 0.0
-    for v in probes:
-        tangent = jet.d1(v.reshape((-1,) + (1,) * (y.ndim - 1)))
-        residual = ordered_sum(len(qv), lambda i: tangent[i] * qv[i])
-        orth = max(orth, float(np.abs(residual).max()))
-    flagged = bool(masses.max() > 1e-6 * grid.volume)
+    sup_d, masses, orth = [], [], 0.0
+    for block in frame_blocks(grid, u.num_frames):
+        vals = u.values[block]
+        frames = len(vals)
+        sup_d += distance_to_sphere(vals).reshape(frames, -1).max(axis=1).tolist()
+        base = project(target, vals)
+        qv = vals - base
+        rho = 0.5 * np.sum(qv * qv, axis=-1)  # manifold.rho, from the one projection
+        masses += (rho.reshape(frames, -1).sum(axis=1) * grid.cell_volume).tolist()
+        # no gradient fields: the tangency probe needs d1 alone
+        y, qv = components_first(base, 1), components_first(qv, 1)
+        jet = ProjectionJet(target, y, np.empty((0,) + y.shape))
+        for v in probes:
+            tangent = jet.d1(v.reshape((-1,) + (1,) * (y.ndim - 1)))
+            residual = ordered_sum(len(qv), lambda i: tangent[i] * qv[i])
+            orth = max(orth, float(np.abs(residual).max()))
     return {
-        "sup_distance": sup_d.tolist(),
-        "rho_mass": masses.tolist(),
+        "sup_distance": sup_d,
+        "rho_mass": masses,
         "orthogonality_residual": orth,
-        "flagged": flagged,
+        "flagged": bool(max(masses) > 1e-6 * grid.volume),
     }
 
 

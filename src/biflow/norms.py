@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ScaleUnresolvableError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
-                     ball_offsets, pointwise_norm)
+                     ball_offsets, frame_blocks, pointwise_norm)
 from . import semigroup
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "bmo_seminorm_brute",
     "carleson_functional",
     "smoothing_ratios",
+    "stack_magnitudes",
     "x_norm",
     "x_norm_from_magnitudes",
     "x_norms",
@@ -395,15 +396,35 @@ def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
     or below T^(1/4) and every lattice center.  The stack is transformed once.
     """
     spec = Spectrum(u)
-    return x_norm_from_magnitudes(u, pointwise_norm(spec.gradient(), u.grid, lead=1),
-                                  pointwise_norm(spec.hessian(), u.grid, lead=1), T)
+
+    def derivatives(block):
+        frames = Spectrum.with_coeffs(u.grid, spec.coeffs[:, block])
+        return frames.gradient(), frames.hessian()
+
+    return x_norm_from_magnitudes(u, *stack_magnitudes(u.grid, u.num_frames, derivatives), T)
+
+
+def stack_magnitudes(grid: Grid, num_frames: int, derivatives) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise |grad u| and |grad^2 u| of a stack, each of shape
+    (num_frames,) + grid.shape, filled block by block (``frame_blocks``):
+    derivatives(block) gives the component-major gradient and Hessian of
+    the frames in that slice, and only one block's are held at a time."""
+    grad_mag = np.empty((num_frames,) + grid.shape)
+    hess_mag = np.empty((num_frames,) + grid.shape)
+    for block in frame_blocks(grid, num_frames):
+        grad, hess = derivatives(block)
+        grad_mag[block] = pointwise_norm(grad, grid, lead=1)
+        hess_mag[block] = pointwise_norm(hess, grid, lead=1)
+    return grad_mag, hess_mag
 
 
 def x_norm_from_magnitudes(u: SpaceTimeField, grad_mag: np.ndarray,
                            hess_mag: np.ndarray, T: float | None = None) -> NormReport:
     """``x_norm`` of u from its pointwise |grad u| and |grad^2 u|, each of
     shape (num_frames,) + grid.shape, for a caller that holds them already."""
-    u_mag = np.sqrt((u.values ** 2).sum(axis=-1))
+    u_mag = np.empty(grad_mag.shape)
+    for block in frame_blocks(u.grid, u.num_frames):  # no whole-stack square
+        u_mag[block] = np.sqrt((u.values[block] ** 2).sum(axis=-1))
     return _x_reports(u, u_mag[:, None], grad_mag[:, None], hess_mag[:, None], T)[0]
 
 

@@ -12,6 +12,9 @@ One sweep over the frame grid yields the response at every stored time via
 the recurrence u(t_{j+1}) = e^(-dt |k|^4) u(t_j) + (local phi integral).
 S is linear, so ``duhamel_sweep`` takes any sum of coefficients: the
 ``apply_S*`` operators sweep one forcing, the Picard map of ``flow`` its sum.
+The per-interval factors e^(-d |k|^4), phi1 and phi2 depend only on the grid
+and the frame times, so they are built once into a cached table that every
+sweep over the same frames reads.
 
 Mode coefficients are the half spectrum of ``fields`` (scipy's real
 transforms, ``workers=1``), so the sweeps and the free evolution run on
@@ -22,6 +25,8 @@ the frame axis, then the grid axes.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +110,20 @@ def free_spectrum(spec: Spectrum, times) -> Spectrum:
     return Spectrum.with_coeffs(grid, np.expand_dims(spec.coeffs, -1 - grid.dim) * decay)
 
 
+@lru_cache(maxsize=1)
+def _sweep_table(grid: Grid, times: tuple) -> tuple:
+    """Read-only (e^-z, phi1(z), phi2(z)) at z = d |k|^4 for each interval
+    d of the frame times, built once per (grid, times) like ``multiplier``:
+    every sweep of a solve reads the one table held."""
+    sym = half_spectrum(grid, symbol(grid))
+    table = tuple(_decay_and_phis((times[j + 1] - times[j]) * sym)
+                  for j in range(len(times) - 1))
+    for arrays in table:
+        for a in arrays:
+            a.setflags(write=False)
+    return table
+
+
 def duhamel_sweep(grid: Grid, times: np.ndarray, spec_frames: np.ndarray) -> np.ndarray:
     """Mode-space Duhamel response at every frame time.
 
@@ -118,16 +137,13 @@ def duhamel_sweep(grid: Grid, times: np.ndarray, spec_frames: np.ndarray) -> np.
     carried forward by the semigroup factor e^(-d |k|^4).  Every mode and
     component is on its own, so the layout does not change a bit.
     """
-    sym = half_spectrum(grid, symbol(grid))
-
     def frame(j):  # index of frame j
         return (..., j) + (slice(None),) * grid.dim
 
     out = np.zeros_like(spec_frames)
     acc = np.zeros_like(spec_frames[frame(0)])
-    for j in range(times.size - 1):
+    for j, (decay, p1, p2) in enumerate(_sweep_table(grid, tuple(times.tolist()))):
         d = times[j + 1] - times[j]
-        decay, p1, p2 = _decay_and_phis(d * sym)
         fa, fb = spec_frames[frame(j)], spec_frames[frame(j + 1)]
         acc = decay * acc + d * (fa * p1 + (fb - fa) * p2)
         out[frame(j + 1)] = acc

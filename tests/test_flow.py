@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from biflow import flow, semigroup
+from biflow import fields, flow, semigroup
 from biflow.errors import ManifoldTubeExitError
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, gradient,
                            hessian, inverse_transform, laplacian, pointwise_norm)
@@ -19,8 +19,8 @@ from biflow.flow import (_check_tube, _clamp_to_tube, _DerivBundle, _f1_from_bun
                          _f2_from_bundle, _f3_from_bundle)
 from biflow.manifold import SphereTarget, _h_derivs, distance_to_sphere, dpi, project, rho
 from biflow.norms import (NormReport, _cylinder_average_max,
-                          _resolved_cylinder_radii, _trapezoid_weights, x_norm,
-                          x_norm_from_magnitudes)
+                          _resolved_cylinder_radii, _trapezoid_weights, stack_magnitudes,
+                          x_norm)
 from biflow.semigroup import (apply_G, apply_G_trajectory, apply_S_div_trajectory,
                               apply_S_trajectory, duhamel_sweep, free_spectrum)
 
@@ -339,15 +339,18 @@ def test_bundle_forcings_and_norm_bitwise_equal_the_field_layout(dim, M, ambient
     frames = [u.frame(j) for j in range(u.num_frames)]
     for v, want in ((u, _field_layout_bundle(frames, target)[0]),
                     (frames[1], [w[0] for w in _field_layout_bundle(frames[1:2], target)[0]])):
-        b = _DerivBundle(v, target, Spectrum(v))
+        b = _DerivBundle(v.values, target, Spectrum(v))
         got = (np.moveaxis(_f1_from_bundle(b), 0, -1),
                np.moveaxis(_f2_from_bundle(b), (0, 1), (-2, -1)),
                np.moveaxis(_f3_from_bundle(b), 0, -1))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-    gm, hm = _field_layout_bundle(frames, target)[1]
-    got = _DerivBundle(u, target, Spectrum(u)).x_norm(0.5)
-    assert got == x_norm_from_magnitudes(u, gm, hm, 0.5).total
+    # the magnitudes a Picard pass writes from a bundle's derivatives
+    b = _DerivBundle(u.values, target, Spectrum(u))
+    got = stack_magnitudes(u.grid, u.num_frames,
+                           lambda block: (b.grad[:, :, block], b.hess[:, :, :, block]))
+    for g, w in zip(got, _field_layout_bundle(frames, target)[1]):
+        assert np.array_equal(g, w)
     assert constraint_diagnostics(u, target) == _oracle_constraint(u, target)
 
 
@@ -581,7 +584,7 @@ def _oracle_forcing_frames(config, traj, coeffs):
             spec = Spectrum(field)
         else:
             spec = Spectrum.with_coeffs(grid, coeffs[:, j])
-        bundle = _DerivBundle(field, target, spec)
+        bundle = _DerivBundle(field.values, target, spec)
         frame_parts = [np.moveaxis(_f1_from_bundle(bundle), 0, -1),
                        np.moveaxis(_f2_from_bundle(bundle), (0, 1), (-2, -1))]
         if config.mode == "intrinsic":
@@ -700,12 +703,17 @@ def _wavy_initial_data(dim, M, eps):
 @pytest.mark.parametrize("dim,M,frames,t_final,iters", [
     (1, 64, 16, 1.0, 20), (2, 16, 8, 0.5, 20), (3, 16, 4, 0.5, 2)])
 def test_picard_solve_bitwise_equals_per_frame_oracle(dim, M, frames, t_final, iters,
-                                                      mode, sphere3):
+                                                      mode, sphere3, monkeypatch):
+    # with the default blocks (one for 1D and 2D, 2 frames each in 3D), then
+    # again in blocks of 3 frames, the last one ragged
     u0 = _wavy_initial_data(dim, M, 0.1)
     cfg = _cfg(u0.grid, sphere3, t_final=t_final, num_frames=frames, mode=mode,
                max_picard_iters=iters)
     diag = _check_against_oracles(cfg, u0)
     assert diag.converged == (iters == 20) and diag.iterations >= 2
+    monkeypatch.setattr(fields, "_BLOCK_POINTS", 3 * M ** dim)
+    assert len(fields.frame_blocks(u0.grid, frames + 1)) == frames // 3 + 1
+    assert _check_against_oracles(cfg, u0).to_json() == diag.to_json()
 
 
 def test_clamped_picard_solve_bitwise_equals_per_frame_oracle(grid64, sphere3):
@@ -719,9 +727,10 @@ def test_clamped_picard_solve_bitwise_equals_per_frame_oracle(grid64, sphere3):
 def test_picard_application_sweeps_once_and_transforms_no_iterate(mode, parts, grid64,
                                                                    sphere3, monkeypatch):
     # S is linear and acts mode by mode: an application transforms each
-    # forcing part once, sweeps their summed coefficients once and inverts
-    # the new iterate once.  No iterate and no iterate difference is
-    # transformed forward: each iterate keeps the coefficients it came from.
+    # frame of each forcing part once, one call per block of frames, sweeps
+    # their summed coefficients once and inverts the new iterate once.  No
+    # iterate and no iterate difference is transformed forward: each iterate
+    # keeps the coefficients it came from.
     counts = Counter()
     sweep, rfftn, inverse = semigroup.duhamel_sweep, scipy.fft.rfftn, flow.inverse_transform
 
@@ -732,7 +741,9 @@ def test_picard_application_sweeps_once_and_transforms_no_iterate(mode, parts, g
     def counted_rfftn(x, *args, **kwargs):
         # a stack: component and frame axes before the grid axis; u0 and the
         # norm scans' ball sums have one axis fewer
-        counts["stack forward"] += np.ndim(x) >= grid64.dim + 2
+        if np.ndim(x) >= grid64.dim + 2:
+            counts["stack forward"] += 1
+            counts["forcing frames"] += np.shape(x)[-1 - grid64.dim]
         return rfftn(x, *args, **kwargs)
 
     def counted_inverse(grid, coeffs):
@@ -743,12 +754,42 @@ def test_picard_application_sweeps_once_and_transforms_no_iterate(mode, parts, g
     monkeypatch.setattr(flow, "duhamel_sweep", counted_sweep)
     monkeypatch.setattr(scipy.fft, "rfftn", counted_rfftn)
     monkeypatch.setattr(flow, "inverse_transform", counted_inverse)
+    # 17 frames in blocks of 5, 5, 5 and 2
+    monkeypatch.setattr(fields, "_BLOCK_POINTS", 5 * grid64.points_per_axis)
+    assert len(fields.frame_blocks(grid64, 17)) == 4
     cfg = _cfg(grid64, sphere3, num_frames=16, mode=mode)
     _, diag = picard_solve(cfg, equator_initial_data(grid64, 0.05))
     applications = diag.iterations + 1  # and the fixed-point check
     assert diag.converged and applications >= 3
-    assert counts == {"sweep": applications, "stack forward": parts * applications,
+    assert counts == {"sweep": applications, "stack forward": parts * 4 * applications,
+                      "forcing frames": parts * 17 * applications,
                       "iterate inverse": applications}
+
+
+@pytest.mark.parametrize("dim,M,mode,policy,iters", [
+    (2, 16, "extrinsic", "error", 20), (2, 16, "intrinsic", "error", 20),
+    (3, 16, "extrinsic", "error", 3), (1, 64, "extrinsic", "clamp", 20)])
+def test_picard_solve_and_constraint_diagnostics_do_not_depend_on_the_block_size(
+        dim, M, mode, policy, iters, sphere3, monkeypatch):
+    # blocks hold whole frames and every step acts on each frame alone: one
+    # frame per block, 17 frames in blocks of 3 (the last of 2) and one block
+    # give the same bits
+    if policy == "clamp":
+        u0 = equator_initial_data(Grid(dim, 2 * np.pi, M), 1.8, 2)
+    else:
+        u0 = _wavy_initial_data(dim, M, 0.1)
+    cfg = _cfg(u0.grid, sphere3, t_final=0.5, num_frames=16, mode=mode,
+               tube_exit_policy=policy, max_picard_iters=iters)
+    runs = []
+    for per_block, blocks in ((1, 17), (3, 6), (17, 1)):
+        monkeypatch.setattr(fields, "_BLOCK_POINTS", per_block * M ** dim)
+        assert len(fields.frame_blocks(u0.grid, 17)) == blocks
+        traj, diag = picard_solve(cfg, u0)
+        runs.append((traj.values.tobytes(), diag.to_json(),
+                     constraint_diagnostics(traj, sphere3)))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][1]["tube_clamped"] == (policy == "clamp")
+    assert runs[0][1]["iterations"] >= 3
 
 
 @pytest.mark.parametrize("dim,M", [(1, 64), (2, 32), (3, 16)])
@@ -766,37 +807,42 @@ def test_stack_x_norm_bitwise_equals_per_frame_oracle(dim, M):
         assert len(got.scales) >= 1
 
 
-def test_picard_solve_peak_memory_holds_one_bundle_at_a_time(sphere3):
-    # 13.9 MiB is the traced peak of this solve, on the complex transforms
-    # and on the real ones alike; a previous iterate's bundle kept alive
-    # across the Duhamel sweeps reads about 20 MiB
-    u0 = _wavy_initial_data(3, 16, 0.1)
-    cfg = _cfg(u0.grid, sphere3, t_final=0.5, num_frames=4)
-    picard_solve(cfg, u0)  # builds the multiplier and ball caches untraced
+def _traced_peak(cfg, u0):
+    picard_solve(cfg, u0)  # builds the multiplier, ball and sweep caches untraced
     tracemalloc.start()
     try:
         picard_solve(cfg, u0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 13.9 * 2 ** 20
+
+
+def test_picard_solve_peak_memory_holds_one_bundle_at_a_time(sphere3):
+    # 8.70 MiB is the traced peak of this solve, whose bundles hold one block
+    # of 2 frames at a time; the whole-stack bundle read 12.75 MiB, and a
+    # previous iterate's kept alive across the Duhamel sweeps about 20 MiB
+    u0 = _wavy_initial_data(3, 16, 0.1)
+    cfg = _cfg(u0.grid, sphere3, t_final=0.5, num_frames=4)
+    assert _traced_peak(cfg, u0) <= 1.1 * 8.70 * 2 ** 20
 
 
 def test_picard_solve_peak_memory_sums_the_jet_in_place(sphere3):
-    # 4.23 MiB is the traced peak of this solve with the jet's Gram-form sums
-    # added in place (a jet of one dpi-shaped contraction at a time read
-    # 4.50 MiB); the same sums written as out-of-place expressions read 4.51
+    # 4.02 MiB is the traced peak of this solve, in blocks of 8 frames and
+    # 1, with the jet's Gram-form sums added in place; its whole-stack
+    # bundle read 4.27 MiB, and the sums written as out-of-place expressions
+    # 4.51 MiB before that
     g = Grid(2, 2 * np.pi, 32)
     cfg = _cfg(g, sphere3, num_frames=8)
-    u0 = equator_initial_data(g, 0.05)
-    picard_solve(cfg, u0)  # builds the multiplier and ball caches untraced
-    tracemalloc.start()
-    try:
-        picard_solve(cfg, u0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.05 * 4.23 * 2 ** 20
+    assert _traced_peak(cfg, equator_initial_data(g, 0.05)) <= 1.05 * 4.02 * 2 ** 20
+
+
+def test_three_dimensional_solve_peak_memory_is_one_block_of_frames(sphere3):
+    # the 3D solve of the benchmark's evolve workload, 9 frames of 16^3
+    # points: 10.32 MiB traced in blocks of 2 frames, against 22.79 MiB with
+    # the whole-stack bundle, projection jet and constraint projection
+    g = Grid(3, 2 * np.pi, 16)
+    cfg = _cfg(g, sphere3, num_frames=8)
+    assert _traced_peak(cfg, equator_initial_data(g, 0.05)) <= 1.05 * 10.32 * 2 ** 20
 
 
 # ----------------------------------------------------------------------

@@ -398,6 +398,25 @@ def test_one_exponential_weights_bitwise_equal_separate_formulas(dim, M):
     assert np.array_equal(np.moveaxis(swept, 0, -1), _oracle_duhamel_sweep(g, times, spec))
 
 
+def test_sweep_table_is_built_once_per_grid_and_times_and_read_only():
+    # a solve's sweeps all run over one grid and one set of frame times: the
+    # second sweep reads the first one's table, with the same bits
+    g = Grid(2, 2 * np.pi, 16)
+    times = 0.5 * (np.arange(9) / 8) ** 4
+    rng = _philox(2)
+    shape = (times.size,) + g.shape[:-1] + (9, 3)
+    spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    semigroup._sweep_table.cache_clear()
+    for _ in range(2):
+        swept = semigroup.duhamel_sweep(g, times, np.moveaxis(spec, -1, 0))
+        assert np.array_equal(np.moveaxis(swept, 0, -1), _oracle_duhamel_sweep(g, times, spec))
+    info = semigroup._sweep_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    table = semigroup._sweep_table(g, tuple(times.tolist()))
+    assert len(table) == times.size - 1
+    assert not any(a.flags.writeable for row in table for a in row)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("codomain", [1, 3])
 def test_real_path_oracles_agree_with_the_complex_path(dim, codomain):
