@@ -19,10 +19,10 @@ grid axes, so each component is one contiguous block and every transform
 runs over the last grid.dim axes.  ``components_first`` and
 ``components_last`` are the views between the two layouts; a field built
 from a component-major result copies it into field layout once, as it copies
-any values.  Sums over components keep the bits of numpy's sum over a
-contiguous trailing axis through ``ordered_sum``: numpy adds fewer than 8
-terms left to right and 8 or more pairwise, so a plain sum over leading
-blocks is not the same sum from 8 terms on.
+any values.  A sum over components lays its terms out C-ordered and
+component-major and reduces over the leading axis, so numpy adds the blocks
+left to right from 0.0 however many there are; its sum over a contiguous
+axis would be pairwise from 8 terms on.
 
 Every transform and multiplier acts on each frame alone, so a stack may be
 worked one block of whole frames at a time (``frame_blocks``, about
@@ -58,7 +58,6 @@ __all__ = [
     "SpaceTimeField",
     "components_first",
     "components_last",
-    "ordered_sum",
     "multiplier",
     "half_spectrum",
     "forward_transform",
@@ -87,8 +86,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2 or 3")
-        if self.box_length <= 0:
-            raise ValueError("box_length must be positive")
+        if not 0.0 < self.box_length < np.inf:
+            raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
         M = self.points_per_axis
         if M < 16 or (M & (M - 1)) != 0:
             raise ValueError("points_per_axis must be a power of two >= 16")
@@ -266,51 +265,6 @@ def components_last(array: np.ndarray, comps: int) -> np.ndarray:
     return np.moveaxis(array, range(comps), range(-comps, 0))
 
 
-def ordered_sum(count: int, term) -> np.ndarray:
-    """Sum of the equal-shape arrays term(0), ..., term(count - 1), with the
-    bits numpy gives the same terms summed over a contiguous axis.
-
-    numpy adds the result of its pairwise sum to the identity 0.0.  The
-    pairwise sum adds fewer than 8 terms left to right from 0.0; up to 128
-    it adds them in 8 accumulators of stride 8, combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remainder
-    left to right; above 128 it splits at a multiple of 8 near the middle.
-    Each term must be a new array, which the sum may overwrite; they are
-    drawn one at a time, so at most 9 are held.
-    """
-    acc = _pairwise_sum(count, term)
-    if count >= 8:
-        acc += 0.0  # below 8 the pairwise sum starts from 0.0 itself
-    return acc
-
-
-def _pairwise_sum(count: int, term) -> np.ndarray:
-    """numpy's pairwise sum of term(0), ..., term(count - 1)."""
-    if count < 8:
-        acc = term(0)
-        acc += 0.0
-        for i in range(1, count):
-            acc += term(i)
-        return acc
-    if count > 128:
-        half = count // 2
-        half -= half % 8
-        acc = _pairwise_sum(half, term)
-        acc += _pairwise_sum(count - half, lambda i: term(half + i))
-        return acc
-    r = [term(j) for j in range(8)]
-    whole = count - count % 8
-    for i in range(8, whole, 8):
-        for j in range(8):
-            r[j] += term(i + j)
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        r[a] += r[b]
-    acc = r[0]
-    for i in range(whole, count):
-        acc += term(i)
-    return acc
-
-
 def forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of real frames over the last grid.dim axes
     of values."""
@@ -408,10 +362,10 @@ def laplacian(f: GridField) -> GridField:
 def pointwise_norm(values: np.ndarray, grid: Grid, lead: int = 0) -> np.ndarray:
     """Euclidean/Frobenius magnitude of a component-major array over its
     component axes: every axis before the ``lead`` axes (1 for the frame axis
-    of a stack) that precede the grid axes.  The squares are added in the
-    order of a sum over trailing components (``ordered_sum``)."""
+    of a stack) that precede the grid axes.  The squares are added left to
+    right over the components."""
     blocks = values.reshape((-1,) + values.shape[values.ndim - lead - grid.dim:])
-    return np.sqrt(ordered_sum(len(blocks), lambda i: np.square(blocks[i])))
+    return np.sqrt(np.square(blocks, order="C").sum(axis=0))
 
 
 # grid points of one block of frames in ``frame_blocks``: a block's

@@ -40,8 +40,7 @@ from scipy.optimize import brentq as _brentq
 
 from .errors import ManifoldTubeExitError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, components_first,
-                     components_last, forward_transform, frame_blocks, inverse_transform,
-                     ordered_sum)
+                     components_last, forward_transform, frame_blocks, inverse_transform)
 from .kernel import ALPHA, UNIT_SPHERE_AREA, SampleSpec, certify_bound, default_profile
 from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project
 from .norms import bmo_seminorm, stack_magnitudes, x_norm_from_magnitudes
@@ -76,12 +75,10 @@ class FlowConfig:
     tube_exit_policy: str = "error"
 
     def __post_init__(self):
-        for name in ("t_final", "time_exponent"):
+        for name in ("t_final", "time_exponent", "picard_tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
         if self.max_picard_iters < 2:
             raise ValueError("max_picard_iters must be >= 2")
         if self.mode not in ("extrinsic", "intrinsic"):
@@ -410,7 +407,7 @@ def constraint_diagnostics(u: SpaceTimeField, target: SphereTarget) -> dict:
         jet = ProjectionJet(target, y, np.empty((0,) + y.shape))
         for v in probes:
             tangent = jet.d1(v.reshape((-1,) + (1,) * (y.ndim - 1)))
-            residual = ordered_sum(len(qv), lambda i: tangent[i] * qv[i])
+            residual = np.multiply(tangent, qv, order="C").sum(axis=0)
             orth = max(orth, float(np.abs(residual).max()))
     return {
         "sup_distance": sup_d,

@@ -122,7 +122,7 @@ def _invalid_config():
 
 def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
     with _invalid_config():
-        grid = Grid(_number(cp, "grid", "dim", int), _finite(cp, "grid", "box_length"),
+        grid = Grid(_number(cp, "grid", "dim", int), _number(cp, "grid", "box_length", float),
                     _number(cp, "grid", "points_per_axis", int))
         target = SphereTarget(_number(cp, "target", "ambient_dim", int),
                               _number(cp, "target", "tube_radius", float),
@@ -134,7 +134,7 @@ def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
             time_exponent=_number(cp, "time", "grid_exponent", float),
             mode=cp.get("mode", "mode"),
             max_picard_iters=_number(cp, "picard", "max_iters", int),
-            picard_tol=_finite(cp, "picard", "tol"),
+            picard_tol=_number(cp, "picard", "tol", float),
             tube_exit_policy=cp.get("picard", "tube_exit_policy"),
         )
 
@@ -303,7 +303,7 @@ def _suite_kernel(cp):
 
 def _suite_operators(cp):
     with _invalid_config():
-        grid = Grid(_number(cp, "grid", "dim", int), _finite(cp, "grid", "box_length"), 32)
+        grid = Grid(_number(cp, "grid", "dim", int), _number(cp, "grid", "box_length", float), 32)
     frames = 12
     T = 0.5
     times = T * (np.arange(frames + 1) / frames) ** 4
@@ -352,7 +352,7 @@ def _suite_norms(cp):
     # the comparability family's grid, where the oscillation seminorm needs
     # a radius above 2h
     with _invalid_config():
-        fam_grid = Grid(1, _finite(cp, "grid", "box_length"), 128)
+        fam_grid = Grid(1, _number(cp, "grid", "box_length", float), 128)
         target = SphereTarget(_number(cp, "target", "ambient_dim", int))
     Rc = _ball_radius(cp, "carleson_radius_fraction", fam_grid, 2.0 * fam_grid.spacing)
 
@@ -411,7 +411,7 @@ def _suite_flow(cp):
 
 def _suite_distance(cp):
     with _invalid_config():
-        grid = Grid(1, _finite(cp, "grid", "box_length"), 128)
+        grid = Grid(1, _number(cp, "grid", "box_length", float), 128)
         target = SphereTarget(_number(cp, "target", "ambient_dim", int))
     # distance_experiment samples times from (2h / K)^4 * 1.01 up to
     # (R / K)^4, a range that is empty, whatever K is, unless R is above this

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedOrderError
-from .fields import ordered_sum
 
 __all__ = ["SphereTarget", "project", "dpi", "ProjectionJet", "defect_q", "rho",
            "distance_to_sphere"]
@@ -81,11 +80,13 @@ def _dot(a, b):
 
 
 def _component_dot(a, b):
-    """Dot product of two component-major arrays over their leading axis:
-    ``_dot`` of the matching field-layout arrays, bit for bit, from one
-    contiguous block per component (``ordered_sum``), so ``d1`` keeps
+    """Dot product of two component-major arrays over their leading axis.
+
+    The products are laid out C-ordered, one contiguous block per component,
+    whatever the layout of a and b, so the sum adds the components left to
+    right; ``_dot`` does too below 8 components, and there ``d1`` keeps
     ``dpi``'s bits."""
-    return ordered_sum(len(a), lambda i: a[i] * b[i])
+    return np.multiply(a, b, order="C").sum(axis=0)
 
 
 def project(target: SphereTarget, y) -> np.ndarray:
@@ -137,7 +138,9 @@ class ProjectionJet:
     argument are (l,) + points, grads is (n, l) + points and scalar weights
     are points-shaped.  y may be a view of field values; the sums are built
     C-ordered, one contiguous block per component.  Dot products add the
-    components in the order of ``dpi``'s sum over a trailing axis.
+    components left to right (``_component_dot``), as ``dpi``'s sum over a
+    trailing axis does below 8 components; from 8 on the two differ by
+    round-off.
 
     ``dpi`` recomputes q = |y|^2, the profile derivatives and every dot
     product on each call.  A jet keeps h and the scaled derivatives 2h',

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from biflow import semigroup
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum,
-                           ball_convolve, ball_offsets, gradient,
+                           ball_convolve, ball_offsets, components_first, gradient,
                            hessian, inverse_transform, laplacian,
-                           load_space_time_field, multiplier, ordered_sum,
+                           load_space_time_field, multiplier,
                            pointwise_norm, save_space_time_field)
 from biflow.semigroup import apply_G_trajectory, apply_S_trajectory, symbol
 
@@ -24,6 +24,9 @@ def test_grid_invariants():
         Grid(1, 1.0, 8)   # too coarse
     with pytest.raises(ValueError):
         Grid(4, 1.0, 32)
+    for length in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Grid(1, length, 64)
     g = Grid(2, 4.0, 32)
     assert g.spacing == 0.125
     assert g.shape == (32, 32)
@@ -330,32 +333,27 @@ def test_component_major_layer_bitwise_equals_the_field_layout(dim, lead):
                               old_F.derivative(order))
 
 
-def test_ordered_sum_has_the_bits_of_a_contiguous_sum():
-    # numpy's sum over a contiguous axis: left to right below 8 terms,
-    # pairwise from 8, split in halves above 128; signed zeros included
-    r = np.random.Generator(np.random.Philox(7))
-    for k in [*range(1, 41), 63, 64, 127, 128, 129, 136, 300]:
-        x = r.normal(size=(k, 50)) * 10.0 ** r.integers(-8, 9, size=(k, 50))
-        want = np.ascontiguousarray(x.T).sum(axis=-1)
-        assert ordered_sum(k, lambda i: x[i].copy()).tobytes() == want.tobytes(), k
-        zeros = np.full((k, 3), -0.0)
-        want = np.ascontiguousarray(zeros.T).sum(axis=-1)
-        assert ordered_sum(k, lambda i: zeros[i].copy()).tobytes() == want.tobytes(), k
-
-
 @pytest.mark.parametrize("comps", [(1,), (7,), (8,), (3, 3), (2, 2, 3), (3, 3, 3)],
                          ids=lambda c: f"k{np.prod(c)}")
 def test_pointwise_norm_adds_components_as_a_contiguous_trailing_sum(comps):
     # k = 1, 7, 8, 9, 12 and 27 terms: the 3D gradient, the 2D and 3D
-    # Hessian; a plain sum over the leading blocks differs from 8 terms on
+    # Hessian.  The squares are added left to right from 0.0, whatever the
+    # layout of the input; numpy's sum over a contiguous trailing axis, which
+    # is pairwise from 8 terms on, is the same sum to round-off
     g = Grid(2, 2 * np.pi, 16)
     r = np.random.Generator(np.random.Philox(len(comps)))
     shape = comps + (5,) + g.shape
     x = r.normal(size=shape) * 10.0 ** r.integers(-4, 5, size=shape)
     c = len(comps)
+    acc = 0.0
+    for block in x.reshape((-1,) + x.shape[c:]):
+        acc = acc + block ** 2
+    got = pointwise_norm(x, g, lead=1)
+    assert np.array_equal(got, np.sqrt(acc))
     field_layout = np.ascontiguousarray(np.moveaxis(x, range(c), range(-c, 0)))
+    assert np.array_equal(pointwise_norm(components_first(field_layout, c), g, lead=1), got)
     want = np.sqrt((field_layout ** 2).sum(axis=tuple(range(1 + g.dim, field_layout.ndim))))
-    assert np.array_equal(pointwise_norm(x, g, lead=1), want)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 def test_multipliers_are_cached_and_read_only():

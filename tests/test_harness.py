@@ -251,6 +251,12 @@ def test_cli_rejects_bad_experiment_settings_before_any_work(
     (["norms"], "[target]\nambient_dim = 1", "invalid configuration: ambient_dim must be >= 2"),
     # the norms suite's value, checked before the kernel and operators suites run
     (["all"], "[target]\nambient_dim = 1", "invalid configuration: ambient_dim must be >= 2"),
+    (["operators"], "[grid]\nbox_length = nan",
+     "invalid configuration: box_length must be positive and finite, got nan"),
+    (["evolve"], "[picard]\ntol = inf",
+     "invalid configuration: picard_tol must be positive and finite, got inf"),
+    (["evolve"], "[picard]\ntol = nan",
+     "invalid configuration: picard_tol must be positive and finite, got nan"),
 ])
 def test_cli_rejects_unparsable_and_unresolvable_values_before_any_work(
         monkeypatch, tmp_path, capsys, argv, config, message):

@@ -153,9 +153,11 @@ def test_broadcasting_over_grids(rng):
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 9), st.integers(1, 3))
 def test_jet_gram_form_matches_dpi_sums(seed, ambient_dim, n):
     # on points in the tube and inside the polynomial cap, with ambient dims
-    # on both sides of numpy's switch to a pairwise sum at 8 terms, which
-    # _component_dot follows: d1 has dpi's bits,
-    # and the Gram-form sums agree with dpi's term-by-term sums to round-off
+    # on both sides of numpy's switch to a pairwise sum over dpi's trailing
+    # axis at 8 terms: below it d1 has dpi's bits, since _component_dot
+    # adds left to right too, and from it on d1 agrees with dpi to the
+    # stated round-off; the Gram-form sums agree with dpi's term-by-term
+    # sums to round-off
     target = SphereTarget(ambient_dim)
     r = np.random.Generator(np.random.Philox(seed))
     shape = (6, 5, ambient_dim)
@@ -180,7 +182,11 @@ def test_jet_gram_form_matches_dpi_sums(seed, ambient_dim, n):
         return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     for x in (v, w, *g):
-        assert np.array_equal(d1(x), dpi(target, y, 1, (x,)))
+        if ambient_dim < 8:
+            assert np.array_equal(d1(x), dpi(target, y, 1, (x,)))
+        else:  # measured: 5.3e-16 of the array max over 2,400 draws
+            want = dpi(target, y, 1, (x,))
+            assert np.abs(d1(x) - want).max() <= 2e-15 * np.abs(want).max()
     for pairs in ([(v, w)], [(v, v)], [(v, w), (w, w), *[(ga, ga) for ga in g]],
                   [(ga, v) for ga in g]):
         assert close(d2(*pairs), sum(dpi(target, y, 2, p) for p in pairs))

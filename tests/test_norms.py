@@ -210,7 +210,7 @@ def _geometric_scan_cases(grid128):
     x, y = g2.coordinates()
     f2 = GridField(g2, np.stack([np.sin(x) * np.cos(2 * y), 0.4 * np.cos(3 * y),
                                  0.3 * np.sin(x + 4 * y)], axis=-1))
-    # 3D, codomain 3: a 27-term Hessian magnitude, summed pairwise
+    # 3D, codomain 3: a 27-term Hessian magnitude, summed left to right
     g3 = Grid(3, 2 * np.pi, 16)
     x, y, z = g3.coordinates()
     f3 = GridField(g3, np.stack([np.sin(x) * np.cos(y), 0.4 * np.cos(2 * z + y),
@@ -487,7 +487,8 @@ def _member(f, m):
 @pytest.mark.parametrize("members", [1, 5])
 def test_member_norms_equal_each_members_own_norm(dim, M, members):
     # one scan of the stack gives every member the bits of its own scan; the
-    # 3D Hessian's 9 components and a (3, 3) flux member are summed pairwise
+    # 3D Hessian's 9 components are summed left to right and a (3, 3) flux
+    # member's pairwise, in the stack as in each member's own scan
     u = _smooth_stack(dim, M, (members,), seed=10 + dim)
     F = _smooth_stack(dim, M, (dim, members), seed=20 + dim)
     G = _smooth_stack(dim, M, (3, 3, members), seed=30 + dim)
