@@ -162,8 +162,8 @@ class GridField:
 class SpaceTimeField:
     """Time-indexed sequence of frames: the discrete space-time field.
 
-    times start at 0 and increase strictly; frames stack into one array of
-    shape (num_times,) + grid.shape + (l,).
+    times are finite, start at 0 and increase strictly; frames stack into one
+    array of shape (num_times,) + grid.shape + (l,).
     """
 
     __slots__ = ("grid", "times", "values")
@@ -173,6 +173,8 @@ class SpaceTimeField:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("need at least two frame times")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("frame times must be finite")
         if times[0] != 0.0:
             raise ValueError("frame times must start at 0")
         if np.any(np.diff(times) <= 0):

@@ -32,7 +32,7 @@ the bits of the whole stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import quad as _quad
@@ -112,20 +112,9 @@ class FlowDiagnostics:
     tube_clamped: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "iterate_norms": self.iterate_norms,
-            "d_k": self.diff_norms,
-            "theta_k": self.contraction_ratios,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "failure": self.failure,
-            "fixed_point_residual": self.fixed_point_residual,
-            "sup_distance": self.sup_distance,
-            "rho_mass": self.rho_mass,
-            "orthogonality_residual": self.orthogonality_residual,
-            "constraint_flag": self.constraint_flag,
-            "tube_clamped": self.tube_clamped,
-        }
+        out = asdict(self)
+        out["d_k"], out["theta_k"] = out.pop("diff_norms"), out.pop("contraction_ratios")
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -440,8 +429,7 @@ def distance_experiment(u0: GridField, R: float, delta: float = 0.05) -> dict:
     n = grid.dim
     cert = certify_bound(default_profile(n), "2.2",
                          sample_spec=SampleSpec(num_x=15, num_t=7))
-    sup_u0 = float(np.sqrt((u0.values ** 2).sum(axis=-1)).max())
-    c_n = 2.0 * sup_u0 * cert.fitted_constant * UNIT_SPHERE_AREA[n]
+    c_n = 2.0 * u0.sup_norm() * cert.fitted_constant * UNIT_SPHERE_AREA[n]
     K = _tail_radius(delta, c_n, n)
     t_hi = R ** 4 / K ** 4
     t_lo = (2.0 * grid.spacing / K) ** 4 * 1.01  # keep the BMO radius resolvable

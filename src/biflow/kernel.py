@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -240,17 +241,34 @@ def _series_combo(coeffs: np.ndarray, s: np.ndarray, factors: int, shift: int) -
     return acc
 
 
+# D^k G = sum_i b * G^(i)(s) / s^(2k - i) with D = s^-1 d/ds: row k lists the
+# b for i = k, k - 1, ..., highest i first; each row is D of the one above.
+_RADIAL_COMBOS = {0: (1,), 1: (1,), 2: (1, -1), 3: (1, -3, 3), 4: (1, -6, 15, -15)}
+
+
+@lru_cache(maxsize=None)
+def _pairing_terms(order: tuple) -> tuple:
+    """(j, axes of the unpaired slots) for every set of j disjoint pairs of
+    the multi-index's slots with equal axes, by j, then lexicographically."""
+    idx = [ax for ax, rep in enumerate(order) for _ in range(rep)]
+    m = len(idx)
+    return tuple((j, tuple(idx[q] for q in range(m) if all(q not in pr for pr in pairs)))
+                 for j in range(m // 2 + 1)
+                 for pairs in combinations(combinations(range(m), 2), j)
+                 if len(set(sum(pairs, ()))) == 2 * j
+                 and all(idx[p] == idx[q] for p, q in pairs))
+
+
 def _eval_profile_batch(profile: KernelProfile, xi: np.ndarray, orders) -> list[np.ndarray]:
     """d^order g at xi for each multi-index in orders, all of one total order m.
 
-    The Cartesian derivatives of a radial function are combinations of its
-    radial derivatives G^(1..m)(|xi|) divided by powers of |xi|, times
-    products of unit-direction components; the combinations do not depend on
-    the dimension.  Each is an entire function of |xi|, evaluated from the
-    profile's Maclaurin series below _SERIES_SWITCH, where the quotients
-    cancel.  The radial derivatives and the combinations depend only on |xi|
-    and m, so they are built once; each multi-index adds only its products
-    of direction components.
+    For the radial g(xi) = G(s), s = |xi|, u = xi/s and D = s^-1 d/ds, in
+    every dimension d_{i_1...i_m} g is the sum over j of s^(m - 2j) D^(m - j) G
+    times, for each set of j disjoint slot pairs with equal axes, the product
+    of u over the unpaired slots.  The coefficients depend only on s and m and
+    are built once; each multi-index adds only its products of u.  Each is
+    entire in s: the profile's Maclaurin series gives it below _SERIES_SWITCH,
+    where the radial combination cancels, and the quadrature above.
     """
     m = int(sum(orders[0]))
     s = np.sqrt((xi ** 2).sum(axis=1))
@@ -261,56 +279,29 @@ def _eval_profile_batch(profile: KernelProfile, xi: np.ndarray, orders) -> list[
     # vanishes, so the 0/1 = 0 vector is harmless
     u = xi / np.where(s > 0.0, s, 1.0)[:, None]
 
-    # a_0 enters only m = 0; the m >= 1 formulas use a_1..a_m
+    # a_0 enters only m = 0; the m >= 1 coefficients use a_1..a_m
     a = _radial_derivs(profile, sf, range(1, m + 1) if m else (0,))
     cs = _series_coeffs(profile.dim)
-
-    def combo(quad_expr, factors, shift):
-        out = np.empty_like(s)
-        out[small] = _series_combo(cs, s[small], factors, shift)
-        out[far] = quad_expr
-        return out
-
-    if m == 0:  # the one multi-index (0, ..., 0)
-        return [combo(a[0], 0, 0)]
-    if m == 1:
-        a1_over = combo(a[1] / sf, 1, 2) * s  # a1 = (a1/s) * s, regular everywhere
-        return [a1_over * u[:, order.index(1)] for order in orders]
-    if m == 2:
-        q2 = combo(a[1] / sf, 1, 2)
-        p2 = combo(a[2] - a[1] / sf, 2, 2)
-    elif m == 3:
-        q3 = combo(a[2] / sf - a[1] / sf ** 2, 2, 3)
-        p3 = combo(a[3] - 3 * a[2] / sf + 3 * a[1] / sf ** 2, 3, 3)
-    else:
-        c5 = combo(a[2] / sf ** 2 - a[1] / sf ** 3, 2, 4)
-        q4 = combo(a[3] / sf - 3 * a[2] / sf ** 2 + 3 * a[1] / sf ** 3, 3, 4)
-        p4 = combo(a[4] - 6 * a[3] / sf + 15 * a[2] / sf ** 2 - 15 * a[1] / sf ** 3, 4, 4)
+    coefs = []
+    for j in range(m // 2 + 1):  # s^(m - 2j) D^(m - j) G = sum_i b * a_i / s^(m - i)
+        coef, acc = np.empty_like(s), None
+        coef[small] = _series_combo(cs, s[small], m - j, m)
+        for i, b in zip(range(m - j, -1, -1), _RADIAL_COMBOS[m - j]):
+            term = a[i] if abs(b) == 1 else abs(b) * a[i]
+            if m > i:
+                term = term / (sf if m - i == 1 else sf ** (m - i))
+            acc = term if acc is None else (acc + term if b > 0 else acc - term)
+        coef[far] = acc
+        coefs.append(coef)
 
     out = []
     for order in orders:
-        idx = []
-        for ax, rep in enumerate(order):
-            idx.extend([ax] * rep)
-        if m == 2:
-            i, j = idx
-            val = p2 * u[:, i] * u[:, j] + q2 * (1.0 if i == j else 0.0)
-        elif m == 3:
-            i, j, k = idx
-            val = p3 * u[:, i] * u[:, j] * u[:, k]
-            for (x1, x2), x3 in (((i, j), k), ((i, k), j), ((j, k), i)):
-                if x1 == x2:
-                    val = val + q3 * u[:, x3]
-        else:
-            i, j, k, l = idx
-            val = p4 * u[:, i] * u[:, j] * u[:, k] * u[:, l]
-            for (p1, p2) in combinations(range(4), 2):
-                rest = [q for q in range(4) if q not in (p1, p2)]
-                if idx[p1] == idx[p2]:
-                    val = val + q4 * u[:, idx[rest[0]]] * u[:, idx[rest[1]]]
-            for (p1, p2) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-                if idx[p1[0]] == idx[p1[1]] and idx[p2[0]] == idx[p2[1]]:
-                    val = val + c5
+        val = None
+        for j, axes in _pairing_terms(tuple(order)):
+            term = coefs[j]
+            for ax in axes:
+                term = term * u[:, ax]
+            val = term if val is None else val + term
         out.append(val)
     return out
 
@@ -352,14 +343,7 @@ def eval_profile(profile: KernelProfile, xi, order=None):
     ``profile.tolerance`` below the rounding floor of the radial quadrature
     raises QuadratureResidualError.
     """
-    order = _check_order(order, profile.dim)
-    pts = _normalize_points(xi, profile.dim)
-    [vals] = _eval_profile_batch(profile, pts, [order])
-    if np.asarray(xi).ndim <= 1 and (profile.dim > 1 or np.asarray(xi).ndim == 0):
-        return float(vals[0])
-    if profile.dim == 1 and np.asarray(xi).ndim == 1 and vals.shape[0] == 1:
-        return float(vals[0])
-    return vals
+    return eval_kernel(profile, xi, 1.0, order)
 
 
 def eval_kernel(profile: KernelProfile, x, t, order=None):
@@ -368,8 +352,8 @@ def eval_kernel(profile: KernelProfile, x, t, order=None):
     Self-similarity b(lam x, lam^4 t) = lam^(-n) b(x, t) holds by construction
     because the same profile point is evaluated either way.
     """
-    if t <= 0:
-        raise InvalidTimeError(f"kernel time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise InvalidTimeError(f"kernel time must be positive and finite, got {t}")
     order = _check_order(order, profile.dim)
     pts = _normalize_points(x, profile.dim)
     scale = t ** (-(profile.dim + sum(order)) / 4.0)
@@ -411,8 +395,8 @@ def kernel_mass(profile: KernelProfile, t: float) -> float:
     The x-integral is taken over |x| <= 36 t^(1/4); the neglected tail is
     below 1e-9 at the default tolerance.
     """
-    if t <= 0:
-        raise InvalidTimeError(f"kernel time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise InvalidTimeError(f"kernel time must be positive and finite, got {t}")
     n = profile.dim
     rho, w = _radial_rule(profile, 0.0, r_max=36.0)
     # physical nodes x = t^(1/4) rho along a ray; values t^(-n/4) g(rho)

@@ -286,13 +286,12 @@ def smoothing_ratios(u0: GridField, R: float) -> dict:
         mass2 = integrate(h2, r ** 4) + integrate(g2, r ** 4) / r ** 2
         cyl = max(cyl, _cylinder_average_max(grid, mass2, r))
         quart = max(quart, _cylinder_average_max(grid, integrate(g4, r ** 4), r))
-    sup_u0 = float(np.sqrt((u0.values ** 2).sum(axis=-1)).max())
     return {
         "R": R,
         "bmo": bmo,
         "cylinder_ratio": cyl / bmo ** 2,
         "weighted_sup_ratio": wsup / bmo,
-        "quartic_ratio": quart / (sup_u0 ** 2 * bmo ** 2),
+        "quartic_ratio": quart / (u0.sup_norm() ** 2 * bmo ** 2),
     }
 
 

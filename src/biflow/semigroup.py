@@ -79,8 +79,8 @@ def _decay_and_phis(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def apply_G(u0: GridField, t: float) -> GridField:
     """Free evolution at one time: a frame of ``apply_G_trajectory``."""
-    if t < 0:
-        raise InvalidTimeError("free evolution requires t >= 0")
+    if not 0 <= t < np.inf:
+        raise InvalidTimeError(f"free evolution requires finite t >= 0, got {t}")
     if t == 0:
         return u0
     return apply_G_trajectory(u0, (0.0, t)).frame(1)

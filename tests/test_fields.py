@@ -398,6 +398,9 @@ def test_space_time_field_validation(grid64):
         SpaceTimeField(grid64, [0.1, 0.2, 0.3], vals)  # must start at 0
     with pytest.raises(ValueError):
         SpaceTimeField(grid64, [0.0, 0.2, 0.2], vals)  # strictly increasing
+    for times in ([0.0, np.nan, 1.0], [0.0, 0.5, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            SpaceTimeField(grid64, times, vals)
     f = SpaceTimeField(grid64, [0.0, 0.2, 0.5], vals)
     assert f.num_frames == 3 and f.frame(1).grid == grid64
 

@@ -69,10 +69,27 @@ def test_kernel_self_similarity_exact(profile1):
 
 
 def test_kernel_rejects_nonpositive_time(profile1):
-    with pytest.raises(InvalidTimeError):
-        eval_kernel(profile1, 1.0, 0.0)
-    with pytest.raises(InvalidTimeError):
-        eval_kernel(profile1, 1.0, -2.0)
+    for t in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(InvalidTimeError):
+            eval_kernel(profile1, 1.0, t)
+        with pytest.raises(InvalidTimeError):
+            kernel_mass(profile1, t)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_eval_profile_is_eval_kernel_at_unit_time(dim):
+    p = default_profile(dim)
+    rng = np.random.default_rng(dim)
+    forms = [[0.3] * dim, [[0.3] * dim], rng.normal(size=dim),
+             rng.normal(size=(1, dim)), rng.normal(size=(6, dim))]
+    if dim == 1:  # scalars and flat lists of points are 1D-only input forms
+        forms += [0.3, np.float64(0.2), [0.1, 0.2, 0.3], [0.4], np.array([0.5])]
+    for xi in forms:
+        for m in range(5):
+            for order, _ in kernel._multi_indices(dim, m):
+                got, want = eval_profile(p, xi, order), eval_kernel(p, xi, 1.0, order)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want), (xi, order)
 
 
 @pytest.mark.parametrize("fn, dim, k", [
@@ -330,7 +347,7 @@ def _oracle_profile(profile, xi, order):
     if m == 0:
         return combo(a[0], 0, 0)
     if m == 1:
-        return combo(a[1] / ss, 1, 2) * s * u[:, order.index(1)]
+        return combo(a[1], 1, 1) * u[:, order.index(1)]
     idx = [ax for ax, rep in enumerate(order) for _ in range(rep)]
     if m == 2:
         q2 = combo(a[1] / ss, 1, 2)
@@ -454,6 +471,18 @@ def test_gradient_magnitude_bitwise_equals_per_multi_index_oracle(dim, refined):
         assert np.array_equal(got, _oracle_gradient_magnitude(p, pts, k)), (dim, k)
     order = (1,) * min(dim, 2) + (0,) * (dim - min(dim, 2))
     assert np.array_equal(eval_profile(p, pts, order), _oracle_profile(p, pts, order))
+    # order 1 as (G'/s) * s, the form before the radial identity: within 1e-15
+    # of the array max
+    s = np.linalg.norm(pts, axis=1)
+    small = s < kernel._SERIES_SWITCH
+    a1 = _oracle_radial_derivs(p, s, 1)[1]
+    quotient = np.where(small, kernel._series_combo(kernel._series_coeffs(dim), s, 1, 2),
+                        a1 / np.where(small, 1.0, s))
+    u = pts / np.where(s > 0.0, s, 1.0)[:, None]
+    for order, _ in kernel._multi_indices(dim, 1):
+        old = quotient * s * u[:, order.index(1)]
+        got = eval_profile(p, pts, order)
+        assert np.abs(got - old).max() <= 1e-15 * np.abs(old).max(), order
 
 
 @pytest.mark.parametrize("refined", [False, True])

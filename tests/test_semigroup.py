@@ -139,8 +139,11 @@ def test_zero_time_is_identity(grid64, rng):
 def test_negative_time_rejected(grid64):
     from biflow.errors import InvalidTimeError
     u0 = GridField.constant(grid64, [1.0])
-    with pytest.raises(InvalidTimeError):
-        apply_G(u0, -0.1)
+    for t in (-0.1, np.nan, np.inf):
+        with pytest.raises(InvalidTimeError):
+            apply_G(u0, t)
+    with pytest.raises(ValueError, match="finite"):
+        apply_G_trajectory(u0, [0.0, np.nan, 1.0])
 
 
 def test_mean_mode_preserved(grid64, rng):
