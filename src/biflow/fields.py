@@ -204,11 +204,6 @@ class SpaceTimeField:
     def frame(self, i: int) -> GridField:
         return GridField(self.grid, self.values[i])
 
-    def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        if self.grid != other.grid or not np.array_equal(self.times, other.times):
-            raise ValueError("space-time fields are not aligned")
-        return SpaceTimeField(self.grid, self.times, self.values - other.values)
-
 
 # ----------------------------------------------------------------------
 # spectral calculus

@@ -35,8 +35,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.optimize import brentq as _brentq
+from scipy.special import gamma as _gamma, gammaincc as _gammaincc, gammainccinv as _gammainccinv
 
 from .errors import ManifoldTubeExitError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, components_first,
@@ -280,7 +279,9 @@ def _iterate_pass(config: FlowConfig, traj: SpaceTimeField, coeffs: np.ndarray,
         return (spec.gradient(), spec.hessian()) if clamped else (bundle.grad, bundle.hess)
 
     mags = stack_magnitudes(grid, traj.num_frames, derivatives)
-    return x_norm_from_magnitudes(traj, *mags, config.t_final).total, acc, clamped
+    norm = x_norm_from_magnitudes(grid, traj.times, lambda block: traj.values[block], *mags,
+                                  config.t_final)
+    return norm.total, acc, clamped
 
 
 def _apply_T(u0_spec: Spectrum, times: np.ndarray,
@@ -328,7 +329,8 @@ def picard_solve(config: FlowConfig, u0: GridField) -> tuple[SpaceTimeField, Flo
             spec = Spectrum.with_coeffs(grid, new_coeffs[:, block] - coeffs[:, block])
             return spec.gradient(), spec.hessian()
         mags = stack_magnitudes(grid, times.size, derivatives)
-        return x_norm_from_magnitudes(new - current, *mags, T).total
+        return x_norm_from_magnitudes(
+            grid, times, lambda block: new.values[block] - current.values[block], *mags, T).total
 
     for k in range(config.max_picard_iters):
         diag.tube_clamped |= clamped  # of the forcing this application takes
@@ -407,14 +409,17 @@ def constraint_diagnostics(u: SpaceTimeField, target: SphereTarget) -> dict:
 
 
 def _tail_radius(delta: float, c_n: float, dim: int) -> float:
-    """Smallest K with c_n * int_K^inf e^(-ALPHA r^(4/3)) r^(n-1) dr <= delta."""
-    def tail(K):
-        val, _ = _quad(lambda r: math.exp(-ALPHA * r ** (4.0 / 3.0)) * r ** (dim - 1),
-                       K, np.inf)
-        return c_n * val - delta
-    if tail(1.0) <= 0:
+    """Smallest K >= 1 with c_n * int_K^inf e^(-ALPHA r^(4/3)) r^(n-1) dr <= delta.
+
+    With s = ALPHA r^(4/3) the tail is 3/4 ALPHA^(-a) Gamma(a) Q(a, ALPHA K^(4/3)),
+    a = 3n/4 and Q the regularised upper incomplete gamma function, so K is
+    the exact root (Q^-1(a, delta / (c_n 3/4 ALPHA^(-a) Gamma(a))) / ALPHA)^(3/4).
+    It is infinite when delta is too small for the inverse to resolve."""
+    a = 0.75 * dim
+    q = delta / (c_n * 0.75 * ALPHA ** -a * _gamma(a))
+    if _gammaincc(a, ALPHA) <= q:  # the tail from K = 1 is already within delta
         return 1.0
-    return float(_brentq(tail, 1.0, 80.0, xtol=1e-6))
+    return max(1.0, float((_gammainccinv(a, q) / ALPHA) ** 0.75))
 
 
 def distance_experiment(u0: GridField, R: float, delta: float = 0.05) -> dict:
@@ -431,6 +436,8 @@ def distance_experiment(u0: GridField, R: float, delta: float = 0.05) -> dict:
                          sample_spec=SampleSpec(num_x=15, num_t=7))
     c_n = 2.0 * u0.sup_norm() * cert.fitted_constant * UNIT_SPHERE_AREA[n]
     K = _tail_radius(delta, c_n, n)
+    if not math.isfinite(K):
+        raise ValueError(f"delta={delta!r} is too small: the kernel-tail radius K is not finite")
     t_hi = R ** 4 / K ** 4
     t_lo = (2.0 * grid.spacing / K) ** 4 * 1.01  # keep the BMO radius resolvable
     if t_lo >= t_hi:

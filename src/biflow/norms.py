@@ -317,7 +317,8 @@ def _member_magnitudes(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.sqrt(sq.sum(axis=tuple(range(2 + grid.dim, sq.ndim))))
 
 
-def _space_time_scan(u: SpaceTimeField, T: float | None, sup_terms, cylinder_terms):
+def _space_time_scan(grid: Grid, times: np.ndarray, T: float | None, sup_terms,
+                     cylinder_terms):
     """The two halves every space-time norm is built from, for every member
     of a stack in one pass.
 
@@ -337,12 +338,11 @@ def _space_time_scan(u: SpaceTimeField, T: float | None, sup_terms, cylinder_ter
     radius takes one tensordot and one ball_convolve per term for all of
     them, and the final scaling, power and argmax are per member.
     """
-    grid = u.grid
     if T is None:
-        T = float(u.times[-1])
-    if u.times[-1] < T * (1 - 1e-12):
+        T = float(times[-1])
+    if times[-1] < T * (1 - 1e-12):
         raise ValueError("frames do not reach the requested final time")
-    pos = np.nonzero((u.times > 0) & (u.times <= T * (1 + 1e-12)))[0]
+    pos = np.nonzero((times > 0) & (times <= T * (1 + 1e-12)))[0]
     if pos.size == 0:
         raise ScaleUnresolvableError("no positive frame times at or below T")
     members = sup_terms[0][0].shape[1]
@@ -350,31 +350,31 @@ def _space_time_scan(u: SpaceTimeField, T: float | None, sup_terms, cylinder_ter
     frame_max = [(m[pos].reshape(pos.size, members, -1).max(axis=2), a) for m, a in sup_terms]
     # scalar powers of t: numpy's array power may round them differently
     wvals = np.array([sum(t ** a * fm[i] for fm, a in frame_max)
-                      for i, t in enumerate(u.times[pos])])
+                      for i, t in enumerate(times[pos])])
 
-    radii = _resolved_cylinder_radii(u.times, T ** 0.25, grid)
+    radii = _resolved_cylinder_radii(times, T ** 0.25, grid)
     powered = [(m ** p, outer) for m, p, outer in cylinder_terms]
     rows = []  # per radius and cylinder term, the value of every member
     for r in radii:
-        w = _trapezoid_weights(u.times, min(r ** 4, T))
+        w = _trapezoid_weights(times, min(r ** 4, T))
         rows.append([[v ** outer for v in _cylinder_average_maxima(
             grid, np.tensordot(w, mp, axes=(0, 0)), r)] for mp, outer in powered])
 
     halves = []
     for k in range(members):
         scales = tuple((r, *(vals[k] for vals in row)) for r, row in zip(radii, rows))
-        halves.append((_first_peak(wvals[:, k], u.times[pos], 0.0),
+        halves.append((_first_peak(wvals[:, k], times[pos], 0.0),
                        [_first_peak([s[c] for s in scales], radii, None)
                         for c in range(1, 1 + len(cylinder_terms))],
                        scales))
     return pos, halves
 
 
-def _x_reports(u: SpaceTimeField, u_mag: np.ndarray, grad_mag: np.ndarray,
+def _x_reports(grid: Grid, times: np.ndarray, u_mag: np.ndarray, grad_mag: np.ndarray,
                hess_mag: np.ndarray, T: float | None) -> list[NormReport]:
     """x_norm of each member from its (num_frames, members) + grid.shape
     stacks of |u|, |grad u| and |grad^2 u|."""
-    pos, halves = _space_time_scan(u, T, [(grad_mag, 0.25), (hess_mag, 0.5)],
+    pos, halves = _space_time_scan(grid, times, T, [(grad_mag, 0.25), (hess_mag, 0.5)],
                                    [(grad_mag, 4, 0.25), (hess_mag, 2, 0.5)])
     sups = u_mag[pos].reshape(pos.size, len(halves), -1).max(axis=(0, 2))
     return [NormReport(float(s), weighted + m4 + m2, scales,
@@ -400,7 +400,8 @@ def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
         frames = Spectrum.with_coeffs(u.grid, spec.coeffs[:, block])
         return frames.gradient(), frames.hessian()
 
-    return x_norm_from_magnitudes(u, *stack_magnitudes(u.grid, u.num_frames, derivatives), T)
+    mags = stack_magnitudes(u.grid, u.num_frames, derivatives)
+    return x_norm_from_magnitudes(u.grid, u.times, lambda block: u.values[block], *mags, T)
 
 
 def stack_magnitudes(grid: Grid, num_frames: int, derivatives) -> tuple[np.ndarray, np.ndarray]:
@@ -417,14 +418,17 @@ def stack_magnitudes(grid: Grid, num_frames: int, derivatives) -> tuple[np.ndarr
     return grad_mag, hess_mag
 
 
-def x_norm_from_magnitudes(u: SpaceTimeField, grad_mag: np.ndarray,
+def x_norm_from_magnitudes(grid: Grid, times: np.ndarray, values, grad_mag: np.ndarray,
                            hess_mag: np.ndarray, T: float | None = None) -> NormReport:
-    """``x_norm`` of u from its pointwise |grad u| and |grad^2 u|, each of
-    shape (num_frames,) + grid.shape, for a caller that holds them already."""
+    """``x_norm`` of a stack on grid at the frame times from its pointwise
+    |grad u| and |grad^2 u|, each of shape (num_frames,) + grid.shape, for a
+    caller that holds them already.  values(block) gives the field-layout
+    values of the frames in that slice (``frame_blocks``), so |u| is read
+    one block at a time."""
     u_mag = np.empty(grad_mag.shape)
-    for block in frame_blocks(u.grid, u.num_frames):  # no whole-stack square
-        u_mag[block] = np.sqrt((u.values[block] ** 2).sum(axis=-1))
-    return _x_reports(u, u_mag[:, None], grad_mag[:, None], hess_mag[:, None], T)[0]
+    for block in frame_blocks(grid, times.size):  # no whole-stack square
+        u_mag[block] = np.sqrt((values(block) ** 2).sum(axis=-1))
+    return _x_reports(grid, times, u_mag[:, None], grad_mag[:, None], hess_mag[:, None], T)[0]
 
 
 def x_norms(u: SpaceTimeField, T: float | None) -> list[NormReport]:
@@ -437,14 +441,16 @@ def x_norms(u: SpaceTimeField, T: float | None) -> list[NormReport]:
     grad_mag = np.swapaxes(pointwise_norm(spec.gradient(), u.grid, lead=2), 0, 1)
     hess_mag = np.swapaxes(pointwise_norm(spec.hessian(), u.grid, lead=2), 0, 1)
     del spec  # free the coefficients before the scan, which holds its own stacks
-    return _x_reports(u, _member_magnitudes(u.values, u.grid), grad_mag, hess_mag, T)
+    return _x_reports(u.grid, u.times, _member_magnitudes(u.values, u.grid), grad_mag,
+                      hess_mag, T)
 
 
 def _y_reports(f: SpaceTimeField, mags: np.ndarray, T: float | None, time_weight: float,
                power: float, outer: float) -> list[NormReport]:
     """Forcing norm of each member from its (num_frames, members) +
     grid.shape stack of |f|."""
-    _, halves = _space_time_scan(f, T, [(mags, time_weight)], [(mags, power, outer)])
+    _, halves = _space_time_scan(f.grid, f.times, T, [(mags, time_weight)],
+                                 [(mags, power, outer)])
     return [NormReport(sup_part, best, scales, {"sup_time": sup_arg, "cylinder_radius": arg_r})
             for (sup_part, sup_arg), [(best, arg_r)], scales in halves]
 

@@ -1,11 +1,14 @@
 """Nonlinearities, Picard iteration, constraint and distance diagnostics."""
 
+import math
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from biflow import fields, flow, semigroup
 from biflow.errors import ManifoldTubeExitError
@@ -16,7 +19,8 @@ from biflow.flow import (FlowConfig, FlowDiagnostics, constant_initial_data,
                          equator_initial_data, nonlinearity_f1, nonlinearity_f2,
                          nonlinearity_f3, picard_solve)
 from biflow.flow import (_check_tube, _clamp_to_tube, _DerivBundle, _f1_from_bundle,
-                         _f2_from_bundle, _f3_from_bundle)
+                         _f2_from_bundle, _f3_from_bundle, _tail_radius)
+from biflow.kernel import ALPHA
 from biflow.manifold import SphereTarget, _h_derivs, distance_to_sphere, dpi, project, rho
 from biflow.norms import (NormReport, _cylinder_average_max,
                           _resolved_cylinder_radii, _trapezoid_weights, bmo_seminorm,
@@ -943,6 +947,59 @@ def test_distance_estimate_holds_with_slack(grid128, sphere3):
     assert report["K"] > 1.0
     for row in report["rows"]:
         assert row["lhs"] <= row["rhs"]
+
+
+def _quad_tail(K, dim, **tolerances):
+    """int_K^inf e^(-ALPHA r^(4/3)) r^(dim-1) dr by adaptive quadrature."""
+    val, _ = quad(lambda r: math.exp(-ALPHA * r ** (4.0 / 3.0)) * r ** (dim - 1),
+                  K, np.inf, **tolerances)
+    return val
+
+
+def _bracketed_tail_radius(delta, c_n, dim):
+    """The kernel-tail radius as a quad root bracketed in [1, 80] to xtol 1e-6."""
+    def tail(K):
+        return c_n * _quad_tail(K, dim) - delta
+    if tail(1.0) <= 0:
+        return 1.0
+    return brentq(tail, 1.0, 80.0, xtol=1e-6)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tail_radius_is_the_root_of_the_kernel_tail(dim):
+    # the incomplete-gamma root against quadrature, from K = 1 down to the
+    # smallest tails; K = 1 exactly when the tail from 1 is within delta
+    for c_n in (0.1, 1.0, 10.0, 100.0):
+        for delta in (2.0, 1.0, 0.05, 1e-3, 1e-8, 1e-20, 1e-100, 1e-300):
+            K = _tail_radius(delta, c_n, dim)
+            if K == 1.0:
+                assert c_n * _quad_tail(1.0, dim) <= delta
+                continue
+            tail = c_n * _quad_tail(K, dim, epsabs=0.0, epsrel=1e-13)
+            assert tail == pytest.approx(delta, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tail_radius_is_within_xtol_of_the_bracketed_root(dim):
+    # measured: 2.2e-7 apart at worst (2.3e-8 relative), the bracketed
+    # root's own quad error
+    for c_n in (0.1, 1.0, 10.0, 100.0):
+        for delta in (1.0, 0.2, 0.05, 0.01):
+            assert abs(_tail_radius(delta, c_n, dim)
+                       - _bracketed_tail_radius(delta, c_n, dim)) <= 1e-6
+
+
+def test_distance_experiment_resolves_the_tiniest_delta():
+    # a bracketed root fails for delta = 1e-300 (the tail at 80 is still
+    # above it); the closed form has no bracket
+    grid = Grid(1, 2 * np.pi, 128)
+    u0 = equator_initial_data(grid, 0.2, 1, 3)
+    report = distance_experiment(u0, grid.box_length / 4, delta=1e-300)
+    assert len(report["rows"]) == 8 and report["all_hold"]
+    assert 80.0 < report["K"] < math.inf
+    # below what the inverse resolves K is infinite, and the error says why
+    with pytest.raises(ValueError, match="delta=5e-324 is too small"):
+        distance_experiment(u0, grid.box_length / 4, delta=5e-324)
 
 
 def test_distance_lhs_monotone_in_amplitude(grid128, sphere3):

@@ -3,6 +3,9 @@
 import ast
 import json
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -613,6 +616,49 @@ def test_fourier_transforms_live_in_fields_only():
     assert [n for n in ast.walk(fields) if isinstance(n, ast.Call)
             and getattr(n.func, "attr", None) == "irfftn"]
     assert list(_irfftn_calls_without_shape(fields)) == []
+
+
+def _scipy_imports(tree):
+    """(line, module) of every scipy module an import statement names; a
+    from-import of a name counts as importing scipy.<name> when the module
+    is scipy itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = ([f"scipy.{a.name}" for a in node.names] if node.module == "scipy"
+                     else [node.module])
+        else:
+            continue
+        yield from ((node.lineno, n) for n in names if n == "scipy" or n.startswith("scipy."))
+
+
+def test_scipy_imports_are_fft_in_fields_and_special():
+    # the package needs scipy's transforms and special functions alone:
+    # scipy.integrate or scipy.optimize would load scipy.linalg, scipy.sparse
+    # and scipy's own BLAS into every process
+    src = Path(__file__).resolve().parents[1] / "src" / "biflow"
+    found = {(path.name, module) for path in sorted(src.glob("*.py"))
+             for _, module in _scipy_imports(ast.parse(path.read_text()))}
+    assert {m for _, m in found} <= {"scipy.fft", "scipy.special"}
+    assert {name for name, m in found if m == "scipy.fft"} == {"fields.py"}
+    assert ("kernel.py", "scipy.special") in found  # the scan does see imports
+    probe = ast.parse("import scipy.fft\nfrom scipy import integrate\n"
+                      "from scipy.optimize import brentq\nimport numpy\nfrom . import fields\n")
+    assert list(_scipy_imports(probe)) == [(1, "scipy.fft"), (2, "scipy.integrate"),
+                                           (3, "scipy.optimize")]
+
+
+def test_importing_the_package_loads_no_heavy_scipy_module():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+    code = ("import sys, biflow, biflow.cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_fft_lint_sees_every_spelling_of_a_transform():

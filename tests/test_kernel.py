@@ -227,6 +227,17 @@ def test_certify_l1_values_share_the_scaling(profile1):
     assert np.max(np.abs(vals - vals[0])) <= 1e-6 * vals[0]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_l1_tail_closed_form_matches_quadrature(n):
+    # estimate 2.4's tail beyond the quadrature radius: the closed form of
+    # int_R^inf r^(n-1) e^(-c r) dr against quad
+    for c in (0.25, 0.5, 1.0, 2.0):
+        for R in (1.0, 5.0, 20.0):
+            want, _ = quad(lambda r: r ** (n - 1) * math.exp(-c * r), R, np.inf,
+                           epsabs=0.0, epsrel=1e-13)
+            assert kernel._exponential_tail(n, c, R) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_certify_exponential_region(profile1):
     cert = certify_bound(profile1, "2.5", 0)
     x, t = cert.max_ratio_location
