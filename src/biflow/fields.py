@@ -27,16 +27,16 @@ axis would be pairwise from 8 terms on.
 Every transform and multiplier acts on each frame alone, so a stack may be
 worked one block of whole frames at a time (``frame_blocks``, about
 ``_BLOCK_POINTS`` grid points each) with the bits of the whole stack; the
-Picard solver and the solution norm do, to hold one block's derivatives at
-a time.
+Picard solver, the solution norm and the free scans of ``norms`` do, to hold
+one block's derivatives at a time.
 
 Fields are real, so their spectra are Hermitian: every transform is scipy's
 real ``rfftn``/``irfftn`` on one thread (``workers=1``, the default, which
 keeps runs deterministic), and mode coefficients are the half spectrum, with
-M // 2 + 1 modes on the last grid axis.  ``multiplier`` and the symbols built
-from it stay full-spectrum; ``half_spectrum`` is the exact view the real path
-reads.  An odd per-axis order zeroes the Nyquist mode and an even one does
-not depend on its sign, so each view is the symbol of a real operator.
+M // 2 + 1 modes on the last grid axis.  ``multiplier`` builds every Fourier
+symbol of the package, derivatives, -|k|^2 and |k|^4, on those modes alone.
+An odd per-axis order zeroes the Nyquist mode and an even one does not
+depend on its sign, so each is the symbol of a real operator.
 
 Fields are immutable after construction; frames of a space-time field share
 one grid and codomain.
@@ -59,7 +59,6 @@ __all__ = [
     "components_first",
     "components_last",
     "multiplier",
-    "half_spectrum",
     "forward_transform",
     "inverse_transform",
     "Spectrum",
@@ -211,23 +210,27 @@ class SpaceTimeField:
 
 @lru_cache(maxsize=64)
 def multiplier(grid: Grid, order) -> np.ndarray:
-    """Read-only Fourier symbol on the full spectrum (grid.shape), built once
-    per (grid, order); transforms read its ``half_spectrum`` view.
+    """Read-only Fourier symbol on the modes of a real transform, the first
+    M // 2 + 1 on the last grid axis, built once per (grid, order).
 
     order is a multi-index, one entry per axis, for the symbol of d^order with
-    the unmatched Nyquist mode zeroed for odd orders; or "laplacian" for the
-    real symbol -|k|^2.
+    the unmatched Nyquist mode zeroed for odd orders; "laplacian" for the real
+    symbol -|k|^2; or "biharmonic" for |k|^4 = (-|k|^2)^2.  Each entry has
+    the bits of its full-spectrum symbol's: the last axis keeps -M/2.
     """
     M = grid.points_per_axis
-    ks = [k.reshape([M if a == ax else 1 for a in range(grid.dim)])
-          for ax, k in enumerate(grid.wavenumbers())]
-    if order == "laplacian":
-        ksq = np.zeros(grid.shape)
+    shape = grid.shape[:-1] + (M // 2 + 1,)
+    ks = [k[:m].reshape([m if a == ax else 1 for a in range(grid.dim)])
+          for ax, (k, m) in enumerate(zip(grid.wavenumbers(), shape))]
+    if order == "biharmonic":
+        mult = multiplier(grid, "laplacian") ** 2
+    elif order == "laplacian":
+        ksq = np.zeros(shape)
         for k in ks:
             ksq = ksq + k ** 2
         mult = -ksq
     else:
-        mult = np.ones(grid.shape, dtype=complex)
+        mult = np.ones(shape, dtype=complex)
         for k, o in zip(ks, order):
             if o == 0:
                 continue
@@ -242,12 +245,6 @@ def multiplier(grid: Grid, order) -> np.ndarray:
 def _unit(dim: int, *axes: int) -> tuple:
     """Multi-index with one derivative along each listed axis."""
     return tuple(axes.count(a) for a in range(dim))
-
-
-def half_spectrum(grid: Grid, symbol: np.ndarray) -> np.ndarray:
-    """View of a full-spectrum symbol on the modes of a real transform: the
-    first M // 2 + 1 on the last grid axis."""
-    return symbol[..., : grid.points_per_axis // 2 + 1]
 
 
 def components_first(values: np.ndarray, comps: int) -> np.ndarray:
@@ -306,8 +303,7 @@ class Spectrum:
 
     def derivative(self, order) -> np.ndarray:
         """Physical values of the derivative named by a multiplier order."""
-        mult = half_spectrum(self.grid, multiplier(self.grid, order))
-        return inverse_transform(self.grid, self.coeffs * mult)
+        return inverse_transform(self.grid, self.coeffs * multiplier(self.grid, order))
 
     def _frames_shape(self) -> tuple:
         """Component and frame axes, then grid.shape, of the physical frames."""
@@ -338,7 +334,7 @@ class Spectrum:
             raise ValueError("per-axis field must carry one component per spatial axis")
         acc = np.zeros(self.coeffs.shape[1:], dtype=complex)
         for a in range(n):
-            acc += self.coeffs[a] * half_spectrum(self.grid, multiplier(self.grid, _unit(n, a)))
+            acc += self.coeffs[a] * multiplier(self.grid, _unit(n, a))
         return acc
 
 

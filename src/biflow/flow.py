@@ -37,12 +37,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import gamma as _gamma, gammaincc as _gammaincc, gammainccinv as _gammainccinv
 
-from .errors import ManifoldTubeExitError
+from .errors import ManifoldTubeExitError, ScaleUnresolvableError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, components_first,
                      components_last, forward_transform, frame_blocks, inverse_transform)
 from .kernel import ALPHA, UNIT_SPHERE_AREA, SampleSpec, certify_bound, default_profile
 from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project
-from .norms import bmo_seminorm, stack_magnitudes, x_norm_from_magnitudes
+from .norms import bmo_seminorm, cylinder_radii, stack_magnitudes, x_norm_from_magnitudes
 from .semigroup import apply_G_trajectory, duhamel_sweep, free_spectrum
 
 __all__ = [
@@ -86,6 +86,10 @@ class FlowConfig:
             raise ValueError("tube_exit_policy must be 'error' or 'clamp'")
         if self.num_frames < 4:
             raise ValueError("need at least 4 frames")
+        try:  # the radii the solution norm of a run scans
+            cylinder_radii(self.times(), self.t_final ** 0.25, self.grid)
+        except ScaleUnresolvableError as exc:
+            raise ScaleUnresolvableError(f"t_final = {self.t_final}: {exc}") from None
 
     def times(self) -> np.ndarray:
         """Frame times T (m / m_max)^p, refined near t = 0 for the t^(i/4) weights."""

@@ -15,6 +15,7 @@ import contextlib
 import csv
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -417,6 +418,10 @@ def _suite_distance(cp):
     # (R / K)^4, a range that is empty, whatever K is, unless R is above this
     R = _ball_radius(cp, "bmo_radius_fraction", grid, 2.0 * grid.spacing * 1.01 ** 0.25)
     delta = _experiment_value(cp, "distance_delta")
+    if delta < sys.float_info.min:  # the kernel-tail radius K is not finite below it
+        text = cp.get("experiments", "distance_delta")
+        raise ConfigError(f"[experiments] distance_delta = {text} is below the smallest "
+                          f"normal float, {sys.float_info.min:.4g}")
     eps = _finite(cp, "experiments", "distance_amplitude")
 
     def work(out_dir: Path, manifest: RunManifest, prefix: str) -> dict:
@@ -518,6 +523,8 @@ def run_contraction_sweep(config_path, out_dir, amplitudes) -> RunManifest:
     with _recorded("contraction-sweep", cp, out_dir) as (manifest, out):
         cfg = flow_config_from(cp)
         R = _ball_radius(cp, "bmo_radius_fraction", cfg.grid, 2.0 * cfg.grid.spacing)
+        if cp.get("initial", "kind") == "constant":
+            raise ConfigError("[initial] kind = constant has no amplitude to sweep")
         rows = []
         for eps in amplitudes:
             u0 = _initial_data_from(cp, cfg.grid, cfg.target, amplitude=eps)

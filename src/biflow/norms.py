@@ -32,6 +32,7 @@ __all__ = [
     "bmo_seminorm",
     "bmo_seminorm_brute",
     "carleson_functional",
+    "cylinder_radii",
     "smoothing_ratios",
     "stack_magnitudes",
     "x_norm",
@@ -95,19 +96,18 @@ def _geometric_nodes(top: float, octaves: int, points_per_octave: int) -> np.nda
     return top * 2.0 ** (-np.arange(octaves * q + 1, dtype=float) / q)
 
 
-def _free_magnitudes(u0: GridField, ts: np.ndarray, orders, block: int) -> list[np.ndarray]:
+def _free_magnitudes(u0: GridField, ts: np.ndarray, orders) -> list[np.ndarray]:
     """Stacks of pointwise |grad^i G(t) u0| over the nodes ts, one per order
-    i.  u0 is transformed once; each run of ``block`` nodes is one
+    i.  u0 is transformed once; each block of nodes (``frame_blocks``) is one
     ``free_spectrum``, whose derivatives are read off it with their inverse
     transforms alone, and the blocks keep the temporaries small."""
     grid = u0.grid
     spec = Spectrum(u0)
     out = [np.empty((len(ts),) + grid.shape) for _ in orders]
-    for s in range(0, len(ts), block):
-        free = semigroup.free_spectrum(spec, ts[s:s + block])
+    for block in frame_blocks(grid, len(ts)):
+        free = semigroup.free_spectrum(spec, ts[block])
         for o, i in zip(out, orders):
-            o[s:s + block] = pointwise_norm(free.gradient() if i == 1 else free.hessian(),
-                                            grid, lead=1)
+            o[block] = pointwise_norm(free.gradient() if i == 1 else free.hessian(), grid, lead=1)
     return out
 
 
@@ -147,12 +147,11 @@ def _trapezoid_weights(times: np.ndarray, t_end: float) -> np.ndarray:
     return w
 
 
-def _resolved_cylinder_radii(u_times: np.ndarray, top: float, grid: Grid) -> list[float]:
-    """Dyadic radii whose cylinder height contains at least two positive frames."""
-    radii = []
-    for r in _dyadic_radii(top, grid):
-        if np.sum((u_times > 0) & (u_times <= r ** 4 * (1 + 1e-12))) >= 2:
-            radii.append(r)
+def cylinder_radii(u_times: np.ndarray, top: float, grid: Grid) -> list[float]:
+    """Dyadic radii at or below top = T^(1/4) whose cylinder height holds two
+    positive frames or more: those a space-time norm up to T scans."""
+    radii = [r for r in _dyadic_radii(top, grid)
+             if np.sum((u_times > 0) & (u_times <= r ** 4 * (1 + 1e-12))) >= 2]
     if not radii:
         raise ScaleUnresolvableError("time grid too coarse for the smallest dyadic scale")
     return radii
@@ -231,7 +230,7 @@ def carleson_functional(f: GridField, derivative_order: int, R: float) -> float:
 
     # scalar powers of t: numpy's array power may round them differently
     i = derivative_order
-    sq, = _free_magnitudes(f, np.array([t ** 4 for t in t_nodes]), (i,), q)
+    sq, = _free_magnitudes(f, np.array([t ** 4 for t in t_nodes]), (i,))
     sq *= np.array([t ** i for t in t_nodes]).reshape((-1,) + (1,) * grid.dim)
     sq **= 2
 
@@ -260,7 +259,7 @@ def smoothing_ratios(u0: GridField, R: float) -> dict:
     radii = _dyadic_radii(R, grid)
     t_nodes = _geometric_nodes(R ** 4, 36 + int(round(np.log2(R / radii[-1]))) * 4, 6)
 
-    gm, hm = _free_magnitudes(u0, t_nodes, (1, 2), 6)
+    gm, hm = _free_magnitudes(u0, t_nodes, (1, 2))
     g4 = gm ** 4
     gmax, hmax = (m.reshape(t_nodes.size, -1).max(axis=1) for m in (gm, hm))
     wsup = max(t ** 0.25 * gx + t ** 0.5 * hx for t, gx, hx in zip(t_nodes, gmax, hmax))
@@ -352,7 +351,7 @@ def _space_time_scan(grid: Grid, times: np.ndarray, T: float | None, sup_terms,
     wvals = np.array([sum(t ** a * fm[i] for fm, a in frame_max)
                       for i, t in enumerate(times[pos])])
 
-    radii = _resolved_cylinder_radii(times, T ** 0.25, grid)
+    radii = cylinder_radii(times, T ** 0.25, grid)
     powered = [(m ** p, outer) for m, p, outer in cylinder_terms]
     rows = []  # per radius and cylinder term, the value of every member
     for r in radii:

@@ -18,10 +18,10 @@ sweep over the same frames reads.
 
 Mode coefficients are the half spectrum of ``fields`` (scipy's real
 transforms, ``workers=1``), so the sweeps and the free evolution run on
-M // 2 + 1 modes along the last grid axis; ``symbol`` stays the
-full-spectrum |k|^4 and they read its ``half_spectrum`` view.  They are
-component-major, as every array of the spectral layer: component axes, then
-the frame axis, then the grid axes.
+M // 2 + 1 modes along the last grid axis, with |k|^4 read from
+``multiplier(grid, "biharmonic")``.  They are component-major, as every
+array of the spectral layer: component axes, then the frame axis, then the
+grid axes.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ import numpy as np
 
 from .errors import InvalidTimeError, TimeMisalignedError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, components_last,
-                     half_spectrum, inverse_transform, multiplier)
+                     inverse_transform, multiplier)
 
 __all__ = [
     "PHI_SERIES_THRESHOLD",
-    "symbol",
     "apply_G",
     "apply_G_trajectory",
     "free_spectrum",
@@ -55,12 +54,6 @@ PHI_SERIES_THRESHOLD = 1e-2
 # operator_bound_experiment: the 1D operators suite (128 x 13 x 32) is one
 # stack, and a 3D grid of 32^3 points takes one member at a time
 _STACK_VALUES = 2 ** 16
-
-
-def symbol(grid: Grid) -> np.ndarray:
-    """Per-mode biharmonic symbol |k|^4 on the full spectrum, zero only at
-    the mean mode."""
-    return multiplier(grid, "laplacian") ** 2
 
 
 def _decay_and_phis(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,7 +99,7 @@ def free_spectrum(spec: Spectrum, times) -> Spectrum:
     the inverse of its coefficients times the derivative's symbol."""
     grid = spec.grid
     times = np.asarray(times, dtype=float)
-    decay = np.exp(-times.reshape((-1,) + (1,) * grid.dim) * half_spectrum(grid, symbol(grid)))
+    decay = np.exp(-times.reshape((-1,) + (1,) * grid.dim) * multiplier(grid, "biharmonic"))
     return Spectrum.with_coeffs(grid, np.expand_dims(spec.coeffs, -1 - grid.dim) * decay)
 
 
@@ -115,7 +108,7 @@ def _sweep_table(grid: Grid, times: tuple) -> tuple:
     """Read-only (e^-z, phi1(z), phi2(z)) at z = d |k|^4 for each interval
     d of the frame times, built once per (grid, times) like ``multiplier``:
     every sweep of a solve reads the one table held."""
-    sym = half_spectrum(grid, symbol(grid))
+    sym = multiplier(grid, "biharmonic")
     table = tuple(_decay_and_phis((times[j + 1] - times[j]) * sym)
                   for j in range(len(times) - 1))
     for arrays in table:

@@ -14,7 +14,7 @@ from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum,
                            hessian, inverse_transform, laplacian,
                            load_space_time_field, multiplier,
                            pointwise_norm, save_space_time_field)
-from biflow.semigroup import apply_G_trajectory, apply_S_trajectory, symbol
+from biflow.semigroup import apply_G_trajectory, apply_S_trajectory
 
 
 def test_grid_invariants():
@@ -122,9 +122,17 @@ def _oracle_axes(grid, values):
 
 
 def _oracle_multiplier(grid, order):
+    # the full-spectrum symbol, from the wavenumbers alone
     M = grid.points_per_axis
-    mult = np.ones((M,) * grid.dim, dtype=complex)
     ks = grid.wavenumbers()
+    if order in ("laplacian", "biharmonic"):
+        ksq = np.zeros(grid.shape)
+        for ax in range(grid.dim):
+            shape = [1] * grid.dim
+            shape[ax] = M
+            ksq = ksq + ks[ax].reshape(shape) ** 2
+        return -ksq if order == "laplacian" else (-ksq) ** 2
+    mult = np.ones((M,) * grid.dim, dtype=complex)
     for ax, o in enumerate(order):
         if o == 0:
             continue
@@ -177,13 +185,8 @@ def _oracle_laplacian(f, path=_RealPath):
     g = f.grid
     axes = _oracle_axes(g, f.values)
     spec = path.forward(f.values, axes)
-    ks = g.wavenumbers()
-    ksq = np.zeros(g.shape)
-    for ax in range(g.dim):
-        shape = [1] * g.dim
-        shape[ax] = g.points_per_axis
-        ksq = ksq + ks[ax].reshape(shape) ** 2
-    return path.inverse(g, spec * path.modes(g, -ksq)[..., None], axes)
+    return path.inverse(g, spec * path.modes(g, _oracle_multiplier(g, "laplacian"))[..., None],
+                        axes)
 
 
 def _oracle_divergence(F, path=_RealPath):
@@ -275,8 +278,7 @@ class _FieldLayoutSpectrum:
         self.coeffs = scipy.fft.rfftn(values, axes=self.axes)
 
     def _mult(self, order, comps):
-        mult = multiplier(self.grid, order)[..., : self.grid.points_per_axis // 2 + 1]
-        return mult[(...,) + (None,) * comps]
+        return multiplier(self.grid, order)[(...,) + (None,) * comps]
 
     def derivative(self, order):
         return scipy.fft.irfftn(self.coeffs * self._mult(order, self.comps), s=self.grid.shape,
@@ -364,6 +366,19 @@ def test_multipliers_are_cached_and_read_only():
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_multiplier_is_the_half_spectrum_of_the_full_spectrum_symbol(dim):
+    # every symbol is built on the M/2+1 modes of a real transform alone,
+    # with the bits of the first M/2+1 columns of the full-spectrum symbol
+    g = Grid(dim, 2 * np.pi, 16)
+    for order in [*itertools.product(range(4), repeat=dim), "laplacian", "biharmonic"]:
+        m = multiplier(g, order)
+        assert multiplier(Grid(dim, 2 * np.pi, 16), order) is m
+        assert not m.flags.writeable
+        want = _RealPath.modes(g, _oracle_multiplier(g, order))
+        assert (m.dtype, m.shape, m.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_divergence_needs_one_component_per_axis():
@@ -474,7 +489,8 @@ def _nyquist_rich(grid, shape, seed):
 
 def _complex_free_frames(u0, times):
     spec = np.fft.fftn(u0.values, axes=tuple(range(u0.grid.dim)))
-    return np.stack([np.fft.ifftn(spec * np.exp(-t * symbol(u0.grid))[..., None],
+    sym = _oracle_multiplier(u0.grid, "biharmonic")
+    return np.stack([np.fft.ifftn(spec * np.exp(-t * sym)[..., None],
                                   axes=tuple(range(u0.grid.dim))).real if t > 0 else u0.values
                      for t in times])
 
@@ -484,9 +500,10 @@ def _complex_duhamel(f):
     axes = tuple(range(1, 1 + g.dim))
     spec = np.fft.fftn(f.values, axes=axes)
     out = np.zeros_like(spec)
+    sym = _oracle_multiplier(g, "biharmonic")[..., None]
     for j in range(f.times.size - 1):
         d = f.times[j + 1] - f.times[j]
-        decay, p1, p2 = semigroup._decay_and_phis(d * symbol(g)[..., None])
+        decay, p1, p2 = semigroup._decay_and_phis(d * sym)
         out[j + 1] = decay * out[j] + d * (spec[j] * p1 + (spec[j + 1] - spec[j]) * p2)
     return np.fft.ifftn(out, axes=axes).real
 

@@ -22,11 +22,12 @@ from biflow.flow import (_check_tube, _clamp_to_tube, _DerivBundle, _f1_from_bun
                          _f2_from_bundle, _f3_from_bundle, _tail_radius)
 from biflow.kernel import ALPHA
 from biflow.manifold import SphereTarget, _h_derivs, distance_to_sphere, dpi, project, rho
-from biflow.norms import (NormReport, _cylinder_average_max,
-                          _resolved_cylinder_radii, _trapezoid_weights, bmo_seminorm,
-                          carleson_functional, stack_magnitudes, x_norm)
+from biflow.norms import (NormReport, _cylinder_average_max, _trapezoid_weights,
+                          bmo_seminorm, carleson_functional, cylinder_radii,
+                          smoothing_ratios, stack_magnitudes, x_norm)
 from biflow.semigroup import (apply_G, apply_G_trajectory, apply_S_div_trajectory,
-                              apply_S_trajectory, duhamel_sweep, free_spectrum)
+                              apply_S_trajectory, duhamel_sweep, free_spectrum,
+                              operator_bound_experiment)
 
 
 def _cfg(grid, target, **kw):
@@ -454,12 +455,27 @@ def test_every_layer_is_covariant_under_parabolic_scaling(dim, M, frames, sphere
                        max_picard_iters=6)
             diag = picard_solve(cfg, f)[1].to_json()
             out.append({key: diag[key] for key in ("iterate_norms", "d_k", "theta_k")})
-        return out
+        if dim > 1:
+            return out, []
+        # the smoothing ratios, both halves of the operator bounds, and the
+        # distance estimate's K, lhs and verdicts keep their bits too; its
+        # times come from np.geomspace, which does not scale exactly, so the
+        # times over lam^4 and the right-hand sides are equal to round-off
+        ratios = smoothing_ratios(f, R)
+        assert ratios.pop("R") == R
+        dist = distance_experiment(f, R)
+        out += [ratios, operator_bound_experiment(f.grid, cfg.times(), 4, 0), dist["K"],
+                [(row["lhs"], row["holds"]) for row in dist["rows"]]]
+        return out, [(row["t"] / lam ** 4, row["rhs"]) for row in dist["rows"]]
 
-    want = numbers(1.0)
+    want, want_rows = numbers(1.0)
     assert min(want[:3]) > 0.0 and len(want[3]["theta_k"]) >= 4
     for lam in (0.5, 2.0):
-        assert numbers(lam) == want
+        got, rows = numbers(lam)
+        assert got == want
+        assert len(rows) == len(want_rows)
+        for (t, rhs), (want_t, want_rhs) in zip(rows, want_rows):
+            assert abs(t - want_t) <= 1e-14 * want_t and abs(rhs - want_rhs) <= 1e-14 * want_rhs
 
 
 def test_two_dimensional_flow_converges(sphere3):
@@ -600,7 +616,7 @@ def _oracle_x_norm(u, T=None, coeffs=None):
     scales = []
     m4_best = m2_best = 0.0
     arg4 = arg2 = None
-    for r in _resolved_cylinder_radii(u.times, T ** 0.25, grid):
+    for r in cylinder_radii(u.times, T ** 0.25, grid):
         w = _trapezoid_weights(u.times, min(r ** 4, T))
         m4 = _cylinder_average_max(grid, np.tensordot(w, grad_pow4, axes=(0, 0)), r) ** 0.25
         m2 = _cylinder_average_max(grid, np.tensordot(w, hess_pow2, axes=(0, 0)), r) ** 0.5

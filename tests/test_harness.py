@@ -260,6 +260,18 @@ def test_cli_rejects_bad_experiment_settings_before_any_work(
      "invalid configuration: picard_tol must be positive and finite, got inf"),
     (["evolve"], "[picard]\ntol = nan",
      "invalid configuration: picard_tol must be positive and finite, got nan"),
+    # the kernel-tail radius K is not finite for a subnormal delta
+    (["distance"], "[experiments]\ndistance_delta = 5e-324",
+     "[experiments] distance_delta = 5e-324 is below the smallest normal float, 2.225e-308"),
+    (["all"], "[experiments]\ndistance_delta = 5e-324",
+     "[experiments] distance_delta = 5e-324 is below the smallest normal float, 2.225e-308"),
+    # T^(1/4) below 2h: the solution norm has no cylinder to scan
+    (["evolve"], "[time]\nt_final = 1e-3", "invalid configuration: t_final = 0.001: "
+     "no dyadic radius fits between 2h=0.196 and 0.178"),
+    (["all"], "[time]\nt_final = 1e-3", "invalid configuration: t_final = 0.001: "
+     "no dyadic radius fits between 2h=0.196 and 0.178"),
+    (["contraction-sweep", "--amplitudes", "0.05"], "[initial]\nkind = constant",
+     "[initial] kind = constant has no amplitude to sweep"),
 ])
 def test_cli_rejects_unparsable_and_unresolvable_values_before_any_work(
         monkeypatch, tmp_path, capsys, argv, config, message):
@@ -446,9 +458,9 @@ _LAYOUT_OPS = ("moveaxis", "swapaxes", "rollaxis", "transpose", "T", "ascontiguo
                "asfortranarray", "components_first", "components_last")
 
 
-def _layout_sites(path):
-    """'module: function: op' for every axis reorder a module spells, as an
-    attribute (np.moveaxis, a.T, a.transpose()) or a bare name (a variable
+def _sites(path, ops):
+    """'module: function: op' for every use of one of ops a module spells, as
+    an attribute (np.moveaxis, a.T, a.transpose()) or a bare name (a variable
     named T aside), in the function or method around it."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -461,7 +473,7 @@ def _layout_sites(path):
                 op = child.id
             else:
                 op = None
-            if op in _LAYOUT_OPS:
+            if op in ops:
                 yield f"{path.name}: {'.'.join(scope) or '<module>'}: {op}"
             yield from visit(child, scope)
     yield from visit(ast.parse(path.read_text()), [])
@@ -471,7 +483,8 @@ def test_axes_are_reordered_only_at_the_field_boundaries():
     # one layout in the spectral layer: no bundle, jet or sweep transposes
     # its arrays into a second copy
     src = Path(__file__).resolve().parents[1] / "src" / "biflow"
-    found = sorted(site for path in sorted(src.glob("*.py")) for site in _layout_sites(path))
+    found = sorted(site for path in sorted(src.glob("*.py"))
+                   for site in _sites(path, _LAYOUT_OPS))
     assert found == _ALLOWED_LAYOUT_SITES
 
 
@@ -484,7 +497,7 @@ def test_layout_lint_sees_every_spelling_of_a_reorder(tmp_path):
                    "        self.h = np.ascontiguousarray(a.transpose())\n"
                    "        g = lambda x: moveaxis(x, 0, 1).swapaxes(0, 1)\n"
                    "        self.g = components_last(a, 1)\n")
-    assert sorted(_layout_sites(mod)) == sorted([
+    assert sorted(_sites(mod, _LAYOUT_OPS)) == sorted([
         "probe.py: f: moveaxis", "probe.py: f: T",
         "probe.py: B.__init__: ascontiguousarray", "probe.py: B.__init__: transpose",
         "probe.py: B.__init__: moveaxis", "probe.py: B.__init__: swapaxes",
@@ -669,6 +682,32 @@ def test_fft_lint_sees_every_spelling_of_a_transform():
         "irfftn(c, axes=a)\nscipy.fft.irfftn(c, s=g.shape)\nscipy.fft.irfftn(c)\n")
     assert sorted(set(_fft_lines(probe))) == [3, 4, 5, 6, 7, 9, 10, 13, 14]
     assert list(_irfftn_calls_without_shape(probe)) == [12, 14]
+
+
+_FREQUENCY_OPS = ("wavenumbers", "fftfreq", "rfftfreq")
+
+
+def test_every_symbol_is_built_from_the_wavenumbers_in_one_place():
+    # fields.multiplier builds every Fourier symbol: it alone reads the
+    # wavenumbers, and Grid.wavenumbers alone asks for the FFT frequencies
+    src = Path(__file__).resolve().parents[1] / "src" / "biflow"
+    found = sorted(site for path in sorted(src.glob("*.py"))
+                   for site in _sites(path, _FREQUENCY_OPS))
+    assert found == ["fields.py: Grid.wavenumbers: fftfreq",
+                     "fields.py: multiplier: wavenumbers"]
+
+
+def test_frequency_lint_sees_every_spelling_of_a_wavenumber_read(tmp_path):
+    mod = tmp_path / "probe.py"
+    mod.write_text("import numpy as np\nimport scipy.fft\nfrom numpy.fft import rfftfreq\n"
+                   "K = np.fft.rfftfreq(8)\n"
+                   "def wavenumbers(g):\n    return g.wavenumbers()\n"
+                   "class B:\n    def k(self, g):\n        get = Grid.wavenumbers\n"
+                   "        f = lambda m: scipy.fft.fftfreq(m) + rfftfreq(m)\n"
+                   "        return get(g), f\n")
+    assert sorted(_sites(mod, _FREQUENCY_OPS)) == sorted([
+        "probe.py: <module>: rfftfreq", "probe.py: wavenumbers: wavenumbers",
+        "probe.py: B.k: wavenumbers", "probe.py: B.k: fftfreq", "probe.py: B.k: rfftfreq"])
 
 
 def _dpi_lines(tree):

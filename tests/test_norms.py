@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from biflow.errors import ScaleUnresolvableError
 from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
-                           ball_offsets, half_spectrum, inverse_transform,
+                           ball_offsets, frame_blocks, inverse_transform,
                            multiplier, pointwise_norm)
-from biflow import norms
+from biflow import fields, norms
 from biflow.flow import equator_initial_data
-from biflow.norms import (NormReport, _resolved_cylinder_radii, _trapezoid_weights,
-                          bmo_seminorm, bmo_seminorm_brute, carleson_functional,
+from biflow.norms import (NormReport, _trapezoid_weights, bmo_seminorm,
+                          bmo_seminorm_brute, carleson_functional, cylinder_radii,
                           smoothing_ratios, x_norm, x_norms, y1_norm, y1_norms,
                           y2_norm, y2_norms)
-from biflow.semigroup import apply_G, apply_G_trajectory, symbol
+from biflow.semigroup import apply_G, apply_G_trajectory
 
 
 def _sine_field(grid, amplitude=0.8, freq=1):
@@ -113,16 +113,28 @@ def _oracle_radii(R, grid):
     return [R / 2 ** m for m in range(64) if R / 2 ** m >= 2.0 * grid.spacing]
 
 
+def _oracle_half_symbol(grid):
+    # |k|^4 from the wavenumbers on the full spectrum, then its first M/2+1
+    # columns: the modes of a real transform
+    ks = grid.wavenumbers()
+    ksq = np.zeros(grid.shape)
+    for ax in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[ax] = grid.points_per_axis
+        ksq = ksq + ks[ax].reshape(shape) ** 2
+    return (ksq ** 2)[..., : grid.points_per_axis // 2 + 1]
+
+
 def _direct_derivatives(u0, t, i):
     # grad^i G(t) u0 at one node, component-major: each derivative alone is
     # the inverse of u0's coefficients times e^(-t |k|^4) times (ik)^alpha
     grid = u0.grid
     n = grid.dim
-    decayed = Spectrum(u0).coeffs * np.exp(-t * half_spectrum(grid, symbol(grid)))
+    decayed = Spectrum(u0).coeffs * np.exp(-t * _oracle_half_symbol(grid))
 
     def d(*axes):
         order = tuple(axes.count(a) for a in range(n))
-        return inverse_transform(grid, decayed * half_spectrum(grid, multiplier(grid, order)))
+        return inverse_transform(grid, decayed * multiplier(grid, order))
 
     if i == 1:
         return np.stack([d(a) for a in range(n)])
@@ -251,15 +263,15 @@ def test_geometric_scans_agree_with_the_round_trip_oracle(grid128):
 _TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
 
 
-@pytest.mark.parametrize("scan, block, nodes, per_block", [
+@pytest.mark.parametrize("scan, nodes, per_block", [
     # R = L/4 = 32h: 10 + 4 octaves at 8 nodes each; a 1D Hessian is one
     # inverse transform
-    pytest.param(lambda f, R: carleson_functional(f, 2, R), 8, 14 * 8 + 1, 1, id="carleson"),
+    pytest.param(lambda f, R: carleson_functional(f, 2, R), 14 * 8 + 1, 1, id="carleson"),
     # R = L/4 = 32h: 36 + 4*4 octaves at 6 nodes each; a gradient and a Hessian
-    pytest.param(smoothing_ratios, 6, 52 * 6 + 1, 2, id="smoothing_ratios"),
+    pytest.param(smoothing_ratios, 52 * 6 + 1, 2, id="smoothing_ratios"),
 ])
-def test_free_scans_transform_u0_once_and_no_t0_frame(monkeypatch, grid128, scan, block,
-                                                      nodes, per_block):
+def test_free_scans_transform_u0_once_and_no_t0_frame(monkeypatch, grid128, scan, nodes,
+                                                      per_block):
     # every scipy.fft call made while the node magnitudes are built
     calls, inside = [], []
     for name in _TRANSFORMS:
@@ -280,13 +292,33 @@ def test_free_scans_transform_u0_once_and_no_t0_frame(monkeypatch, grid128, scan
     monkeypatch.setattr(norms, "_free_magnitudes", traced)
     f = _sine_field(grid128)
     scan(f, grid128.box_length / 4)
-    # one forward transform, of u0; then per block of nodes only the inverse
-    # transforms of its derivatives, each over the block's nodes alone
+    # one forward transform, of u0; then per block of nodes (frame_blocks)
+    # only the inverse transforms of its derivatives, each over the block's
+    # nodes alone
     assert calls[0] == ("rfftn", (1,) + grid128.shape)
-    sizes = [block] * (nodes // block) + [nodes % block] * (nodes % block > 0)
+    sizes = [b.stop - b.start for b in frame_blocks(grid128, nodes)]
+    assert len(sizes) > 1
     half = grid128.points_per_axis // 2 + 1
     assert calls[1:] == [("irfftn", (1, size, half)) for size in sizes
                          for _ in range(per_block)]
+
+
+@pytest.mark.parametrize("dim, M", [(1, 128), (2, 32)])
+def test_free_scans_keep_their_bits_at_every_block_size(monkeypatch, dim, M):
+    # each node of a free scan is evolved and differentiated on its own, so
+    # one node per block, the default blocks and one block of all the nodes
+    # give the same bits
+    g = Grid(dim, 2 * np.pi, M)
+    f = GridField(g, np.random.Generator(np.random.Philox(7)).normal(size=g.shape + (2,)))
+    R = g.box_length / 4
+
+    def scans():
+        return ([carleson_functional(f, i, R) for i in (1, 2)], smoothing_ratios(f, R))
+
+    want = scans()
+    for points in (g.points_per_axis ** dim, 2 ** 40):
+        monkeypatch.setattr(fields, "_BLOCK_POINTS", points)
+        assert scans() == want
 
 
 def test_smoothing_ratios_peak_memory_within_twice_its_node_stacks():
@@ -431,7 +463,7 @@ def _oracle_space_time_scan(u, T, sup_terms, cylinder_terms):
     wvals = [sum(t ** a * fm[i] for fm, a in frame_max)
              for i, t in enumerate(u.times[pos])]
     sup = _oracle_first_peak(wvals, u.times[pos], 0.0)
-    radii = _resolved_cylinder_radii(u.times, T ** 0.25, grid)
+    radii = cylinder_radii(u.times, T ** 0.25, grid)
     powered = [(m ** p, outer) for m, p, outer in cylinder_terms]
     scales = []
     for r in radii:
@@ -562,7 +594,7 @@ def _oracle_y_norm(f, T, time_weight, power, outer):
     powed = mags ** power
     best, arg_r = 0.0, None
     scales = []
-    for r in _resolved_cylinder_radii(f.times, T ** 0.25, grid):
+    for r in cylinder_radii(f.times, T ** 0.25, grid):
         w = _trapezoid_weights(f.times, min(r ** 4, T))
         val = _oracle_cylinder_average_max(grid, np.tensordot(w, powed, axes=(0, 0)),
                                            r) ** outer
