@@ -167,8 +167,12 @@ def _initial_data_from(cp: configparser.ConfigParser, grid: Grid, target: Sphere
     kind = cp.get("initial", "kind")
     if kind == "equator_sine":
         eps = _finite(cp, "initial", "amplitude") if amplitude is None else amplitude
-        return equator_initial_data(grid, eps, _number(cp, "initial", "frequency", int),
-                                    target.ambient_dim)
+        frequency = _number(cp, "initial", "frequency", int)
+        if not 1 <= frequency < grid.points_per_axis / 2:  # else it aliases
+            raise ConfigError(f"[initial] frequency = {cp.get('initial', 'frequency')} must lie "
+                              f"in [1, {grid.points_per_axis // 2}) on the "
+                              f"{grid.points_per_axis}-point grid")
+        return equator_initial_data(grid, eps, frequency, target.ambient_dim)
     if kind == "constant":
         point = np.zeros(target.ambient_dim)
         point[0] = 1.0

@@ -6,12 +6,16 @@ The fundamental solution of ``u_t + Lap^2 u = 0`` is self-similar,
     g(xi)   = (2*pi)^(-n) * int exp(i xi.k - |k|^4) dk,
 
 normalised so that ``int b(., t) dx = 1`` for every ``t``.  ``g`` is radial,
-so in every dimension its Fourier integral reduces to one real radial
-integral against the spherical kernel: cos(r s) for n = 1, J_0(r s) for
-n = 2 and sin(r s)/(r s) for n = 3.  The profile is evaluated by composite
-Gauss-Legendre quadrature of that integral; spatial derivatives up to total
-order four are radial derivatives assembled into Cartesian components, with
-a Maclaurin series near the origin.
+g(xi) = G_n(|xi|), so in every dimension its Fourier integral reduces to one
+real radial integral against the spherical mean Phi_n(r s): cos for n = 1,
+J_0 for n = 2 and sin(x)/x for n = 3, evaluated by composite Gauss-Legendre
+quadrature.  With D = s^-1 d/ds, D^k G_n = (-2 pi)^k G_(n+2k): each radial
+derivative is the profile of dimension n + 2k, one quadrature against
+Phi_(n+2k).  The means come from one base pair by the recurrence
+Phi_(d+2) = d (d-2) / x^2 (Phi_d - Phi_(d-2)), and from their Maclaurin
+series below x = _MEAN_SWITCH.  A Cartesian derivative of total order up
+to four is a sum of D^k G_n times products of the components of xi, so
+nothing divides by |xi|.
 
 ``certify_bound`` sweeps a logarithmic (x, t) lattice and fits the constant in
 each of the four classical decay estimates for ``b``; the stretched-exponential
@@ -26,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
-from scipy.special import gamma as _gamma, j0 as _j0, j1 as _j1
+from scipy.special import j0 as _j0, j1 as _j1
 
 from .errors import InvalidTimeError, QuadratureResidualError, UnsupportedOrderError
 
@@ -53,8 +57,7 @@ UNIT_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 _GL_POINTS = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
-_SERIES_SWITCH = 0.2   # below this |xi| the Cartesian combos use Maclaurin series
-_J0_SWITCH = 0.5       # below this argument the spherical kernel uses its series
+_MEAN_SWITCH = 3.0  # below this argument the spherical means use their series
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,11 @@ class KernelProfile:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.quadrature_nodes < 8:
             raise ValueError("quadrature_nodes must be >= 8")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if not 0.0 < self.truncation_radius < math.inf:
+            raise ValueError("truncation_radius must be positive and finite, "
+                             f"got {self.truncation_radius}")
         if math.exp(-self.truncation_radius ** 4) >= self.tolerance / 10.0:
             raise ValueError(
                 "truncation_radius too small: exp(-K^4) must be below tolerance/10"
@@ -126,123 +132,86 @@ def _radial_rule(profile: KernelProfile, freq: float, r_max: float | None = None
 # the radial reduction
 # ----------------------------------------------------------------------
 
-# g is radial: g(xi) = G(|xi|) with
-#     G(s) = c_n * int_0^inf r^(n-1) exp(-r^4) Phi_n(s r) dr,
-# where c_n = (2 pi)^(-n) |S^(n-1)| and the spherical kernel Phi_n, the mean
-# of exp(i x w_1) over the unit sphere, is cos x (n = 1), J_0(x) (n = 2) and
-# sin(x)/x (n = 3) (Stein & Weiss 1971, ch. IV).
+# g is radial: g(xi) = G_n(|xi|), where for every dimension d
+#     G_d(s) = c_d * int_0^inf r^(d-1) exp(-r^4) Phi_d(s r) dr,
+# c_d = (2 pi)^(-d) |S^(d-1)|, and the spherical mean Phi_d, the mean of
+# exp(i x w_1) over the unit sphere S^(d-1), is Gamma(d/2) (2/x)^(d/2-1)
+# J_(d/2-1)(x): cos x, J_0(x) and sin(x)/x for d = 1, 2, 3 (Stein & Weiss
+# 1971, ch. IV).  x^-1 d/dx Phi_d = -Phi_(d+2) / d (DLMF 10.6.6), so with
+# D = s^-1 d/ds every radial derivative is a profile two dimensions up,
+#     D^k G_n = (-1)^k c_n / (n (n+2) ... (n+2k-2))
+#               * int_0^inf r^(n-1+2k) exp(-r^4) Phi_(n+2k)(s r) dr
+#             = (-2 pi)^k G_(n+2k),
+# and none of them divides by s.
 _RADIAL_FACTOR = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi), 3: 1.0 / (2.0 * math.pi ** 2)}
 
-# Phi_n = sum_p (-1)^p x^(2p) / d_n(p), d_n(p) = 4^p p! Gamma(p + n/2) / Gamma(n/2):
-# (2p)!, 4^p p!^2 and (2p+1)! for n = 1, 2, 3.  _P is the series index p;
-# both Maclaurin series stop at p = 13.
-_P = np.arange(14)
-_MEAN_DENOM = {1: _gamma(2 * _P + 1), 2: 4.0 ** _P * _gamma(_P + 1) ** 2,
-               3: _gamma(2 * _P + 2)}
-
-# Phi_n and its derivatives to order four as functions of a base pair (f, h)
-# of the argument and the argument x itself: (sin x, cos x) for n = 1 and 3,
-# (J_0(x), J_1(x)) for n = 2 with J_0' = -J_1, J_1' = J_0 - J_1/x (DLMF 10.6).
-_KERNEL_BASE = {1: (np.sin, np.cos), 2: (_j0, _j1), 3: (np.sin, np.cos)}
-_KERNEL_CLOSED = {
-    1: (lambda s, c, x: c, lambda s, c, x: -s, lambda s, c, x: -c,
-        lambda s, c, x: s, lambda s, c, x: c),
-    2: (lambda a, b, x: a,
-        lambda a, b, x: -b,
-        lambda a, b, x: -a + b / x,
-        lambda a, b, x: b + a / x - 2 * b / x ** 2,
-        lambda a, b, x: a - 2 * b / x - 3 * a / x ** 2 + 6 * b / x ** 3),
-    3: (lambda s, c, x: s / x,
-        lambda s, c, x: c / x - s / x ** 2,
-        lambda s, c, x: -s / x - 2 * c / x ** 2 + 2 * s / x ** 3,
-        lambda s, c, x: -c / x + 3 * s / x ** 2 + 6 * c / x ** 3 - 6 * s / x ** 4,
-        lambda s, c, x: (s / x + 4 * c / x ** 2 - 12 * s / x ** 3
-                         - 24 * c / x ** 4 + 24 * s / x ** 5)),
-}
+# Phi_d = sum_p (-1)^p x^(2p) / prod_(q=1..p) 2q (2q + d - 2), as coefficients
+# of powers of x^2; below _MEAN_SWITCH the terms to p = 14 reach full double
+# precision for every d up to 11 = 3 + 2 * 4
+_MEAN_SERIES = {d: np.array([(-1) ** p / math.prod(2 * q * (2 * q + d - 2)
+                                                    for q in range(1, p + 1))
+                             for p in range(15)]) for d in range(1, 12)}
 
 
-def _kernel_derivs(n: int, ms, x: np.ndarray):
-    """Yield Phi_n^(m)(x) for each m in ms, one order at a time.
+def _spherical_means(n: int, s: np.ndarray, r: np.ndarray, ds):
+    """Yield Phi_d on the s x r outer table for each d in ds, increasing and
+    of the parity of n.
 
-    The base pair and the small-argument mask are taken once for all orders.
-    For n >= 2 the closed forms divide by x, so below _J0_SWITCH the
-    Maclaurin series, differentiated term by term, replaces them on the
-    entries that keep it; the terms to p = 12 give full double precision
-    there.  cos divides by nothing and keeps its closed forms everywhere.
+    The base pair (cos x, sin(x)/x) = (Phi_1, Phi_3) for odd n and
+    (J_0(x), 2 J_1(x)/x) = (Phi_2, Phi_4) for n = 2 walks up by
+    Phi_(d+2) = d (d - 2) / x^2 (Phi_d - Phi_(d-2)) in place, so only two
+    means are held and each is reduced before the walk goes on.  Each step
+    divides a difference of nearly equal means by x^2, so the walk loses
+    digits as x falls; below _MEAN_SWITCH each mean is its Maclaurin series
+    instead.  The argument table is dropped once the base pair is formed.
     """
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < (_J0_SWITCH if n > 1 else 0.0)
-    xs = np.where(small, 1.0, x)  # avoid division by ~0 in the closed form
-    f, h = (fn(xs) for fn in _KERNEL_BASE[n])
-    x_small = x[small]
-    for m in ms:
-        closed = _KERNEL_CLOSED[n][m](f, h, xs)
-        ser = np.zeros_like(x_small)
-        for p in range(0, 13):
-            e = 2 * p - m
-            if e < 0:
-                continue
-            coef = (-1.0) ** p / _MEAN_DENOM[n][p]
-            for q in range(m):
-                coef *= (2 * p - q)
-            ser = ser + coef * x_small ** e
-        closed[small] = ser
-        yield closed
+    x = np.multiply.outer(s, r)
+    small = x < _MEAN_SWITCH
+    y = x[small] ** 2
+    x[small] = 1.0  # the walk's entries there are replaced; keep it off 0
+    if n % 2:
+        lo, hi, d = np.cos(x), np.sin(x), 3
+    else:
+        lo, hi, d = _j0(x), 2.0 * _j1(x), 4
+    hi /= x
+    inv = np.divide(1.0, np.square(x, out=x), out=x)
+    del x
+    for target in ds:
+        while d < target:
+            lo -= hi
+            lo *= -d * (d - 2)
+            lo *= inv
+            lo, hi, d = hi, lo, d + 2
+        phi = hi if d == target else lo
+        series = np.full_like(y, _MEAN_SERIES[target][-1])
+        for c in _MEAN_SERIES[target][-2::-1]:  # Horner's rule in x^2, in place
+            series *= y
+            series += c
+        phi[small] = series
+        yield phi
 
 
-def _series_coeffs(n: int) -> np.ndarray:
-    """The first 14 Maclaurin coefficients c_{2p} of the radial profile G(s):
-    c_n (-1)^p Gamma((2p + n)/4) / (4 d_n(p))."""
-    return _RADIAL_FACTOR[n] * (-1.0) ** _P * _gamma((2 * _P + n) / 4.0) / (4.0 * _MEAN_DENOM[n])
+def _radial_derivs(profile: KernelProfile, s: np.ndarray, ks) -> dict[int, np.ndarray]:
+    """{k: D^k G_n(s)} for each k in ks, increasing, by quadrature of the
+    radial reduction of G_(n+2k).
 
-
-def _radial_derivs(profile: KernelProfile, s: np.ndarray, ms) -> dict[int, np.ndarray]:
-    """{m: G^(m)(s)} for each m in ms by quadrature of the radial reduction.
-
-    Each order's kernel on the s x r outer array is reduced to its radial
-    derivative before the next one is formed.  |Phi_n^(m)| <= 1 and the
-    weights are positive, so eps * c_n * sum(weights) is the rounding floor
-    of an order's sum; a tolerance below it cannot be met.
+    |Phi_d| <= 1, so eps times the absolute sum of an order's weights is the
+    rounding floor of its sum; a tolerance below it cannot be met.
     """
     n = profile.dim
-    c = _RADIAL_FACTOR[n]
     s = np.asarray(s, dtype=float)
     freq = float(np.max(s)) if s.size else 0.0
     r, w = _radial_rule(profile, freq)
     base = w * r ** (n - 1) * np.exp(-r ** 4)
-    weights = {m: base * r ** m for m in ms}
-    floor = max(np.finfo(float).eps * c * float(wm.sum()) for wm in weights.values())
+    weights = {k: (-1) ** k * _RADIAL_FACTOR[n] / math.prod(range(n, n + 2 * k, 2))
+               * base * r ** (2 * k) for k in ks}
+    floor = max(np.finfo(float).eps * float(np.abs(wk).sum()) for wk in weights.values())
     if floor > profile.tolerance:
         raise QuadratureResidualError(
             f"rounding floor {floor:.3e} of the radial quadrature exceeds tolerance "
             f"{profile.tolerance:.3e}; double precision cannot meet it")
-    rs = np.multiply.outer(s, r)
-    return {m: c * (kern * weights[m][None, :]).sum(axis=1)
-            for m, kern in zip(ms, _kernel_derivs(n, ms, rs))}
-
-
-def _series_combo(coeffs: np.ndarray, s: np.ndarray, factors: int, shift: int) -> np.ndarray:
-    """Sum over p of c_{2p} * 2p(2p-2)...(factors terms) * s^(2p - shift).
-
-    The falling products of even integers are exactly the combinations that
-    appear in the radial-to-Cartesian derivative formulas; each is an entire
-    even/odd series, so small-s evaluation is cancellation free.
-    """
-    acc = np.zeros_like(s)
-    for p, c in enumerate(coeffs):
-        mult = 1.0
-        for q in range(factors):
-            mult *= (2 * p - 2 * q)
-        e = 2 * p - shift
-        if e < 0 or mult == 0.0:
-            continue
-        acc = acc + c * mult * s ** e
-    return acc
-
-
-# D^k G = sum_i b * G^(i)(s) / s^(2k - i) with D = s^-1 d/ds: row k lists the
-# b for i = k, k - 1, ..., highest i first; each row is D of the one above.
-_RADIAL_COMBOS = {0: (1,), 1: (1,), 2: (1, -1), 3: (1, -3, 3), 4: (1, -6, 15, -15)}
+    return {k: phi @ weights[k]
+            for k, phi in zip(ks, _spherical_means(n, s, r, [n + 2 * k for k in ks]))}
 
 
 @lru_cache(maxsize=None)
@@ -261,49 +230,24 @@ def _pairing_terms(order: tuple) -> tuple:
 def _eval_profile_batch(profile: KernelProfile, xi: np.ndarray, orders) -> list[np.ndarray]:
     """d^order g at xi for each multi-index in orders, all of one total order m.
 
-    For the radial g(xi) = G(s), s = |xi|, u = xi/s and D = s^-1 d/ds, in
-    every dimension d_{i_1...i_m} g is the sum over j of s^(m - 2j) D^(m - j) G
-    times, for each set of j disjoint slot pairs with equal axes, the product
-    of u over the unpaired slots.  The coefficients depend only on s and m and
-    are built once; each multi-index adds only its products of u.  Each is
-    entire in s: the profile's Maclaurin series gives it below _SERIES_SWITCH,
-    where the radial combination cancels, and the quadrature above.
+    For the radial g(xi) = G_n(|xi|), in every dimension d_{i_1...i_m} g is
+    the sum over j of D^(m - j) G_n(|xi|) times, for each set of j disjoint
+    slot pairs with equal axes, the product of xi over the unpaired slots.
+    The m//2 + 1 radial coefficients come from one quadrature of the point
+    set; each multi-index adds only its products of xi.
     """
     m = int(sum(orders[0]))
-    s = np.sqrt((xi ** 2).sum(axis=1))
-    small = s < _SERIES_SWITCH
-    far = ~small
-    sf = s[far]  # the quadrature serves only the points the series does not
-    # unit direction; at the origin itself every directional coefficient
-    # vanishes, so the 0/1 = 0 vector is harmless
-    u = xi / np.where(s > 0.0, s, 1.0)[:, None]
-
-    # a_0 enters only m = 0; the m >= 1 coefficients use a_1..a_m
-    a = _radial_derivs(profile, sf, range(1, m + 1) if m else (0,))
-    cs = _series_coeffs(profile.dim)
-    coefs = []
-    for j in range(m // 2 + 1):  # s^(m - 2j) D^(m - j) G = sum_i b * a_i / s^(m - i)
-        coef, acc = np.empty_like(s), None
-        coef[small] = _series_combo(cs, s[small], m - j, m)
-        for i, b in zip(range(m - j, -1, -1), _RADIAL_COMBOS[m - j]):
-            term = a[i] if abs(b) == 1 else abs(b) * a[i]
-            if m > i:
-                term = term / (sf if m - i == 1 else sf ** (m - i))
-            acc = term if acc is None else (acc + term if b > 0 else acc - term)
-        coef[far] = acc
-        coefs.append(coef)
-
+    a = _radial_derivs(profile, np.sqrt((xi ** 2).sum(axis=1)), range(m - m // 2, m + 1))
     out = []
     for order in orders:
         val = None
         for j, axes in _pairing_terms(tuple(order)):
-            term = coefs[j]
+            term = a[m - j]
             for ax in axes:
-                term = term * u[:, ax]
+                term = term * xi[:, ax]
             val = term if val is None else val + term
         out.append(val)
     return out
-
 
 # ----------------------------------------------------------------------
 # profile and kernel evaluation

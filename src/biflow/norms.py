@@ -393,14 +393,7 @@ def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
     over parabolic cylinders P_R(x, R^4) = B_R(x) x [0, R^4] with dyadic R at
     or below T^(1/4) and every lattice center.  The stack is transformed once.
     """
-    spec = Spectrum(u)
-
-    def derivatives(block):
-        frames = Spectrum.with_coeffs(u.grid, spec.coeffs[:, block])
-        return frames.gradient(), frames.hessian()
-
-    mags = stack_magnitudes(u.grid, u.num_frames, derivatives)
-    return x_norm_from_magnitudes(u.grid, u.times, lambda block: u.values[block], *mags, T)
+    return x_norms(SpaceTimeField(u.grid, u.times, u.values[..., None]), T)[0]
 
 
 def stack_magnitudes(grid: Grid, num_frames: int, derivatives) -> tuple[np.ndarray, np.ndarray]:

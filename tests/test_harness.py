@@ -272,6 +272,15 @@ def test_cli_rejects_bad_experiment_settings_before_any_work(
      "no dyadic radius fits between 2h=0.196 and 0.178"),
     (["contraction-sweep", "--amplitudes", "0.05"], "[initial]\nkind = constant",
      "[initial] kind = constant has no amplitude to sweep"),
+    # a frequency at or above M/2 aliases: 32 samples sin(pi j) = 0, the constant map
+    (["evolve"], "[initial]\nfrequency = 32",
+     "[initial] frequency = 32 must lie in [1, 32) on the 64-point grid"),
+    (["flow"], "[initial]\nfrequency = 40",
+     "[initial] frequency = 40 must lie in [1, 32) on the 64-point grid"),
+    (["all"], "[initial]\nfrequency = 0",
+     "[initial] frequency = 0 must lie in [1, 32) on the 64-point grid"),
+    (["contraction-sweep", "--amplitudes", "0.05"], "[initial]\nfrequency = -1",
+     "[initial] frequency = -1 must lie in [1, 32) on the 64-point grid"),
 ])
 def test_cli_rejects_unparsable_and_unresolvable_values_before_any_work(
         monkeypatch, tmp_path, capsys, argv, config, message):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma, j0, j1
+from scipy.special import gamma
 
 from biflow import kernel
 from biflow.errors import InvalidTimeError, UnsupportedOrderError
@@ -112,6 +112,12 @@ def test_profile_invariant_truncation():
         KernelProfile(dim=1, truncation_radius=1.0, tolerance=1e-9)
     with pytest.raises(ValueError):
         KernelProfile(dim=1, truncation_radius=4.0, quadrature_nodes=4)
+    # a non-finite value would pass every comparison it is checked by
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            KernelProfile(dim=1, truncation_radius=3.2, tolerance=bad)
+        with pytest.raises(ValueError, match="truncation_radius must be positive and finite"):
+            KernelProfile(dim=1, truncation_radius=bad)
 
 
 def test_imaginary_residual_guard():
@@ -177,26 +183,68 @@ def test_rounding_floor_guard_trips_only_below_double_precision(dim):
             assert np.all(np.isfinite(gradient_magnitude(p, pts, k)))
 
 
+def _assert_the_mean_switch_is_seamless(monkeypatch, dim, direction, orders):
+    # every spherical mean the profile uses, d = n, n + 2, ..., n + 8, from its
+    # Maclaurin series and from the recurrence, just below and just above the
+    # one switch: both agree to 3e-15 (|Phi_d| <= 1; d = 11 reads 1.2e-15)
+    x = kernel._MEAN_SWITCH * np.array([0.99, 0.999, 1.0, 1.001, 1.01])
+    ds = range(dim, dim + 9, 2)
+    means = {}
+    for switch in (0.0, math.inf):  # the recurrence, then the series, everywhere
+        monkeypatch.setattr(kernel, "_MEAN_SWITCH", switch)
+        means[switch] = [phi.copy() for phi in kernel._spherical_means(dim, np.ones(1), x, ds)]
+    for d, walk, series in zip(ds, means[0.0], means[math.inf]):
+        assert np.abs(walk - series).max() <= 3e-15, d
+    monkeypatch.undo()
+    # moving the switch by 5% either way moves each derivative, along the
+    # direction, by at most 1e-15 of its largest value
+    p = default_profile(dim)
+    pts = np.outer([0.5, 1.0, 2.0, 4.0, 8.0], direction)
+    want = [eval_profile(p, pts, order) for order in orders]
+    for factor in (0.95, 1.05):
+        monkeypatch.setattr(kernel, "_MEAN_SWITCH", factor * kernel._MEAN_SWITCH)
+        for order, ref in zip(orders, want):
+            got = eval_profile(p, pts, order)
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), (factor, order)
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("dim, direction, orders", [
     (1, [1.0], [(0,), (1,), (2,), (3,), (4,)]),
     (2, [0.6, 0.8], [(0, 0), (1, 0), (2, 0), (1, 1), (3, 0), (2, 2), (4, 0)]),
 ])
-def test_series_quadrature_interface_is_continuous(dim, direction, orders):
-    p = default_profile(dim)
-    for order in orders:
-        f = [eval_profile(p, np.array(direction) * (kernel._SERIES_SWITCH + d), order)
-             for d in (-1e-4, 1e-4, 3e-4)]
-        # the step across the switch and the next one differ by a second
-        # difference, about 4e-8 f''; a series/quadrature mismatch adds to it
-        assert abs((f[1] - f[0]) - (f[2] - f[1])) < 1e-7, order
+def test_series_quadrature_interface_is_continuous(monkeypatch, dim, direction, orders):
+    _assert_the_mean_switch_is_seamless(monkeypatch, dim, direction, orders)
 
 
-def test_3d_series_quadrature_interface_is_continuous():
-    p = default_profile(3)
-    for order in [(0, 0, 0), (1, 0, 0), (2, 0, 0), (4, 0, 0)]:
-        lo = eval_profile(p, np.array([0.6, 0.8, 0.0]) * 0.1999, order)
-        hi = eval_profile(p, np.array([0.6, 0.8, 0.0]) * 0.2001, order)
-        assert abs(lo - hi) < 5e-6  # bounded by the true local variation
+def test_3d_series_quadrature_interface_is_continuous(monkeypatch):
+    _assert_the_mean_switch_is_seamless(
+        monkeypatch, 3, [0.6, 0.8, 0.0], [(0, 0, 0), (1, 0, 0), (2, 0, 0), (4, 0, 0)])
+
+
+def test_kernel_has_one_series_switch():
+    # one branch point: the spherical means' series below it, the
+    # recurrence above it, and no second switch on |xi| or on any order
+    assert _switch_names(Path(kernel.__file__).read_text()) == ["_MEAN_SWITCH"]
+
+
+def _switch_names(source):
+    """Every name ending in _SWITCH that the source assigns."""
+    return [target.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for target in ast.walk(top)
+            if isinstance(target, ast.Name) and target.id.endswith("_SWITCH")]
+
+
+def test_switch_lint_sees_every_spelling_of_an_assignment():
+    source = ("A_SWITCH = 0.2\n"
+              "B_SWITCH: float = 0.5\n"
+              "C_SWITCH, D = 1.0, 2.0\n"
+              "def f():\n"
+              "    E_SWITCH = 3.0\n"
+              "F = A_SWITCH\n")
+    assert _switch_names(source) == ["A_SWITCH", "B_SWITCH", "C_SWITCH", "E_SWITCH"]
 
 
 def test_certificate_alpha_is_pinned():
@@ -271,122 +319,36 @@ def test_gradient_magnitude_is_rotation_invariant(profile2):
 
 
 # ----------------------------------------------------------------------
-# the per-multi-index evaluation, kept as the bitwise oracle of the jet,
+# the per-multi-index evaluation, the bitwise oracle of the jet; the
+# profile's Maclaurin series, its independent reference near the origin;
 # and the tensor-product rule the radial path replaced in 1D and 2D
 # ----------------------------------------------------------------------
-
-def _oracle_j0_deriv(m, x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < kernel._J0_SWITCH
-    xs = np.where(small, 1.0, x)
-    s, c = np.sin(xs), np.cos(xs)
-    if m == 0:
-        closed = s / xs
-    elif m == 1:
-        closed = c / xs - s / xs ** 2
-    elif m == 2:
-        closed = -s / xs - 2 * c / xs ** 2 + 2 * s / xs ** 3
-    elif m == 3:
-        closed = -c / xs + 3 * s / xs ** 2 + 6 * c / xs ** 3 - 6 * s / xs ** 4
-    else:
-        closed = (s / xs + 4 * c / xs ** 2 - 12 * s / xs ** 3
-                  - 24 * c / xs ** 4 + 24 * s / xs ** 5)
-    ser = np.zeros_like(x)
-    for p in range(0, 13):
-        e = 2 * p - m
-        if e < 0:
-            continue
-        coef = (-1.0) ** p / math.factorial(2 * p + 1)
-        for q in range(m):
-            coef *= (2 * p - q)
-        ser = ser + coef * x ** e
-    return np.where(small, ser, closed)
-
-
-def _oracle_kernel_deriv(n, m, x):
-    """Phi_n^(m)(x): cos x (n = 1), J_0(x) (n = 2), sin(x)/x (n = 3)."""
-    if n == 3:
-        return _oracle_j0_deriv(m, x)
-    if n == 1:
-        return [np.cos(x), -np.sin(x), -np.cos(x), np.sin(x), np.cos(x)][m]
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < kernel._J0_SWITCH
-    xs = np.where(small, 1.0, x)
-    a, b = j0(xs), j1(xs)
-    closed = [a, -b, -a + b / xs, b + a / xs - 2 * b / xs ** 2,
-              a - 2 * b / xs - 3 * a / xs ** 2 + 6 * b / xs ** 3][m]
-    ser = np.zeros_like(x)
-    for p in range(0, 13):
-        e = 2 * p - m
-        if e < 0:
-            continue
-        coef = (-1.0) ** p / (4.0 ** p * math.factorial(p) ** 2)
-        for q in range(m):
-            coef *= (2 * p - q)
-        ser = ser + coef * x ** e
-    return np.where(small, ser, closed)
-
 
 # (2 pi)^(-n) times the area of the unit sphere S^(n-1)
 _ORACLE_RADIAL_FACTOR = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi),
                          3: 1.0 / (2.0 * math.pi ** 2)}
 
 
-def _oracle_radial_derivs(profile, s, m_max):
-    n = profile.dim
-    c = _ORACLE_RADIAL_FACTOR[n]
-    freq = float(np.max(s)) if s.size else 0.0
-    r, w = kernel._radial_rule(profile, freq)
-    base = w * r ** (n - 1) * np.exp(-r ** 4)
-    rs = np.multiply.outer(s, r)
-    return [c * (_oracle_kernel_deriv(n, m, rs) * (base * r ** m)[None, :]).sum(axis=1)
-            for m in range(m_max + 1)]
-
-
-def _oracle_profile(profile, xi, order):
-    m = int(sum(order))
-    s = np.sqrt((xi ** 2).sum(axis=1))
-    small = s < kernel._SERIES_SWITCH
-    ss = np.where(small, 1.0, s)
-    u = xi / np.where(s > 0.0, s, 1.0)[:, None]
-    a = _oracle_radial_derivs(profile, s, m)
-    cs = kernel._series_coeffs(profile.dim)
-
-    def combo(quad_expr, factors, shift):
-        return np.where(small, kernel._series_combo(cs, s, factors, shift), quad_expr)
-
-    if m == 0:
-        return combo(a[0], 0, 0)
-    if m == 1:
-        return combo(a[1], 1, 1) * u[:, order.index(1)]
-    idx = [ax for ax, rep in enumerate(order) for _ in range(rep)]
-    if m == 2:
-        q2 = combo(a[1] / ss, 1, 2)
-        p2 = combo(a[2] - a[1] / ss, 2, 2)
-        i, j = idx
-        return p2 * u[:, i] * u[:, j] + q2 * (1.0 if i == j else 0.0)
-    if m == 3:
-        q3 = combo(a[2] / ss - a[1] / ss ** 2, 2, 3)
-        p3 = combo(a[3] - 3 * a[2] / ss + 3 * a[1] / ss ** 2, 3, 3)
-        i, j, k = idx
-        val = p3 * u[:, i] * u[:, j] * u[:, k]
-        for (x1, x2), x3 in (((i, j), k), ((i, k), j), ((j, k), i)):
-            if x1 == x2:
-                val = val + q3 * u[:, x3]
-        return val
-    c5 = combo(a[2] / ss ** 2 - a[1] / ss ** 3, 2, 4)
-    q4 = combo(a[3] / ss - 3 * a[2] / ss ** 2 + 3 * a[1] / ss ** 3, 3, 4)
-    p4 = combo(a[4] - 6 * a[3] / ss + 15 * a[2] / ss ** 2 - 15 * a[1] / ss ** 3, 4, 4)
-    i, j, k, l = idx
-    val = p4 * u[:, i] * u[:, j] * u[:, k] * u[:, l]
-    for p1, p2 in itertools.combinations(range(4), 2):
-        rest = [q for q in range(4) if q not in (p1, p2)]
-        if idx[p1] == idx[p2]:
-            val = val + q4 * u[:, idx[rest[0]]] * u[:, idx[rest[1]]]
-    for p1, p2 in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        if idx[p1[0]] == idx[p1[1]] and idx[p2[0]] == idx[p2[1]]:
-            val = val + c5
-    return val
+def _maclaurin_derivative(dim, order, pts, terms=17):
+    """d^order g at pts from the Maclaurin series of the profile,
+    g(xi) = sum_p a_p |xi|^(2p) with a_p = c_n (-1)^p Gamma((2p + n)/4) /
+    (4 prod_(q<=p) 2q (2q + n - 2)), expanded into monomials xi^(2 beta),
+    differentiated exactly and summed with math.fsum."""
+    coefs, powers = [], []
+    for p in range(terms):
+        a_p = (_ORACLE_RADIAL_FACTOR[dim] * (-1) ** p * math.gamma((2 * p + dim) / 4.0)
+               / (4 * math.prod(2 * q * (2 * q + dim - 2) for q in range(1, p + 1))))
+        for beta in itertools.product(range(p + 1), repeat=dim):
+            if sum(beta) != p or any(2 * b < o for b, o in zip(beta, order)):
+                continue
+            mult = math.factorial(p) // math.prod(map(math.factorial, beta))
+            for b, o in zip(beta, order):
+                mult *= math.factorial(2 * b) // math.factorial(2 * b - o)
+            coefs.append(a_p * mult)
+            powers.append([2 * b - o for b, o in zip(beta, order)])
+    monomials = np.prod(pts[None, :, :] ** np.array(powers)[:, None, :], axis=2)
+    terms_at = np.array(coefs)[:, None] * monomials
+    return np.array([math.fsum(terms_at[:, q]) for q in range(pts.shape[0])])
 
 
 def _oracle_axis_rule(profile, freq):
@@ -424,11 +386,12 @@ def _oracle_tensor_profile(profile, pts, order):
 
 
 def _oracle_gradient_magnitude(profile, pts, k):
+    """The multinomial sum of squares of one eval_profile call per multi-index."""
     if k == 0:
-        return np.abs(_oracle_profile(profile, pts, (0,) * profile.dim))
+        return np.abs(eval_profile(profile, pts, (0,) * profile.dim))
     acc = np.zeros(pts.shape[0])
-    for order, weight in kernel._multi_indices(profile.dim, k):
-        acc += weight * _oracle_profile(profile, pts, order) ** 2
+    for order, weight in _ORACLE_MULTI_INDICES[profile.dim](k):
+        acc += weight * eval_profile(profile, pts, order) ** 2
     return np.sqrt(acc)
 
 
@@ -453,9 +416,9 @@ def test_multi_indices_keep_order_and_weights(dim):
 
 
 def _oracle_points(dim):
-    """The origin, |xi| below the 3D series switch, and far-field points.
+    """The origin, points near it and far-field points.
 
-    Every point has radial nodes with r|xi| below the spherical kernel's
+    Every point has radial nodes with r|xi| below the spherical means'
     series switch; 2D gets more than one chunk of the tensor rule's phase
     tables.
     """
@@ -475,25 +438,30 @@ def test_gradient_magnitude_bitwise_equals_per_multi_index_oracle(dim, refined):
     p = default_profile(dim)
     p = p.refined() if refined else p
     pts = _oracle_points(dim)
-    if dim == 3:
-        assert np.any(np.linalg.norm(pts, axis=1) < kernel._SERIES_SWITCH)
     for k in range(5):
         got = gradient_magnitude(p, pts, k)
         assert np.array_equal(got, _oracle_gradient_magnitude(p, pts, k)), (dim, k)
-    order = (1,) * min(dim, 2) + (0,) * (dim - min(dim, 2))
-    assert np.array_equal(eval_profile(p, pts, order), _oracle_profile(p, pts, order))
-    # order 1 as (G'/s) * s, the form before the radial identity: within 1e-15
-    # of the array max
-    s = np.linalg.norm(pts, axis=1)
-    small = s < kernel._SERIES_SWITCH
-    a1 = _oracle_radial_derivs(p, s, 1)[1]
-    quotient = np.where(small, kernel._series_combo(kernel._series_coeffs(dim), s, 1, 2),
-                        a1 / np.where(small, 1.0, s))
-    u = pts / np.where(s > 0.0, s, 1.0)[:, None]
-    for order, _ in kernel._multi_indices(dim, 1):
-        old = quotient * s * u[:, order.index(1)]
-        got = eval_profile(p, pts, order)
-        assert np.abs(got - old).max() <= 1e-15 * np.abs(old).max(), order
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_profile_derivatives_match_the_maclaurin_series(dim):
+    # every multi-index of orders 0-4 on |xi| in [0, 1], along an axis, the
+    # diagonal and a generic direction, against the profile's own Maclaurin
+    # series: no quadrature is shared.  Within 2e-15 of each order's array
+    # max; a radial-to-Cartesian rule that divides by |xi| cancels near the
+    # origin, and the points just above |xi| = 0.2 read 1.6e-13 at order 4
+    # when its series took over only below them
+    rng = np.random.Generator(np.random.Philox(11))
+    dirs = np.stack([np.eye(dim)[0], np.ones(dim) / math.sqrt(dim), rng.normal(size=dim)])
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.concatenate([np.linspace(0.0, 1.0, 21), [1e-3, 0.199, 0.2001, 0.21, 0.23]])
+    pts = (radii[:, None, None] * dirs[None]).reshape(-1, dim)
+    p = default_profile(dim)
+    for m in range(5):
+        orders = [order for order, _ in _ORACLE_MULTI_INDICES[dim](m)]
+        got = np.array([eval_profile(p, pts, order) for order in orders])
+        want = np.array([_maclaurin_derivative(dim, order, pts) for order in orders])
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max(), m
 
 
 @pytest.mark.parametrize("refined", [False, True])
