@@ -26,9 +26,9 @@ axis would be pairwise from 8 terms on.
 
 Every transform and multiplier acts on each frame alone, so a stack may be
 worked one block of whole frames at a time (``frame_blocks``, about
-``_BLOCK_POINTS`` grid points each) with the bits of the whole stack; the
-Picard solver, the solution norm and the free scans of ``norms`` do, to hold
-one block's derivatives at a time.
+``_BLOCK_POINTS`` grid points each) with the bits of the whole stack.  Every
+magnitude stack of ``norms``, of values or of derivatives, the Picard
+solver's included, is filled that way, holding one block's at a time.
 
 Fields are real, so their spectra are Hermitian: every transform is scipy's
 real ``rfftn``/``irfftn`` on one thread (``workers=1``, the default, which

@@ -282,9 +282,8 @@ def _iterate_pass(config: FlowConfig, traj: SpaceTimeField, coeffs: np.ndarray,
         acc[:, block] = _forcing_coeffs(grid, config.mode, bundle)
         return (spec.gradient(), spec.hessian()) if clamped else (bundle.grad, bundle.hess)
 
-    mags = stack_magnitudes(grid, traj.num_frames, derivatives)
-    norm = x_norm_from_magnitudes(grid, traj.times, lambda block: traj.values[block], *mags,
-                                  config.t_final)
+    mags = stack_magnitudes(grid, traj.num_frames, 1, derivatives)
+    norm = x_norm_from_magnitudes(grid, traj.times, traj.values.__getitem__, *mags, config.t_final)
     return norm.total, acc, clamped
 
 
@@ -331,8 +330,9 @@ def picard_solve(config: FlowConfig, u0: GridField) -> tuple[SpaceTimeField, Flo
     def diff_norm(new, new_coeffs):  # of new minus the iterate held, read off coefficients
         def derivatives(block):
             spec = Spectrum.with_coeffs(grid, new_coeffs[:, block] - coeffs[:, block])
-            return spec.gradient(), spec.hessian()
-        mags = stack_magnitudes(grid, times.size, derivatives)
+            yield spec.gradient()
+            yield spec.hessian()
+        mags = stack_magnitudes(grid, times.size, 1, derivatives)
         return x_norm_from_magnitudes(
             grid, times, lambda block: new.values[block] - current.values[block], *mags, T).total
 

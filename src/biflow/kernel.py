@@ -78,8 +78,8 @@ class KernelProfile:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.quadrature_nodes < 8:
-            raise ValueError("quadrature_nodes must be >= 8")
+        if not (8 <= self.quadrature_nodes < math.inf and self.quadrature_nodes % 1 == 0):
+            raise ValueError(f"quadrature_nodes must be an integer >= 8: {self.quadrature_nodes}")
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if not 0.0 < self.truncation_radius < math.inf:

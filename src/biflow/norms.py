@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScaleUnresolvableError
-from .fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
-                     ball_offsets, frame_blocks, pointwise_norm)
+from .fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve, ball_offsets,
+                     components_first, forward_transform, frame_blocks, pointwise_norm)
 from . import semigroup
 
 __all__ = [
@@ -97,18 +97,16 @@ def _geometric_nodes(top: float, octaves: int, points_per_octave: int) -> np.nda
 
 
 def _free_magnitudes(u0: GridField, ts: np.ndarray, orders) -> list[np.ndarray]:
-    """Stacks of pointwise |grad^i G(t) u0| over the nodes ts, one per order
-    i.  u0 is transformed once; each block of nodes (``frame_blocks``) is one
-    ``free_spectrum``, whose derivatives are read off it with their inverse
-    transforms alone, and the blocks keep the temporaries small."""
-    grid = u0.grid
+    """Stacks of pointwise |grad^i G(t) u0| over the nodes ts, one (nodes, 1)
+    + grid.shape stack per order i (``stack_magnitudes``).  u0 is transformed
+    once; each block of nodes is one ``free_spectrum``, whose derivatives are
+    read off it with their inverse transforms alone."""
     spec = Spectrum(u0)
-    out = [np.empty((len(ts),) + grid.shape) for _ in orders]
-    for block in frame_blocks(grid, len(ts)):
+
+    def derivatives(block):
         free = semigroup.free_spectrum(spec, ts[block])
-        for o, i in zip(out, orders):
-            o[block] = pointwise_norm(free.gradient() if i == 1 else free.hessian(), grid, lead=1)
-    return out
+        yield from (free.gradient() if i == 1 else free.hessian() for i in orders)
+    return stack_magnitudes(u0.grid, len(ts), 1, derivatives)
 
 
 def _cylinder_average_maxima(grid: Grid, masses: np.ndarray, r: float) -> list[float]:
@@ -116,11 +114,6 @@ def _cylinder_average_maxima(grid: Grid, masses: np.ndarray, r: float) -> list[f
     ball integral, times r^(-n); one ball_convolve for the whole stack."""
     peaks = ball_convolve(grid, masses, r).reshape(len(masses), -1).max(axis=1)
     return [float(p) * grid.cell_volume / r ** grid.dim for p in peaks]
-
-
-def _cylinder_average_max(grid: Grid, mass: np.ndarray, r: float) -> float:
-    """max over centers of the ball integral of mass, times r^(-n)."""
-    return _cylinder_average_maxima(grid, mass[None], r)[0]
 
 
 def _trapezoid_weights(times: np.ndarray, t_end: float) -> np.ndarray:
@@ -231,7 +224,7 @@ def carleson_functional(f: GridField, derivative_order: int, R: float) -> float:
     # scalar powers of t: numpy's array power may round them differently
     i = derivative_order
     sq, = _free_magnitudes(f, np.array([t ** 4 for t in t_nodes]), (i,))
-    sq *= np.array([t ** i for t in t_nodes]).reshape((-1,) + (1,) * grid.dim)
+    sq *= np.array([t ** i for t in t_nodes]).reshape((-1,) + (1,) * (grid.dim + 1))
     sq **= 2
 
     best = 0.0
@@ -239,7 +232,7 @@ def carleson_functional(f: GridField, derivative_order: int, R: float) -> float:
         sel = sq[m * q:]
         w = np.full(sel.shape[0], dlog)
         w[0] = w[-1] = dlog / 2.0
-        best = max(best, _cylinder_average_max(grid, np.tensordot(w, sel, axes=(0, 0)), r))
+        best = max(best, _cylinder_average_maxima(grid, np.tensordot(w, sel, axes=(0, 0)), r)[0])
     return best
 
 
@@ -283,8 +276,8 @@ def smoothing_ratios(u0: GridField, R: float) -> dict:
     quart = 0.0
     for r in radii:
         mass2 = integrate(h2, r ** 4) + integrate(g2, r ** 4) / r ** 2
-        cyl = max(cyl, _cylinder_average_max(grid, mass2, r))
-        quart = max(quart, _cylinder_average_max(grid, integrate(g4, r ** 4), r))
+        cyl = max(cyl, _cylinder_average_maxima(grid, mass2, r)[0])
+        quart = max(quart, _cylinder_average_maxima(grid, integrate(g4, r ** 4), r)[0])
     return {
         "R": R,
         "bmo": bmo,
@@ -304,16 +297,17 @@ def _first_peak(values, keys, none):
     return (values[j], keys[j]) if values[j] > 0 else (0.0, none)
 
 
-def _member_magnitudes(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Pointwise magnitude of each member of a field-layout stack.
-
-    values are (num_frames,) + grid.shape + components + (members,); the
-    result is (num_frames, members) + grid.shape.  Each member's components
-    are squared into one contiguous block, so they are summed in the order of
-    that member's own magnitude (numpy sums 8 or more contiguous terms
-    pairwise, strided ones left to right)."""
-    sq = np.square(np.moveaxis(values, -1, 1), order="C")
-    return np.sqrt(sq.sum(axis=tuple(range(2 + grid.dim, sq.ndim))))
+def _member_magnitudes(grid: Grid, num_frames: int, members: int, values) -> np.ndarray:
+    """Pointwise magnitude of each member of a field-layout stack, (num_frames,
+    members) + grid.shape, block by block: values(block) gives the frames of
+    that slice, (frames,) + grid.shape + components + (members,).  A member's
+    components are squared into one contiguous block and summed in the order
+    of its own magnitude (numpy's contiguous sum is pairwise from 8 terms)."""
+    out = np.empty((num_frames, members) + grid.shape)
+    for block in frame_blocks(grid, num_frames):
+        sq = np.square(np.moveaxis(values(block), -1, 1), order="C")
+        np.sqrt(sq.sum(axis=tuple(range(2 + grid.dim, sq.ndim)), out=out[block]), out=out[block])
+    return out
 
 
 def _space_time_scan(grid: Grid, times: np.ndarray, T: float | None, sup_terms,
@@ -391,56 +385,61 @@ def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
              + sup_scales (R^(-n) int_{P_R} |grad^2 u|^2)^(1/2)
 
     over parabolic cylinders P_R(x, R^4) = B_R(x) x [0, R^4] with dyadic R at
-    or below T^(1/4) and every lattice center.  The stack is transformed once.
+    or below T^(1/4) and every lattice center (``x_norms``).
     """
     return x_norms(SpaceTimeField(u.grid, u.times, u.values[..., None]), T)[0]
 
 
-def stack_magnitudes(grid: Grid, num_frames: int, derivatives) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise |grad u| and |grad^2 u| of a stack, each of shape
-    (num_frames,) + grid.shape, filled block by block (``frame_blocks``):
-    derivatives(block) gives the component-major gradient and Hessian of
-    the frames in that slice, and only one block's are held at a time."""
-    grad_mag = np.empty((num_frames,) + grid.shape)
-    hess_mag = np.empty((num_frames,) + grid.shape)
-    for block in frame_blocks(grid, num_frames):
-        grad, hess = derivatives(block)
-        grad_mag[block] = pointwise_norm(grad, grid, lead=1)
-        hess_mag[block] = pointwise_norm(hess, grid, lead=1)
-    return grad_mag, hess_mag
+def stack_magnitudes(grid: Grid, num_frames: int, members: int, derivatives) -> list[np.ndarray]:
+    """One (num_frames, members) + grid.shape stack of pointwise magnitudes per
+    derivative, filled block by block (``frame_blocks``): derivatives(block)
+    gives one block's component-major derivatives, members before frames, one
+    at a time, and map frees each once reduced, before a generator makes the next."""
+    def magnitudes(deriv):  # of one block, (frames, members) + grid.shape
+        deriv = deriv.reshape((-1, members) + deriv.shape[-1 - grid.dim:])
+        return np.swapaxes(pointwise_norm(deriv, grid, lead=2), 0, 1)
+
+    blocks = frame_blocks(grid, num_frames)
+    if len(blocks) == 1:  # its magnitudes are the stacks, with no copy
+        return list(map(magnitudes, derivatives(blocks[0])))
+    out = []
+    for block in blocks:
+        for k, mags in enumerate(map(magnitudes, derivatives(block))):
+            if k == len(out):
+                out.append(np.empty((num_frames, members) + grid.shape))
+            out[k][block] = mags
+    return out
 
 
 def x_norm_from_magnitudes(grid: Grid, times: np.ndarray, values, grad_mag: np.ndarray,
                            hess_mag: np.ndarray, T: float | None = None) -> NormReport:
-    """``x_norm`` of a stack on grid at the frame times from its pointwise
-    |grad u| and |grad^2 u|, each of shape (num_frames,) + grid.shape, for a
-    caller that holds them already.  values(block) gives the field-layout
-    values of the frames in that slice (``frame_blocks``), so |u| is read
-    one block at a time."""
-    u_mag = np.empty(grad_mag.shape)
-    for block in frame_blocks(grid, times.size):  # no whole-stack square
-        u_mag[block] = np.sqrt((values(block) ** 2).sum(axis=-1))
-    return _x_reports(grid, times, u_mag[:, None], grad_mag[:, None], hess_mag[:, None], T)[0]
+    """``x_norm`` from the |grad u| and |grad^2 u| stacks ``stack_magnitudes``
+    gives for one member; values(block) gives the field-layout values of the
+    frames of that slice, so |u| is read one block at a time."""
+    u_mag = _member_magnitudes(grid, times.size, 1, lambda block: values(block)[..., None])
+    return _x_reports(grid, times, u_mag, grad_mag, hess_mag, T)[0]
 
 
 def x_norms(u: SpaceTimeField, T: float | None) -> list[NormReport]:
     """``x_norm`` of each member u.values[..., m:m+1] of a stack whose last
-    axis indexes the members, with each member's bits: one transform of the
-    stack and one scan for all of them."""
-    spec = Spectrum(u)
-    # the members are the derivatives' component axis, (n[, n], members,
-    # frames) + grid, and the scan takes (frames, members) + grid
-    grad_mag = np.swapaxes(pointwise_norm(spec.gradient(), u.grid, lead=2), 0, 1)
-    hess_mag = np.swapaxes(pointwise_norm(spec.hessian(), u.grid, lead=2), 0, 1)
-    del spec  # free the coefficients before the scan, which holds its own stacks
-    return _x_reports(u.grid, u.times, _member_magnitudes(u.values, u.grid), grad_mag,
-                      hess_mag, T)
+    axis indexes the members, with each member's bits: one scan for all of
+    them, and one transform per block of frames (``frame_blocks``)."""
+    def derivatives(block):
+        values = u.values[block]
+        spec = Spectrum.with_coeffs(u.grid, forward_transform(
+            u.grid, components_first(values, values.ndim - 1 - u.grid.dim)))
+        yield spec.gradient()
+        yield spec.hessian()
+
+    stack = (u.grid, u.num_frames, u.codomain_dim)
+    mags = stack_magnitudes(*stack, derivatives)  # before |u|: its stack is not held meanwhile
+    return _x_reports(u.grid, u.times, _member_magnitudes(*stack, u.values.__getitem__), *mags, T)
 
 
-def _y_reports(f: SpaceTimeField, mags: np.ndarray, T: float | None, time_weight: float,
-               power: float, outer: float) -> list[NormReport]:
-    """Forcing norm of each member from its (num_frames, members) +
-    grid.shape stack of |f|."""
+def _y_reports(f: SpaceTimeField, T: float | None, time_weight: float, power: float,
+               outer: float) -> list[NormReport]:
+    """Forcing norm of each member of a stack whose last axis indexes them."""
+    mags = _member_magnitudes(f.grid, f.num_frames, f.codomain_dim, f.values.__getitem__)
     _, halves = _space_time_scan(f.grid, f.times, T, [(mags, time_weight)],
                                  [(mags, power, outer)])
     return [NormReport(sup_part, best, scales, {"sup_time": sup_arg, "cylinder_radius": arg_r})
@@ -460,10 +459,10 @@ def y2_norm(f: SpaceTimeField, T: float | None = None) -> NormReport:
 def y1_norms(f: SpaceTimeField, T: float | None) -> list[NormReport]:
     """``y1_norm`` of each member f.values[..., m:m+1] of a stack whose last
     axis indexes the members, with each member's bits, from one scan."""
-    return _y_reports(f, _member_magnitudes(f.values, f.grid), T, 1.0, 1.0, 1.0)
+    return _y_reports(f, T, 1.0, 1.0, 1.0)
 
 
 def y2_norms(f: SpaceTimeField, T: float | None) -> list[NormReport]:
     """``y2_norm`` of each member f.values[..., m:m+1] of a stack whose last
     axis indexes the members, with each member's bits, from one scan."""
-    return _y_reports(f, _member_magnitudes(f.values, f.grid), T, 0.75, 4.0 / 3.0, 0.75)
+    return _y_reports(f, T, 0.75, 4.0 / 3.0, 0.75)

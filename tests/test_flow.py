@@ -22,7 +22,7 @@ from biflow.flow import (_check_tube, _clamp_to_tube, _DerivBundle, _f1_from_bun
                          _f2_from_bundle, _f3_from_bundle, _tail_radius)
 from biflow.kernel import ALPHA
 from biflow.manifold import SphereTarget, _h_derivs, distance_to_sphere, dpi, project, rho
-from biflow.norms import (NormReport, _cylinder_average_max, _trapezoid_weights,
+from biflow.norms import (NormReport, _cylinder_average_maxima, _trapezoid_weights,
                           bmo_seminorm, carleson_functional, cylinder_radii,
                           smoothing_ratios, stack_magnitudes, x_norm)
 from biflow.semigroup import (apply_G, apply_G_trajectory, apply_S_div_trajectory,
@@ -359,9 +359,9 @@ def test_bundle_forcings_and_norm_bitwise_equal_the_field_layout(dim, M, ambient
     # the magnitudes a Picard pass writes from a bundle's derivatives, of
     # dim * l and dim**2 * l components
     b = _DerivBundle(u.values, target, Spectrum(u))
-    got = stack_magnitudes(u.grid, u.num_frames,
+    got = stack_magnitudes(u.grid, u.num_frames, 1,
                            lambda block: (b.grad[:, :, block], b.hess[:, :, :, block]))
-    for terms, g, w in zip((dim * ambient_dim, dim ** 2 * ambient_dim), got,
+    for terms, g, w in zip((dim * ambient_dim, dim ** 2 * ambient_dim), [m[:, 0] for m in got],
                            _field_layout_bundle(frames, target)[1]):
         if terms < 8:
             assert np.array_equal(g, w)
@@ -618,8 +618,10 @@ def _oracle_x_norm(u, T=None, coeffs=None):
     arg4 = arg2 = None
     for r in cylinder_radii(u.times, T ** 0.25, grid):
         w = _trapezoid_weights(u.times, min(r ** 4, T))
-        m4 = _cylinder_average_max(grid, np.tensordot(w, grad_pow4, axes=(0, 0)), r) ** 0.25
-        m2 = _cylinder_average_max(grid, np.tensordot(w, hess_pow2, axes=(0, 0)), r) ** 0.5
+        m4 = _cylinder_average_maxima(grid, np.tensordot(w, grad_pow4, axes=(0, 0))[None],
+                                      r)[0] ** 0.25
+        m2 = _cylinder_average_maxima(grid, np.tensordot(w, hess_pow2, axes=(0, 0))[None],
+                                      r)[0] ** 0.5
         scales.append((r, m4, m2))
         if m4 > m4_best:
             m4_best, arg4 = m4, r
@@ -885,31 +887,36 @@ def _traced_peak(cfg, u0):
 
 
 def test_picard_solve_peak_memory_holds_one_bundle_at_a_time(sphere3):
-    # 8.70 MiB is the traced peak of this solve, whose bundles hold one block
-    # of 2 frames at a time; the whole-stack bundle read 12.75 MiB, and a
-    # previous iterate's kept alive across the Duhamel sweeps about 20 MiB
+    # 6.70 MiB is the traced peak of this solve, whose bundles hold one block
+    # of 2 frames at a time; 8.70 MiB while a block's derivatives lived on
+    # into the next block's and d_k made a block's gradient and Hessian
+    # together, 12.75 MiB with the whole-stack bundle, and about 20 MiB with
+    # a previous iterate's kept alive across the Duhamel sweeps
     u0 = _wavy_initial_data(3, 16, 0.1)
     cfg = _cfg(u0.grid, sphere3, t_final=0.5, num_frames=4)
-    assert _traced_peak(cfg, u0) <= 1.1 * 8.70 * 2 ** 20
+    assert _traced_peak(cfg, u0) <= 1.1 * 6.70 * 2 ** 20
 
 
 def test_picard_solve_peak_memory_sums_the_jet_in_place(sphere3):
-    # 4.02 MiB is the traced peak of this solve, in blocks of 8 frames and
-    # 1, with the jet's Gram-form sums added in place; its whole-stack
-    # bundle read 4.27 MiB, and the sums written as out-of-place expressions
-    # 4.51 MiB before that
+    # 3.90 MiB is the traced peak of this solve, in blocks of 8 frames and
+    # 1, with the jet's Gram-form sums added in place (4.02 MiB before every
+    # magnitude stack took one blocked path); its whole-stack bundle read
+    # 4.27 MiB, and the sums written as out-of-place expressions 4.51 MiB
+    # before that
     g = Grid(2, 2 * np.pi, 32)
     cfg = _cfg(g, sphere3, num_frames=8)
-    assert _traced_peak(cfg, equator_initial_data(g, 0.05)) <= 1.05 * 4.02 * 2 ** 20
+    assert _traced_peak(cfg, equator_initial_data(g, 0.05)) <= 1.05 * 3.90 * 2 ** 20
 
 
 def test_three_dimensional_solve_peak_memory_is_one_block_of_frames(sphere3):
     # the 3D solve of the benchmark's evolve workload, 9 frames of 16^3
-    # points: 10.32 MiB traced in blocks of 2 frames, against 22.79 MiB with
-    # the whole-stack bundle, projection jet and constraint projection
+    # points: 8.94 MiB traced in blocks of 2 frames (10.32 MiB while a
+    # block's derivatives lived on into the next block's and d_k made a
+    # block's gradient and Hessian together), against 22.79 MiB with the
+    # whole-stack bundle, projection jet and constraint projection
     g = Grid(3, 2 * np.pi, 16)
     cfg = _cfg(g, sphere3, num_frames=8)
-    assert _traced_peak(cfg, equator_initial_data(g, 0.05)) <= 1.05 * 10.32 * 2 ** 20
+    assert _traced_peak(cfg, equator_initial_data(g, 0.05)) <= 1.05 * 8.94 * 2 ** 20
 
 
 # ----------------------------------------------------------------------

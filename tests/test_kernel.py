@@ -112,6 +112,11 @@ def test_profile_invariant_truncation():
         KernelProfile(dim=1, truncation_radius=1.0, tolerance=1e-9)
     with pytest.raises(ValueError):
         KernelProfile(dim=1, truncation_radius=4.0, quadrature_nodes=4)
+    # a node count must be a whole number: nan and inf would pass a bound
+    # check alone, and 16.5 would run
+    for bad in (math.nan, math.inf, 16.5):
+        with pytest.raises(ValueError, match="quadrature_nodes must be an integer >= 8"):
+            KernelProfile(dim=1, truncation_radius=3.2, quadrature_nodes=bad)
     # a non-finite value would pass every comparison it is checked by
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):

@@ -305,15 +305,23 @@ def test_free_scans_transform_u0_once_and_no_t0_frame(monkeypatch, grid128, scan
 
 @pytest.mark.parametrize("dim, M", [(1, 128), (2, 32)])
 def test_free_scans_keep_their_bits_at_every_block_size(monkeypatch, dim, M):
-    # each node of a free scan is evolved and differentiated on its own, so
-    # one node per block, the default blocks and one block of all the nodes
-    # give the same bits
+    # each node of a free scan, and each frame of a space-time norm's stack,
+    # is transformed and differentiated on its own, so one node or frame per
+    # block, the default blocks and one block of them all give the same bits
     g = Grid(dim, 2 * np.pi, M)
     f = GridField(g, np.random.Generator(np.random.Philox(7)).normal(size=g.shape + (2,)))
     R = g.box_length / 4
+    u = _smooth_stack(dim, M, (3,), seed=40 + dim)
+    F = _smooth_stack(dim, M, (dim, 3), seed=50 + dim)
+    T = 0.5 * (u.times[-2] + u.times[-1])
+    # one block by default, whose magnitudes are the stacks themselves; one
+    # frame per block fills fresh stacks block by block
+    assert len(frame_blocks(g, u.num_frames)) == 1
 
     def scans():
-        return ([carleson_functional(f, i, R) for i in (1, 2)], smoothing_ratios(f, R))
+        return ([carleson_functional(f, i, R) for i in (1, 2)], smoothing_ratios(f, R),
+                [(x_norm(u, t), x_norms(u, t), y1_norms(u, t), y2_norms(F, t))
+                 for t in (None, T)])
 
     want = scans()
     for points in (g.points_per_axis ** dim, 2 ** 40):
@@ -335,6 +343,24 @@ def test_smoothing_ratios_peak_memory_within_twice_its_node_stacks():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * stacks
+
+
+def test_x_norm_peak_memory_holds_one_block_of_derivatives():
+    # 4.48 MiB is the traced peak of x_norm of this stack, whose gradient
+    # and Hessian are made one block of 2 frames at a time, each freed once
+    # reduced; differentiating the whole stack at once read 17.05 MiB
+    grid = Grid(2, 2 * np.pi, 64)
+    times = _quartic_times(0.5, 16)
+    vals = np.random.Generator(np.random.Philox(3)).normal(size=times.shape + grid.shape + (3,))
+    u = SpaceTimeField(grid, times, vals)
+    x_norm(u)  # builds the multiplier and ball caches untraced
+    tracemalloc.start()
+    try:
+        x_norm(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 4.48 * 2 ** 20
 
 
 # ----------------------------------------------------------------------
