@@ -285,11 +285,13 @@ class Spectrum:
 
     __slots__ = ("grid", "coeffs")
 
-    def __init__(self, field: GridField | SpaceTimeField):
+    def __init__(self, field: GridField | SpaceTimeField, frames: slice = slice(None)):
+        """Spectrum of a field, or of the frames of one slice of a
+        SpaceTimeField (``frame_blocks``)."""
         lead = 1 if isinstance(field, SpaceTimeField) else 0
         comps = field.values.ndim - lead - field.grid.dim
         self.grid = field.grid
-        self.coeffs = forward_transform(field.grid, components_first(field.values, comps))
+        self.coeffs = forward_transform(field.grid, components_first(field.values[frames], comps))
 
     @classmethod
     def with_coeffs(cls, grid: Grid, coeffs: np.ndarray) -> "Spectrum":

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScaleUnresolvableError
-from .fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve, ball_offsets,
-                     components_first, forward_transform, frame_blocks, pointwise_norm)
+from .fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convolve,
+                     ball_offsets, frame_blocks, pointwise_norm)
 from . import semigroup
 
 __all__ = [
@@ -399,11 +399,8 @@ def stack_magnitudes(grid: Grid, num_frames: int, members: int, derivatives) -> 
         deriv = deriv.reshape((-1, members) + deriv.shape[-1 - grid.dim:])
         return np.swapaxes(pointwise_norm(deriv, grid, lead=2), 0, 1)
 
-    blocks = frame_blocks(grid, num_frames)
-    if len(blocks) == 1:  # its magnitudes are the stacks, with no copy
-        return list(map(magnitudes, derivatives(blocks[0])))
     out = []
-    for block in blocks:
+    for block in frame_blocks(grid, num_frames):
         for k, mags in enumerate(map(magnitudes, derivatives(block))):
             if k == len(out):
                 out.append(np.empty((num_frames, members) + grid.shape))
@@ -425,9 +422,7 @@ def x_norms(u: SpaceTimeField, T: float | None) -> list[NormReport]:
     axis indexes the members, with each member's bits: one scan for all of
     them, and one transform per block of frames (``frame_blocks``)."""
     def derivatives(block):
-        values = u.values[block]
-        spec = Spectrum.with_coeffs(u.grid, forward_transform(
-            u.grid, components_first(values, values.ndim - 1 - u.grid.dim)))
+        spec = Spectrum(u, block)
         yield spec.gradient()
         yield spec.hessian()
 

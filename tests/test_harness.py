@@ -457,7 +457,6 @@ _ALLOWED_LAYOUT_SITES = sorted([
     "flow.py: constraint_diagnostics: components_first",
     "norms.py: _member_magnitudes: moveaxis",
     "norms.py: stack_magnitudes.magnitudes: swapaxes",
-    "norms.py: x_norms.derivatives: components_first",
     "semigroup.py: apply_G_trajectory: components_last",
     "semigroup.py: apply_S_trajectory: components_last",
     "semigroup.py: apply_S_div_trajectory: components_last",

@@ -314,9 +314,6 @@ def test_free_scans_keep_their_bits_at_every_block_size(monkeypatch, dim, M):
     u = _smooth_stack(dim, M, (3,), seed=40 + dim)
     F = _smooth_stack(dim, M, (dim, 3), seed=50 + dim)
     T = 0.5 * (u.times[-2] + u.times[-1])
-    # one block by default, whose magnitudes are the stacks themselves; one
-    # frame per block fills fresh stacks block by block
-    assert len(frame_blocks(g, u.num_frames)) == 1
 
     def scans():
         return ([carleson_functional(f, i, R) for i in (1, 2)], smoothing_ratios(f, R),
