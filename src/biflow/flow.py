@@ -42,7 +42,7 @@ from .fields import (Grid, GridField, SpaceTimeField, Spectrum, components_first
                      components_last, forward_transform, frame_blocks, inverse_transform)
 from .kernel import ALPHA, UNIT_SPHERE_AREA, SampleSpec, certify_bound, default_profile
 from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project
-from .norms import bmo_seminorm, cylinder_radii, stack_magnitudes, x_norm_from_magnitudes
+from .norms import bmo_seminorm, cylinder_radii, x_norm_scan
 from .semigroup import apply_G_trajectory, duhamel_sweep, free_spectrum
 
 __all__ = [
@@ -282,8 +282,8 @@ def _iterate_pass(config: FlowConfig, traj: SpaceTimeField, coeffs: np.ndarray,
         acc[:, block] = _forcing_coeffs(grid, config.mode, bundle)
         return (spec.gradient(), spec.hessian()) if clamped else (bundle.grad, bundle.hess)
 
-    mags = stack_magnitudes(grid, traj.num_frames, 1, derivatives)
-    norm = x_norm_from_magnitudes(grid, traj.times, traj.values.__getitem__, *mags, config.t_final)
+    norm, = x_norm_scan(grid, traj.times, 1, lambda block: traj.values[block][..., None],
+                        derivatives, config.t_final)
     return norm.total, acc, clamped
 
 
@@ -313,8 +313,12 @@ def picard_solve(config: FlowConfig, u0: GridField) -> tuple[SpaceTimeField, Flo
 
     Non-contraction (three consecutive difference ratios >= 1) stops the
     iteration with ``failure='contraction-failure'``; diagnostics are still
-    returned.  A tube exit raises unless the policy is 'clamp'.
+    returned.  A tube exit raises unless the policy is 'clamp'; u0 off the
+    config's grid, target dimension or sphere raises ValueError.
     """
+    if u0.grid != config.grid or u0.codomain_dim != config.target.ambient_dim:
+        raise ValueError(f"initial data on {u0.grid} in R^{u0.codomain_dim} do not match the "
+                         f"config's {config.grid} in R^{config.target.ambient_dim}")
     sphere_dev = float(distance_to_sphere(u0.values).max())
     if sphere_dev > 1e-10:
         raise ValueError(f"initial data must map into the sphere (deviation {sphere_dev:.2e})")
@@ -332,9 +336,9 @@ def picard_solve(config: FlowConfig, u0: GridField) -> tuple[SpaceTimeField, Flo
             spec = Spectrum.with_coeffs(grid, new_coeffs[:, block] - coeffs[:, block])
             yield spec.gradient()
             yield spec.hessian()
-        mags = stack_magnitudes(grid, times.size, 1, derivatives)
-        return x_norm_from_magnitudes(
-            grid, times, lambda block: new.values[block] - current.values[block], *mags, T).total
+        return x_norm_scan(grid, times, 1,
+                           lambda block: (new.values[block] - current.values[block])[..., None],
+                           derivatives, T)[0].total
 
     for k in range(config.max_picard_iters):
         diag.tube_clamped |= clamped  # of the forcing this application takes

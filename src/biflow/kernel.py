@@ -160,21 +160,25 @@ def _spherical_means(n: int, s: np.ndarray, r: np.ndarray, ds):
     The base pair (cos x, sin(x)/x) = (Phi_1, Phi_3) for odd n and
     (J_0(x), 2 J_1(x)/x) = (Phi_2, Phi_4) for n = 2 walks up by
     Phi_(d+2) = d (d - 2) / x^2 (Phi_d - Phi_(d-2)) in place, so only two
-    means are held and each is reduced before the walk goes on.  Each step
-    divides a difference of nearly equal means by x^2, so the walk loses
-    digits as x falls; below _MEAN_SWITCH each mean is its Maclaurin series
-    instead.  The argument table is dropped once the base pair is formed.
+    means are held and each is reduced before the walk goes on; a member of
+    the pair, or the 1 / x^2 table, that no target or step of the walk reads
+    is not formed.  Each step divides a difference of nearly equal means by
+    x^2, so the walk loses digits as x falls; below _MEAN_SWITCH each mean is
+    its Maclaurin series instead.  The argument table is dropped once the base
+    pair is formed.
     """
     x = np.multiply.outer(s, r)
     small = x < _MEAN_SWITCH
     y = x[small] ** 2
     x[small] = 1.0  # the walk's entries there are replaced; keep it off 0
-    if n % 2:
-        lo, hi, d = np.cos(x), np.sin(x), 3
-    else:
-        lo, hi, d = _j0(x), 2.0 * _j1(x), 4
-    hi /= x
-    inv = np.divide(1.0, np.square(x, out=x), out=x)
+    d = 3 if n % 2 else 4
+    if ds[0] < d or ds[-1] > d:  # a target or the walk reads Phi_(d-2)
+        lo = np.cos(x) if n % 2 else _j0(x)
+    if ds[-1] >= d:  # a target or the walk reads Phi_d
+        hi = np.sin(x) if n % 2 else 2.0 * _j1(x)
+        hi /= x
+    if ds[-1] > d:  # the walk reads 1 / x^2
+        inv = np.divide(1.0, np.square(x, out=x), out=x)
     del x
     for target in ds:
         while d < target:

@@ -34,9 +34,8 @@ __all__ = [
     "carleson_functional",
     "cylinder_radii",
     "smoothing_ratios",
-    "stack_magnitudes",
     "x_norm",
-    "x_norm_from_magnitudes",
+    "x_norm_scan",
     "x_norms",
     "y1_norm",
     "y1_norms",
@@ -98,7 +97,7 @@ def _geometric_nodes(top: float, octaves: int, points_per_octave: int) -> np.nda
 
 def _free_magnitudes(u0: GridField, ts: np.ndarray, orders) -> list[np.ndarray]:
     """Stacks of pointwise |grad^i G(t) u0| over the nodes ts, one (nodes, 1)
-    + grid.shape stack per order i (``stack_magnitudes``).  u0 is transformed
+    + grid.shape stack per order i (``_stack_magnitudes``).  u0 is transformed
     once; each block of nodes is one ``free_spectrum``, whose derivatives are
     read off it with their inverse transforms alone."""
     spec = Spectrum(u0)
@@ -106,7 +105,7 @@ def _free_magnitudes(u0: GridField, ts: np.ndarray, orders) -> list[np.ndarray]:
     def derivatives(block):
         free = semigroup.free_spectrum(spec, ts[block])
         yield from (free.gradient() if i == 1 else free.hessian() for i in orders)
-    return stack_magnitudes(u0.grid, len(ts), 1, derivatives)
+    return _stack_magnitudes(u0.grid, len(ts), 1, derivatives)
 
 
 def _cylinder_average_maxima(grid: Grid, masses: np.ndarray, r: float) -> list[float]:
@@ -363,34 +362,7 @@ def _space_time_scan(grid: Grid, times: np.ndarray, T: float | None, sup_terms,
     return pos, halves
 
 
-def _x_reports(grid: Grid, times: np.ndarray, u_mag: np.ndarray, grad_mag: np.ndarray,
-               hess_mag: np.ndarray, T: float | None) -> list[NormReport]:
-    """x_norm of each member from its (num_frames, members) + grid.shape
-    stacks of |u|, |grad u| and |grad^2 u|."""
-    pos, halves = _space_time_scan(grid, times, T, [(grad_mag, 0.25), (hess_mag, 0.5)],
-                                   [(grad_mag, 4, 0.25), (hess_mag, 2, 0.5)])
-    sups = u_mag[pos].reshape(pos.size, len(halves), -1).max(axis=(0, 2))
-    return [NormReport(float(s), weighted + m4 + m2, scales,
-                       {"weighted_sup_time": weighted_arg,
-                        "morrey4_radius": arg4, "morrey2_radius": arg2})
-            for s, ((weighted, weighted_arg), [(m4, arg4), (m2, arg2)], scales)
-            in zip(sups, halves)]
-
-
-def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
-    """Solution-space norm: sup |u| plus the gradient seminorm.
-
-    seminorm = sup_t (t^(1/4) ||grad u||_inf + t^(1/2) ||grad^2 u||_inf)
-             + sup_scales (R^(-n) int_{P_R} |grad u|^4)^(1/4)
-             + sup_scales (R^(-n) int_{P_R} |grad^2 u|^2)^(1/2)
-
-    over parabolic cylinders P_R(x, R^4) = B_R(x) x [0, R^4] with dyadic R at
-    or below T^(1/4) and every lattice center (``x_norms``).
-    """
-    return x_norms(SpaceTimeField(u.grid, u.times, u.values[..., None]), T)[0]
-
-
-def stack_magnitudes(grid: Grid, num_frames: int, members: int, derivatives) -> list[np.ndarray]:
+def _stack_magnitudes(grid: Grid, num_frames: int, members: int, derivatives) -> list[np.ndarray]:
     """One (num_frames, members) + grid.shape stack of pointwise magnitudes per
     derivative, filled block by block (``frame_blocks``): derivatives(block)
     gives one block's component-major derivatives, members before frames, one
@@ -408,56 +380,81 @@ def stack_magnitudes(grid: Grid, num_frames: int, members: int, derivatives) -> 
     return out
 
 
-def x_norm_from_magnitudes(grid: Grid, times: np.ndarray, values, grad_mag: np.ndarray,
-                           hess_mag: np.ndarray, T: float | None = None) -> NormReport:
-    """``x_norm`` from the |grad u| and |grad^2 u| stacks ``stack_magnitudes``
-    gives for one member; values(block) gives the field-layout values of the
-    frames of that slice, so |u| is read one block at a time."""
-    u_mag = _member_magnitudes(grid, times.size, 1, lambda block: values(block)[..., None])
-    return _x_reports(grid, times, u_mag, grad_mag, hess_mag, T)[0]
+def x_norm_scan(grid: Grid, times: np.ndarray, members: int, values, derivatives,
+                T: float | None) -> list[NormReport]:
+    """``x_norm`` of each member of a stack, with each member's bits, from one
+    scan.  values(block) gives the field-layout values of the frames of that
+    slice, members last (``_member_magnitudes``), and derivatives(block) their
+    component-major gradient, then Hessian (``_stack_magnitudes``)."""
+    grad_mag, hess_mag = _stack_magnitudes(grid, times.size, members, derivatives)
+    u_mag = _member_magnitudes(grid, times.size, members, values)  # last: not held meanwhile
+    pos, halves = _space_time_scan(grid, times, T, [(grad_mag, 0.25), (hess_mag, 0.5)],
+                                   [(grad_mag, 4, 0.25), (hess_mag, 2, 0.5)])
+    sups = u_mag[pos].reshape(pos.size, members, -1).max(axis=(0, 2))
+    return [NormReport(float(s), weighted + m4 + m2, scales,
+                       {"weighted_sup_time": weighted_arg,
+                        "morrey4_radius": arg4, "morrey2_radius": arg2})
+            for s, ((weighted, weighted_arg), [(m4, arg4), (m2, arg2)], scales)
+            in zip(sups, halves)]
+
+
+def _spectral_derivatives(u: SpaceTimeField, block: slice):
+    """Gradient, then Hessian, of one block of frames, from one transform."""
+    spec = Spectrum(u, block)
+    yield spec.gradient()
+    yield spec.hessian()
+
+
+def x_norm(u: SpaceTimeField, T: float | None = None) -> NormReport:
+    """Solution-space norm: sup |u| plus the gradient seminorm.
+
+    seminorm = sup_t (t^(1/4) ||grad u||_inf + t^(1/2) ||grad^2 u||_inf)
+             + sup_scales (R^(-n) int_{P_R} |grad u|^4)^(1/4)
+             + sup_scales (R^(-n) int_{P_R} |grad^2 u|^2)^(1/2)
+
+    over parabolic cylinders P_R(x, R^4) = B_R(x) x [0, R^4] with dyadic R at
+    or below T^(1/4) and every lattice center (``x_norm_scan``).
+    """
+    return x_norm_scan(u.grid, u.times, 1, lambda block: u.values[block][..., None],
+                       lambda block: _spectral_derivatives(u, block), T)[0]
 
 
 def x_norms(u: SpaceTimeField, T: float | None) -> list[NormReport]:
     """``x_norm`` of each member u.values[..., m:m+1] of a stack whose last
-    axis indexes the members, with each member's bits: one scan for all of
-    them, and one transform per block of frames (``frame_blocks``)."""
-    def derivatives(block):
-        spec = Spectrum(u, block)
-        yield spec.gradient()
-        yield spec.hessian()
-
-    stack = (u.grid, u.num_frames, u.codomain_dim)
-    mags = stack_magnitudes(*stack, derivatives)  # before |u|: its stack is not held meanwhile
-    return _x_reports(u.grid, u.times, _member_magnitudes(*stack, u.values.__getitem__), *mags, T)
+    axis indexes the members, with each member's bits, from one scan."""
+    return x_norm_scan(u.grid, u.times, u.codomain_dim, u.values.__getitem__,
+                       lambda block: _spectral_derivatives(u, block), T)
 
 
-def _y_reports(f: SpaceTimeField, T: float | None, time_weight: float, power: float,
-               outer: float) -> list[NormReport]:
-    """Forcing norm of each member of a stack whose last axis indexes them."""
-    mags = _member_magnitudes(f.grid, f.num_frames, f.codomain_dim, f.values.__getitem__)
-    _, halves = _space_time_scan(f.grid, f.times, T, [(mags, time_weight)],
-                                 [(mags, power, outer)])
+def _y_reports(grid: Grid, times: np.ndarray, members: int, values, T: float | None,
+               time_weight: float, power: float, outer: float) -> list[NormReport]:
+    """Forcing norm of each member of a stack (``_member_magnitudes``)."""
+    mags = _member_magnitudes(grid, times.size, members, values)
+    _, halves = _space_time_scan(grid, times, T, [(mags, time_weight)], [(mags, power, outer)])
     return [NormReport(sup_part, best, scales, {"sup_time": sup_arg, "cylinder_radius": arg_r})
             for (sup_part, sup_arg), [(best, arg_r)], scales in halves]
 
 
 def y1_norm(f: SpaceTimeField, T: float | None = None) -> NormReport:
     """Forcing norm sup_t t ||f||_inf + sup cylinders r^(-n) int |f|."""
-    return y1_norms(SpaceTimeField(f.grid, f.times, f.values[..., None]), T)[0]
+    return _y_reports(f.grid, f.times, 1, lambda block: f.values[block][..., None], T,
+                      1.0, 1.0, 1.0)[0]
 
 
 def y2_norm(f: SpaceTimeField, T: float | None = None) -> NormReport:
     """Flux norm sup_t t^(3/4) ||f||_inf + sup (r^(-n) int |f|^(4/3))^(3/4)."""
-    return y2_norms(SpaceTimeField(f.grid, f.times, f.values[..., None]), T)[0]
+    return _y_reports(f.grid, f.times, 1, lambda block: f.values[block][..., None], T,
+                      0.75, 4.0 / 3.0, 0.75)[0]
 
 
 def y1_norms(f: SpaceTimeField, T: float | None) -> list[NormReport]:
     """``y1_norm`` of each member f.values[..., m:m+1] of a stack whose last
     axis indexes the members, with each member's bits, from one scan."""
-    return _y_reports(f, T, 1.0, 1.0, 1.0)
+    return _y_reports(f.grid, f.times, f.codomain_dim, f.values.__getitem__, T, 1.0, 1.0, 1.0)
 
 
 def y2_norms(f: SpaceTimeField, T: float | None) -> list[NormReport]:
     """``y2_norm`` of each member f.values[..., m:m+1] of a stack whose last
     axis indexes the members, with each member's bits, from one scan."""
-    return _y_reports(f, T, 0.75, 4.0 / 3.0, 0.75)
+    return _y_reports(f.grid, f.times, f.codomain_dim, f.values.__getitem__, T,
+                      0.75, 4.0 / 3.0, 0.75)

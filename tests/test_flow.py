@@ -22,9 +22,9 @@ from biflow.flow import (_check_tube, _clamp_to_tube, _DerivBundle, _f1_from_bun
                          _f2_from_bundle, _f3_from_bundle, _tail_radius)
 from biflow.kernel import ALPHA
 from biflow.manifold import SphereTarget, _h_derivs, distance_to_sphere, dpi, project, rho
-from biflow.norms import (NormReport, _cylinder_average_maxima, _trapezoid_weights,
-                          bmo_seminorm, carleson_functional, cylinder_radii,
-                          smoothing_ratios, stack_magnitudes, x_norm)
+from biflow.norms import (NormReport, _cylinder_average_maxima, _stack_magnitudes,
+                          _trapezoid_weights, bmo_seminorm, carleson_functional,
+                          cylinder_radii, smoothing_ratios, x_norm)
 from biflow.semigroup import (apply_G, apply_G_trajectory, apply_S_div_trajectory,
                               apply_S_trajectory, duhamel_sweep, free_spectrum,
                               operator_bound_experiment)
@@ -359,8 +359,8 @@ def test_bundle_forcings_and_norm_bitwise_equal_the_field_layout(dim, M, ambient
     # the magnitudes a Picard pass writes from a bundle's derivatives, of
     # dim * l and dim**2 * l components
     b = _DerivBundle(u.values, target, Spectrum(u))
-    got = stack_magnitudes(u.grid, u.num_frames, 1,
-                           lambda block: (b.grad[:, :, block], b.hess[:, :, :, block]))
+    got = _stack_magnitudes(u.grid, u.num_frames, 1,
+                            lambda block: (b.grad[:, :, block], b.hess[:, :, :, block]))
     for terms, g, w in zip((dim * ambient_dim, dim ** 2 * ambient_dim), [m[:, 0] for m in got],
                            _field_layout_bundle(frames, target)[1]):
         if terms < 8:
@@ -401,6 +401,19 @@ def test_picard_requires_sphere_valued_data(grid64, sphere3):
     bad = GridField(grid64, np.full(grid64.shape + (3,), [1.1, 0.0, 0.0]))
     with pytest.raises(ValueError):
         picard_solve(_cfg(grid64, sphere3), bad)
+
+
+@pytest.mark.parametrize("points, ambient_dim, t_final", [(16, 3, 1.0), (16, 3, 0.004),
+                                                         (64, 4, 1.0)])
+def test_picard_rejects_data_off_the_config(monkeypatch, sphere3, points, ambient_dim, t_final):
+    # the config is on 64 points into R^3; t_final = 0.004 resolves a scale
+    # on its grid but none on u0's 16 points: the solve must name the
+    # mismatch, not the scale, and before any transform
+    u0 = equator_initial_data(Grid(1, 2.0 * np.pi, points), 0.05, 1, ambient_dim)
+    cfg = _cfg(Grid(1, 2.0 * np.pi, 64), sphere3, t_final=t_final)
+    monkeypatch.setattr("biflow.flow.Spectrum", None)
+    with pytest.raises(ValueError, match="do not match"):
+        picard_solve(cfg, u0)
 
 
 def test_small_data_contraction_family(grid64, sphere3):

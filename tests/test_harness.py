@@ -456,7 +456,7 @@ _ALLOWED_LAYOUT_SITES = sorted([
     "flow.py: constraint_diagnostics: components_first",
     "flow.py: constraint_diagnostics: components_first",
     "norms.py: _member_magnitudes: moveaxis",
-    "norms.py: stack_magnitudes.magnitudes: swapaxes",
+    "norms.py: _stack_magnitudes.magnitudes: swapaxes",
     "semigroup.py: apply_G_trajectory: components_last",
     "semigroup.py: apply_S_trajectory: components_last",
     "semigroup.py: apply_S_div_trajectory: components_last",
@@ -690,6 +690,34 @@ def test_fft_lint_sees_every_spelling_of_a_transform():
         "irfftn(c, axes=a)\nscipy.fft.irfftn(c, s=g.shape)\nscipy.fft.irfftn(c)\n")
     assert sorted(set(_fft_lines(probe))) == [3, 4, 5, 6, 7, 9, 10, 13, 14]
     assert list(_irfftn_calls_without_shape(probe)) == [12, 14]
+
+
+def _calls_of(tree, name):
+    """Line numbers of every call of name, bare (f()) or as an attribute (m.f())."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
+                yield node.lineno
+
+
+def test_no_norm_builds_a_field():
+    # a norm reads its input's values in place, through callbacks that give
+    # one block of frames: it never copies the stack into a new field
+    src = Path(__file__).resolve().parents[1] / "src" / "biflow"
+    assert list(_calls_of(ast.parse((src / "norms.py").read_text()), "SpaceTimeField")) == []
+    # the scan does see the fields other modules build
+    assert list(_calls_of(ast.parse((src / "semigroup.py").read_text()), "SpaceTimeField"))
+
+
+def test_field_lint_sees_every_spelling_of_a_construction():
+    probe = ast.parse(
+        "from .fields import SpaceTimeField\nfrom . import fields\n"
+        "def f(u: SpaceTimeField) -> SpaceTimeField:\n"
+        "    a = SpaceTimeField(u.grid, u.times, u.values[..., None])\n"
+        "    b = isinstance(u, SpaceTimeField)\n"
+        "    return fields.SpaceTimeField(u.grid, u.times, u.values), a, b\n")
+    assert list(_calls_of(probe, "SpaceTimeField")) == [4, 6]
 
 
 _FREQUENCY_OPS = ("wavenumbers", "fftfreq", "rfftfreq")
