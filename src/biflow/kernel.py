@@ -66,8 +66,9 @@ class KernelProfile:
 
     ``truncation_radius`` is the cutoff K of the k-integral; the integrand
     tail beyond K is below tolerance/10 by construction (enforced here).
-    ``quadrature_nodes`` is the baseline node density per unit k; it is
-    increased automatically with the oscillation frequency |xi|.
+    ``quadrature_nodes`` is the baseline node density per unit k; the rule
+    for a point xi adds |xi| nodes per unit k, rounded up to whole 16-node
+    panels, so each point pays only for its own oscillation frequency.
     """
 
     dim: int
@@ -121,11 +122,16 @@ def _composite_gl(a: float, b: float, panels: int):
     return nodes, weights
 
 
-def _radial_rule(profile: KernelProfile, freq: float, r_max: float | None = None):
-    top = profile.truncation_radius if r_max is None else r_max
-    per_unit = profile.quadrature_nodes + abs(freq)
-    panels = max(4, int(math.ceil(top * per_unit / _GL_POINTS)))
-    return _composite_gl(0.0, top, panels)
+def _radial_panels(profile: KernelProfile, freq, top: float):
+    """Panels of the rule on [0, top] for each oscillation frequency in freq:
+    quadrature_nodes + |freq| nodes per unit length, at least four panels."""
+    per_unit = profile.quadrature_nodes + np.abs(freq)
+    return np.maximum(4, np.ceil(top * per_unit / _GL_POINTS)).astype(int)
+
+
+def _radial_rule(profile: KernelProfile, top: float):
+    """The rule on [0, top] for the frequency 0."""
+    return _composite_gl(0.0, top, int(_radial_panels(profile, 0.0, top)))
 
 
 # ----------------------------------------------------------------------
@@ -199,23 +205,33 @@ def _radial_derivs(profile: KernelProfile, s: np.ndarray, ks) -> dict[int, np.nd
     """{k: D^k G_n(s)} for each k in ks, increasing, by quadrature of the
     radial reduction of G_(n+2k).
 
-    |Phi_d| <= 1, so eps times the absolute sum of an order's weights is the
-    rounding floor of its sum; a tolerance below it cannot be met.
+    Each point takes the rule its own |xi| = s asks for, and the points
+    sharing a panel count share one table of spherical means.  |Phi_d| <= 1,
+    so eps times the absolute sum of an order's weights is the rounding floor
+    of its sum; a tolerance below it cannot be met.  The guard checks every
+    rule used and the rule of s = 0, so an empty batch is checked too.
     """
     n = profile.dim
     s = np.asarray(s, dtype=float)
-    freq = float(np.max(s)) if s.size else 0.0
-    r, w = _radial_rule(profile, freq)
-    base = w * r ** (n - 1) * np.exp(-r ** 4)
-    weights = {k: (-1) ** k * _RADIAL_FACTOR[n] / math.prod(range(n, n + 2 * k, 2))
-               * base * r ** (2 * k) for k in ks}
-    floor = max(np.finfo(float).eps * float(np.abs(wk).sum()) for wk in weights.values())
-    if floor > profile.tolerance:
-        raise QuadratureResidualError(
-            f"rounding floor {floor:.3e} of the radial quadrature exceeds tolerance "
-            f"{profile.tolerance:.3e}; double precision cannot meet it")
-    return {k: phi @ weights[k]
-            for k, phi in zip(ks, _spherical_means(n, s, r, [n + 2 * k for k in ks]))}
+    if not np.isfinite(s).all():
+        raise ValueError(f"kernel point |xi| = {s[~np.isfinite(s)][0]} is not finite")
+    K = profile.truncation_radius
+    panels = _radial_panels(profile, s, K)
+    out = {k: np.empty(s.shape) for k in ks}
+    for count in np.unique(np.append(panels, _radial_panels(profile, 0.0, K))):
+        r, w = _composite_gl(0.0, K, int(count))
+        base = w * r ** (n - 1) * np.exp(-r ** 4)
+        weights = {k: (-1) ** k * _RADIAL_FACTOR[n] / math.prod(range(n, n + 2 * k, 2))
+                   * base * r ** (2 * k) for k in ks}
+        floor = max(np.finfo(float).eps * float(np.abs(wk).sum()) for wk in weights.values())
+        if floor > profile.tolerance:
+            raise QuadratureResidualError(
+                f"rounding floor {floor:.3e} of the radial quadrature exceeds tolerance "
+                f"{profile.tolerance:.3e}; double precision cannot meet it")
+        rows = panels == count
+        for k, phi in zip(ks, _spherical_means(n, s[rows], r, [n + 2 * k for k in ks])):
+            out[k][rows] = phi @ weights[k]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +361,7 @@ def kernel_mass(profile: KernelProfile, t: float) -> float:
     if not 0 < t < math.inf:
         raise InvalidTimeError(f"kernel time must be positive and finite, got {t}")
     n = profile.dim
-    rho, w = _radial_rule(profile, 0.0, r_max=36.0)
+    rho, w = _radial_rule(profile, 36.0)
     # physical nodes x = t^(1/4) rho along a ray; values t^(-n/4) g(rho)
     pts = np.zeros((rho.size, n))
     pts[:, 0] = (t ** 0.25) * rho
@@ -458,7 +474,7 @@ def _l1_profile_norm(profile, k, c1):
     """(||grad^k g||_L1 over |xi| <= 20, exponential tail bound beyond)."""
     n = profile.dim
     r_inner = 20.0
-    rho, w = _radial_rule(profile, 0.0, r_max=r_inner)
+    rho, w = _radial_rule(profile, r_inner)
     pts = np.zeros((rho.size, n))
     pts[:, 0] = rho
     vals = gradient_magnitude(profile, pts, k)

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import gamma
 
 from biflow import kernel
-from biflow.errors import InvalidTimeError, UnsupportedOrderError
+from biflow.errors import InvalidTimeError, QuadratureResidualError, UnsupportedOrderError
 from biflow.kernel import (ALPHA, KernelProfile, SampleSpec, BoundCertificate,
                            certify_bound, default_profile, eval_kernel,
                            eval_profile, gradient_magnitude, kernel_mass)
@@ -132,6 +133,26 @@ def test_imaginary_residual_guard():
     p = default_profile(1, tolerance=1e-30)
     with pytest.raises(QuadratureResidualError):
         eval_profile(p, np.linspace(0.1, 20.0, 50))
+
+
+@pytest.mark.parametrize("points", [np.empty((0, 1)), np.zeros((1, 1)), np.full((1, 1), 1e3)],
+                         ids=["empty", "origin", "far"])
+def test_rounding_floor_guard_does_not_depend_on_the_point_set(points):
+    # every call checks the rule of |xi| = 0 beside the rules its points use,
+    # so no batch, an empty one included, slips past the guard
+    with pytest.raises(QuadratureResidualError, match="rounding floor"):
+        eval_profile(default_profile(1, tolerance=1e-30), points)
+
+
+@pytest.mark.parametrize("evaluate, x", [
+    (eval_profile, math.nan),
+    (eval_profile, math.inf),
+    (lambda p, x: eval_kernel(p, x, 1.0), 1e200),  # |xi|^2 overflows
+], ids=["nan", "inf", "overflow"])
+def test_non_finite_points_are_rejected(evaluate, x):
+    # a non-finite |xi| has no quadrature rule; it must not turn into NaN
+    with pytest.raises(ValueError, match="is not finite"), np.errstate(over="ignore"):
+        evaluate(default_profile(1), x)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -549,3 +570,50 @@ def test_complex_lint_sees_every_spelling():
               "resid = abs(out.imag).max() + out.real.sum()\n")
     assert sorted(_complex_uses(source)) == sorted([
         "2: 1j", "3: complex", "4: .complex128", "5: 'complex128'", "6: .imag", "6: .real"])
+
+
+@pytest.mark.parametrize("refined", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_each_point_takes_the_rule_of_its_own_frequency(monkeypatch, dim, refined):
+    # over a batch spanning |xi| = 0.05-26, each point's table row has
+    # 16 max(4, ceil(K (q + |xi|) / 16)) nodes from its own |xi|, not the
+    # node count of the batch's largest |xi|
+    p = default_profile(dim)
+    p = p.refined() if refined else p
+    rng = np.random.Generator(np.random.Philox(5))
+    dirs = rng.normal(size=(40, dim))
+    pts = np.geomspace(0.05, 26.0, 40)[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    seen = []
+    spherical_means = kernel._spherical_means
+
+    def spy(n, s, r, ds):
+        seen.extend((float(v), r.size) for v in s)
+        return spherical_means(n, s, r, ds)
+
+    monkeypatch.setattr(kernel, "_spherical_means", spy)
+    gradient_magnitude(p, pts, 2)
+    K, q = p.truncation_radius, p.quadrature_nodes
+    want = [(s, 16 * max(4, math.ceil(K * (q + s) / 16)))
+            for s in map(float, np.sqrt((pts ** 2).sum(axis=1)))]
+    assert sorted(seen) == sorted(want)
+
+
+def _traced_peak(fn, *args):
+    """Traced peak of a second call of fn(*args), the first one untraced."""
+    fn(*args)  # fills the multi-index caches untraced
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_far_point_does_not_size_the_whole_batch():
+    # 1.95 MiB is the traced peak of this 2D batch, 1,000 points with
+    # |xi| in [0.05, 5] and one at |xi| = 1000, when each point takes its own
+    # rule; the far point's rule for every row read 114.6 MiB
+    pts = np.zeros((1001, 2))
+    pts[:1000, 0] = np.linspace(0.05, 5.0, 1000)
+    pts[1000, 0] = 1e3
+    assert _traced_peak(gradient_magnitude, default_profile(2), pts, 2) <= 1.1 * 1.95 * 2 ** 20
