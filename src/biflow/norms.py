@@ -154,18 +154,28 @@ def cylinder_radii(u_times: np.ndarray, top: float, grid: Grid) -> list[float]:
 # ----------------------------------------------------------------------
 
 def _oscillation_value(f: GridField, r: float) -> float:
-    """max over centers of r^(-n) * h^n * sum_ball |f - ball average|."""
-    grid = f.grid
+    """max over centers of r^(-n) * h^n * sum_ball |f - ball average|.
+
+    f shifted by an offset is a view into one periodic padding of its
+    component-major stack; offsets add in ``ball_offsets`` order."""
+    grid, M = f.grid, f.grid.points_per_axis
     offs = ball_offsets(grid, r)
-    count = offs.shape[0]
-    means = np.stack([ball_convolve(grid, f.values[..., c], r)
-                      for c in range(f.codomain_dim)], axis=-1) / count
-    acc = np.zeros(grid.shape)
-    axes = tuple(range(grid.dim))
+    comps = np.stack([f.values[..., c] for c in range(f.codomain_dim)])
+    means = ball_convolve(grid, comps, r) / offs.shape[0]
+    s = int(np.abs(offs).max())
+    padded = np.pad(comps, [(0, 0)] + [(s, s)] * grid.dim, mode="wrap")
+    diff, dist, acc = comps, np.empty(grid.shape), np.zeros(grid.shape)  # comps: read via padded
     for off in offs:
-        shifted = np.roll(f.values, shift=tuple(-off), axis=axes)
-        acc += np.sqrt(((shifted - means) ** 2).sum(axis=-1))
+        window = padded[(slice(None),) + tuple(slice(s + o, s + o + M) for o in off)]
+        np.square(np.subtract(window, means, out=diff), out=diff)
+        acc += np.sqrt(diff.sum(axis=0, out=dist), out=dist)
     return float(acc.max()) * grid.cell_volume / r ** grid.dim
+
+
+def _check_top_radius(grid: Grid, R: float) -> None:
+    """Reject a top radius that is not finite or exceeds half the box length."""
+    if not -np.inf < R <= grid.box_length / 2.0:
+        raise ValueError(f"R must be finite and at most half the box length, got {R}")
 
 
 def bmo_seminorm(f: GridField, R: float) -> float:
@@ -174,8 +184,7 @@ def bmo_seminorm(f: GridField, R: float) -> float:
     Lower-bound estimator: all lattice centers, radii {R, R/2, ..., >= 2h}.
     """
     grid = f.grid
-    if R > grid.box_length / 2.0:
-        raise ValueError("R must be at most half the box length")
+    _check_top_radius(grid, R)
     if R <= 2.0 * grid.spacing:
         raise ScaleUnresolvableError(f"R={R:.3g} is not above 2h={2*grid.spacing:.3g}")
     return max(_oscillation_value(f, r) for r in _dyadic_radii(R, grid))
@@ -184,8 +193,7 @@ def bmo_seminorm(f: GridField, R: float) -> float:
 def bmo_seminorm_brute(f: GridField, R: float) -> float:
     """Exhaustive oracle: every lattice center, every integer-step radius <= R."""
     grid = f.grid
-    if R > grid.box_length / 2.0:
-        raise ValueError("R must be at most half the box length")
+    _check_top_radius(grid, R)
     radii = [j * grid.spacing for j in range(1, int(R / grid.spacing) + 1)]
     if not radii:
         raise ScaleUnresolvableError("R below one lattice spacing")
@@ -210,8 +218,7 @@ def carleson_functional(f: GridField, derivative_order: int, R: float) -> float:
     if derivative_order not in (1, 2):
         raise ValueError("the square functional is defined for gradient orders 1 and 2")
     grid = f.grid
-    if R > grid.box_length / 2.0:
-        raise ValueError("R must be at most half the box length")
+    _check_top_radius(grid, R)
     radii = _dyadic_radii(R, grid)
 
     # global geometric t-nodes: R * 2^(-j/q), q per octave; nodes for

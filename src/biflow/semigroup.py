@@ -174,39 +174,66 @@ def apply_S_div_trajectory(F: SpaceTimeField) -> SpaceTimeField:
 # random forcings and operator-bound experiments
 # ----------------------------------------------------------------------
 
+def _draw_modes(rng: np.random.Generator, dim: int, max_mode: int, shapes: int) -> tuple:
+    """Wavevectors (modes, dim, shapes), amplitudes and phases (modes, shapes)
+    of band-limited shapes of 2 max_mode modes, drawn shape by shape and mode
+    by mode: m in [-max_mode, max_mode]^dim, N(0, 1) / (1 + |m|^2), [0, 2 pi)."""
+    if max_mode < 1:
+        raise ValueError(f"max_mode must be at least 1, got {max_mode}: "
+                         "every forcing would be zero")
+    ms = np.empty((2 * max_mode, dim, shapes), dtype=np.int64)
+    amps, phases = np.empty((2, 2 * max_mode, shapes))
+    for s in range(shapes):
+        for j in range(2 * max_mode):
+            m = ms[j, :, s] = rng.integers(-max_mode, max_mode + 1, size=dim)
+            amps[j, s] = rng.normal() / (1.0 + float(m @ m))
+            phases[j, s] = rng.uniform(0, 2 * np.pi)
+    return ms, amps, phases
+
+
+def _mode_sums(grid: Grid, ms: np.ndarray, amps: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """grid.shape + shape axes: per shape of a ``_draw_modes`` stack, the sum
+    of amp cos(2 pi m.x / L + phase) over its modes, each term formed as a
+    lone mode's is and added to zero in mode order, as a per-mode loop adds."""
+    expand = (slice(None),) + (None,) * grid.dim
+    coords = [x[(...,) + (None,) * (amps.ndim - 1)] for x in grid.coordinates()]
+    arg = sum(2 * np.pi * ms[:, ax][expand] * x / grid.box_length for ax, x in enumerate(coords))
+    arg += phases[expand]
+    return np.multiply(np.cos(arg, out=arg), amps[expand], out=arg).sum(axis=0)
+
+
+def _draw_forcing(rng, dim: int, times: np.ndarray, max_mode: int, shapes: int) -> tuple:
+    """A random forcing's modes (``_draw_modes``), then its envelope."""
+    modes = _draw_modes(rng, dim, max_mode, shapes)
+    T = times[-1] if times[-1] > 0 else 1.0
+    c0, c1v, c2 = rng.uniform(0.25, 1.0), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+    return (*modes, c0 + c1v * (times / T) + c2 * (times / T) ** 2)
+
+
+def _forcing_frames(grid: Grid, draws) -> np.ndarray:
+    """(frames,) + grid.shape + (shapes, members): each member's shapes under
+    its envelope, one ``_draw_forcing`` per member, one ``_mode_sums`` for all."""
+    ms, amps, phases, envelopes = (np.stack(a, axis=-1) for a in zip(*draws))
+    return envelopes[(slice(None),) + (None,) * (grid.dim + 1)] * _mode_sums(grid, ms, amps, phases)
+
+
 def random_band_limited_field(grid: Grid, rng: np.random.Generator,
                               max_mode: int = 3, codomain_dim: int = 1) -> GridField:
     """Random real field with spectrum supported on modes |m| <= max_mode and
-    unit amplitude scale."""
-    coords = grid.coordinates()
-    L = grid.box_length
-    vals = np.zeros(grid.shape + (codomain_dim,))
-    for c in range(codomain_dim):
-        acc = np.zeros(grid.shape)
-        for _ in range(2 * max_mode):
-            m = rng.integers(-max_mode, max_mode + 1, size=grid.dim)
-            amp = rng.normal() / (1.0 + float(m @ m))
-            phase = rng.uniform(0, 2 * np.pi)
-            arg = sum(2 * np.pi * m[ax] * coords[ax] / L for ax in range(grid.dim))
-            acc += amp * np.cos(arg + phase)
-        vals[..., c] = acc
-    return GridField(grid, vals)
+    unit amplitude scale: 2 max_mode random cosines per component."""
+    return GridField(grid, _mode_sums(grid, *_draw_modes(rng, grid.dim, max_mode, codomain_dim)))
 
 
 def random_forcing(grid: Grid, times, rng: np.random.Generator,
                    max_mode: int = 3, codomain_dim: int = 1,
                    per_axis: bool = False) -> SpaceTimeField:
     """Random space-time forcing: band-limited shapes of unit amplitude scale
-    under smooth envelopes."""
+    (per component, and per axis if per_axis) under a smooth envelope."""
     times = np.asarray(times, dtype=float)
-    shapes = [random_band_limited_field(grid, rng, max_mode, codomain_dim)
-              for _ in range(grid.dim if per_axis else 1)]
-    T = times[-1] if times[-1] > 0 else 1.0
-    c0, c1v, c2 = rng.uniform(0.25, 1.0), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
-    envelope = c0 + c1v * (times / T) + c2 * (times / T) ** 2
-    base = np.stack([s.values for s in shapes], axis=-2) if per_axis else shapes[0].values
-    frames = envelope[(...,) + (None,) * base.ndim] * base[None, ...]
-    return SpaceTimeField(grid, times, frames)
+    axes = (grid.dim,) if per_axis else ()
+    frames = _forcing_frames(grid, [_draw_forcing(rng, grid.dim, times, max_mode,
+                                                  int(np.prod(axes)) * codomain_dim)])
+    return SpaceTimeField(grid, times, frames.reshape(frames.shape[:-2] + axes + (codomain_dim,)))
 
 
 def operator_bound_experiment(grid: Grid, times, ensemble_size: int, seed: int,
@@ -229,23 +256,19 @@ def operator_bound_experiment(grid: Grid, times, ensemble_size: int, seed: int,
 
     if ensemble_size < 1:
         raise ValueError(f"ensemble_size must be at least 1, got {ensemble_size}")
-    if max_mode < 1:
-        raise ValueError(f"max_mode must be at least 1, got {max_mode}: "
-                         "every forcing would be zero")
     times = np.asarray(times, dtype=float)
     T = float(times[-1])
     rng = np.random.Generator(np.random.Philox(seed))
     per_stack = max(1, _STACK_VALUES // (times.size * grid.points_per_axis ** grid.dim))
 
     def draw(size):
-        # f then F for each member: the draw order of one member at a time
-        f = np.empty((times.size,) + grid.shape + (size,))
-        F = np.empty((times.size,) + grid.shape + (grid.dim, size))
-        for m in range(size):
-            f[..., m:m + 1] = random_forcing(grid, times, rng, max_mode=max_mode).values
-            F[..., m:m + 1] = random_forcing(grid, times, rng, max_mode=max_mode,
-                                             per_axis=True).values
-        return SpaceTimeField(grid, times, f), SpaceTimeField(grid, times, F)
+        # f then F for each member: the draw order of one member at a time;
+        # then every member's shapes in one pass per stack
+        fs, Fs = zip(*[(_draw_forcing(rng, grid.dim, times, max_mode, 1),
+                        _draw_forcing(rng, grid.dim, times, max_mode, grid.dim))
+                       for _ in range(size)])
+        return (SpaceTimeField(grid, times, _forcing_frames(grid, fs)[..., 0, :]),
+                SpaceTimeField(grid, times, _forcing_frames(grid, Fs)))
 
     def ratios(forcing, solve, y_norms):
         # ||S f||_X / ||f||_Y of each member; None where ||f||_Y = 0

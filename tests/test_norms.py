@@ -71,6 +71,56 @@ def test_bmo_scale_errors(grid128):
         bmo_seminorm(f, grid128.box_length)
 
 
+@pytest.mark.parametrize("scan", [bmo_seminorm, bmo_seminorm_brute,
+                                  lambda f, R: carleson_functional(f, 1, R)])
+@pytest.mark.parametrize("R", [np.nan, np.inf, -np.inf])
+def test_non_finite_radius_is_named(grid128, scan, R):
+    # nan used to end in a dyadic-radius or an int() conversion error
+    with pytest.raises(ValueError, match=f"^R must be finite and at most half the box length, got {R}$"):
+        scan(_sine_field(grid128), R)
+
+
+def _oracle_oscillation_value(f, r):
+    # one periodic shift of the whole field per ball offset
+    grid = f.grid
+    offs = ball_offsets(grid, r)
+    count = offs.shape[0]
+    means = np.stack([ball_convolve(grid, f.values[..., c], r)
+                      for c in range(f.codomain_dim)], axis=-1) / count
+    acc = np.zeros(grid.shape)
+    axes = tuple(range(grid.dim))
+    for off in offs:
+        shifted = np.roll(f.values, shift=tuple(-off), axis=axes)
+        acc += np.sqrt(((shifted - means) ** 2).sum(axis=-1))
+    return float(acc.max()) * grid.cell_volume / r ** grid.dim
+
+
+@pytest.mark.parametrize("dim, M, codomain", [
+    (1, 256, 3), (1, 128, 1), (2, 32, 3), (2, 64, 3), (3, 16, 3)])
+def test_oscillation_windows_bitwise_equal_the_shift_loop(dim, M, codomain):
+    grid = Grid(dim, 2 * np.pi, M)
+    vals = np.random.Generator(np.random.Philox(dim + M)).normal(size=grid.shape + (codomain,))
+    f = GridField(grid, vals)
+    for r in norms._dyadic_radii(grid.box_length / 2, grid):
+        assert norms._oscillation_value(f, r) == _oracle_oscillation_value(f, r)
+
+
+def test_oscillation_peak_memory_holds_one_padded_copy():
+    # 3.55 MiB is the traced peak of this scan at R = L/8, whose components
+    # are padded once by the largest offset (the shift loop read 2.77 MiB)
+    grid = Grid(3, 2 * np.pi, 32)
+    f = GridField(grid, np.random.Generator(np.random.Philox(3)).normal(size=grid.shape + (3,)))
+    R = grid.box_length / 8
+    bmo_seminorm(f, R)  # builds the ball caches untraced
+    tracemalloc.start()
+    try:
+        bmo_seminorm(f, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 3718120
+
+
 # ----------------------------------------------------------------------
 # Carleson square functional
 # ----------------------------------------------------------------------

@@ -17,7 +17,8 @@ from biflow.norms import x_norm, y1_norm, y2_norm
 from biflow.semigroup import (PHI_SERIES_THRESHOLD, apply_G,
                               apply_G_trajectory, apply_S,
                               apply_S_div_trajectory, apply_S_trajectory,
-                              operator_bound_experiment, random_forcing)
+                              operator_bound_experiment, random_band_limited_field,
+                              random_forcing)
 
 
 def _philox(seed):
@@ -499,16 +500,74 @@ def test_single_mode_ratio_matches_closed_form_response():
     assert measured == pytest.approx(oracle, abs=1e-6)
 
 
+def _oracle_band_limited_values(grid, rng, max_mode, codomain_dim):
+    # the per-mode loop: one full-grid cosine per mode, added in draw order
+    coords = grid.coordinates()
+    L = grid.box_length
+    vals = np.zeros(grid.shape + (codomain_dim,))
+    for c in range(codomain_dim):
+        acc = np.zeros(grid.shape)
+        for _ in range(2 * max_mode):
+            m = rng.integers(-max_mode, max_mode + 1, size=grid.dim)
+            amp = rng.normal() / (1.0 + float(m @ m))
+            phase = rng.uniform(0, 2 * np.pi)
+            arg = sum(2 * np.pi * m[ax] * coords[ax] / L for ax in range(grid.dim))
+            acc += amp * np.cos(arg + phase)
+        vals[..., c] = acc
+    return vals
+
+
+def _oracle_random_forcing(grid, times, rng, max_mode=3, codomain_dim=1, per_axis=False):
+    # one band-limited field per axis (or one), then the envelope draws
+    times = np.asarray(times, dtype=float)
+    shapes = [_oracle_band_limited_values(grid, rng, max_mode, codomain_dim)
+              for _ in range(grid.dim if per_axis else 1)]
+    T = times[-1] if times[-1] > 0 else 1.0
+    c0, c1v, c2 = rng.uniform(0.25, 1.0), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+    envelope = c0 + c1v * (times / T) + c2 * (times / T) ** 2
+    base = np.stack(shapes, axis=-2) if per_axis else shapes[0]
+    return SpaceTimeField(grid, times, envelope[(...,) + (None,) * base.ndim] * base[None, ...])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("codomain", [1, 2, 3])
+@pytest.mark.parametrize("per_axis", [False, True])
+def test_random_forcing_bitwise_equals_the_per_mode_loop(dim, codomain, per_axis):
+    g = Grid(dim, 2 * np.pi, 16)
+    times = 0.5 * (np.arange(5) / 4) ** 4
+    for max_mode in (1, 3):
+        seed = 100 * dim + 10 * codomain + max_mode
+        want = _oracle_random_forcing(g, times, _philox(seed), max_mode, codomain, per_axis)
+        got = random_forcing(g, times, _philox(seed), max_mode, codomain, per_axis)
+        assert got.values.shape == want.values.shape
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+
+
+@pytest.mark.parametrize("max_mode", [0, -1])
+def test_degenerate_max_mode_is_rejected_by_every_draw(max_mode):
+    # 2 max_mode <= 0 modes would give an all-zero forcing
+    g = Grid(2, 2 * np.pi, 16)
+    message = f"^max_mode must be at least 1, got {max_mode}"
+    with pytest.raises(ValueError, match=message):
+        random_forcing(g, [0.0, 0.1], _philox(0), max_mode=max_mode)
+    with pytest.raises(ValueError, match=message):
+        random_forcing(g, [0.0, 0.1], _philox(0), max_mode=max_mode, per_axis=True)
+    with pytest.raises(ValueError, match=message):
+        random_band_limited_field(g, _philox(0), max_mode=max_mode)
+
+
 def _oracle_operator_bound_experiment(grid, times, ensemble_size, seed, max_mode=3):
-    # the seed's ensemble loop: one member, one sweep and one x_norm at a time
+    # the seed's ensemble loop: one member, one sweep and one x_norm at a time,
+    # each forcing drawn by the per-mode loop
     T = float(times[-1])
     rng = _philox(seed)
     ratios_s, ratios_div = [], []
     for _ in range(ensemble_size):
-        f = random_forcing(grid, times, rng, max_mode=max_mode)
+        f = _oracle_random_forcing(grid, times, rng, max_mode=max_mode)
         y1 = y1_norm(f, T).total
         ratios_s.append(x_norm(apply_S_trajectory(f), T).total / y1 if y1 > 0 else None)
-        F = random_forcing(grid, times, rng, max_mode=max_mode, per_axis=True)
+        F = _oracle_random_forcing(grid, times, rng, max_mode=max_mode, per_axis=True)
         y2 = y2_norm(F, T).total
         ratios_div.append(x_norm(apply_S_div_trajectory(F), T).total / y2 if y2 > 0 else None)
 
@@ -570,15 +629,19 @@ def test_ensemble_peak_memory_does_not_grow_past_one_stack():
 ])
 def test_empty_ensemble_is_rejected_before_any_draw(monkeypatch, size, max_mode, message):
     # max_mode <= 0 draws only zero forcings, so every member would be
-    # excluded; both cases used to end in numpy's zero-size maximum error
+    # excluded; both cases used to end in numpy's zero-size maximum error.
+    # A draw is recorded once it returns: no mode is drawn in either case
     g = Grid(1, 2 * np.pi, 32)
     times = 0.5 * (np.arange(13) / 12) ** 4
     draws = []
-    monkeypatch.setattr(semigroup, "random_forcing",
-                        lambda *a, **k: draws.append(a) or random_forcing(*a, **k))
+    draw_modes = semigroup._draw_modes
+    monkeypatch.setattr(semigroup, "_draw_modes",
+                        lambda *a: draws.append(draw_modes(*a)) or draws[-1])
     with pytest.raises(ValueError, match=f"^{message}"):
         operator_bound_experiment(g, times, size, seed=0, max_mode=max_mode)
     assert draws == []
+    operator_bound_experiment(g, times, 1, seed=0)
+    assert len(draws) == 2  # the spy sees a member's f and F draws
 
 
 def test_operators_suite_peak_memory_stays_at_the_member_loop_level():
