@@ -83,6 +83,10 @@ class Grid:
     points_per_axis: int
 
     def __post_init__(self):
+        for name in ("dim", "points_per_axis"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2 or 3")
         if not 0.0 < self.box_length < np.inf:

@@ -67,14 +67,17 @@ class FlowConfig:
     target: SphereTarget
     t_final: float
     num_frames: int = 32
-    time_exponent: float = 4.0
     mode: str = "extrinsic"
     max_picard_iters: int = 20
     picard_tol: float = 1e-9
     tube_exit_policy: str = "error"
 
     def __post_init__(self):
-        for name in ("t_final", "time_exponent", "picard_tol"):
+        for name in ("num_frames", "max_picard_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("t_final", "picard_tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -92,9 +95,9 @@ class FlowConfig:
             raise ScaleUnresolvableError(f"t_final = {self.t_final}: {exc}") from None
 
     def times(self) -> np.ndarray:
-        """Frame times T (m / m_max)^p, refined near t = 0 for the t^(i/4) weights."""
+        """Frame times T (m / num_frames)^4, refined near t = 0 for the t^(i/4) weights."""
         m = np.arange(self.num_frames + 1)
-        return self.t_final * (m / self.num_frames) ** self.time_exponent
+        return self.t_final * (m / self.num_frames) ** 4
 
 
 @dataclass

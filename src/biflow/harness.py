@@ -56,12 +56,12 @@ SEEDED_SUITES = ("operators", "all")  # the ones that draw a random ensemble
 
 _DEFAULT_CONFIG = {
     "grid": {"dim": "1", "box_length": str(2.0 * math.pi), "points_per_axis": "64"},
-    "target": {"ambient_dim": "3", "tube_radius": "0.5", "blend_radius": "0.25"},
-    "time": {"t_final": "1.0", "num_frames": "32", "grid_exponent": "4.0"},
+    "target": {"ambient_dim": "3", "tube_radius": "0.5"},
+    "time": {"t_final": "1.0", "num_frames": "32"},
     "picard": {"max_iters": "20", "tol": "1e-9", "tube_exit_policy": "error"},
     "mode": {"mode": "extrinsic"},
     "initial": {"kind": "equator_sine", "amplitude": "0.05", "frequency": "1"},
-    "kernel": {"tolerance": "1e-9", "quadrature_nodes": "16", "c1": "0.5"},
+    "kernel": {"tolerance": "1e-9", "c1": "0.5"},
     "experiments": {"ensemble_size": "64", "max_mode": "3",
                     "carleson_radius_fraction": "0.25",
                     "bmo_radius_fraction": "0.25",
@@ -76,13 +76,27 @@ def default_config() -> configparser.ConfigParser:
 
 
 def load_config(path=None) -> configparser.ConfigParser:
-    """Sectioned config file; missing keys fall back to the defaults."""
+    """Sectioned config file; missing keys fall back to the defaults.  A file
+    that cannot be read or parsed is a ConfigError."""
     cp = default_config()
     if path is not None:
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+        except configparser.Error as exc:  # e.g. no section header, a repeated key
+            raise ConfigError(f"cannot parse config file: {' '.join(str(exc).split())}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
     return cp
+
+
+def _check_settings(cp: configparser.ConfigParser) -> None:
+    """Reject a section or key that no run reads: a typo is not a setting."""
+    for section in cp.sections():
+        if section not in _DEFAULT_CONFIG:
+            raise ConfigError(f"[{section}] is not a section biflow reads")
+        for key in cp.options(section):
+            if key not in _DEFAULT_CONFIG[section]:
+                raise ConfigError(f"[{section}] {key} is not a setting biflow reads")
 
 
 def _config_snapshot(cp: configparser.ConfigParser) -> dict:
@@ -126,13 +140,11 @@ def flow_config_from(cp: configparser.ConfigParser) -> FlowConfig:
         grid = Grid(_number(cp, "grid", "dim", int), _number(cp, "grid", "box_length", float),
                     _number(cp, "grid", "points_per_axis", int))
         target = SphereTarget(_number(cp, "target", "ambient_dim", int),
-                              _number(cp, "target", "tube_radius", float),
-                              _number(cp, "target", "blend_radius", float))
+                              _number(cp, "target", "tube_radius", float))
         return FlowConfig(
             grid=grid, target=target,
             t_final=_number(cp, "time", "t_final", float),
             num_frames=_number(cp, "time", "num_frames", int),
-            time_exponent=_number(cp, "time", "grid_exponent", float),
             mode=cp.get("mode", "mode"),
             max_picard_iters=_number(cp, "picard", "max_iters", int),
             picard_tol=_number(cp, "picard", "tol", float),
@@ -222,6 +234,7 @@ def _recorded(command: str, cp: configparser.ConfigParser, out_dir,
     manifest.write(out)  # manifest exists before any other output
     start = time.perf_counter()
     try:
+        _check_settings(cp)
         yield manifest, out
         manifest.status = "completed"
     except Exception as exc:
@@ -274,12 +287,11 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows,
 def _suite_kernel(cp):
     dim = _number(cp, "grid", "dim", int)
     tol = _number(cp, "kernel", "tolerance", float)
-    nodes = _number(cp, "kernel", "quadrature_nodes", int)
     c1 = _finite(cp, "kernel", "c1")
     if not c1 > 0.0:
         raise ConfigError(f"[kernel] c1 must be positive, got {c1}")
     with _invalid_config():
-        profile = default_profile(dim, tol, nodes)
+        profile = default_profile(dim, tol)
 
     def work(out_dir: Path, manifest: RunManifest, prefix: str) -> dict:
         # a tolerance below the rounding floor of the quadrature is known

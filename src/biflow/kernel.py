@@ -77,6 +77,8 @@ class KernelProfile:
     tolerance: float = 1e-9
 
     def __post_init__(self):
+        if not isinstance(self.dim, (int, np.integer)):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if not (8 <= self.quadrature_nodes < math.inf and self.quadrature_nodes % 1 == 0):
@@ -96,16 +98,15 @@ class KernelProfile:
         return replace(self, quadrature_nodes=self.quadrature_nodes * 2)
 
 
-def default_profile(dim: int, tolerance: float = 1e-9, quadrature_nodes: int = 16) -> KernelProfile:
-    """Profile with the truncation radius K = (ln(10/tol))^(1/4) + 1.
+def default_profile(dim: int, tolerance: float = 1e-9) -> KernelProfile:
+    """Profile with 16 nodes per unit k and the cutoff K = (ln(10/tol))^(1/4) + 1.
 
     The tolerance must lie in (0, 10), where the logarithm is positive.
     """
     if not 0.0 < tolerance < 10.0:
         raise ValueError(f"tolerance must lie in (0, 10), got {tolerance:g}")
     K = (math.log(10.0 / tolerance)) ** 0.25 + 1.0
-    return KernelProfile(dim=dim, truncation_radius=K,
-                         quadrature_nodes=quadrature_nodes, tolerance=tolerance)
+    return KernelProfile(dim=dim, truncation_radius=K, tolerance=tolerance)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ agrees with the matching sums of ``dpi`` calls to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,21 +32,21 @@ class SphereTarget:
 
     tube_radius is the distance within which the radial map is the true
     nearest-point projection (a safety margin; the radial formula is smooth
-    on all of |y| > blend_radius).  blend_radius is where the C^3 polynomial
-    cap takes over so the extension is globally smooth.
+    on all of |y| > blend_radius).  The constant blend_radius is where the C^3
+    cap takes over; no point of the tube, |y| >= 1/2, reaches it.
     """
 
     ambient_dim: int = 3
     tube_radius: float = 0.5
-    blend_radius: float = 0.25
+    blend_radius: ClassVar[float] = 0.25
 
     def __post_init__(self):
+        if not isinstance(self.ambient_dim, (int, np.integer)):
+            raise ValueError(f"ambient_dim must be an integer, got {self.ambient_dim!r}")
         if self.ambient_dim < 2:
             raise ValueError("ambient_dim must be >= 2")
         if not 0.0 < self.tube_radius <= 0.5:
             raise ValueError("tube_radius must lie in (0, 1/2]")
-        if not 0.0 < self.blend_radius < 1.0 - self.tube_radius:
-            raise ValueError("blend_radius must lie in (0, 1 - tube_radius)")
 
 
 def _h_derivs(target: SphereTarget, q: np.ndarray):

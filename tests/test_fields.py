@@ -33,6 +33,16 @@ def test_grid_invariants():
     assert g.cell_volume == pytest.approx(0.125 ** 2)
 
 
+@pytest.mark.parametrize("name", ["dim", "points_per_axis"])
+def test_grid_rejects_a_count_that_is_not_an_integer(name):
+    # 64.0 points used to fail in the power-of-two bit test, and dim 1.0 passed
+    args = {"dim": 1, "box_length": 1.0, "points_per_axis": 64}
+    args[name] = float(args[name])
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {args[name]}$"):
+        Grid(**args)
+    assert Grid(np.int64(1), 1.0, np.int32(64)).shape == (64,)
+
+
 def test_constant_derivative_is_zero(grid64):
     f = GridField.constant(grid64, [3.0, -1.0])
     for order in [(1,), (2,), (3,), (4,)]:

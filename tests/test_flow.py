@@ -416,6 +416,32 @@ def test_picard_rejects_data_off_the_config(monkeypatch, sphere3, points, ambien
         picard_solve(cfg, u0)
 
 
+@pytest.mark.parametrize("name, value", [("num_frames", 8.5), ("num_frames", 32.0),
+                                         ("max_picard_iters", 3.5)])
+def test_flow_config_rejects_a_count_that_is_not_an_integer(grid64, sphere3, name, value):
+    # 8.5 frames would make 10 frame times, the last one past t_final
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+        _cfg(grid64, sphere3, **{name: value})
+    cfg = _cfg(grid64, sphere3, num_frames=np.int64(8), max_picard_iters=np.int32(3))
+    assert cfg.times().size == 9 and cfg.times()[-1] == cfg.t_final
+
+
+def test_solve_is_second_order_in_time(sphere3):
+    # frame times T (m/N)^4: doubling N quarters u_N(T) - u_2N(T), and the
+    # contraction factor settles as the frames refine
+    g = Grid(1, 2.0 * np.pi, 256)
+    u0 = equator_initial_data(g, 0.7)
+    final, theta = {}, {}
+    for frames in (16, 32, 64):
+        traj, diag = picard_solve(_cfg(g, sphere3, t_final=0.01, num_frames=frames,
+                                       picard_tol=1e-11), u0)
+        assert diag.converged
+        final[frames], theta[frames] = traj.values[-1], max(diag.contraction_ratios)
+    ratio = np.abs(final[16] - final[32]).max() / np.abs(final[32] - final[64]).max()
+    assert 3.5 <= ratio <= 4.5  # measured 3.94
+    assert abs(theta[32] - theta[64]) < 0.01  # measured 0.2998 and 0.2954
+
+
 def test_small_data_contraction_family(grid64, sphere3):
     cfg = _cfg(grid64, sphere3)
     thetas = {}

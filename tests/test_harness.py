@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from biflow import harness
 from biflow.cli import build_parser, main as cli_main
 from biflow.errors import ConfigError, ManifoldTubeExitError
 from biflow.fields import Grid, load_space_time_field
@@ -29,6 +30,23 @@ def test_default_config_builds_flow_config():
 def test_missing_config_file_raises(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.cfg")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("dim = 1\n[grid]\n", "File contains no section headers."),  # a key before any section
+    ("[grid\ndim = 1\n", "File contains no section headers."),  # an unclosed header
+    ("[grid]\ndim = 1\ndim = 2\n", "option 'dim' in section 'grid' already exists"),
+])
+def test_cli_rejects_a_malformed_config_file_as_a_config_error(tmp_path, capsys, text, error):
+    # like a file that cannot be read: one config error line, exit 2, no run
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    rc = cli_main(["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse config file: ") and err.count("\n") == 1
+    assert error in err and str(cfgfile) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_value_raises(tmp_path):
@@ -178,9 +196,8 @@ def test_cli_operators_rejects_an_empty_ensemble_as_a_config_error(
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("grid_exponent", "0", "time_exponent must be positive and finite, got 0.0"),
-    ("grid_exponent", "-1", "time_exponent must be positive and finite, got -1.0"),
-    ("t_final", "nan", "t_final must be positive and finite, got nan")])
+    ("t_final", "nan", "t_final must be positive and finite, got nan"),
+    ("num_frames", "3", "need at least 4 frames")])
 def test_cli_evolve_rejects_bad_time_settings_as_config_errors(
         tmp_path, capsys, key, value, message):
     cfgfile = tmp_path / "bad.cfg"
@@ -235,8 +252,9 @@ def test_cli_rejects_bad_experiment_settings_before_any_work(
     (["distance"], "[experiments]\ndistance_delta = abc",
      "[experiments] distance_delta = abc is not a number"),
     (["evolve"], "[initial]\namplitude = nan", "[initial] amplitude = nan is not finite"),
-    (["kernel"], "[kernel]\nquadrature_nodes = 1.5",
-     "[kernel] quadrature_nodes = 1.5 is not an integer"),
+    # a key that is no setting any more
+    (["kernel"], "[kernel]\nquadrature_nodes = 16",
+     "[kernel] quadrature_nodes is not a setting biflow reads"),
     (["kernel"], "[kernel]\ntolerance = 1e-9x", "[kernel] tolerance = 1e-9x is not a number"),
     (["operators"], "[experiments]\nensemble_size = many",
      "[experiments] ensemble_size = many is not an integer"),
@@ -286,7 +304,38 @@ def test_cli_rejects_unparsable_and_unresolvable_values_before_any_work(
         monkeypatch, tmp_path, capsys, argv, config, message):
     # a value that does not parse, is not finite, lies outside the range of
     # what is built from it, or gives a radius the suite's grid cannot
-    # resolve is named, and nothing is computed or written
+    # resolve is named, as is a key no run reads, and nothing is computed
+    # or written
+    _assert_rejected_before_any_work(monkeypatch, tmp_path, capsys, argv, config, message)
+
+
+_UNREAD_SETTINGS = [
+    ("[picard]\nmax_iter = 2", "[picard] max_iter is not a setting biflow reads"),
+    # two misspelled keys: the first in the order of the default sections is named
+    ("[picard]\nmax_iter = 2\n[time]\nnum_frame = 4",
+     "[time] num_frame is not a setting biflow reads"),
+    # the keys of the three values that are constants now
+    ("[time]\ngrid_exponent = 4.0", "[time] grid_exponent is not a setting biflow reads"),
+    ("[target]\nblend_radius = 0.25", "[target] blend_radius is not a setting biflow reads"),
+    ("[kernel]\nquadrature_nodes = 16", "[kernel] quadrature_nodes is not a setting biflow reads"),
+    ("[experiment]\nensemble_size = 8", "[experiment] is not a section biflow reads"),
+    ("[experiment]", "[experiment] is not a section biflow reads"),
+]
+
+
+@pytest.mark.parametrize("argv", [["evolve"], ["contraction-sweep", "--amplitudes", "0.05"],
+                                  ["flow"], ["kernel"], ["all"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("config, message", _UNREAD_SETTINGS,
+                         ids=["max_iter", "num_frame", "grid_exponent", "blend_radius",
+                              "quadrature_nodes", "section", "empty_section"])
+def test_cli_rejects_a_setting_no_run_reads_before_any_work(
+        monkeypatch, tmp_path, capsys, argv, config, message):
+    # a misspelled or retired key would otherwise be recorded in the
+    # manifest as if it had been used, and the run would pass
+    _assert_rejected_before_any_work(monkeypatch, tmp_path, capsys, argv, config, message)
+
+
+def _assert_rejected_before_any_work(monkeypatch, tmp_path, capsys, argv, config, message):
     for name in ("certify_bound", "operator_bound_experiment", "smoothing_ratios",
                  "bmo_seminorm", "distance_experiment", "picard_solve"):
         monkeypatch.setattr(f"biflow.harness.{name}", _no_work)
@@ -575,6 +624,37 @@ def test_no_parameter_is_accepted_and_ignored():
     found = [f"{path.name}: {fn}({p})" for path in sorted(src.glob("*.py"))
              for fn, p in _unread_parameters(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _config_reads(tree):
+    """(section, key) of every reader call in the harness that names both:
+    _number, _finite and cp.get take the pair, _experiment_value and
+    _ball_radius an [experiments] key."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", getattr(func, "attr", None))
+        args = [a.value if isinstance(a, ast.Constant) else None for a in node.args]
+        if name in ("_number", "_finite"):
+            pair = args[1:3]
+        elif name == "get" and isinstance(func.value, ast.Name) and func.value.id == "cp":
+            pair = args[:2]
+        elif name in ("_experiment_value", "_ball_radius"):
+            pair = ["experiments", args[1]]
+        else:
+            continue
+        if None not in pair:
+            yield tuple(pair)
+
+
+def test_every_config_key_is_read():
+    # a default no run reads is a setting that changes nothing; the unknown-key
+    # check rejects every other key, so the defaults are the whole config
+    path = Path(harness.__file__)
+    read = set(_config_reads(ast.parse(path.read_text())))
+    defaults = {(s, k) for s, keys in harness._DEFAULT_CONFIG.items() for k in keys}
+    assert read == defaults and len(defaults) == 22
 
 
 _FFT_MODULES = ("numpy.fft", "scipy.fft", "scipy.fftpack")

@@ -113,6 +113,10 @@ def test_profile_invariant_truncation():
         KernelProfile(dim=1, truncation_radius=1.0, tolerance=1e-9)
     with pytest.raises(ValueError):
         KernelProfile(dim=1, truncation_radius=4.0, quadrature_nodes=4)
+    # dim 2.0 would pass the range check and fail inside the quadrature
+    with pytest.raises(ValueError, match="^dim must be an integer, got 2.0$"):
+        KernelProfile(dim=2.0, truncation_radius=3.2)
+    assert KernelProfile(dim=np.int64(2), truncation_radius=3.2).dim == 2
     # a node count must be a whole number: nan and inf would pass a bound
     # check alone, and 16.5 would run
     for bad in (math.nan, math.inf, 16.5):

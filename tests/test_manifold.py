@@ -25,7 +25,7 @@ def test_sphere_points_are_fixed():
 
 
 def test_ring_inside_tube_projects_to_unit_circle():
-    target = SphereTarget(ambient_dim=2, tube_radius=0.5, blend_radius=0.25)
+    target = SphereTarget(ambient_dim=2, tube_radius=0.5)
     for th in np.linspace(0, 2 * np.pi, 9):
         y = 0.6 * np.array([np.cos(th), np.sin(th)])
         p = project(target, y)
@@ -138,8 +138,17 @@ def test_target_invariants():
         SphereTarget(ambient_dim=1)
     with pytest.raises(ValueError):
         SphereTarget(tube_radius=0.7)
-    with pytest.raises(ValueError):
+    # the cap radius is a constant, not a field, and no point of the widest
+    # tube reaches it
+    with pytest.raises(TypeError):
         SphereTarget(tube_radius=0.5, blend_radius=0.6)
+    assert 0.0 < SphereTarget.blend_radius < 1.0 - 0.5
+
+
+def test_target_rejects_an_ambient_dim_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="^ambient_dim must be an integer, got 3.5$"):
+        SphereTarget(3.5)
+    assert SphereTarget(np.int64(3)).ambient_dim == 3
 
 
 def test_broadcasting_over_grids(rng):
