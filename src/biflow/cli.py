@@ -6,11 +6,12 @@ subcommand but kernel-verify, which takes --out alone; --seed only on
 operators and all, whose operator ensemble it draws.
 
 Exit status: 0 when every hard check passes, 1 when one fails, 2 on a
-configuration error, a kernel tolerance below the rounding floor of the
-quadrature included (for kernel-verify also a dim, tol, c1 or order the
-certificate does not admit, or --order with --estimate all), 3 when a Picard
-iterate leaves the projection tube.  ``all`` checks the configuration of
-every suite before any of them runs, so a rejected value leaves no report.
+configuration error, a negative --seed and a kernel tolerance below the
+rounding floor of the quadrature included (for kernel-verify also a dim,
+tol, c1 or order the certificate does not admit, or --order with --estimate
+all), 3 when a Picard iterate leaves the projection tube.  ``all`` checks
+the configuration of every suite before any of them runs, so a rejected
+value leaves no report.
 """
 
 from __future__ import annotations

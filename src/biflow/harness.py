@@ -90,7 +90,11 @@ def load_config(path=None) -> configparser.ConfigParser:
 
 
 def _check_settings(cp: configparser.ConfigParser) -> None:
-    """Reject a section or key that no run reads: a typo is not a setting."""
+    """Reject a section or key that no run reads: a typo is not a setting.
+    configparser copies a [DEFAULT] key into every section, so it is named
+    as written before the sections are read."""
+    for key in cp.defaults():
+        raise ConfigError(f"[DEFAULT] {key} is not a setting biflow reads")
     for section in cp.sections():
         if section not in _DEFAULT_CONFIG:
             raise ConfigError(f"[{section}] is not a section biflow reads")
@@ -465,9 +469,9 @@ def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0) -> RunM
     """Execute one experiment suite (or all of them) and write its reports.
 
     Every selected suite checks its configuration before any of them runs,
-    so a rejected value leaves no report.  Only the operators ensemble reads
-    the seed, so the manifest records it for the suites in SEEDED_SUITES and
-    null for the others.
+    so a rejected value, a negative seed included, leaves no report.  Only
+    the operators ensemble reads the seed, so the manifest records it for the
+    suites in SEEDED_SUITES and null for the others.
     """
     if suite_id not in SUITES:
         raise ConfigError(f"unknown suite {suite_id!r}; choose from {SUITES}")
@@ -475,6 +479,9 @@ def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0) -> RunM
     names = [suite_id] if suite_id != "all" else list(_SUITE_FNS)
     with _recorded(f"run_suite {suite_id}", cp, out_dir,
                    seed if suite_id in SEEDED_SUITES else None) as (manifest, out):
+        if suite_id in SEEDED_SUITES and seed < 0:
+            raise ConfigError(f"--seed {seed} is negative; the ensemble seed is a "
+                              "non-negative integer")
         works = [(name, _SUITE_FNS[name](cp)) for name in names]
         for name, work in works:
             sub = out / name if suite_id == "all" else out

@@ -303,19 +303,6 @@ def _first_peak(values, keys, none):
     return (values[j], keys[j]) if values[j] > 0 else (0.0, none)
 
 
-def _member_magnitudes(grid: Grid, num_frames: int, members: int, values) -> np.ndarray:
-    """Pointwise magnitude of each member of a field-layout stack, (num_frames,
-    members) + grid.shape, block by block: values(block) gives the frames of
-    that slice, (frames,) + grid.shape + components + (members,).  A member's
-    components are squared into one contiguous block and summed in the order
-    of its own magnitude (numpy's contiguous sum is pairwise from 8 terms)."""
-    out = np.empty((num_frames, members) + grid.shape)
-    for block in frame_blocks(grid, num_frames):
-        sq = np.square(np.moveaxis(values(block), -1, 1), order="C")
-        np.sqrt(sq.sum(axis=tuple(range(2 + grid.dim, sq.ndim)), out=out[block]), out=out[block])
-    return out
-
-
 def _space_time_scan(grid: Grid, times: np.ndarray, T: float | None, sup_terms,
                      cylinder_terms):
     """The two halves every space-time norm is built from, for every member
@@ -371,9 +358,10 @@ def _space_time_scan(grid: Grid, times: np.ndarray, T: float | None, sup_terms,
 
 def _stack_magnitudes(grid: Grid, num_frames: int, members: int, derivatives) -> list[np.ndarray]:
     """One (num_frames, members) + grid.shape stack of pointwise magnitudes per
-    derivative, filled block by block (``frame_blocks``): derivatives(block)
-    gives one block's component-major derivatives, members before frames, one
-    at a time, and map frees each once reduced, before a generator makes the next."""
+    array, filled block by block (``frame_blocks``): derivatives(block) gives
+    one block's component-major arrays, members before frames, one at a time,
+    and map frees each once reduced, before a generator makes the next.  Every
+    magnitude of this module is made here, summed by ``pointwise_norm``."""
     def magnitudes(deriv):  # of one block, (frames, members) + grid.shape
         deriv = deriv.reshape((-1, members) + deriv.shape[-1 - grid.dim:])
         return np.swapaxes(pointwise_norm(deriv, grid, lead=2), 0, 1)
@@ -385,6 +373,17 @@ def _stack_magnitudes(grid: Grid, num_frames: int, members: int, derivatives) ->
                 out.append(np.empty((num_frames, members) + grid.shape))
             out[k][block] = mags
     return out
+
+
+def _member_magnitudes(grid: Grid, num_frames: int, members: int, values) -> np.ndarray:
+    """Pointwise magnitude of each member of a field-layout stack, (num_frames,
+    members) + grid.shape (``_stack_magnitudes``): values(block) gives the
+    frames of that slice, (frames,) + grid.shape + components + (members,),
+    and a view moves its component and member axes in front."""
+    def components(block):
+        v = values(block)
+        yield np.moveaxis(v, range(1 + grid.dim, v.ndim), range(v.ndim - 1 - grid.dim))
+    return _stack_magnitudes(grid, num_frames, members, components)[0]
 
 
 def x_norm_scan(grid: Grid, times: np.ndarray, members: int, values, derivatives,
@@ -433,6 +432,12 @@ def x_norms(u: SpaceTimeField, T: float | None) -> list[NormReport]:
                        lambda block: _spectral_derivatives(u, block), T)
 
 
+# (time weight, power, outer) of each forcing norm: its sup part is
+# sup_t t^weight ||f||_inf and its cylinder part (r^(-n) int |f|^power)^outer
+_Y1 = (1.0, 1.0, 1.0)
+_Y2 = (0.75, 4.0 / 3.0, 0.75)
+
+
 def _y_reports(grid: Grid, times: np.ndarray, members: int, values, T: float | None,
                time_weight: float, power: float, outer: float) -> list[NormReport]:
     """Forcing norm of each member of a stack (``_member_magnitudes``)."""
@@ -444,24 +449,21 @@ def _y_reports(grid: Grid, times: np.ndarray, members: int, values, T: float | N
 
 def y1_norm(f: SpaceTimeField, T: float | None = None) -> NormReport:
     """Forcing norm sup_t t ||f||_inf + sup cylinders r^(-n) int |f|."""
-    return _y_reports(f.grid, f.times, 1, lambda block: f.values[block][..., None], T,
-                      1.0, 1.0, 1.0)[0]
+    return _y_reports(f.grid, f.times, 1, lambda block: f.values[block][..., None], T, *_Y1)[0]
 
 
 def y2_norm(f: SpaceTimeField, T: float | None = None) -> NormReport:
     """Flux norm sup_t t^(3/4) ||f||_inf + sup (r^(-n) int |f|^(4/3))^(3/4)."""
-    return _y_reports(f.grid, f.times, 1, lambda block: f.values[block][..., None], T,
-                      0.75, 4.0 / 3.0, 0.75)[0]
+    return _y_reports(f.grid, f.times, 1, lambda block: f.values[block][..., None], T, *_Y2)[0]
 
 
 def y1_norms(f: SpaceTimeField, T: float | None) -> list[NormReport]:
     """``y1_norm`` of each member f.values[..., m:m+1] of a stack whose last
     axis indexes the members, with each member's bits, from one scan."""
-    return _y_reports(f.grid, f.times, f.codomain_dim, f.values.__getitem__, T, 1.0, 1.0, 1.0)
+    return _y_reports(f.grid, f.times, f.codomain_dim, f.values.__getitem__, T, *_Y1)
 
 
 def y2_norms(f: SpaceTimeField, T: float | None) -> list[NormReport]:
     """``y2_norm`` of each member f.values[..., m:m+1] of a stack whose last
     axis indexes the members, with each member's bits, from one scan."""
-    return _y_reports(f.grid, f.times, f.codomain_dim, f.values.__getitem__, T,
-                      0.75, 4.0 / 3.0, 0.75)
+    return _y_reports(f.grid, f.times, f.codomain_dim, f.values.__getitem__, T, *_Y2)

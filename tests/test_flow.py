@@ -442,6 +442,21 @@ def test_solve_is_second_order_in_time(sphere3):
     assert abs(theta[32] - theta[64]) < 0.01  # measured 0.2998 and 0.2954
 
 
+def test_solution_norm_and_contraction_settle_across_grid_sizes(sphere3):
+    # the same data on M = 64 .. 512 points: the last iterate's solution norm
+    # spreads by under 1% (not monotone in M) and max theta by under 0.005
+    norm, theta = [], []
+    for M in (64, 128, 256, 512):
+        g = Grid(1, 2.0 * np.pi, M)
+        _, diag = picard_solve(_cfg(g, sphere3, t_final=0.01, picard_tol=1e-11),
+                               equator_initial_data(g, 0.7))
+        assert diag.converged
+        norm.append(diag.iterate_norms[-1])
+        theta.append(max(diag.contraction_ratios))
+    assert max(norm) / min(norm) - 1 < 0.01  # measured 0.71%: 1.6487 .. 1.6370
+    assert max(theta) - min(theta) < 0.005  # measured 0.30202 .. 0.29972
+
+
 def test_small_data_contraction_family(grid64, sphere3):
     cfg = _cfg(grid64, sphere3)
     thetas = {}

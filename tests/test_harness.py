@@ -299,6 +299,12 @@ def test_cli_rejects_bad_experiment_settings_before_any_work(
      "[initial] frequency = 0 must lie in [1, 32) on the 64-point grid"),
     (["contraction-sweep", "--amplitudes", "0.05"], "[initial]\nfrequency = -1",
      "[initial] frequency = -1 must lie in [1, 32) on the 64-point grid"),
+    # the ensemble's generator would reject it only when drawn, after all
+    # has written the kernel reports
+    (["operators", "--seed", "-1"], "",
+     "--seed -1 is negative; the ensemble seed is a non-negative integer"),
+    (["all", "--seed", "-1"], "",
+     "--seed -1 is negative; the ensemble seed is a non-negative integer"),
 ])
 def test_cli_rejects_unparsable_and_unresolvable_values_before_any_work(
         monkeypatch, tmp_path, capsys, argv, config, message):
@@ -320,6 +326,8 @@ _UNREAD_SETTINGS = [
     ("[kernel]\nquadrature_nodes = 16", "[kernel] quadrature_nodes is not a setting biflow reads"),
     ("[experiment]\nensemble_size = 8", "[experiment] is not a section biflow reads"),
     ("[experiment]", "[experiment] is not a section biflow reads"),
+    # configparser copies a [DEFAULT] key into every section: it is named as written
+    ("[DEFAULT]\ntol = 1e-10", "[DEFAULT] tol is not a setting biflow reads"),
 ]
 
 
@@ -327,7 +335,7 @@ _UNREAD_SETTINGS = [
                                   ["flow"], ["kernel"], ["all"]], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("config, message", _UNREAD_SETTINGS,
                          ids=["max_iter", "num_frame", "grid_exponent", "blend_radius",
-                              "quadrature_nodes", "section", "empty_section"])
+                              "quadrature_nodes", "section", "empty_section", "default"])
 def test_cli_rejects_a_setting_no_run_reads_before_any_work(
         monkeypatch, tmp_path, capsys, argv, config, message):
     # a misspelled or retired key would otherwise be recorded in the
@@ -504,7 +512,7 @@ _ALLOWED_LAYOUT_SITES = sorted([
     "flow.py: _apply_T: components_last",
     "flow.py: constraint_diagnostics: components_first",
     "flow.py: constraint_diagnostics: components_first",
-    "norms.py: _member_magnitudes: moveaxis",
+    "norms.py: _member_magnitudes.components: moveaxis",
     "norms.py: _stack_magnitudes.magnitudes: swapaxes",
     "semigroup.py: apply_G_trajectory: components_last",
     "semigroup.py: apply_S_trajectory: components_last",
@@ -788,6 +796,17 @@ def test_no_norm_builds_a_field():
     assert list(_calls_of(ast.parse((src / "norms.py").read_text()), "SpaceTimeField")) == []
     # the scan does see the fields other modules build
     assert list(_calls_of(ast.parse((src / "semigroup.py").read_text()), "SpaceTimeField"))
+
+
+def test_norms_fill_every_magnitude_stack_in_one_blocked_loop():
+    # |u|, |f| and every derivative magnitude take one path, summed in one
+    # order by pointwise_norm: only _stack_magnitudes walks the frame blocks
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "biflow" / "norms.py")
+                     .read_text())
+    stack, = (node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_stack_magnitudes")
+    calls = list(_calls_of(tree, "frame_blocks"))
+    assert len(calls) == 1 and list(_calls_of(stack, "frame_blocks")) == calls
 
 
 def test_field_lint_sees_every_spelling_of_a_construction():

@@ -605,8 +605,8 @@ def _member(f, m):
 @pytest.mark.parametrize("members", [1, 5])
 def test_member_norms_equal_each_members_own_norm(dim, M, members):
     # one scan of the stack gives every member the bits of its own scan; the
-    # 3D Hessian's 9 components are summed left to right and a (3, 3) flux
-    # member's pairwise, in the stack as in each member's own scan
+    # 3D Hessian's 9 components and a (3, 3) flux member's are summed left to
+    # right, in the stack as in each member's own scan
     u = _smooth_stack(dim, M, (members,), seed=10 + dim)
     F = _smooth_stack(dim, M, (dim, members), seed=20 + dim)
     G = _smooth_stack(dim, M, (3, 3, members), seed=30 + dim)
@@ -671,7 +671,7 @@ def _oracle_y_norm(f, T, time_weight, power, outer):
     # the forcing norm written out in full, one loop per half
     grid = f.grid
     flat = f.values.reshape(f.values.shape[: 1 + grid.dim] + (-1,))
-    mags = np.sqrt((flat ** 2).sum(axis=-1))
+    mags = np.sqrt(np.square(np.moveaxis(flat, -1, 0), order="C").sum(axis=0))
     pos = np.nonzero((f.times > 0) & (f.times <= T * (1 + 1e-12)))[0]
     fmax = mags[pos].max(axis=tuple(range(1, mags.ndim)))
     svals = [t ** time_weight * m for t, m in zip(f.times[pos], fmax)]
