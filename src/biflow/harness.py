@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, QuadratureResidualError
+from .errors import ConfigError, QuadratureResidualError, ScaleUnresolvableError
 from .fields import Grid, GridField, save_space_time_field
 from .flow import (FlowConfig, constant_initial_data, distance_experiment,
                    equator_initial_data, picard_solve)
@@ -354,19 +354,20 @@ def _suite_operators(cp):
     return work
 
 
-def smoothing_family_constants(grid: Grid, R: float, ambient_dim: int = 3) -> dict:
-    """Fitted smoothing constants at one scale: max of each ratio over the
-    amplitude-0.2 equator family with frequencies 4, 8, 16, 32, which spans
-    the dyadic scales (scale covering makes the fitted constant scale-stable
-    even though single members are not)."""
-    best = {"cylinder_ratio": 0.0, "weighted_sup_ratio": 0.0, "quartic_ratio": 0.0}
-    for qf in (4, 8, 16, 32):
-        u0 = equator_initial_data(grid, 0.2, qf, ambient_dim)
-        row = smoothing_ratios(u0, R)
-        for k in best:
-            best[k] = max(best[k], row[k])
-    best["R"] = R
-    return best
+def smoothing_family_constants(grid: Grid, R: float, ambient_dim: int = 3) -> list[dict]:
+    """Fitted smoothing constants at the scales R, R/2 and R/4: per scale,
+    the max of each ratio over the amplitude-0.2 equator family with
+    frequencies 4, 8, 16, 32, which spans the dyadic scales (scale covering
+    makes the fitted constant scale-stable even though single members are
+    not).  Each member's three rows come from one ``smoothing_ratios`` scan."""
+    if R / 4 <= 2.0 * grid.spacing:
+        raise ScaleUnresolvableError(
+            f"R/4={R / 4:.3g} is not above 2h={2 * grid.spacing:.3g}")
+    members = [smoothing_ratios(equator_initial_data(grid, 0.2, qf, ambient_dim), R)[:3]
+               for qf in (4, 8, 16, 32)]
+    keys = ("cylinder_ratio", "weighted_sup_ratio", "quartic_ratio")
+    return [{**{k: max(row[k] for row in rows) for k in keys}, "R": rows[0]["R"]}
+            for rows in zip(*members)]
 
 
 def _suite_norms(cp):
@@ -380,9 +381,7 @@ def _suite_norms(cp):
     def work(out_dir: Path, manifest: RunManifest, prefix: str) -> dict:
         grid = Grid(1, fam_grid.box_length, 256)
         R0 = grid.box_length / 4.0
-        rows = [smoothing_family_constants(grid, R0 / 2 ** j,
-                                           ambient_dim=target.ambient_dim)
-                for j in range(3)]
+        rows = smoothing_family_constants(grid, R0, ambient_dim=target.ambient_dim)
         _write_csv(out_dir, "smoothing_ratios.csv",
                    ["R", "cylinder_ratio", "weighted_sup_ratio", "quartic_ratio"],
                    [[r["R"], r["cylinder_ratio"], r["weighted_sup_ratio"],

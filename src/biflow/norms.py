@@ -153,23 +153,40 @@ def cylinder_radii(u_times: np.ndarray, top: float, grid: Grid) -> list[float]:
 # mean oscillation
 # ----------------------------------------------------------------------
 
+# lattice points of the ball-offset windows the oscillation scan holds at once
+_OFFSET_CHUNK_POINTS = 2 ** 13
+
+
 def _oscillation_value(f: GridField, r: float) -> float:
     """max over centers of r^(-n) * h^n * sum_ball |f - ball average|.
 
-    f shifted by an offset is a view into one periodic padding of its
-    component-major stack; offsets add in ``ball_offsets`` order."""
-    grid, M = f.grid, f.grid.points_per_axis
+    f shifted by an offset is a window of one periodic padding of its
+    component-major stack.  The offsets are taken in chunks of about
+    ``_OFFSET_CHUNK_POINTS`` lattice points: each chunk's windows are gathered
+    into one array and their magnitudes summed on a stack whose row 0 is the
+    running sum, so offsets still add in ``ball_offsets`` order, left to
+    right."""
+    grid = f.grid
     offs = ball_offsets(grid, r)
     comps = np.stack([f.values[..., c] for c in range(f.codomain_dim)])
-    means = ball_convolve(grid, comps, r) / offs.shape[0]
+    means = ball_convolve(grid, comps, r)[:, None] / offs.shape[0]
     s = int(np.abs(offs).max())
     padded = np.pad(comps, [(0, 0)] + [(s, s)] * grid.dim, mode="wrap")
-    diff, dist, acc = comps, np.empty(grid.shape), np.zeros(grid.shape)  # comps: read via padded
-    for off in offs:
-        window = padded[(slice(None),) + tuple(slice(s + o, s + o + M) for o in off)]
-        np.square(np.subtract(window, means, out=diff), out=diff)
-        acc += np.sqrt(diff.sum(axis=0, out=dist), out=dist)
-    return float(acc.max()) * grid.cell_volume / r ** grid.dim
+    del comps  # read via padded: not held beside a chunk
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, grid.shape, axis=tuple(range(1, 1 + grid.dim)))
+    per = min(offs.shape[0], max(1, _OFFSET_CHUNK_POINTS // grid.points_per_axis ** grid.dim))
+    mags = np.zeros((per + 1,) + grid.shape)  # row 0: the sum so far
+    for start in range(0, offs.shape[0], per):
+        chunk = offs[start:start + per]
+        # (comps, offsets) + grid.shape
+        sq = windows[(slice(None),) + tuple(s + chunk[:, a] for a in range(grid.dim))]
+        np.square(np.subtract(sq, means, out=sq), out=sq)
+        dist = mags[1:len(chunk) + 1]
+        np.sqrt(sq.sum(axis=0, out=dist), out=dist)
+        del sq  # freed before the next chunk is gathered
+        mags[0] = mags[:len(chunk) + 1].sum(axis=0)
+    return float(mags[0].max()) * grid.cell_volume / r ** grid.dim
 
 
 def _check_top_radius(grid: Grid, R: float) -> None:
@@ -178,16 +195,22 @@ def _check_top_radius(grid: Grid, R: float) -> None:
         raise ValueError(f"R must be finite and at most half the box length, got {R}")
 
 
-def bmo_seminorm(f: GridField, R: float) -> float:
-    """Local mean-oscillation seminorm, sup over centers and dyadic r <= R.
-
-    Lower-bound estimator: all lattice centers, radii {R, R/2, ..., >= 2h}.
-    """
+def _oscillation_table(f: GridField, R: float) -> list[float]:
+    """``_oscillation_value`` at each dyadic radius R, R/2, ... >= 2h."""
     grid = f.grid
     _check_top_radius(grid, R)
     if R <= 2.0 * grid.spacing:
         raise ScaleUnresolvableError(f"R={R:.3g} is not above 2h={2*grid.spacing:.3g}")
-    return max(_oscillation_value(f, r) for r in _dyadic_radii(R, grid))
+    return [_oscillation_value(f, r) for r in _dyadic_radii(R, grid)]
+
+
+def bmo_seminorm(f: GridField, R: float) -> float:
+    """Local mean-oscillation seminorm, sup over centers and dyadic r <= R.
+
+    Lower-bound estimator: all lattice centers, radii {R, R/2, ..., >= 2h};
+    the max of ``_oscillation_table``.
+    """
+    return max(_oscillation_table(f, R))
 
 
 def bmo_seminorm_brute(f: GridField, R: float) -> float:
@@ -242,8 +265,9 @@ def carleson_functional(f: GridField, derivative_order: int, R: float) -> float:
     return best
 
 
-def smoothing_ratios(u0: GridField, R: float) -> dict:
-    """Measured constants of the three smoothing estimates at one scale R.
+def smoothing_ratios(u0: GridField, R: float) -> list[dict]:
+    """Measured constants of the three smoothing estimates, one row per
+    dyadic scale R, R/2, ... above 2h.
 
     The free evolution of u0 is sampled on a geometric time grid with 6 points
     per octave spanning 36 octaves below R^4, plus 4 per halving from R down
@@ -252,16 +276,28 @@ def smoothing_ratios(u0: GridField, R: float) -> dict:
     weight the scales unevenly and drift the ratios).  The cylinder integral,
     the weighted gradient sup, and the quartic cylinder integral are each
     divided by the matching power of the oscillation seminorm of u0.
+
+    The scales share one node sequence: the nodes of R/2^j are those of R
+    from index 24j on, down to the same bottom node, and its radii are R's
+    from the j-th on.  So each row is read off one node stack and one
+    per-radius table of oscillations and cylinder maxima: row j takes the
+    maxima over the radii from the j-th and the nodes from the 24j-th.
     """
     grid = u0.grid
-    bmo = bmo_seminorm(u0, R)
+    osc = _oscillation_table(u0, R)
     radii = _dyadic_radii(R, grid)
-    t_nodes = _geometric_nodes(R ** 4, 36 + int(round(np.log2(R / radii[-1]))) * 4, 6)
+    bmos = [max(osc[j:]) for j, r in enumerate(radii) if r > 2.0 * grid.spacing]
+    if min(bmos) == 0.0:
+        raise ValueError("cylinder_ratio, weighted_sup_ratio and quartic_ratio are "
+                         f"undefined at R={radii[bmos.index(0.0)]:.3g}: the "
+                         "oscillation seminorm of u0 is 0")
+    q, per_halving = 6, 4
+    t_nodes = _geometric_nodes(R ** 4, 36 + (len(radii) - 1) * per_halving, q)
 
     gm, hm = _free_magnitudes(u0, t_nodes, (1, 2))
     g4 = gm ** 4
     gmax, hmax = (m.reshape(t_nodes.size, -1).max(axis=1) for m in (gm, hm))
-    wsup = max(t ** 0.25 * gx + t ** 0.5 * hx for t, gx, hx in zip(t_nodes, gmax, hmax))
+    weighted = [t ** 0.25 * gx + t ** 0.5 * hx for t, gx, hx in zip(t_nodes, gmax, hmax)]
     # squared in place: no node stack beyond g^2, g^4 and h^2 is held
     g2, h2 = np.square(gm, out=gm), np.square(hm, out=hm)
 
@@ -278,19 +314,19 @@ def smoothing_ratios(u0: GridField, R: float) -> dict:
         w[0] += ts[0]  # remaining sliver [0, t_min] at the frozen value
         return np.tensordot(w, vals, axes=(0, 0))
 
-    cyl = 0.0
-    quart = 0.0
+    cyl, quart = [], []  # per radius
     for r in radii:
         mass2 = integrate(h2, r ** 4) + integrate(g2, r ** 4) / r ** 2
-        cyl = max(cyl, _cylinder_average_maxima(grid, mass2, r)[0])
-        quart = max(quart, _cylinder_average_maxima(grid, integrate(g4, r ** 4), r)[0])
-    return {
-        "R": R,
+        cyl.append(_cylinder_average_maxima(grid, mass2, r)[0])
+        quart.append(_cylinder_average_maxima(grid, integrate(g4, r ** 4), r)[0])
+    sup2 = u0.sup_norm() ** 2
+    return [{
+        "R": radii[j],
         "bmo": bmo,
-        "cylinder_ratio": cyl / bmo ** 2,
-        "weighted_sup_ratio": wsup / bmo,
-        "quartic_ratio": quart / (u0.sup_norm() ** 2 * bmo ** 2),
-    }
+        "cylinder_ratio": max(cyl[j:]) / bmo ** 2,
+        "weighted_sup_ratio": max(weighted[j * q * per_halving:]) / bmo,
+        "quartic_ratio": max(quart[j:]) / (sup2 * bmo ** 2),
+    } for j, bmo in enumerate(bmos)]
 
 
 # ----------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_criterion_07_operator_bounds():
 def test_criterion_08_smoothing_estimate_ratios():
     g = Grid(1, 2 * np.pi, 256)
     R0 = g.box_length / 4
-    rows = [smoothing_family_constants(g, R0 / 2 ** j) for j in range(3)]
+    rows = smoothing_family_constants(g, R0)  # R0, R0/2, R0/4
     drifts = {}
     for key in ("cylinder_ratio", "weighted_sup_ratio", "quartic_ratio"):
         vals = [r[key] for r in rows]

@@ -516,7 +516,7 @@ def test_every_layer_is_covariant_under_parabolic_scaling(dim, M, frames, sphere
         # times come from np.geomspace, which does not scale exactly, so the
         # times over lam^4 and the right-hand sides are equal to round-off
         ratios = smoothing_ratios(f, R)
-        assert ratios.pop("R") == R
+        assert [row.pop("R") for row in ratios] == [R / 2 ** j for j in range(len(ratios))]
         dist = distance_experiment(f, R)
         out += [ratios, operator_bound_experiment(f.grid, cfg.times(), 4, 0), dist["K"],
                 [(row["lhs"], row["holds"]) for row in dist["rows"]]]

@@ -13,7 +13,8 @@ from biflow.fields import (Grid, GridField, SpaceTimeField, Spectrum, ball_convo
                            ball_offsets, frame_blocks, inverse_transform,
                            multiplier, pointwise_norm)
 from biflow import fields, norms
-from biflow.flow import equator_initial_data
+from biflow.flow import constant_initial_data, equator_initial_data
+from biflow.harness import run_suite, smoothing_family_constants
 from biflow.norms import (NormReport, _trapezoid_weights, bmo_seminorm,
                           bmo_seminorm_brute, carleson_functional, cylinder_radii,
                           smoothing_ratios, x_norm, x_norms, y1_norm, y1_norms,
@@ -97,12 +98,15 @@ def _oracle_oscillation_value(f, r):
 
 @pytest.mark.parametrize("dim, M, codomain", [
     (1, 256, 3), (1, 128, 1), (2, 32, 3), (2, 64, 3), (3, 16, 3)])
-def test_oscillation_windows_bitwise_equal_the_shift_loop(dim, M, codomain):
+def test_oscillation_windows_bitwise_equal_the_shift_loop(monkeypatch, dim, M, codomain):
     grid = Grid(dim, 2 * np.pi, M)
     vals = np.random.Generator(np.random.Philox(dim + M)).normal(size=grid.shape + (codomain,))
     f = GridField(grid, vals)
-    for r in norms._dyadic_radii(grid.box_length / 2, grid):
-        assert norms._oscillation_value(f, r) == _oracle_oscillation_value(f, r)
+    # one offset per chunk, the default chunks and one chunk of them all
+    for points in (1, norms._OFFSET_CHUNK_POINTS, 2 ** 40):
+        monkeypatch.setattr(norms, "_OFFSET_CHUNK_POINTS", points)
+        for r in norms._dyadic_radii(grid.box_length / 2, grid):
+            assert norms._oscillation_value(f, r) == _oracle_oscillation_value(f, r)
 
 
 def test_oscillation_peak_memory_holds_one_padded_copy():
@@ -290,7 +294,7 @@ def test_geometric_scans_equal_seed_oracles(grid128):
             for i in (1, 2):
                 assert carleson_functional(f, i, Rc) == _carleson_oracle(
                     f, i, Rc, _direct_derivatives)
-        assert smoothing_ratios(f, R) == _smoothing_oracle(f, R, _direct_derivatives)
+        assert smoothing_ratios(f, R)[0] == _smoothing_oracle(f, R, _direct_derivatives)
 
 
 def test_geometric_scans_agree_with_the_round_trip_oracle(grid128):
@@ -304,13 +308,69 @@ def test_geometric_scans_agree_with_the_round_trip_oracle(grid128):
             for i in (1, 2):
                 close(carleson_functional(f, i, Rc),
                       _carleson_oracle(f, i, Rc, _round_trip_derivatives))
-        scan, oracle = smoothing_ratios(f, R), _smoothing_oracle(f, R, _round_trip_derivatives)
+        scan = smoothing_ratios(f, R)[0]
+        oracle = _smoothing_oracle(f, R, _round_trip_derivatives)
         assert scan.keys() == oracle.keys()
         for key in scan:
             close(scan[key], oracle[key])
 
 
+def test_smoothing_rows_equal_each_scales_own_scan(grid128):
+    # row j reads R's node stack from index 24j on and its radii from the
+    # j-th on; a scan of R/2^j alone builds its own nodes (R/2^j)^4 2^(-k/6),
+    # which differ from that tail by round-off: the oscillation seminorm
+    # keeps every bit, and each ratio moves by round-off only
+    family = equator_initial_data(Grid(1, 2 * np.pi, 256), 0.2, 4, 3)
+    cases = [(f, R) for f, _, R in _geometric_scan_cases(grid128)]
+    for f, R in cases + [(family, family.grid.box_length / 4)]:
+        rows = smoothing_ratios(f, R)
+        radii = [r for r in _oracle_radii(R, f.grid) if r > 2.0 * f.grid.spacing]
+        assert [row["R"] for row in rows] == radii
+        for row, r in zip(rows, radii):
+            oracle = _smoothing_oracle(f, r, _direct_derivatives)
+            assert row.keys() == oracle.keys()
+            assert row["bmo"] == oracle["bmo"]
+            for key in ("cylinder_ratio", "weighted_sup_ratio", "quartic_ratio"):
+                assert abs(row[key] - oracle[key]) <= 1e-15 * abs(oracle[key])
+
+
+@pytest.mark.parametrize("u0", [
+    lambda g: constant_initial_data(g, [0.0, 0.6, 0.8]),
+    lambda g: GridField(g, np.zeros(g.shape + (3,))),
+], ids=["constant", "zero"])
+def test_smoothing_ratios_of_data_without_oscillation_are_named_undefined(grid128, u0):
+    # every ratio divides by the oscillation seminorm, which is 0 here; it
+    # used to end in a bare ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^cylinder_ratio, weighted_sup_ratio and "
+                       r"quartic_ratio are undefined at R=1\.57: the oscillation "
+                       r"seminorm of u0 is 0$"):
+        smoothing_ratios(u0(grid128), grid128.box_length / 4)
+
+
 _TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
+
+
+def _spy_free_scans(monkeypatch):
+    """Per ``_free_magnitudes`` call, (node count, orders, the scipy.fft calls
+    made while its node magnitudes are built); the list fills as scans run."""
+    scans, inside = [], []
+    for name in _TRANSFORMS:
+        def counted(x, *args, _name=name, _real=getattr(scipy.fft, name), **kwargs):
+            if inside:
+                inside[-1].append((_name, np.shape(x)))
+            return _real(x, *args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    free_magnitudes = norms._free_magnitudes
+
+    def traced(u0, ts, orders):
+        inside.append([])
+        try:
+            return free_magnitudes(u0, ts, orders)
+        finally:
+            scans.append((len(ts), tuple(orders), inside.pop()))
+
+    monkeypatch.setattr(norms, "_free_magnitudes", traced)
+    return scans
 
 
 @pytest.mark.parametrize("scan, nodes, per_block", [
@@ -322,35 +382,38 @@ _TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn
 ])
 def test_free_scans_transform_u0_once_and_no_t0_frame(monkeypatch, grid128, scan, nodes,
                                                       per_block):
-    # every scipy.fft call made while the node magnitudes are built
-    calls, inside = [], []
-    for name in _TRANSFORMS:
-        def counted(x, *args, _name=name, _real=getattr(scipy.fft, name), **kwargs):
-            if inside:
-                calls.append((_name, np.shape(x)))
-            return _real(x, *args, **kwargs)
-        monkeypatch.setattr(scipy.fft, name, counted)
-    free_magnitudes = norms._free_magnitudes
-
-    def traced(*args, **kwargs):
-        inside.append(True)
-        try:
-            return free_magnitudes(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(norms, "_free_magnitudes", traced)
+    scans = _spy_free_scans(monkeypatch)
     f = _sine_field(grid128)
     scan(f, grid128.box_length / 4)
     # one forward transform, of u0; then per block of nodes (frame_blocks)
     # only the inverse transforms of its derivatives, each over the block's
     # nodes alone
+    [(_, _, calls)] = scans
     assert calls[0] == ("rfftn", (1,) + grid128.shape)
     sizes = [b.stop - b.start for b in frame_blocks(grid128, nodes)]
     assert len(sizes) > 1
     half = grid128.points_per_axis // 2 + 1
     assert calls[1:] == [("irfftn", (1, size, half)) for size in sizes
                          for _ in range(per_block)]
+
+
+def test_norms_suite_builds_one_node_stack_per_family_member(monkeypatch, tmp_path):
+    # its three scales are rows of one scan per member of the 4-member
+    # family: R0 = L/4 = 64h gives 36 + 5*4 octaves at 6 nodes each, and
+    # each member's 3-component u0 is transformed once
+    scans = _spy_free_scans(monkeypatch)
+    run_suite("norms", out_dir=tmp_path)
+    smoothing = [(nodes, calls) for nodes, orders, calls in scans if orders == (1, 2)]
+    assert [nodes for nodes, _ in smoothing] == [56 * 6 + 1] * 4
+    for _, calls in smoothing:
+        assert [c for c in calls if c[0] != "irfftn"] == [("rfftn", (3, 256))]
+
+
+def test_smoothing_family_needs_three_resolved_scales():
+    # R = 8h resolves R and R/2 only: the family has no R/4 row to report
+    grid = Grid(1, 2 * np.pi, 256)
+    with pytest.raises(ScaleUnresolvableError, match=r"^R/4=0\.0491 is not above 2h=0\.0491$"):
+        smoothing_family_constants(grid, 8 * grid.spacing)
 
 
 @pytest.mark.parametrize("dim, M", [(1, 128), (2, 32)])
