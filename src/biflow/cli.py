@@ -23,6 +23,7 @@ import sys
 from .errors import ConfigError, ManifoldTubeExitError
 from .harness import (SEEDED_SUITES, SUITES, run_contraction_sweep, run_evolve,
                       run_kernel_verify, run_suite)
+from .kernel import CERTIFICATE_ORDERS
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit one kernel decay certificate, or all of them")
     kv.add_argument("--dim", type=int, default=1)
     kv.add_argument("--estimate", required=True,
-                    choices=["2.2", "2.3", "2.4", "2.5", "all"])
+                    choices=[*CERTIFICATE_ORDERS, "all"])
     kv.add_argument("--order", type=int, default=None,
                     help="derivative order (default 0); not with --estimate all")
     kv.add_argument("--tol", type=float, default=1e-9)

@@ -403,14 +403,16 @@ def _offsets_cached(dim: int, M: int, steps: int):
 
 
 def _ball_steps(grid: Grid, r: float) -> float:
-    """Cache key of the lattice ball of radius r: r in lattice steps, rounded."""
+    """Cache key of the lattice ball of radius r: r in lattice steps, rounded.
+    r must lie in [0, L/2]: a larger ball would wrap round the torus."""
+    if not 0.0 <= r <= grid.box_length / 2:
+        raise ValueError(f"ball radius r={r} must be finite and lie in "
+                         f"[0, {grid.box_length / 2:g}], half the box")
     return round(r / grid.spacing * (1 + 1e-12), 9)
 
 
 def ball_offsets(grid: Grid, r: float) -> np.ndarray:
     """Integer lattice offsets (signed) within periodic distance r of 0."""
-    if r > grid.box_length / 2:
-        raise ValueError("ball radius exceeds half the box")
     _, offs = _offsets_cached(grid.dim, grid.points_per_axis, _ball_steps(grid, r))
     return offs
 

@@ -40,7 +40,8 @@ from scipy.special import gamma as _gamma, gammaincc as _gammaincc, gammainccinv
 from .errors import ManifoldTubeExitError, ScaleUnresolvableError
 from .fields import (Grid, GridField, SpaceTimeField, Spectrum, components_first,
                      components_last, forward_transform, frame_blocks, inverse_transform)
-from .kernel import ALPHA, UNIT_SPHERE_AREA, SampleSpec, certify_bound, default_profile
+from .kernel import (ALPHA, CERTIFICATE_ORDERS, UNIT_SPHERE_AREA, SampleSpec, certify_bound,
+                     default_profile)
 from .manifold import ProjectionJet, SphereTarget, distance_to_sphere, project
 from .norms import bmo_seminorm, cylinder_radii, x_norm_scan
 from .semigroup import apply_G_trajectory, duhamel_sweep, free_spectrum
@@ -443,7 +444,8 @@ def distance_experiment(u0: GridField, R: float, delta: float = 0.05) -> dict:
     """
     grid = u0.grid
     n = grid.dim
-    cert = certify_bound(default_profile(n), "2.2",
+    # estimate 2.2, the first in the catalogue
+    cert = certify_bound(default_profile(n), next(iter(CERTIFICATE_ORDERS)),
                          sample_spec=SampleSpec(num_x=15, num_t=7))
     c_n = 2.0 * u0.sup_norm() * cert.fitted_constant * UNIT_SPHERE_AREA[n]
     K = _tail_radius(delta, c_n, n)

@@ -27,7 +27,7 @@ from .errors import ConfigError, QuadratureResidualError, ScaleUnresolvableError
 from .fields import Grid, GridField, save_space_time_field
 from .flow import (FlowConfig, constant_initial_data, distance_experiment,
                    equator_initial_data, picard_solve)
-from .kernel import certify_bound, default_profile, kernel_mass
+from .kernel import CERTIFICATE_ORDERS, certify_bound, default_profile, kernel_mass
 from .manifold import SphereTarget
 from .norms import bmo_seminorm, carleson_functional, smoothing_ratios
 from .semigroup import operator_bound_experiment
@@ -250,22 +250,10 @@ def _recorded(command: str, cp: configparser.ConfigParser, out_dir,
         manifest.write(out)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(out_dir: Path, name: str, payload, manifest: RunManifest,
                 prefix: str = "") -> None:
     (out_dir / name).write_text(
-        json.dumps(payload, sort_keys=True, indent=1, default=_json_default))
+        json.dumps(payload, sort_keys=True, indent=1))
     manifest.outputs.append(prefix + name)
 
 
@@ -301,12 +289,9 @@ def _suite_kernel(cp):
         # a tolerance below the rounding floor of the quadrature is known
         # only once it runs: every number is computed before any is written
         try:
-            certs = [
-                certify_bound(profile, "2.2"),
-                certify_bound(profile, "2.3", 1),
-                certify_bound(profile, "2.4", 1, c1=c1),
-                certify_bound(profile, "2.5", 0, c1=c1),
-            ]
+            # each estimate at its lowest order
+            certs = [certify_bound(profile, est, orders[0], c1=c1)
+                     for est, orders in CERTIFICATE_ORDERS.items()]
             masses = {repr(t): kernel_mass(profile, t) for t in (1e-2, 1.0, 1e2)}
         except QuadratureResidualError as exc:
             raise ConfigError(
@@ -333,6 +318,9 @@ def _suite_operators(cp):
     for key, value in (("ensemble_size", size), ("max_mode", max_mode)):
         if value < 1:
             raise ConfigError(f"[experiments] {key} must be at least 1, got {value}")
+    if max_mode >= grid.points_per_axis // 2:  # else its modes alias
+        raise ConfigError(f"[experiments] max_mode = {max_mode} must lie below "
+                          f"{grid.points_per_axis // 2} on the {grid.points_per_axis}-point grid")
 
     def work(out_dir: Path, manifest: RunManifest, prefix: str) -> dict:
         # the doubled ensemble's first half is the base ensemble: one draw for both
@@ -494,16 +482,11 @@ def run_suite(suite_id: str, config=None, out_dir="runs", seed: int = 0) -> RunM
 # dedicated commands
 # ----------------------------------------------------------------------
 
-# (estimate, derivative order) of every certificate, in report order
-_ALL_CERTIFICATES = (("2.2", 0), *(("2.3", k) for k in range(1, 5)),
-                     *(("2.4", k) for k in range(1, 5)), *(("2.5", j) for j in range(5)))
-
-
 def run_kernel_verify(dim: int, estimate: str, order: int | None, tol: float,
                       out_file, c1: float = 0.5):
     """Emit one decay certificate as JSON, or with estimate "all" the list of
-    all 14: 2.2 order 0, 2.3 and 2.4 orders 1-4, 2.5 orders 0-4, from the
-    default profile with 16 quadrature nodes per unit k.
+    all 14, every estimate at every order ``CERTIFICATE_ORDERS`` admits, from
+    the default profile with 16 quadrature nodes per unit k.
 
     order None means 0 for a single estimate; "all" covers every order and
     takes none.  A dim, tolerance, c1 or derivative order the certificate
@@ -516,7 +499,7 @@ def run_kernel_verify(dim: int, estimate: str, order: int | None, tol: float,
     if estimate != "all":
         jobs = ((estimate, order or 0),)
     elif order is None:
-        jobs = _ALL_CERTIFICATES
+        jobs = [(est, k) for est, orders in CERTIFICATE_ORDERS.items() for k in orders]
     else:
         raise ConfigError(f"kernel-verify --estimate all covers every order; "
                           f"drop --order {order}")

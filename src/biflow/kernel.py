@@ -38,6 +38,7 @@ __all__ = [
     "ALPHA",
     "UNIT_SPHERE_AREA",
     "KernelProfile",
+    "CERTIFICATE_ORDERS",
     "SampleSpec",
     "BoundCertificate",
     "default_profile",
@@ -376,14 +377,17 @@ def kernel_mass(profile: KernelProfile, t: float) -> float:
 # certificates
 # ----------------------------------------------------------------------
 
+# The derivative orders each decay estimate admits, in report order.
+CERTIFICATE_ORDERS = {"2.2": (0,), "2.3": (1, 2, 3, 4), "2.4": (1, 2, 3, 4),
+                      "2.5": (0, 1, 2, 3, 4)}
+
+
 @dataclass(frozen=True)
 class SampleSpec:
-    """Logarithmically spaced (|x|, t) lattice for certificate sweeps."""
+    """Logarithmically spaced (|x|, t) lattice for certificate sweeps: num_x
+    values of |x| from 0.05 to 30 and num_t of t from 1e-2 to t_max."""
 
-    x_min: float = 0.05
-    x_max: float = 30.0
     num_x: int = 25
-    t_min: float = 1e-2
     t_max: float = 1e2
     num_t: int = 13
 
@@ -392,10 +396,10 @@ class SampleSpec:
         return replace(self, num_x=self.num_x * 2, num_t=self.num_t * 2)
 
     def x_values(self) -> np.ndarray:
-        return np.geomspace(self.x_min, self.x_max, self.num_x)
+        return np.geomspace(0.05, 30.0, self.num_x)
 
     def t_values(self) -> np.ndarray:
-        return np.geomspace(self.t_min, self.t_max, self.num_t)
+        return np.geomspace(1e-2, self.t_max, self.num_t)
 
 
 @dataclass(frozen=True)
@@ -498,40 +502,26 @@ def certify_bound(profile: KernelProfile, estimate_id, derivative_order: int = 0
                   sample_spec: SampleSpec | None = None, c1: float = 0.5) -> BoundCertificate:
     """Fit the constant of one decay estimate over a sample sweep.
 
-    estimate_id selects the bound:
-      "2.2"  |b| <= c t^(-n/4) exp(-ALPHA |x|^(4/3) / t^(1/3)), order 0 only;
-      "2.3"  |grad^k b| <= c (t^(1/4) + |x|)^(-n-k), k in 1..4;
-      "2.4"  ||grad^k b(., t)||_L1 <= c t^(-k/4), k in 1..4, by radial
-             quadrature in the self-similar variable out to radius 20 and,
-             beyond it, the far-field fit c e^(-c1 r) integrated in closed
-             form against r^(n-1);
-      "2.5"  |grad^j b| <= c exp(-c1 |x|) on (R^n x (0,1)) \\ (B_2 x (0, 1/2)),
-             j in 0..4, with c1 a configuration input (default 1/2).
+    estimate_id selects the bound; CERTIFICATE_ORDERS lists the orders k of each:
+      2.2  |b| <= c t^(-n/4) exp(-ALPHA |x|^(4/3) / t^(1/3));
+      2.3  |grad^k b| <= c (t^(1/4) + |x|)^(-n-k);
+      2.4  ||grad^k b(., t)||_L1 <= c t^(-k/4), by radial quadrature in the
+           self-similar variable out to radius 20 and, beyond it, the
+           far-field fit c e^(-c1 r) integrated in closed form against
+           r^(n-1);
+      2.5  |grad^k b| <= c exp(-c1 |x|) on (R^n x (0,1)) \\ (B_2 x (0, 1/2)),
+           with c1 a configuration input (default 1/2).
     """
     estimate_id = str(estimate_id)
     n = profile.dim
     k = int(derivative_order)
-
-    if estimate_id == "2.2":
-        if k != 0:
-            raise UnsupportedOrderError("estimate 2.2 concerns the kernel itself")
-        spec = sample_spec or SampleSpec()
-        fitted, used, exc, loc = _pointwise_sweep(
-            profile, spec, 0,
-            lambda x, t: t ** (-n / 4.0) * np.exp(-ALPHA * x ** (4.0 / 3.0) / t ** (1.0 / 3.0)))
-        return BoundCertificate("2.2", 0, fitted, ALPHA, used, exc, loc)
-
-    if estimate_id == "2.3":
-        if not 1 <= k <= 4:
-            raise UnsupportedOrderError("estimate 2.3 needs derivative order 1..4")
-        spec = sample_spec or SampleSpec()
-        fitted, used, exc, loc = _pointwise_sweep(
-            profile, spec, k, lambda x, t: (t ** 0.25 + x) ** (-(n + k)))
-        return BoundCertificate("2.3", k, fitted, ALPHA, used, exc, loc)
+    if estimate_id not in CERTIFICATE_ORDERS:
+        raise ValueError(f"unknown estimate id {estimate_id!r}")
+    if k not in CERTIFICATE_ORDERS[estimate_id]:
+        raise UnsupportedOrderError(f"estimate {estimate_id} admits derivative orders "
+                                    f"{CERTIFICATE_ORDERS[estimate_id]}, got {k}")
 
     if estimate_id == "2.4":
-        if not 1 <= k <= 4:
-            raise UnsupportedOrderError("estimate 2.4 needs derivative order 1..4")
         spec = sample_spec or SampleSpec()
         main, tail = _l1_profile_norm(profile, k, c1)
         # t^(k/4) ||grad^k b(., t)||_L1 equals the profile integral for every t
@@ -542,11 +532,9 @@ def certify_bound(profile: KernelProfile, estimate_id, derivative_order: int = 0
                                 per_time_values=per_t)
 
     if estimate_id == "2.5":
-        if not 0 <= k <= 4:
-            raise UnsupportedOrderError("estimate 2.5 needs derivative order 0..4")
         # denser time sampling: the sup sits at an interior t that the
         # coarse default lattice would straddle
-        spec = sample_spec or SampleSpec(t_min=1e-2, t_max=0.999, num_t=25)
+        spec = sample_spec or SampleSpec(t_max=0.999, num_t=25)
         if spec.t_max >= 1.0:
             spec = replace(spec, t_max=0.999)
         region = lambda x, t: (t >= 0.5) | (x >= 2.0)
@@ -555,4 +543,10 @@ def certify_bound(profile: KernelProfile, estimate_id, derivative_order: int = 0
             extra_x=(2.0,), extra_t=(0.5,))
         return BoundCertificate("2.5", k, fitted, c1, used, exc, loc)
 
-    raise ValueError(f"unknown estimate id {estimate_id!r}")
+    # 2.2 and 2.3: one pointwise sweep of the whole lattice
+    if estimate_id == "2.2":
+        rhs = lambda x, t: t ** (-n / 4.0) * np.exp(-ALPHA * x ** (4.0 / 3.0) / t ** (1.0 / 3.0))
+    else:
+        rhs = lambda x, t: (t ** 0.25 + x) ** (-(n + k))
+    fitted, used, exc, loc = _pointwise_sweep(profile, sample_spec or SampleSpec(), k, rhs)
+    return BoundCertificate(estimate_id, k, fitted, ALPHA, used, exc, loc)

@@ -10,10 +10,10 @@ All suprema over centers and scales are discretised: every lattice point is a
 candidate center, scales run over dyadic radii.  The scan is therefore a
 lower-bound estimator of the continuum supremum; a brute-force all-radii scan
 is provided to quantify the gap on small grids, and refinement tests certify
-stability.  Cylinder time integrals use the trapezoid rule over the stored
-frames, splitting the last interval when a cylinder height falls between
-frames.  The oscillation seminorm uses the literal r^(-n) normalisation (not
-the ball-volume average); the inner mean is the plain ball average.
+stability.  The space-time and smoothing scans share one trapezoid rule in t,
+which splits the last interval when a cylinder height falls between frames.
+The oscillation seminorm uses the literal r^(-n) normalisation (not the
+ball-volume average); the inner mean is the plain ball average.
 """
 
 from __future__ import annotations
@@ -116,26 +116,18 @@ def _cylinder_average_maxima(grid: Grid, masses: np.ndarray, r: float) -> list[f
 
 
 def _trapezoid_weights(times: np.ndarray, t_end: float) -> np.ndarray:
-    """Trapezoid weights for int_0^t_end over the frame grid.
-
-    The last partial interval is handled by linear interpolation of the
-    integrand at t_end.
-    """
+    """Trapezoid weights for int_0^t_end over the ascending frame grid; the
+    interval that t_end cuts takes the linear interpolant at t_end."""
     w = np.zeros_like(times)
-    for j in range(times.size - 1):
-        t0, t1 = times[j], times[j + 1]
-        if t1 <= t_end:
-            h = t1 - t0
-            w[j] += h / 2.0
-            w[j + 1] += h / 2.0
-        elif t0 < t_end:
-            d = t_end - t0
-            theta = d / (t1 - t0)
-            w[j] += d * (2.0 - theta) / 2.0
-            w[j + 1] += d * theta / 2.0
-            break
-        else:
-            break
+    half = np.diff(times) / 2.0
+    full = int(np.count_nonzero(times[1:] <= t_end))  # the whole intervals
+    w[:full] += half[:full]
+    w[1:full + 1] += half[:full]
+    if full < half.size and times[full] < t_end:
+        d = t_end - times[full]
+        theta = d / (times[full + 1] - times[full])
+        w[full] += d * (2.0 - theta) / 2.0
+        w[full + 1] += d * theta / 2.0
     return w
 
 
@@ -307,10 +299,7 @@ def smoothing_ratios(u0: GridField, R: float) -> list[dict]:
         start = t_nodes.size - np.count_nonzero(t_nodes <= t_top * (1 + 1e-12))
         ts = t_nodes[start:][::-1]
         vals = mass_frames[start:][::-1]
-        w = np.zeros_like(ts)
-        dt = np.diff(ts)
-        w[:-1] += dt / 2.0
-        w[1:] += dt / 2.0
+        w = _trapezoid_weights(ts, ts[-1])
         w[0] += ts[0]  # remaining sliver [0, t_min] at the frozen value
         return np.tensordot(w, vals, axes=(0, 0))
 

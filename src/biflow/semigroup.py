@@ -174,18 +174,24 @@ def apply_S_div_trajectory(F: SpaceTimeField) -> SpaceTimeField:
 # random forcings and operator-bound experiments
 # ----------------------------------------------------------------------
 
-def _draw_modes(rng: np.random.Generator, dim: int, max_mode: int, shapes: int) -> tuple:
+def _draw_modes(rng: np.random.Generator, grid: Grid, max_mode: int, shapes: int) -> tuple:
     """Wavevectors (modes, dim, shapes), amplitudes and phases (modes, shapes)
     of band-limited shapes of 2 max_mode modes, drawn shape by shape and mode
-    by mode: m in [-max_mode, max_mode]^dim, N(0, 1) / (1 + |m|^2), [0, 2 pi)."""
+    by mode: m in [-max_mode, max_mode]^dim, N(0, 1) / (1 + |m|^2), [0, 2 pi).
+    max_mode lies in [1, M/2) on the M-point grid, where no mode aliases."""
+    nyquist = grid.points_per_axis // 2
     if max_mode < 1:
         raise ValueError(f"max_mode must be at least 1, got {max_mode}: "
                          "every forcing would be zero")
-    ms = np.empty((2 * max_mode, dim, shapes), dtype=np.int64)
+    if max_mode >= nyquist:
+        raise ValueError(f"max_mode must lie below {nyquist} on the "
+                         f"{grid.points_per_axis}-point grid, got {max_mode}: "
+                         "its modes would alias")
+    ms = np.empty((2 * max_mode, grid.dim, shapes), dtype=np.int64)
     amps, phases = np.empty((2, 2 * max_mode, shapes))
     for s in range(shapes):
         for j in range(2 * max_mode):
-            m = ms[j, :, s] = rng.integers(-max_mode, max_mode + 1, size=dim)
+            m = ms[j, :, s] = rng.integers(-max_mode, max_mode + 1, size=grid.dim)
             amps[j, s] = rng.normal() / (1.0 + float(m @ m))
             phases[j, s] = rng.uniform(0, 2 * np.pi)
     return ms, amps, phases
@@ -202,9 +208,9 @@ def _mode_sums(grid: Grid, ms: np.ndarray, amps: np.ndarray, phases: np.ndarray)
     return np.multiply(np.cos(arg, out=arg), amps[expand], out=arg).sum(axis=0)
 
 
-def _draw_forcing(rng, dim: int, times: np.ndarray, max_mode: int, shapes: int) -> tuple:
+def _draw_forcing(rng, grid: Grid, times: np.ndarray, max_mode: int, shapes: int) -> tuple:
     """A random forcing's modes (``_draw_modes``), then its envelope."""
-    modes = _draw_modes(rng, dim, max_mode, shapes)
+    modes = _draw_modes(rng, grid, max_mode, shapes)
     T = times[-1] if times[-1] > 0 else 1.0
     c0, c1v, c2 = rng.uniform(0.25, 1.0), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
     return (*modes, c0 + c1v * (times / T) + c2 * (times / T) ** 2)
@@ -221,7 +227,7 @@ def random_band_limited_field(grid: Grid, rng: np.random.Generator,
                               max_mode: int = 3, codomain_dim: int = 1) -> GridField:
     """Random real field with spectrum supported on modes |m| <= max_mode and
     unit amplitude scale: 2 max_mode random cosines per component."""
-    return GridField(grid, _mode_sums(grid, *_draw_modes(rng, grid.dim, max_mode, codomain_dim)))
+    return GridField(grid, _mode_sums(grid, *_draw_modes(rng, grid, max_mode, codomain_dim)))
 
 
 def random_forcing(grid: Grid, times, rng: np.random.Generator,
@@ -231,7 +237,7 @@ def random_forcing(grid: Grid, times, rng: np.random.Generator,
     (per component, and per axis if per_axis) under a smooth envelope."""
     times = np.asarray(times, dtype=float)
     axes = (grid.dim,) if per_axis else ()
-    frames = _forcing_frames(grid, [_draw_forcing(rng, grid.dim, times, max_mode,
+    frames = _forcing_frames(grid, [_draw_forcing(rng, grid, times, max_mode,
                                                   int(np.prod(axes)) * codomain_dim)])
     return SpaceTimeField(grid, times, frames.reshape(frames.shape[:-2] + axes + (codomain_dim,)))
 
@@ -264,8 +270,8 @@ def operator_bound_experiment(grid: Grid, times, ensemble_size: int, seed: int,
     def draw(size):
         # f then F for each member: the draw order of one member at a time;
         # then every member's shapes in one pass per stack
-        fs, Fs = zip(*[(_draw_forcing(rng, grid.dim, times, max_mode, 1),
-                        _draw_forcing(rng, grid.dim, times, max_mode, grid.dim))
+        fs, Fs = zip(*[(_draw_forcing(rng, grid, times, max_mode, 1),
+                        _draw_forcing(rng, grid, times, max_mode, grid.dim))
                        for _ in range(size)])
         return (SpaceTimeField(grid, times, _forcing_frames(grid, fs)[..., 0, :]),
                 SpaceTimeField(grid, times, _forcing_frames(grid, Fs)))

@@ -433,8 +433,15 @@ def test_space_time_field_validation(grid64):
 def test_ball_offsets_periodic(grid64):
     offs = ball_offsets(grid64, 3 * grid64.spacing)
     assert sorted(o[0] for o in offs) == [-3, -2, -1, 0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        ball_offsets(grid64, grid64.box_length)
+    assert ball_offsets(grid64, 0.0).tolist() == [[0]]
+    assert len(ball_offsets(grid64, grid64.box_length / 2)) == 64
+    # a radius that is not finite or lies outside [0, L/2] names itself,
+    # in the offsets and the ball sums alike
+    f = np.ones(grid64.shape)
+    for r in (grid64.box_length, 100.0, -0.5, -grid64.spacing, np.nan, np.inf, -np.inf):
+        for ball in (lambda: ball_offsets(grid64, r), lambda: ball_convolve(grid64, f, r)):
+            with pytest.raises(ValueError, match=f"^ball radius r={r} must be finite and lie in"):
+                ball()
 
 
 def test_ball_convolve_matches_direct_sum(rng):

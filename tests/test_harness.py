@@ -1,5 +1,6 @@
 """Config parsing, suites, manifests, CLI, determinism."""
 
+import argparse
 import ast
 import json
 import hashlib
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from biflow.flow import distance_experiment, equator_initial_data
 from biflow.harness import (default_config, flow_config_from, load_config,
                             run_contraction_sweep, run_evolve, run_kernel_verify,
                             run_suite)
+from biflow.kernel import CERTIFICATE_ORDERS
 
 
 def test_default_config_builds_flow_config():
@@ -76,6 +79,17 @@ def test_kernel_verify_all_is_the_list_of_single_certificates(tmp_path):
                + [("2.4", k) for k in range(1, 5)] + [("2.5", j) for j in range(5)]]
     assert payloads == singles
     assert json.loads((tmp_path / "all.json").read_text()) == json.loads(json.dumps(singles))
+
+
+def test_a_numpy_integer_in_a_report_fails_the_run(tmp_path):
+    # every report value is a Python float, int, bool, str or None: a numpy
+    # integer is not converted behind the run's back
+    manifest = harness.RunManifest(command="probe", config={})
+    with pytest.raises(TypeError, match="int64"):
+        harness._write_json(tmp_path, "r.json", {"count": np.int64(3)}, manifest)
+    assert manifest.outputs == []
+    harness._write_json(tmp_path, "r.json", {"count": 3, "x": np.float64(0.5)}, manifest)
+    assert json.loads((tmp_path / "r.json").read_text()) == {"count": 3, "x": 0.5}
 
 
 def test_evolve_writes_manifest_first_and_lists_outputs(tmp_path):
@@ -176,12 +190,17 @@ def test_operators_suite_with_empty_ensemble_leaves_failed_manifest(tmp_path):
     assert disk["error"] == f"ConfigError: {err.value}"
 
 
+_ALIASING = "must lie below 16 on the 32-point grid"
+
+
 @pytest.mark.parametrize("key, value", [
-    ("ensemble_size", -3), ("ensemble_size", 0), ("max_mode", 0), ("max_mode", -2)])
+    ("ensemble_size", -3), ("ensemble_size", 0), ("max_mode", 0), ("max_mode", -2),
+    ("max_mode", 16), ("max_mode", 20), ("max_mode", 40)])
 def test_cli_operators_rejects_an_empty_ensemble_as_a_config_error(
         monkeypatch, tmp_path, capsys, key, value):
     # the message names the key and the value as written, not the doubled
-    # count of the base-plus-doubled draw, and nothing is drawn
+    # count of the base-plus-doubled draw, and nothing is drawn; a max_mode
+    # at or above M/2 of the suite's 32-point grid would alias
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(f"[experiments]\n{key} = {value}\n")
     monkeypatch.setattr("biflow.harness.operator_bound_experiment",
@@ -189,7 +208,8 @@ def test_cli_operators_rejects_an_empty_ensemble_as_a_config_error(
     rc = cli_main(["operators", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"config error: [experiments] {key} must be at least 1, got {value}\n"
+    rule = f"{key} = {value} {_ALIASING}" if value >= 16 else f"{key} must be at least 1, got {value}"
+    assert err == f"config error: [experiments] {rule}\n"
     disk = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert disk["status"] == "failed"
     assert disk["error"] == f"ConfigError: {err[len('config error: '):-1]}"
@@ -438,6 +458,29 @@ def test_cli_kernel_verify_rejects_a_nonpositive_c1_before_any_work(
     assert not (tmp_path / "c.json").exists()
 
 
+def test_kernel_verify_offers_the_catalogue_and_all():
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    estimate, = (a for a in sub.choices["kernel-verify"]._actions if a.dest == "estimate")
+    assert estimate.choices == [*CERTIFICATE_ORDERS, "all"]
+
+
+def _fake_certificate(est, k):
+    return SimpleNamespace(fitted_constant=1.0,
+                           to_json=lambda: {"estimate_id": est, "order": k})
+
+
+def test_kernel_suite_certifies_each_estimate_at_its_lowest_order(monkeypatch, tmp_path):
+    # c1 goes to all four; 2.2 and 2.3 do not read it
+    calls = []
+    monkeypatch.setattr("biflow.harness.certify_bound",
+                        lambda p, est, k, c1: calls.append((est, k, c1)) or _fake_certificate(est, k))
+    monkeypatch.setattr("biflow.harness.kernel_mass", lambda p, t: 1.0)
+    cfgfile = tmp_path / "c1.cfg"
+    cfgfile.write_text("[kernel]\nc1 = 0.75\n")
+    run_suite("kernel", cfgfile, tmp_path / "out")
+    assert calls == [(est, orders[0], 0.75) for est, orders in CERTIFICATE_ORDERS.items()]
+
+
 def test_kernel_verify_config_and_seed_flags_are_gone():
     for flag in (["--config", "x.cfg"], ["--seed", "5"]):
         with pytest.raises(SystemExit):
@@ -589,6 +632,30 @@ def _dunder_all(tree):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return ast.literal_eval(node.value)
     return None
+
+
+def _estimate_ids(tree):
+    """Line numbers of every string constant that is an estimate id."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in ("2.2", "2.3", "2.4", "2.5"):
+            yield node.lineno
+
+
+def test_estimate_ids_are_spelled_in_kernel_only():
+    # kernel.CERTIFICATE_ORDERS is the catalogue of estimates and orders:
+    # every other module reads the ids off it
+    src = Path(__file__).resolve().parents[1] / "src" / "biflow"
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             if path.name != "kernel.py"
+             for line in _estimate_ids(ast.parse(path.read_text()))]
+    assert found == []
+    assert list(_estimate_ids(ast.parse((src / "kernel.py").read_text())))
+
+
+def test_estimate_id_lint_sees_every_spelling_of_an_id():
+    probe = ast.parse('"""Estimate 2.2 in a docstring."""\nA = ["2.2", "2.25", 2.3]\n'
+                      'f(x, "2.5")\nB = {"2.4": (1,)}\nC = "2.3" if x else None\n')
+    assert list(_estimate_ids(probe)) == [2, 3, 4, 5]
 
 
 def test_every_all_lists_exactly_the_public_names():
@@ -807,6 +874,18 @@ def test_norms_fill_every_magnitude_stack_in_one_blocked_loop():
               if isinstance(node, ast.FunctionDef) and node.name == "_stack_magnitudes")
     calls = list(_calls_of(tree, "frame_blocks"))
     assert len(calls) == 1 and list(_calls_of(stack, "frame_blocks")) == calls
+
+
+def test_norms_share_one_trapezoid_rule():
+    # the space-time scans and the smoothing scan integrate in t by one rule:
+    # only _trapezoid_weights takes differences of the times
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "biflow" / "norms.py")
+                     .read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    calls = list(_calls_of(tree, "diff"))
+    assert len(calls) == 1 and list(_calls_of(defs["_trapezoid_weights"], "diff")) == calls
+    for user in ("_space_time_scan", "smoothing_ratios"):
+        assert len(list(_calls_of(defs[user], "_trapezoid_weights"))) == 1
 
 
 def test_field_lint_sees_every_spelling_of_a_construction():

@@ -1,6 +1,7 @@
 """Kernel profile, derivatives, mass, and decay certificates."""
 
 import ast
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -13,8 +14,8 @@ from scipy.special import gamma
 
 from biflow import kernel
 from biflow.errors import InvalidTimeError, QuadratureResidualError, UnsupportedOrderError
-from biflow.kernel import (ALPHA, KernelProfile, SampleSpec, BoundCertificate,
-                           certify_bound, default_profile, eval_kernel,
+from biflow.kernel import (ALPHA, CERTIFICATE_ORDERS, KernelProfile, SampleSpec,
+                           BoundCertificate, certify_bound, default_profile, eval_kernel,
                            eval_profile, gradient_magnitude, kernel_mass)
 
 # Oracle: high-resolution quadrature of the k-integral at the origin,
@@ -323,15 +324,48 @@ def test_certify_exponential_region(profile1):
     assert cert.alpha_or_c1 == 0.5
 
 
-def test_certify_rejects_bad_ids_and_orders(profile1):
-    with pytest.raises(ValueError):
-        certify_bound(profile1, "9.9")
-    with pytest.raises(UnsupportedOrderError):
-        certify_bound(profile1, "2.2", 1)
-    with pytest.raises(UnsupportedOrderError):
-        certify_bound(profile1, "2.3", 0)
-    with pytest.raises(UnsupportedOrderError):
-        certify_bound(profile1, "2.5", 5)
+def test_certificate_catalogue_is_the_four_estimates_in_report_order():
+    assert CERTIFICATE_ORDERS == {"2.2": (0,), "2.3": (1, 2, 3, 4),
+                                  "2.4": (1, 2, 3, 4), "2.5": (0, 1, 2, 3, 4)}
+    assert list(CERTIFICATE_ORDERS) == ["2.2", "2.3", "2.4", "2.5"]
+
+
+def test_certify_rejects_bad_ids_and_orders(monkeypatch, profile1):
+    # every pair outside the catalogue: an order the estimate does not admit
+    # is an UnsupportedOrderError that names the estimate and its orders, an
+    # unknown id a plain ValueError whatever the order; both before any
+    # sample is taken
+    monkeypatch.setattr(kernel, "_pointwise_sweep", lambda *a, **k: pytest.fail("swept"))
+    monkeypatch.setattr(kernel, "_l1_profile_norm", lambda *a, **k: pytest.fail("integrated"))
+    for estimate in [*CERTIFICATE_ORDERS, "2.1", "2.6", "9.9", "", "all"]:
+        orders = CERTIFICATE_ORDERS.get(estimate, ())
+        for k in sorted(set(range(-2, 8)) - set(orders)):
+            with pytest.raises(ValueError) as info:
+                certify_bound(profile1, estimate, k)
+            if orders:
+                assert type(info.value) is UnsupportedOrderError
+                assert str(info.value) == (f"estimate {estimate} admits derivative orders "
+                                           f"{orders}, got {k}")
+            else:
+                assert type(info.value) is ValueError
+                assert str(info.value) == f"unknown estimate id {estimate!r}"
+
+
+@pytest.mark.parametrize("estimate", ["2.2", "2.3"])
+def test_pointwise_estimates_do_not_read_c1(profile1, estimate):
+    # the kernel suite passes c1 to every estimate; these two fit no rate
+    k = CERTIFICATE_ORDERS[estimate][0]
+    assert certify_bound(profile1, estimate, k, c1=0.75) == certify_bound(profile1, estimate, k)
+
+
+def test_sample_spec_sets_the_counts_and_the_top_time_alone():
+    # |x| runs from 0.05 to 30 and t from 1e-2 on every lattice
+    assert [f.name for f in dataclasses.fields(SampleSpec)] == ["num_x", "t_max", "num_t"]
+    for spec in (SampleSpec(), SampleSpec().refined(), SampleSpec(num_x=15, t_max=0.999, num_t=7)):
+        assert spec.x_values()[0] == 0.05 and spec.x_values()[-1] == 30.0
+        assert spec.t_values()[0] == 1e-2 and spec.t_values()[-1] == spec.t_max
+        assert (spec.x_values().size, spec.t_values().size) == (spec.num_x, spec.num_t)
+    assert SampleSpec().refined() == SampleSpec(num_x=50, num_t=26)
 
 
 def test_certificate_json_round_trip(profile1):

@@ -565,6 +565,51 @@ def test_x_norm_coarse_time_grid_unresolvable(grid64):
         x_norm(traj, 1.0)
 
 
+def _oracle_trapezoid_weights(times, t_end):
+    # the rule written interval by interval, cut at the first interval that
+    # t_end does not cover
+    w = np.zeros_like(times)
+    for j in range(times.size - 1):
+        t0, t1 = times[j], times[j + 1]
+        if t1 <= t_end:
+            h = t1 - t0
+            w[j] += h / 2.0
+            w[j + 1] += h / 2.0
+        elif t0 < t_end:
+            d = t_end - t0
+            theta = d / (t1 - t0)
+            w[j] += d * (2.0 - theta) / 2.0
+            w[j + 1] += d * theta / 2.0
+            break
+        else:
+            break
+    return w
+
+
+def test_trapezoid_weights_bitwise_equal_the_interval_loop():
+    # graded frame grids T (m / M)^4, as a flow stores them, and random
+    # ascending grids with and without a node at 0; t_end on every node,
+    # between nodes, below the first positive node, at 0, below 0 and past
+    # the end
+    rng = np.random.default_rng(11)
+    grids = [_quartic_times(T, m) for T in (1e-6, 0.5, 1e3) for m in (1, 4, 12, 31)]
+    grids += [np.sort(rng.uniform(0.0, scale, n)) for scale in (1e-3, 1.0, 7e2)
+              for n in (2, 3, 17, 60)]
+    grids += [np.concatenate([[0.0], g[1:]]) for g in grids[-12:]]
+    cases = 0
+    for times in grids:
+        first = times[times > 0][0]
+        ends = [*times, *(0.5 * (times[1:] + times[:-1])),
+                *rng.uniform(times[0], times[-1], 8), first / 3.0, 0.0, -first,
+                times[-1] * 1.5, np.inf]
+        for t_end in ends:
+            got = _trapezoid_weights(times, t_end)
+            want = _oracle_trapezoid_weights(times, t_end)
+            assert got.tobytes() == want.tobytes(), (times, t_end)
+            cases += 1
+    assert cases > 1000
+
+
 # Oracle: the space-time scan one member at a time, as it stood before the
 # scan took a member axis, with its own ball sums written straight on
 # scipy's real transform.  x_norm, x_norms and the forcing norms all run

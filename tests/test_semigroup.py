@@ -544,17 +544,31 @@ def test_random_forcing_bitwise_equals_the_per_mode_loop(dim, codomain, per_axis
         assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
 
 
-@pytest.mark.parametrize("max_mode", [0, -1])
+@pytest.mark.parametrize("max_mode", [0, -1, 8, 9, 20])
 def test_degenerate_max_mode_is_rejected_by_every_draw(max_mode):
-    # 2 max_mode <= 0 modes would give an all-zero forcing
+    # 2 max_mode <= 0 modes would give an all-zero forcing, and a mode at or
+    # above M/2 aliases onto a lower one (at 16 on 16 points, onto mode 0)
     g = Grid(2, 2 * np.pi, 16)
-    message = f"^max_mode must be at least 1, got {max_mode}"
+    message = (f"^max_mode must be at least 1, got {max_mode}" if max_mode < 1 else
+               f"^max_mode must lie below 8 on the 16-point grid, got {max_mode}")
     with pytest.raises(ValueError, match=message):
         random_forcing(g, [0.0, 0.1], _philox(0), max_mode=max_mode)
     with pytest.raises(ValueError, match=message):
         random_forcing(g, [0.0, 0.1], _philox(0), max_mode=max_mode, per_axis=True)
     with pytest.raises(ValueError, match=message):
         random_band_limited_field(g, _philox(0), max_mode=max_mode)
+    with pytest.raises(ValueError, match=message):
+        operator_bound_experiment(g, [0.0, 0.1], 2, seed=0, max_mode=max_mode)
+
+
+def test_the_highest_admitted_mode_keeps_its_spectrum():
+    # max_mode = M/2 - 1 is drawn as asked: the field's spectrum lies on
+    # |m| <= max_mode and is not constant
+    g = Grid(1, 2 * np.pi, 16)
+    f = random_band_limited_field(g, _philox(3), max_mode=7)
+    power = np.abs(scipy.fft.rfft(f.values[:, 0])) ** 2
+    assert power[8:].max() <= 1e-24 * power.max()
+    assert power[1:].max() > 0
 
 
 def _oracle_operator_bound_experiment(grid, times, ensemble_size, seed, max_mode=3):
